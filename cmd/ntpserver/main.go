@@ -43,7 +43,8 @@
 // after the drain or the -drain deadline (0 drains nothing: the old
 // immediate close). SIGHUP reloads live: the -config file (key=value:
 // stratum, ratelimit, ratewindow, maxclients, shed-target,
-// shed-interval) is re-read and applied without dropping a socket,
+// shed-interval; a key it omits takes its flag value) is re-read,
+// range-checked like the flags and applied without dropping a socket,
 // the NTS certificate is rotated (self-signed regenerated, or
 // -nts-cert/-nts-key re-read from disk), -nts-cert-out is rewritten,
 // and the worker pools are recycled one shard at a time under load.
@@ -74,20 +75,61 @@ import (
 	"mntp/internal/overload"
 )
 
+// settings are the reloadable parameters. The flags fill one, the
+// -config file overrides it key by key, and both pass the same check.
+type settings struct {
+	stratum, rateLimit, maxClients       int
+	rateWindow, shedTarget, shedInterval time.Duration
+}
+
+// check range-checks before anything silently truncates: stratum
+// feeds a uint8 (a 256 would wrap to 0, a kiss-of-death stratum),
+// a negative limit would read as "off", and a non-positive window,
+// table bound or shed parameter would read as "default" at startup
+// and as "keep the current one" on a reload. Messages lead with the
+// flag/key name.
+func (s settings) check() error {
+	switch {
+	case s.stratum < 1 || s.stratum > 15:
+		return fmt.Errorf("stratum %d out of range 1..15", s.stratum)
+	case s.rateLimit < 0:
+		return fmt.Errorf("ratelimit %d is negative", s.rateLimit)
+	case s.maxClients <= 0:
+		return fmt.Errorf("maxclients %d must be positive", s.maxClients)
+	case s.rateWindow <= 0:
+		return fmt.Errorf("ratewindow %v must be positive", s.rateWindow)
+	case s.shedTarget <= 0:
+		return fmt.Errorf("shed-target %v must be positive", s.shedTarget)
+	case s.shedInterval <= 0:
+		return fmt.Errorf("shed-interval %v must be positive", s.shedInterval)
+	}
+	return nil
+}
+
+// reloadConfig spells every setting out (check leaves no zero for
+// Reload to read as "keep"), so a reload lands on exactly
+// flags-overridden-by-file whatever an earlier reload had set.
+func (s settings) reloadConfig() ntpnet.ReloadConfig {
+	return ntpnet.ReloadConfig{
+		Stratum:    uint8(s.stratum),
+		RateLimit:  &s.rateLimit,
+		RateWindow: s.rateWindow,
+		MaxClients: s.maxClients,
+		Overload:   &overload.Config{Target: s.shedTarget, Interval: s.shedInterval},
+	}
+}
+
 // parseConfig reads a key=value reload file ('#' comments, blank
-// lines ignored). Keys mirror the reloadable flags: stratum,
-// ratelimit, ratewindow, maxclients, shed-target, shed-interval.
-// Unknown keys fail loudly — a typo silently ignored is a config
-// change that silently didn't happen.
-func parseConfig(path string) (ntpnet.ReloadConfig, error) {
-	var r ntpnet.ReloadConfig
+// lines ignored) over the flag values in s. Keys mirror the
+// reloadable flags: stratum, ratelimit, ratewindow, maxclients,
+// shed-target, shed-interval. Unknown keys fail loudly — a typo
+// silently ignored is a config change that silently didn't happen.
+func parseConfig(path string, s settings) (settings, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return r, err
+		return s, err
 	}
 	defer f.Close()
-	var oc overload.Config
-	haveOverload := false
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -98,65 +140,35 @@ func parseConfig(path string) (ntpnet.ReloadConfig, error) {
 		}
 		key, val, ok := strings.Cut(text, "=")
 		if !ok {
-			return r, fmt.Errorf("%s:%d: want key=value, got %q", path, line, text)
+			return s, fmt.Errorf("%s:%d: want key=value, got %q", path, line, text)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		bad := func(err error) error {
-			return fmt.Errorf("%s:%d: %s: %v", path, line, key, err)
-		}
+		var err error
 		switch key {
 		case "stratum":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			if n < 1 || n > 15 {
-				return r, fmt.Errorf("%s:%d: stratum %d out of range 1..15", path, line, n)
-			}
-			r.Stratum = uint8(n)
+			s.stratum, err = strconv.Atoi(val)
 		case "ratelimit":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			r.RateLimit = &n
+			s.rateLimit, err = strconv.Atoi(val)
 		case "ratewindow":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			r.RateWindow = d
+			s.rateWindow, err = time.ParseDuration(val)
 		case "maxclients":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			r.MaxClients = n
+			s.maxClients, err = strconv.Atoi(val)
 		case "shed-target":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			oc.Target = d
-			haveOverload = true
+			s.shedTarget, err = time.ParseDuration(val)
 		case "shed-interval":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return r, bad(err)
-			}
-			oc.Interval = d
-			haveOverload = true
+			s.shedInterval, err = time.ParseDuration(val)
 		default:
-			return r, fmt.Errorf("%s:%d: unknown key %q", path, line, key)
+			err = fmt.Errorf("unknown key %q", key)
+		}
+		// s was valid before this line, so a failed check is this line's.
+		if err == nil {
+			err = s.check()
+		}
+		if err != nil {
+			return s, fmt.Errorf("%s:%d: %v", path, line, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return r, err
-	}
-	if haveOverload {
-		r.Overload = &oc
-	}
-	return r, nil
+	return s, sc.Err()
 }
 
 func main() {
@@ -185,24 +197,16 @@ func main() {
 	ntsStateKey := flag.String("nts-state-key", "", "file holding the hex ring-sealing key (created 0600 on first run; required with -nts-state)")
 	flag.Parse()
 
-	// Validate before anything silently truncates: -stratum feeds a
-	// uint8 (a 256 would wrap to 0, a kiss-of-death stratum), and
-	// negative limits would read as "off" or break table sizing.
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ntpserver: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *stratum < 1 || *stratum > 15 {
-		fail("-stratum %d out of range 1..15", *stratum)
+	flags := settings{
+		stratum: *stratum, rateLimit: *rateLimit, maxClients: *maxClients,
+		rateWindow: *rateWindow, shedTarget: *shedTarget, shedInterval: *shedInterval,
 	}
-	if *rateLimit < 0 {
-		fail("-ratelimit %d is negative", *rateLimit)
-	}
-	if *maxClients < 0 {
-		fail("-maxclients %d is negative", *maxClients)
-	}
-	if *rateWindow < 0 {
-		fail("-ratewindow %v is negative", *rateWindow)
+	if err := flags.check(); err != nil {
+		fail("-%v", err)
 	}
 	if *workers < 0 {
 		fail("-workers %d is negative", *workers)
@@ -212,12 +216,6 @@ func main() {
 	}
 	if *statsEvery < 0 {
 		fail("-stats %v is negative", *statsEvery)
-	}
-	if *shedTarget <= 0 {
-		fail("-shed-target %v must be positive", *shedTarget)
-	}
-	if *shedInterval <= 0 {
-		fail("-shed-interval %v must be positive", *shedInterval)
 	}
 	if (*ntsCert == "") != (*ntsKey == "") {
 		fail("-nts-cert and -nts-key must be given together")
@@ -234,36 +232,34 @@ func main() {
 	if *drain < 0 {
 		fail("-drain %v is negative", *drain)
 	}
-	var startupCfg *ntpnet.ReloadConfig
+	cur := flags
 	if *configPath != "" {
 		// Parse at startup, not at the first SIGHUP: a broken file
-		// should stop the deploy, not surface hours later. The parsed
-		// config is applied once the server is listening, so the file
-		// governs from the first request — SIGHUP re-reads the same
+		// should stop the deploy, not surface hours later. The file
+		// governs from the first request; SIGHUP re-reads the same
 		// file, keeping flags as defaults the file overrides.
-		rc, err := parseConfig(*configPath)
-		if err != nil {
+		var err error
+		if cur, err = parseConfig(*configPath, flags); err != nil {
 			fail("-config: %v", err)
 		}
-		startupCfg = &rc
 	}
 
 	var clk clock.Clock = clock.System{}
 	if *shift != 0 {
 		clk = &clock.Fixed{Base: clock.System{}, Error: *shift}
 	}
-	srv := ntpnet.NewServer(clk, uint8(*stratum))
+	srv := ntpnet.NewServer(clk, uint8(cur.stratum))
 	srv.Shards = *shards
 	// A multi-shard listen is all-or-nothing: serving from fewer
 	// queues than requested would silently halve capacity.
 	srv.RequireShards = *shards > 1
 	srv.Workers = *workers
-	srv.RateLimit = *rateLimit
-	srv.RateWindow = *rateWindow
-	srv.MaxClients = *maxClients
+	srv.RateLimit = cur.rateLimit
+	srv.RateWindow = cur.rateWindow
+	srv.MaxClients = cur.maxClients
 	srv.WatchdogInterval = *watchdog
 	if *overloadOn {
-		srv.Overload = &overload.Config{Target: *shedTarget, Interval: *shedInterval}
+		srv.Overload = &overload.Config{Target: cur.shedTarget, Interval: cur.shedInterval}
 	}
 
 	// The cookie ring is shared between the UDP verify path and the KE
@@ -303,9 +299,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if startupCfg != nil {
-		srv.Reload(*startupCfg)
 	}
 
 	var ke *ntske.Server
@@ -404,7 +397,7 @@ func main() {
 	}
 
 	fmt.Printf("ntpserver listening on %s (stratum %d, shift %v, shards %d, workers %d, ratelimit %d/%v, overload %v, nts %v)\n",
-		addr, *stratum, *shift, srv.NumShards(), *workers, *rateLimit, *rateWindow, *overloadOn, *ntsOn)
+		addr, cur.stratum, *shift, srv.NumShards(), *workers, cur.rateLimit, cur.rateWindow, *overloadOn, *ntsOn)
 
 	printStats := func() {
 		fmt.Printf("%s rate-table=%d\n", srv.Snapshot(), srv.RateTableSize())
@@ -425,12 +418,12 @@ func main() {
 	// down.
 	reload := func() {
 		if *configPath != "" {
-			rc, err := parseConfig(*configPath)
+			cfg, err := parseConfig(*configPath, flags)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ntpserver: reload:", err)
 				return
 			}
-			srv.Reload(rc)
+			srv.Reload(cfg.reloadConfig())
 		}
 		if rotateCert != nil {
 			if err := rotateCert(); err != nil {

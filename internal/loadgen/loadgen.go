@@ -10,7 +10,7 @@
 // are tracked against a per-request reply deadline; replies are
 // matched by their echoed transmit timestamp (tagged with a sequence
 // counter so every outstanding request has a unique key), latencies
-// land in an HDR-style log-bucketed recorder, and kiss-of-death
+// land in the shared log-bucketed hist.Histogram, and kiss-of-death
 // replies are counted separately from served time. A simulated
 // spoofed-source population (distinct 127/8 source addresses, where
 // the platform allows binding them) exercises a server's per-client
@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mntp/internal/hist"
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
 	"mntp/internal/nts"
@@ -150,6 +151,10 @@ type pendingReq struct {
 	st   *nts.RequestState
 }
 
+// Recorder is the latency recorder the engine fills: the shared
+// log-bucketed histogram.
+type Recorder = hist.Histogram
+
 type engine struct {
 	cfg     Config
 	timeout time.Duration
@@ -169,7 +174,7 @@ type engine struct {
 	stray       atomic.Uint64
 	sendErrs    atomic.Uint64
 	recvErrs    atomic.Uint64
-	rec         recorder
+	rec         Recorder
 
 	ntsSessions int
 
@@ -591,7 +596,7 @@ func (e *engine) receive(sk *sock) {
 			}
 		}
 		e.received.Add(1)
-		e.rec.record(d)
+		e.rec.Record(d)
 	}
 }
 
@@ -632,7 +637,7 @@ func (e *engine) snapshotIntervals() {
 	tick := time.NewTicker(e.cfg.SnapshotEvery)
 	defer tick.Stop()
 	var prevSent, prevRecv, prevKoD, prevLost uint64
-	prevHist := e.rec.snapshot()
+	prev := e.rec.Snapshot()
 	for {
 		select {
 		case <-e.stop:
@@ -641,8 +646,8 @@ func (e *engine) snapshotIntervals() {
 			sent, recv := e.sent.Load(), e.received.Load()
 			kod := e.kod.Load()
 			lost := e.expired.Load() + e.late.Load()
-			hist := e.rec.snapshot()
-			dHist := hist.sub(prevHist)
+			cur := e.rec.Snapshot()
+			delta := cur.Sub(&prev)
 			iv := Interval{
 				ElapsedSec: time.Since(e.start).Seconds(),
 				Sent:       sent - prevSent,
@@ -651,14 +656,14 @@ func (e *engine) snapshotIntervals() {
 				Lost:       lost - prevLost,
 				SendRate:   float64(sent-prevSent) / e.cfg.SnapshotEvery.Seconds(),
 			}
-			if p, ok := dHist.quantile(0.50); ok {
+			if p, ok := delta.Quantile(0.50); ok {
 				iv.P50Us = us(p)
 			}
-			if p, ok := dHist.quantile(0.99); ok {
+			if p, ok := delta.Quantile(0.99); ok {
 				iv.P99Us = us(p)
 			}
 			prevSent, prevRecv, prevKoD, prevLost = sent, recv, kod, lost
-			prevHist = hist
+			prev = cur
 			e.intervalMu.Lock()
 			e.intervals = append(e.intervals, iv)
 			e.intervalMu.Unlock()

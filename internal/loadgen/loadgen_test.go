@@ -72,81 +72,6 @@ func TestKoDClassificationReachesReport(t *testing.T) {
 	}
 }
 
-// --- Recorder.
-
-func TestBucketIndexBoundRoundTrip(t *testing.T) {
-	// Every value must land in a bucket whose bound is ≥ the value,
-	// with bounded relative error (one sub-bucket ≈ 1/16).
-	values := []uint64{0, 1, 15, 16, 17, 31, 32, 100, 1000, 12345,
-		1 << 20, 1<<20 + 1, 987654321, 1 << 40, 1<<62 + 12345}
-	for _, u := range values {
-		i := bucketIndex(u)
-		if i < 0 || i >= numBuckets {
-			t.Fatalf("bucketIndex(%d) = %d out of range", u, i)
-		}
-		b := bucketBound(i)
-		if b < u {
-			t.Errorf("bound(%d)=%d below value %d", i, b, u)
-		}
-		if u >= subBuckets && float64(b-u) > float64(u)/subBuckets+1 {
-			t.Errorf("bound(%d)=%d too far above value %d", i, b, u)
-		}
-		// Bound must be the largest value of its own bucket.
-		if bucketIndex(b) != i {
-			t.Errorf("bound %d of bucket %d maps to bucket %d", b, i, bucketIndex(b))
-		}
-		if bucketIndex(b+1) == i {
-			t.Errorf("bound+1 %d still maps to bucket %d", b+1, i)
-		}
-	}
-}
-
-func TestRecorderQuantiles(t *testing.T) {
-	var r recorder
-	// 1000 samples: 990 at ~1ms, 10 at ~100ms.
-	for i := 0; i < 990; i++ {
-		r.record(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		r.record(100 * time.Millisecond)
-	}
-	h := r.snapshot()
-	if h.count != 1000 {
-		t.Fatalf("count = %d", h.count)
-	}
-	p50, ok := h.quantile(0.50)
-	if !ok || p50 < time.Millisecond || p50 > time.Millisecond+time.Millisecond/8 {
-		t.Errorf("p50 = %v, %v", p50, ok)
-	}
-	if p99, _ := h.quantile(0.99); p99 > 2*time.Millisecond {
-		t.Errorf("p99 = %v, want ~1ms (990/1000 at 1ms)", p99)
-	}
-	if p999, _ := h.quantile(0.999); p999 < 100*time.Millisecond || p999 > 110*time.Millisecond {
-		t.Errorf("p99.9 = %v, want ~100ms", p999)
-	}
-	if m := h.mean(); m < time.Millisecond || m > 3*time.Millisecond {
-		t.Errorf("mean = %v", m)
-	}
-	if time.Duration(h.max) < 100*time.Millisecond {
-		t.Errorf("max = %v", time.Duration(h.max))
-	}
-	// Empty distribution.
-	var empty recorder
-	if _, ok := empty.snapshot().quantile(0.5); ok {
-		t.Error("empty recorder produced a quantile")
-	}
-	// Interval subtraction: remove the first snapshot's counts.
-	r2 := r.snapshot()
-	r.record(time.Second)
-	d := r.snapshot().sub(r2)
-	if d.count != 1 {
-		t.Fatalf("interval count = %d", d.count)
-	}
-	if q, _ := d.quantile(0.5); q < time.Second || q > time.Second+time.Second/8 {
-		t.Errorf("interval p50 = %v, want ~1s", q)
-	}
-}
-
 // --- Engine.
 
 func startServer(t testing.TB, mutate func(*ntpnet.Server)) (*ntpnet.Server, string) {
@@ -211,7 +136,7 @@ func TestRunAgainstServer(t *testing.T) {
 	if len(rep.Intervals) == 0 {
 		t.Error("no interval snapshots")
 	}
-	if got := srv.Served(); got != int(rep.Received) {
+	if got := srv.Snapshot().Served; got != rep.Received {
 		t.Errorf("server served %d, client received %d", got, rep.Received)
 	}
 	// The JSON report must carry p99 and loss for the trajectory.
@@ -329,7 +254,7 @@ func TestSpoofPopulationExercisesRateLimitTable(t *testing.T) {
 	if got := srv.RateTableSize(); got != population {
 		t.Errorf("rate table tracked %d clients, want %d", got, population)
 	}
-	if limited := srv.RateLimited(); limited != int(rep.KoD) {
+	if limited := srv.Snapshot().Limited; limited != rep.KoD {
 		t.Errorf("server limited %d, client counted %d KoD", limited, rep.KoD)
 	}
 }

@@ -130,15 +130,15 @@ func (e *engine) report(sendDur time.Duration) *Report {
 	if r.Sent > 0 {
 		r.LossFraction = float64(r.Lost) / float64(r.Sent)
 	}
-	h := e.rec.snapshot()
-	r.Latency.Count = h.count
-	r.Latency.MeanUs = us(h.mean())
-	r.Latency.MaxUs = us(time.Duration(h.max))
+	h := e.rec.Snapshot()
+	r.Latency.Count = h.Count()
+	r.Latency.MeanUs = us(h.Mean())
+	r.Latency.MaxUs = us(h.Max())
 	for _, q := range []struct {
 		q   float64
 		dst *float64
 	}{{0.50, &r.Latency.P50Us}, {0.90, &r.Latency.P90Us}, {0.99, &r.Latency.P99Us}, {0.999, &r.Latency.P999Us}} {
-		if v, ok := h.quantile(q.q); ok {
+		if v, ok := h.Quantile(q.q); ok {
 			*q.dst = us(v)
 		}
 	}

@@ -6,26 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mntp/internal/hist"
 	"mntp/internal/overload"
 )
-
-// numLatencyBuckets is the bucket count of the latency histogram:
-// len(latencyBounds) bounded buckets plus the overflow.
-const numLatencyBuckets = len(latencyBounds) + 1
-
-// latencyBounds are the upper bounds of the request-latency histogram
-// buckets (receive timestamp to reply written). The last bucket is
-// unbounded.
-var latencyBounds = [...]time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-}
 
 // Metrics counts server outcomes. All counters are atomic: the serve
 // pool updates them concurrently without a lock, and readers may
@@ -58,23 +41,15 @@ type Metrics struct {
 	// answered with an NTS NAK kiss-of-death.
 	NTSNaks atomic.Uint64
 
-	latency [numLatencyBuckets]atomic.Uint64
-}
-
-// observeLatency records one request-handling latency.
-func (m *Metrics) observeLatency(d time.Duration) {
-	for i, b := range latencyBounds {
-		if d <= b {
-			m.latency[i].Add(1)
-			return
-		}
-	}
-	m.latency[len(latencyBounds)].Add(1)
+	// Latency is the request-handling latency distribution (receive
+	// timestamp to reply written).
+	Latency hist.Histogram
 }
 
 // Snapshot is a consistent-enough copy of the counters for reporting
 // (individual counters are read atomically; the set is not a single
-// atomic transaction, which is fine for monitoring).
+// atomic transaction, which is fine for monitoring). With the latency
+// histogram it is ~8 KB, so it travels by pointer.
 type Snapshot struct {
 	Served, Limited, Dropped, Malformed, WriteErrors uint64
 	// Shed / ShedDropped / Panics mirror the Metrics counters of the
@@ -88,24 +63,14 @@ type Snapshot struct {
 	// requests answered, and NTS verification failures NAKed.
 	NTSServed, NTSNaks uint64
 	Health             overload.State
-	// Latency holds the histogram counts; Latency[i] counts requests
-	// handled within LatencyBounds()[i], the last entry the overflow.
-	Latency [numLatencyBuckets]uint64
-}
-
-// LatencyBounds returns the histogram bucket upper bounds, matching
-// Snapshot.Latency[:len(bounds)]; the final Latency entry counts
-// requests slower than the last bound.
-func LatencyBounds() []time.Duration {
-	out := make([]time.Duration, len(latencyBounds))
-	copy(out, latencyBounds[:])
-	return out
+	// Latency is the handling-latency distribution.
+	Latency hist.Snapshot
 }
 
 // Merge adds o's counts into s. A sharded server keeps one Metrics
 // per shard so the fast path never bounces a cache line between
 // shards; Merge folds the shard-local views into the aggregate.
-func (s *Snapshot) Merge(o Snapshot) {
+func (s *Snapshot) Merge(o *Snapshot) {
 	s.Served += o.Served
 	s.Limited += o.Limited
 	s.Dropped += o.Dropped
@@ -120,14 +85,12 @@ func (s *Snapshot) Merge(o Snapshot) {
 	if o.Health > s.Health {
 		s.Health = o.Health // the merged view reports the worst state
 	}
-	for i := range s.Latency {
-		s.Latency[i] += o.Latency[i]
-	}
+	s.Latency.Merge(&o.Latency)
 }
 
 // Snapshot reads all counters.
-func (m *Metrics) Snapshot() Snapshot {
-	var s Snapshot
+func (m *Metrics) Snapshot() *Snapshot {
+	s := new(Snapshot)
 	s.Served = m.Served.Load()
 	s.Limited = m.Limited.Load()
 	s.Dropped = m.Dropped.Load()
@@ -138,43 +101,18 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Panics = m.Panics.Load()
 	s.NTSServed = m.NTSServed.Load()
 	s.NTSNaks = m.NTSNaks.Load()
-	for i := range m.latency {
-		s.Latency[i] = m.latency[i].Load()
-	}
+	s.Latency = m.Latency.Snapshot()
 	return s
 }
 
-// LatencyQuantile returns the histogram bucket bound at or above the
-// q-th quantile (0 < q ≤ 1) of handled requests, and false when
-// nothing has been observed. The overflow bucket reports the largest
-// finite bound (the true value is "greater than" it).
-func (s Snapshot) LatencyQuantile(q float64) (time.Duration, bool) {
-	var total uint64
-	for _, c := range s.Latency {
-		total += c
-	}
-	if total == 0 {
-		return 0, false
-	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range s.Latency {
-		cum += c
-		if cum >= target {
-			if i < len(latencyBounds) {
-				return latencyBounds[i], true
-			}
-			return latencyBounds[len(latencyBounds)-1], true
-		}
-	}
-	return latencyBounds[len(latencyBounds)-1], true
+// LatencyQuantile returns the q-th (0 ≤ q ≤ 1) quantile of the
+// handling latency, and false when nothing has been observed.
+func (s *Snapshot) LatencyQuantile(q float64) (time.Duration, bool) {
+	return s.Latency.Quantile(q)
 }
 
 // String renders a one-line summary for periodic logging.
-func (s Snapshot) String() string {
+func (s *Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "served=%d limited=%d shed=%d shed-dropped=%d dropped=%d malformed=%d write-errors=%d panics=%d restarts=%d health=%s",
 		s.Served, s.Limited, s.Shed, s.ShedDropped, s.Dropped, s.Malformed,
@@ -184,7 +122,7 @@ func (s Snapshot) String() string {
 	}
 	if p50, ok := s.LatencyQuantile(0.50); ok {
 		p99, _ := s.LatencyQuantile(0.99)
-		fmt.Fprintf(&b, " latency p50≤%v p99≤%v", p50, p99)
+		fmt.Fprintf(&b, " latency p50=%v p99=%v", p50, p99)
 	}
 	return b.String()
 }

@@ -3,81 +3,103 @@ package ntpnet
 import (
 	"testing"
 	"time"
+
+	"mntp/internal/clock"
+	"mntp/internal/exchange"
+	"mntp/internal/hist"
+	"mntp/internal/ntppkt"
 )
 
-func TestLatencyQuantileEdgeCases(t *testing.T) {
-	bounds := LatencyBounds()
-
-	// Empty histogram: no quantile.
+func TestLatencyQuantileEmpty(t *testing.T) {
 	var empty Snapshot
 	if q, ok := empty.LatencyQuantile(0.5); ok || q != 0 {
 		t.Errorf("empty histogram: got (%v, %v), want (0, false)", q, ok)
 	}
+}
 
-	// q=0 degenerates to the first non-empty bucket (target is
-	// clamped to at least one observation).
-	var s Snapshot
-	s.Latency[3] = 10
-	if q, ok := s.LatencyQuantile(0); !ok || q != bounds[3] {
-		t.Errorf("q=0: got (%v, %v), want (%v, true)", q, ok, bounds[3])
-	}
-
-	// q=1 lands in the highest non-empty bucket.
-	s.Latency[5] = 1
-	if q, ok := s.LatencyQuantile(1); !ok || q != bounds[5] {
-		t.Errorf("q=1: got (%v, %v), want (%v, true)", q, ok, bounds[5])
-	}
-
-	// All mass in the overflow bucket: the histogram can only say
-	// "slower than the largest finite bound", and reports that bound.
-	var over Snapshot
-	over.Latency[len(over.Latency)-1] = 7
-	want := bounds[len(bounds)-1]
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got, ok := over.LatencyQuantile(q); !ok || got != want {
-			t.Errorf("overflow-only q=%v: got (%v, %v), want (%v, true)", q, got, ok, want)
+// TestLatencyResolvesSubBucket: 60 µs and 90 µs shared the old fixed
+// "≤100µs" bucket; the log-bucketed histogram must tell them apart,
+// each to within one sub-bucket (6.25 %).
+func TestLatencyResolvesSubBucket(t *testing.T) {
+	p50 := func(d time.Duration) time.Duration {
+		var m Metrics
+		m.Latency.Record(d)
+		q, ok := m.Snapshot().LatencyQuantile(0.5)
+		if !ok || q < d || q > d+d/16 {
+			t.Errorf("p50 of one %v observation = (%v, %v)", d, q, ok)
 		}
+		return q
+	}
+	if a, b := p50(60*time.Microsecond), p50(90*time.Microsecond); a >= b {
+		t.Errorf("p50(60µs) = %v, p50(90µs) = %v: want distinct, ordered", a, b)
 	}
 }
 
-func TestObserveLatencyOverflowBucket(t *testing.T) {
-	var m Metrics
-	m.observeLatency(time.Hour) // beyond every finite bound
-	m.observeLatency(time.Microsecond)
-	s := m.Snapshot()
-	if s.Latency[len(s.Latency)-1] != 1 {
-		t.Errorf("overflow bucket = %d, want 1", s.Latency[len(s.Latency)-1])
-	}
-	if s.Latency[0] != 1 {
-		t.Errorf("first bucket = %d, want 1", s.Latency[0])
-	}
-}
-
+// TestSnapshotMerge: folding two shards' snapshots must equal one
+// shard that saw both streams — counters summed, latency merged.
 func TestSnapshotMerge(t *testing.T) {
-	var a, b Metrics
+	var a, b, both Metrics
 	a.Served.Store(3)
 	a.Limited.Store(1)
-	a.observeLatency(10 * time.Microsecond)
-	a.observeLatency(time.Second) // overflow
 	b.Served.Store(5)
 	b.Malformed.Store(2)
 	b.WriteErrors.Store(4)
 	b.Dropped.Store(6)
-	b.observeLatency(10 * time.Microsecond)
+	both.Served.Store(8)
+	both.Limited.Store(1)
+	both.Malformed.Store(2)
+	both.WriteErrors.Store(4)
+	both.Dropped.Store(6)
+	for i, d := range []time.Duration{10 * time.Microsecond, time.Second, 10 * time.Microsecond, 70 * time.Microsecond} {
+		if i%2 == 0 {
+			a.Latency.Record(d)
+		} else {
+			b.Latency.Record(d)
+		}
+		both.Latency.Record(d)
+	}
 
 	m := a.Snapshot()
 	m.Merge(b.Snapshot())
-	if m.Served != 8 || m.Limited != 1 || m.Malformed != 2 || m.WriteErrors != 4 || m.Dropped != 6 {
-		t.Errorf("merged counters wrong: %+v", m)
+	if want := both.Snapshot(); *m != *want {
+		t.Errorf("merged snapshot %v, want %v", m, want)
 	}
-	if m.Latency[0] != 2 {
-		t.Errorf("merged first bucket = %d, want 2", m.Latency[0])
-	}
-	if m.Latency[len(m.Latency)-1] != 1 {
-		t.Errorf("merged overflow bucket = %d, want 1", m.Latency[len(m.Latency)-1])
+	if m.Latency.Count() != 4 || m.Latency.Max() != time.Second {
+		t.Errorf("merged latency count=%d max=%v, want 4 and 1s", m.Latency.Count(), m.Latency.Max())
 	}
 	// Quantiles over the merged histogram see all shards' mass.
-	if q, ok := m.LatencyQuantile(0.5); !ok || q != LatencyBounds()[0] {
-		t.Errorf("merged p50 = (%v, %v)", q, ok)
+	if q, ok := m.LatencyQuantile(0.5); !ok || q < 10*time.Microsecond || q > 11*time.Microsecond {
+		t.Errorf("merged p50 = (%v, %v), want ~10µs", q, ok)
+	}
+}
+
+// TestServerLatencyBelowClientRTT: the server's handling latency and
+// the client's round trip share one bucket layout, so they compare
+// directly — and the part cannot exceed the whole.
+func TestServerLatencyBelowClientRTT(t *testing.T) {
+	srv, addr := startServer(t, clock.System{})
+	c := &Client{Timeout: 2 * time.Second}
+	var rtt hist.Histogram
+	const n = 50
+	for i := 0; i < n; i++ {
+		s, err := exchange.Measure(clock.System{}, c, addr, ntppkt.Version4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtt.Record(s.T4.Sub(s.T1))
+	}
+	// The server records after its write returns, which can trail the
+	// client's receive of the last reply.
+	snap := srv.Snapshot()
+	for deadline := time.Now().Add(2 * time.Second); snap.Latency.Count() < n && time.Now().Before(deadline); snap = srv.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
+	if snap.Latency.Count() != n {
+		t.Fatalf("latency observations = %d, want %d", snap.Latency.Count(), n)
+	}
+	server, ok := snap.LatencyQuantile(0.5)
+	client, _ := rtt.Quantile(0.5)
+	if !ok || server <= 0 || server > client {
+		t.Errorf("server p50 = (%v, %v), client median RTT = %v: want 0 < server ≤ client", server, ok, client)
 	}
 }

@@ -41,8 +41,8 @@ func TestLoopbackExchange(t *testing.T) {
 	if s.Delay < 0 || s.Delay > time.Second {
 		t.Errorf("loopback delay = %v", s.Delay)
 	}
-	if srv.Served() != 1 {
-		t.Errorf("served = %d", srv.Served())
+	if srv.Snapshot().Served != 1 {
+		t.Errorf("served = %d", srv.Snapshot().Served)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	if _, err := exchange.Measure(clock.System{}, c, addr, ntppkt.Version4, true); err != nil {
 		t.Fatalf("valid request after garbage failed: %v", err)
 	}
-	if srv.Served() != 1 {
-		t.Errorf("served = %d, want 1 (garbage dropped)", srv.Served())
+	if srv.Snapshot().Served != 1 {
+		t.Errorf("served = %d, want 1 (garbage dropped)", srv.Snapshot().Served)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestServerIgnoresNonClientModes(t *testing.T) {
 	if _, _, err := c.Exchange(addr, req); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want timeout (request ignored)", err)
 	}
-	if srv.Served() != 0 {
-		t.Errorf("served = %d, want 0", srv.Served())
+	if srv.Snapshot().Served != 0 {
+		t.Errorf("served = %d, want 0", srv.Snapshot().Served)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestRateLimitSendsKoD(t *testing.T) {
 	if !errors.Is(err, ntppkt.ErrKissOfDeath) {
 		t.Fatalf("err = %v, want kiss-of-death", err)
 	}
-	if srv.RateLimited() != 1 {
-		t.Errorf("rate-limited = %d", srv.RateLimited())
+	if srv.Snapshot().Limited != 1 {
+		t.Errorf("rate-limited = %d", srv.Snapshot().Limited)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestSNTPClientDoesNotRetryKoD(t *testing.T) {
 	}
 	// Retries=5 but KoD must abort: exactly 1 served + limited count,
 	// not 6 more requests hammering the server.
-	if total := srv.Served() + srv.RateLimited(); total > 3 {
+	if total := srv.Snapshot().Served + srv.Snapshot().Limited; total > 3 {
 		t.Errorf("server saw %d requests; client retried into the rate limit", total)
 	}
 }
@@ -357,7 +357,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.Served(); got != clients*perClient {
+	if got := srv.Snapshot().Served; got != clients*perClient {
 		t.Errorf("served = %d, want %d", got, clients*perClient)
 	}
 }
@@ -378,7 +378,7 @@ func TestServerMetricsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	var snap Snapshot
+	var snap *Snapshot
 	for time.Now().Before(deadline) {
 		snap = srv.Snapshot()
 		if snap.Malformed >= 1 && snap.Dropped >= 1 && snap.Served >= 1 {
@@ -389,12 +389,8 @@ func TestServerMetricsCounters(t *testing.T) {
 	if snap.Malformed != 1 || snap.Dropped != 1 || snap.Served != 1 {
 		t.Fatalf("snapshot = %+v, want malformed=1 dropped=1 served=1", snap)
 	}
-	var latTotal uint64
-	for _, c := range snap.Latency {
-		latTotal += c
-	}
-	if latTotal != 1 {
-		t.Errorf("latency histogram total = %d, want 1", latTotal)
+	if got := snap.Latency.Count(); got != 1 {
+		t.Errorf("latency histogram total = %d, want 1", got)
 	}
 	if q, ok := snap.LatencyQuantile(0.99); !ok || q <= 0 {
 		t.Errorf("LatencyQuantile = %v, %v", q, ok)

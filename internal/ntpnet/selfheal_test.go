@@ -151,17 +151,17 @@ func TestWatchdogRestartsWedgedShard(t *testing.T) {
 	}
 
 	faults.Release(0)
-	servedAtRelease := srv.Served()
+	servedAtRelease := srv.Snapshot().Served
 	deadline = time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && srv.Served() <= servedAtRelease {
+	for time.Now().Before(deadline) && srv.Snapshot().Served <= servedAtRelease {
 		time.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
 	<-done
-	if got := srv.Served(); got <= servedAtRelease {
+	if got := srv.Snapshot().Served; got <= servedAtRelease {
 		t.Errorf("served stuck at %d after release", got)
 	}
-	t.Logf("restarts=%d served=%d", restarts, srv.Served())
+	t.Logf("restarts=%d served=%d", restarts, srv.Snapshot().Served)
 
 	// Close must drain every worker, including the stale-epoch ones
 	// that just unblocked.

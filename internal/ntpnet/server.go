@@ -409,8 +409,8 @@ func (s *Server) Close() error {
 // Snapshot merges the shard-local metrics into the aggregate view.
 // Counters are read atomically per shard; the merge is not one atomic
 // transaction, which is fine for monitoring.
-func (s *Server) Snapshot() Snapshot {
-	var out Snapshot
+func (s *Server) Snapshot() *Snapshot {
+	out := new(Snapshot)
 	for _, sh := range s.shards {
 		out.Merge(sh.metrics.Snapshot())
 	}
@@ -423,8 +423,8 @@ func (s *Server) Snapshot() Snapshot {
 
 // ShardSnapshots returns one Snapshot per shard, for observing how
 // the kernel spreads load across the REUSEPORT group.
-func (s *Server) ShardSnapshots() []Snapshot {
-	out := make([]Snapshot, len(s.shards))
+func (s *Server) ShardSnapshots() []*Snapshot {
+	out := make([]*Snapshot, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = sh.metrics.Snapshot()
 	}
@@ -451,24 +451,6 @@ func (s *Server) OverloadStats() overload.Stats {
 		return overload.Stats{}
 	}
 	return s.ctrl.Stats()
-}
-
-// Served returns the number of requests answered across all shards.
-func (s *Server) Served() int {
-	n := uint64(0)
-	for _, sh := range s.shards {
-		n += sh.metrics.Served.Load()
-	}
-	return int(n)
-}
-
-// RateLimited returns the number of requests answered with RATE KoD.
-func (s *Server) RateLimited() int {
-	n := uint64(0)
-	for _, sh := range s.shards {
-		n += sh.metrics.Limited.Load()
-	}
-	return int(n)
 }
 
 // RateTableSize returns the current rate-limit table population
@@ -692,7 +674,7 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		sh.metrics.WriteErrors.Add(1)
 		return out
 	}
-	sh.metrics.observeLatency(s.Clock.Now().Sub(recv))
+	sh.metrics.Latency.Record(s.Clock.Now().Sub(recv))
 	sh.metrics.Served.Add(1)
 	if ntsReq != nil {
 		sh.metrics.NTSServed.Add(1)

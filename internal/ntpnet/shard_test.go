@@ -66,15 +66,11 @@ func TestShardedServerServesConcurrentLoad(t *testing.T) {
 	for _, sh := range shards {
 		sum.Merge(sh)
 	}
-	if sum != snap {
-		t.Errorf("sum of shard snapshots %+v != aggregated snapshot %+v", sum, snap)
+	if sum != *snap {
+		t.Errorf("sum of shard snapshots %v != aggregated snapshot %v", &sum, snap)
 	}
-	var latTotal uint64
-	for _, c := range snap.Latency {
-		latTotal += c
-	}
-	if latTotal != snap.Served {
-		t.Errorf("merged latency histogram total = %d, want %d", latTotal, snap.Served)
+	if got := snap.Latency.Count(); got != snap.Served {
+		t.Errorf("merged latency histogram total = %d, want %d", got, snap.Served)
 	}
 	if ReusePortAvailable() {
 		// Ephemeral client ports hash across the REUSEPORT group; with
@@ -111,7 +107,7 @@ func TestShardedServerSharesRateLimitTable(t *testing.T) {
 	if kod != 3 {
 		t.Errorf("%d of 6 requests limited, want 3 (per-client budget must span shards)", kod)
 	}
-	if got := srv.RateLimited(); got != 3 {
+	if got := srv.Snapshot().Limited; got != 3 {
 		t.Errorf("RateLimited = %d, want 3", got)
 	}
 	if got := srv.RateTableSize(); got != 1 {
@@ -141,7 +137,7 @@ func TestShardFallbackStillServes(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := srv.Served(); got != 3 {
+	if got := srv.Snapshot().Served; got != 3 {
 		t.Errorf("served = %d, want 3", got)
 	}
 }

@@ -18,10 +18,9 @@
 //   - client clocks are integrated lazily: a row's offset advances by
 //     skew·dt only when its event fires, so idle clients cost nothing.
 //
-// Aggregate recording reuses the loadgen HDR recorder for exchange
-// RTTs plus memory-bounded reservoirs for the population offset
-// stream and fixed-width traffic bins for arrival shaping — all O(1)
-// in N.
+// Aggregate recording uses the shared log-bucketed hist.Histogram
+// for exchange RTTs and fixed-width traffic bins for arrival shaping
+// — both O(1) in N.
 //
 // Real-UDP mode keeps the same event heap but batches due clients
 // into virtual-time quanta served by a bounded worker pool of
@@ -39,7 +38,7 @@ import (
 	"time"
 
 	"mntp/internal/clock"
-	"mntp/internal/loadgen"
+	"mntp/internal/hist"
 	"mntp/internal/netsim"
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
@@ -128,9 +127,6 @@ type Config struct {
 	// BinWidth is the traffic-bin width for arrival shaping
 	// (default 1s).
 	BinWidth time.Duration
-	// ReservoirSize bounds the offset/θ sample reservoirs
-	// (default 4096).
-	ReservoirSize int
 
 	// Addr is the real server address (ModeUDP; required there).
 	Addr string
@@ -173,9 +169,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.BinWidth <= 0 {
 		c.BinWidth = time.Second
-	}
-	if c.ReservoirSize <= 0 {
-		c.ReservoirSize = 4096
 	}
 	switch c.Mode {
 	case ModeSim:
@@ -343,8 +336,7 @@ type Engine struct {
 	down     bool  // regional outage: every exchange fails
 
 	bins    *bins
-	rtt     *loadgen.Recorder
-	thetas  *Reservoir // per-exchange correction stream, seconds
+	rtt     hist.Histogram
 	sent    uint64
 	ok      uint64
 	rated   uint64
@@ -357,17 +349,15 @@ type Engine struct {
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
-// O(N·~60B + Channels·channel + bins + reservoirs).
+// O(N·~60B + Channels·channel + bins).
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:    cfg,
-		f:      newFleet(cfg.N),
-		bins:   newBins(int64(cfg.BinWidth)),
-		rtt:    &loadgen.Recorder{},
-		thetas: NewReservoir(cfg.ReservoirSize, uint64(cfg.Seed)*0x9e3779b9+1),
+		cfg:  cfg,
+		f:    newFleet(cfg.N),
+		bins: newBins(int64(cfg.BinWidth)),
 	}
 
 	// Pooled heterogeneous wireless channels: distinct seeds, shared
@@ -553,7 +543,6 @@ func (e *Engine) stepSim(id int) {
 		} else {
 			if th, _, ok := e.exchange(id, int(e.f.srvIdx[id])); ok {
 				e.f.offset[id] += th
-				e.thetas.Add(th)
 				success = true
 			}
 		}
@@ -561,7 +550,6 @@ func (e *Engine) stepSim(id int) {
 
 	if success {
 		e.ok++
-		e.bins.okAt(e.vt)
 		e.f.served[id]++
 		e.f.dry[id] = 0
 		e.f.boff[id] = 0
@@ -627,7 +615,6 @@ func (e *Engine) warmup(id int) bool {
 		med = (sub[ns/2-1].th + sub[ns/2].th) / 2
 	}
 	e.f.offset[id] += med
-	e.thetas.Add(med)
 	if ns >= 3 {
 		e.f.srvIdx[id] = sub[ns/2].srv
 	} else {
@@ -724,11 +711,8 @@ func (e *Engine) Totals() Totals {
 	return Totals{Sent: e.sent, OK: e.ok, Rated: e.rated, Fails: e.fails, Suspends: e.susp}
 }
 
-// RTT returns the exchange round-trip recorder (loadgen HDR recorder).
-func (e *Engine) RTT() *loadgen.Recorder { return e.rtt }
-
-// Thetas returns the bounded reservoir over applied corrections.
-func (e *Engine) Thetas() *Reservoir { return e.thetas }
+// RTT returns the exchange round-trip histogram.
+func (e *Engine) RTT() *hist.Histogram { return &e.rtt }
 
 // Bins returns the traffic bins (arrival shaping).
 func (e *Engine) Bins() *bins { return e.bins }
@@ -819,8 +803,8 @@ func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 // shape the herd and flash-crowd scenarios assert on. Memory is
 // bounded by maxBins; later traffic folds into the last bin.
 type bins struct {
-	width    int64
-	sent, ok []uint64
+	width int64
+	sent  []uint64
 }
 
 const maxBins = 1 << 20
@@ -838,7 +822,6 @@ func (b *bins) idx(vt int64) int {
 func (b *bins) grow(i int) {
 	for len(b.sent) <= i {
 		b.sent = append(b.sent, 0)
-		b.ok = append(b.ok, 0)
 	}
 }
 
@@ -846,12 +829,6 @@ func (b *bins) sentAt(vt int64) {
 	i := b.idx(vt)
 	b.grow(i)
 	b.sent[i]++
-}
-
-func (b *bins) okAt(vt int64) {
-	i := b.idx(vt)
-	b.grow(i)
-	b.ok[i]++
 }
 
 // PeakToMean is the arrival burstiness: max bin over mean bin of
@@ -875,24 +852,6 @@ func (b *bins) PeakToMean(skipBins int) float64 {
 	}
 	mean := float64(total) / float64(len(b.sent)-skipBins)
 	return float64(peak) / mean
-}
-
-// DarkStreak is the longest run of bins with traffic sent but nothing
-// answered — the outage signature the flash-crowd scenario asserts
-// the overload controller avoids.
-func (b *bins) DarkStreak() int {
-	worst, run := 0, 0
-	for i := range b.sent {
-		if b.sent[i] > 0 && b.ok[i] == 0 {
-			run++
-			if run > worst {
-				worst = run
-			}
-		} else if b.sent[i] > 0 {
-			run = 0
-		}
-	}
-	return worst
 }
 
 // Sent returns a copy of the per-bin sent counts.

@@ -39,7 +39,6 @@ type Report struct {
 	P99OffsetMS    float64 `json:"p99_offset_ms,omitempty"`
 	FracAbove100MS float64 `json:"frac_above_100ms,omitempty"`
 
-	DarkStreakBins int    `json:"dark_streak_bins,omitempty"`
 	DarkStreakReal int    `json:"dark_streak_real,omitempty"`
 	Shed           uint64 `json:"shed,omitempty"`
 	ShedDropped    uint64 `json:"shed_dropped,omitempty"`

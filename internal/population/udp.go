@@ -225,7 +225,6 @@ func (e *Engine) dispatch(pool *udpPool, batch []ev) {
 		switch e.f.res[id] {
 		case resOK:
 			e.ok++
-			e.bins.okAt(evt.at)
 			e.f.served[id]++
 			e.f.dry[id] = 0
 			e.f.boff[id] = 0

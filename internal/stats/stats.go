@@ -1,9 +1,9 @@
 // Package stats provides the small statistical toolkit used throughout
 // the MNTP reproduction: summary statistics, quantiles, empirical CDFs,
-// RMSE against a reference, an online (Welford) accumulator, and fixed
-// histograms. All functions are allocation-conscious and operate on
-// float64 slices; time series code converts durations to milliseconds
-// at the boundary.
+// RMSE against a reference, and an online (Welford) accumulator.
+// All functions are allocation-conscious and operate on float64
+// slices; time series code converts durations to milliseconds at the
+// boundary.
 package stats
 
 import (
@@ -310,49 +310,4 @@ func Summarize(xs []float64) Summary {
 		Min: qs[0], P25: qs[1], Median: qs[2], P75: qs[3],
 		P90: qs[4], P95: qs[5], P99: qs[6], Max: qs[7],
 	}
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi). Values
-// outside the range land in the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add counts x into its bin. A NaN sample is dropped (the previous
-// straight float→int conversion of a NaN is platform-dependent in Go:
-// the result is unspecified, so the count could land in any bin);
-// ±Inf clamp to the first/last bin like any other out-of-range value.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	if n == 0 || math.IsNaN(x) {
-		return
-	}
-	pos := float64(n) * (x - h.Lo) / (h.Hi - h.Lo)
-	var i int
-	switch {
-	case math.IsNaN(pos): // degenerate Lo==Hi range with x==Lo
-		return
-	case pos < 0: // includes -Inf
-		i = 0
-	case pos >= float64(n): // includes +Inf
-		i = n - 1
-	default:
-		i = int(pos)
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
