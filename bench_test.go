@@ -1,130 +1,22 @@
-// Benchmarks: one per table and figure of the paper's evaluation
-// (each runs the experiment that regenerates it, in quick mode so a
-// full -bench=. pass stays tractable), ablation benches for MNTP's
-// design choices, and micro-benchmarks of the hot protocol paths.
+// Benchmarks the repo benchmark (BENCHMARK.json, bench/) has no
+// counterpart for: ablation benches for MNTP's design choices and the
+// shard-count serving-capacity comparison. The per-figure experiment
+// timings and the hot-path micro loops live in bench/ under the names
+// BENCHMARK.json lists (paper_sim, experiments.*_ms, ntplog.*,
+// sources.*, trend.*_add_ns, tuner.emulate_us, sntp.hour_ms).
 package mntp
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"mntp/internal/clock"
 	"mntp/internal/core"
-	"mntp/internal/exchange"
-	"mntp/internal/experiments"
 	"mntp/internal/loadgen"
 	"mntp/internal/ntpnet"
-	"mntp/internal/ntppkt"
-	"mntp/internal/ntptime"
-	"mntp/internal/sources"
 	"mntp/internal/stats"
 	"mntp/internal/testbed"
-	"mntp/internal/trend"
-	"mntp/internal/tuner"
 )
-
-// benchOpts are the reduced-scale settings used by every experiment
-// bench.
-func benchOpts(seed int64) experiments.Options {
-	return experiments.Options{Seed: seed, Quick: true}
-}
-
-// runExperiment reports a headline metric as a custom benchmark unit
-// so regressions in reproduction quality are visible in bench output.
-func runExperiment(b *testing.B, run func(experiments.Options) experiments.Outcome, metric string) {
-	b.ReportAllocs()
-	var last experiments.Outcome
-	for i := 0; i < b.N; i++ {
-		last = run(benchOpts(2016 + int64(i)))
-	}
-	for _, m := range last.Metrics {
-		if m.Name == metric {
-			b.ReportMetric(m.Measured, metric_unit(m.Unit))
-		}
-	}
-}
-
-func metric_unit(u string) string { return u + "/op" }
-
-func BenchmarkTable1LogAnalysis(b *testing.B) {
-	runExperiment(b, experiments.Table1, "scaled measurements")
-}
-
-func BenchmarkFigure1MinOWD(b *testing.B) {
-	runExperiment(b, experiments.Figure1, "mobile median min-OWD")
-}
-
-func BenchmarkFigure2ProtocolShare(b *testing.B) {
-	runExperiment(b, experiments.Figure2, "mobile providers mean SNTP share")
-}
-
-func BenchmarkFigure3TestbedSetup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		testbed.New(testbed.Config{Seed: int64(i), Access: testbed.Wireless, Monitor: true})
-	}
-}
-
-func BenchmarkFigure4WiredVsWireless(b *testing.B) {
-	runExperiment(b, experiments.Figure4, "wireless+NTP mean |offset|")
-}
-
-func BenchmarkFigure5Cellular(b *testing.B) {
-	runExperiment(b, experiments.Figure5, "mean |offset|")
-}
-
-func BenchmarkFigure6MNTPvsSNTP(b *testing.B) {
-	runExperiment(b, experiments.Figure6, "improvement factor")
-}
-
-func BenchmarkFigure7Signals(b *testing.B) {
-	runExperiment(b, experiments.Figure7, "rejected offsets")
-}
-
-func BenchmarkFigure8NoCorrection(b *testing.B) {
-	runExperiment(b, experiments.Figure8, "improvement factor")
-}
-
-func BenchmarkFigure9WiredSNTP(b *testing.B) {
-	runExperiment(b, experiments.Figure9, "MNTP(wireless) max |offset|")
-}
-
-func BenchmarkFigure10WiredSNTPNoCorr(b *testing.B) {
-	runExperiment(b, experiments.Figure10, "MNTP(wireless) max |corrected residual|")
-}
-
-func BenchmarkFigure11TunerConfigs(b *testing.B) {
-	runExperiment(b, experiments.Figure11, "best config RMSE")
-}
-
-func BenchmarkFigure12LongRun(b *testing.B) {
-	runExperiment(b, experiments.Figure12, "MNTP max |corrected residual|")
-}
-
-func BenchmarkTable2TunerSweep(b *testing.B) {
-	runExperiment(b, experiments.Table2, "config 1 RMSE")
-}
-
-func BenchmarkExtensionEnergy(b *testing.B) {
-	runExperiment(b, experiments.ExtensionEnergy, "mntp daily energy (3G)")
-}
-
-func BenchmarkExtensionNITZ(b *testing.B) {
-	runExperiment(b, experiments.ExtensionNITZ, "mntp worst error")
-}
-
-func BenchmarkExtensionSelfTune(b *testing.B) {
-	runExperiment(b, experiments.ExtensionSelfTune, "self-tuned RMSE")
-}
-
-func BenchmarkExtensionRTSCTS(b *testing.B) {
-	runExperiment(b, experiments.ExtensionRTSCTS, "mean with RTS/CTS")
-}
-
-func BenchmarkExtensionNTPComparison(b *testing.B) {
-	runExperiment(b, experiments.ExtensionNTPComparison, "mntp worst clock error")
-}
 
 // --- Ablations: the design choices DESIGN.md calls out. Each bench
 // reports the max |offset| accepted by MNTP under the ablated
@@ -173,74 +65,6 @@ func BenchmarkAblationNoFalseTickerRejection(b *testing.B) {
 	ablationRun(b, func(p *core.Params) { p.DisableFalseTickerRejection = true })
 }
 
-// --- Source pool: fan-out plus selection over N in-memory sources.
-
-// benchTransport answers instantly with the system clock's time
-// (shifted for the last source, which acts as a falseticker) so the
-// bench measures pool machinery, not network waits.
-func benchTransport(n int) exchange.Transport {
-	clk := clock.System{}
-	return exchange.TransportFunc(func(server string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
-		now := clk.Now()
-		if server == fmt.Sprintf("src%d", n-1) {
-			now = now.Add(500 * time.Millisecond)
-		}
-		ts := ntptime.FromTime(now)
-		return &ntppkt.Packet{
-			Leap: ntppkt.LeapNone, Version: req.Version, Mode: ntppkt.ModeServer,
-			Stratum: 2, Origin: req.Transmit, Receive: ts, Transmit: ts,
-		}, clk.Now(), nil
-	})
-}
-
-func BenchmarkPoolFanOutSelect(b *testing.B) {
-	for _, n := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("sources=%d", n), func(b *testing.B) {
-			servers := make([]string, n)
-			for i := range servers {
-				servers[i] = fmt.Sprintf("src%d", i)
-			}
-			pool := sources.New(clock.System{}, benchTransport(n), sources.Config{
-				Servers: servers, Parallelism: 4,
-			})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := pool.Round()
-				var samples []exchange.Sample
-				var idxs []int
-				for _, o := range res.Outcomes {
-					if o.OK {
-						samples = append(samples, o.Sample)
-						idxs = append(idxs, o.Index)
-					}
-				}
-				if sel := pool.SelectCombine(samples, idxs); !sel.OK {
-					b.Fatal("bench round found no consensus")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMarzulloIntersection(b *testing.B) {
-	// 50 sources: 35 agreeing around zero, 15 falsetickers spread out.
-	var ivals []sources.Interval
-	for i := 0; i < 35; i++ {
-		mid := float64(i%7) * 0.001
-		ivals = append(ivals, sources.Interval{Lo: mid - 0.05, Mid: mid, Hi: mid + 0.05})
-	}
-	for i := 0; i < 15; i++ {
-		mid := 1.0 + float64(i)
-		ivals = append(ivals, sources.Interval{Lo: mid - 0.01, Mid: mid, Hi: mid + 0.01})
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if sources.Marzullo(ivals) == nil {
-			b.Fatal("majority not found")
-		}
-	}
-}
-
 // --- Serving capacity: loadgen-driven open-loop runs against the
 // sharded real-UDP server. The reported served/s is the throughput
 // the server actually answered (not the offered rate); comparing the
@@ -282,65 +106,3 @@ func benchmarkServerCapacity(b *testing.B, shards int) {
 
 func BenchmarkServerCapacityShards1(b *testing.B) { benchmarkServerCapacity(b, 1) }
 func BenchmarkServerCapacityShards2(b *testing.B) { benchmarkServerCapacity(b, 2) }
-
-// --- Micro-benchmarks of hot paths.
-
-func BenchmarkMNTPFilterOffer(b *testing.B) {
-	f := core.NewFilter(3*time.Millisecond, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x := time.Duration(i) * 5 * time.Second
-		f.Offer(x, time.Duration(i%7)*time.Millisecond)
-	}
-}
-
-// BenchmarkEstimatorFit compares the trend estimators' per-sample cost
-// (add one point to a full window, refit, read the line) across the
-// window sizes the filter realistically runs at. Theil-Sen is
-// O(window²) per refit and LAD is O(window · iterations), so this is
-// the number to watch before widening the default window.
-func BenchmarkEstimatorFit(b *testing.B) {
-	for _, kind := range trend.Kinds() {
-		for _, window := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%s/window=%d", kind, window), func(b *testing.B) {
-				est := trend.NewEstimator(kind, window, 1e-3)
-				// Pre-fill so every measured Add works on a full window.
-				for i := 0; i < window; i++ {
-					est.Add(float64(i)*5, 10e-6*float64(i)*5+1e-3*float64(i%5))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					x := float64(window+i) * 5
-					est.Add(x, 10e-6*x)
-					if _, err := est.Line(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkTunerEmulate(b *testing.B) {
-	tb := testbed.New(testbed.Config{Seed: 9, Access: testbed.Wireless, Monitor: true})
-	tr := tuner.Collect(tb, []string{testbed.PoolName, testbed.PoolName, testbed.PoolName},
-		5*time.Second, 30*time.Minute)
-	params := tuner.Table2Configs()[1].Params()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tuner.Emulate(tr, params)
-	}
-}
-
-func BenchmarkSimulatedHour(b *testing.B) {
-	// End-to-end cost of simulating one hour of SNTP at 5 s cadence.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb := testbed.New(testbed.Config{
-			Seed: 600 + int64(i), Access: testbed.Wireless, Monitor: true,
-		})
-		tb.RunSNTP(5*time.Second, time.Hour)
-	}
-}

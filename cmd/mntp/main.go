@@ -25,7 +25,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"flag"
 	"fmt"
 	"os"
@@ -121,14 +120,10 @@ func main() {
 		params.ExchangeTimeout = *exchTimeout
 		var tr exchange.Transport = &ntpnet.Client{Timeout: 3 * time.Second}
 		if *ntsOn {
-			tlsCfg := &tls.Config{InsecureSkipVerify: *ntsInsecure}
-			if *ntsCA != "" {
-				pool, err := ntske.RootPool(*ntsCA)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "-nts-ca %s: %v\n", *ntsCA, err)
-					os.Exit(2)
-				}
-				tlsCfg.RootCAs = pool
+			tlsCfg, err := ntske.ClientTLS(*ntsCA, *ntsInsecure)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "-nts-ca %s: %v\n", *ntsCA, err)
+				os.Exit(2)
 			}
 			tr = &ntske.Transport{Inner: tr, TLSConfig: tlsCfg}
 		} else if *ntsCA != "" || *ntsInsecure {

@@ -30,7 +30,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -74,13 +73,9 @@ func main() {
 	}
 	var ntsCfg *loadgen.NTSConfig
 	if *ntsKE != "" {
-		tlsCfg := &tls.Config{InsecureSkipVerify: *ntsInsecure}
-		if *ntsCA != "" {
-			pool, err := ntske.RootPool(*ntsCA)
-			if err != nil {
-				fail("-nts-ca %s: %v", *ntsCA, err)
-			}
-			tlsCfg.RootCAs = pool
+		tlsCfg, err := ntske.ClientTLS(*ntsCA, *ntsInsecure)
+		if err != nil {
+			fail("-nts-ca %s: %v", *ntsCA, err)
 		}
 		ntsCfg = &loadgen.NTSConfig{
 			KEAddr:    *ntsKE,

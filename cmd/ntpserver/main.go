@@ -302,38 +302,44 @@ func main() {
 	}
 
 	var ke *ntske.Server
-	// rotateCert is the SIGHUP certificate-rotation hook: regenerate
-	// (self-signed) or re-read (-nts-cert) the serving certificate,
-	// swap it into the live KE listener, and republish -nts-cert-out.
-	var rotateCert func() error
+	// loadCert runs at start-up and on every SIGHUP: it re-reads
+	// -nts-cert/-nts-key (how a renewed certificate is deployed without
+	// a restart), else self-signs afresh, and publishes -nts-cert-out.
+	var loadCert func() (tls.Certificate, error)
 	if *ntsOn {
 		host, _, err := net.SplitHostPort(addr.String())
 		if err != nil {
 			fail("splitting bound address %s: %v", addr, err)
 		}
-		var cert tls.Certificate
-		var certPEM []byte
-		if *ntsCert != "" {
-			cert, err = tls.LoadX509KeyPair(*ntsCert, *ntsKey)
-			if err != nil {
-				fail("loading -nts-cert/-nts-key: %v", err)
-			}
-			if *ntsCertOut != "" {
-				certPEM, err = os.ReadFile(*ntsCert)
+		loadCert = func() (cert tls.Certificate, err error) {
+			var certPEM []byte
+			if *ntsCert != "" {
+				cert, err = tls.LoadX509KeyPair(*ntsCert, *ntsKey)
 				if err != nil {
-					fail("reading -nts-cert for -nts-cert-out: %v", err)
+					return cert, fmt.Errorf("loading -nts-cert/-nts-key: %w", err)
+				}
+				if *ntsCertOut != "" {
+					certPEM, err = os.ReadFile(*ntsCert)
+					if err != nil {
+						return cert, fmt.Errorf("reading -nts-cert for -nts-cert-out: %w", err)
+					}
+				}
+			} else {
+				cert, certPEM, err = ntske.SelfSigned(time.Now(), host)
+				if err != nil {
+					return cert, fmt.Errorf("generating self-signed certificate: %w", err)
 				}
 			}
-		} else {
-			cert, certPEM, err = ntske.SelfSigned(time.Now(), host)
-			if err != nil {
-				fail("generating self-signed certificate: %v", err)
+			if *ntsCertOut != "" {
+				if err := os.WriteFile(*ntsCertOut, certPEM, 0o644); err != nil {
+					return cert, fmt.Errorf("writing -nts-cert-out: %w", err)
+				}
 			}
+			return cert, nil
 		}
-		if *ntsCertOut != "" {
-			if err := os.WriteFile(*ntsCertOut, certPEM, 0o644); err != nil {
-				fail("writing -nts-cert-out: %v", err)
-			}
+		cert, err := loadCert()
+		if err != nil {
+			fail("%v", err)
 		}
 		keListen := *ntsListen
 		if keListen == "" {
@@ -360,38 +366,6 @@ func main() {
 		// warm.
 		if err := ke.Checkpoint(); err != nil {
 			fmt.Fprintln(os.Stderr, "ntpserver: NTS state checkpoint:", err)
-		}
-		rotateCert = func() error {
-			var next tls.Certificate
-			var nextPEM []byte
-			var err error
-			if *ntsCert != "" {
-				// Operator-managed cert: re-read the files — this is
-				// how a renewed certificate is deployed without a
-				// restart.
-				next, err = tls.LoadX509KeyPair(*ntsCert, *ntsKey)
-				if err != nil {
-					return fmt.Errorf("reloading -nts-cert/-nts-key: %w", err)
-				}
-				if *ntsCertOut != "" {
-					nextPEM, err = os.ReadFile(*ntsCert)
-					if err != nil {
-						return fmt.Errorf("reading -nts-cert: %w", err)
-					}
-				}
-			} else {
-				next, nextPEM, err = ntske.SelfSigned(time.Now(), host)
-				if err != nil {
-					return fmt.Errorf("regenerating self-signed certificate: %w", err)
-				}
-			}
-			ke.SetCertificate(next)
-			if *ntsCertOut != "" {
-				if err := os.WriteFile(*ntsCertOut, nextPEM, 0o644); err != nil {
-					return fmt.Errorf("rewriting -nts-cert-out: %w", err)
-				}
-			}
-			return nil
 		}
 		fmt.Printf("ntpserver NTS-KE listening on %s (rotate %v)\n", keAddr, *ntsRotate)
 	}
@@ -425,14 +399,16 @@ func main() {
 			}
 			srv.Reload(cfg.reloadConfig())
 		}
-		if rotateCert != nil {
-			if err := rotateCert(); err != nil {
+		if ke != nil {
+			cert, err := loadCert()
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "ntpserver: reload:", err)
 				return
 			}
+			ke.SetCertificate(cert)
 		}
 		srv.Recycle()
-		fmt.Printf("ntpserver reloaded (config %q, nts cert rotated %v)\n", *configPath, rotateCert != nil)
+		fmt.Printf("ntpserver reloaded (config %q, nts cert rotated %v)\n", *configPath, ke != nil)
 	}
 
 	// A zero interval disables periodic stats (time.NewTicker panics

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"flag"
 	"fmt"
 	"os"
@@ -72,14 +71,10 @@ func main() {
 	if *ntsOn {
 		// NTS wraps the fault layer so injected faults exercise the
 		// authenticated path end to end.
-		tlsCfg := &tls.Config{InsecureSkipVerify: *ntsInsecure}
-		if *ntsCA != "" {
-			pool, err := ntske.RootPool(*ntsCA)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-nts-ca %s: %v\n", *ntsCA, err)
-				os.Exit(2)
-			}
-			tlsCfg.RootCAs = pool
+		tlsCfg, err := ntske.ClientTLS(*ntsCA, *ntsInsecure)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-nts-ca %s: %v\n", *ntsCA, err)
+			os.Exit(2)
 		}
 		transport = &ntske.Transport{Inner: transport, TLSConfig: tlsCfg, KETimeout: *timeout}
 	} else if *ntsCA != "" || *ntsInsecure {

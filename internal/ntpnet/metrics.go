@@ -10,36 +10,48 @@ import (
 	"mntp/internal/overload"
 )
 
+// outcome is what the server concluded about one datagram (see
+// Server.decide). It indexes Metrics' counters; Snapshot publishes
+// each under the exported field of the same name.
+type outcome uint8
+
+const (
+	// served: a valid client request answered with time.
+	served outcome = iota
+	// limited: answered with a RATE kiss-of-death by the rate limit.
+	limited
+	// shed: a new-flow request refused with RATE by the admission
+	// controller while Degraded.
+	shed
+	// ntsNak: an NTS request whose verification failed, answered with
+	// an NTS NAK kiss-of-death.
+	ntsNak
+	// shedDropped: dropped before parsing while Overloaded.
+	shedDropped
+	// malformed: a datagram that failed to decode.
+	malformed
+	// dropped: decodable but ignored — not a mode-3 client request, or
+	// an NTS reply that could not be sealed.
+	dropped
+	// writeError: a reply the socket failed to send.
+	writeError
+	numOutcomes
+)
+
+// replies reports whether decide filled a reply for handle to send.
+func (o outcome) replies() bool { return o <= ntsNak }
+
 // Metrics counts server outcomes. All counters are atomic: the serve
 // pool updates them concurrently without a lock, and readers may
 // snapshot them at any time.
 type Metrics struct {
-	// Served counts valid client requests answered with time.
-	Served atomic.Uint64
-	// Limited counts requests answered with a RATE kiss-of-death.
-	Limited atomic.Uint64
-	// Dropped counts decodable packets ignored for not being mode-3
-	// client requests.
-	Dropped atomic.Uint64
-	// Malformed counts datagrams that failed to decode.
-	Malformed atomic.Uint64
-	// WriteErrors counts replies the socket failed to send.
-	WriteErrors atomic.Uint64
-	// Shed counts new-flow requests refused with RATE by the
-	// admission controller while Degraded.
-	Shed atomic.Uint64
-	// ShedDropped counts datagrams dropped before parsing while
-	// Overloaded.
-	ShedDropped atomic.Uint64
+	n [numOutcomes]atomic.Uint64
 	// Panics counts worker goroutines that died to a handler panic
 	// and were respawned.
 	Panics atomic.Uint64
 	// NTSServed counts authenticated NTS requests answered with a
-	// protected reply (a subset of Served).
+	// protected reply (a subset of served).
 	NTSServed atomic.Uint64
-	// NTSNaks counts NTS requests whose verification failed and were
-	// answered with an NTS NAK kiss-of-death.
-	NTSNaks atomic.Uint64
 
 	// Latency is the request-handling latency distribution (receive
 	// timestamp to reply written).
@@ -52,15 +64,15 @@ type Metrics struct {
 // histogram it is ~8 KB, so it travels by pointer.
 type Snapshot struct {
 	Served, Limited, Dropped, Malformed, WriteErrors uint64
-	// Shed / ShedDropped / Panics mirror the Metrics counters of the
-	// same names. Restarts counts watchdog-initiated worker-pool
-	// restarts (a server-level counter, set only on the aggregate
-	// snapshot). Health is the admission controller's state at
-	// snapshot time (Healthy when overload control is off or on
+	// Shed / ShedDropped count outcomes like the five above, Panics
+	// mirrors the Metrics counter. Restarts counts watchdog-initiated
+	// worker-pool restarts (a server-level counter, set only on the
+	// aggregate snapshot). Health is the admission controller's state
+	// at snapshot time (Healthy when overload control is off or on
 	// per-shard snapshots).
 	Shed, ShedDropped, Panics, Restarts uint64
-	// NTSServed / NTSNaks mirror the Metrics counters: authenticated
-	// requests answered, and NTS verification failures NAKed.
+	// NTSServed / NTSNaks: authenticated requests answered (a subset
+	// of Served), and the ntsNak outcome's count.
 	NTSServed, NTSNaks uint64
 	Health             overload.State
 	// Latency is the handling-latency distribution.
@@ -91,16 +103,16 @@ func (s *Snapshot) Merge(o *Snapshot) {
 // Snapshot reads all counters.
 func (m *Metrics) Snapshot() *Snapshot {
 	s := new(Snapshot)
-	s.Served = m.Served.Load()
-	s.Limited = m.Limited.Load()
-	s.Dropped = m.Dropped.Load()
-	s.Malformed = m.Malformed.Load()
-	s.WriteErrors = m.WriteErrors.Load()
-	s.Shed = m.Shed.Load()
-	s.ShedDropped = m.ShedDropped.Load()
+	s.Served = m.n[served].Load()
+	s.Limited = m.n[limited].Load()
+	s.Dropped = m.n[dropped].Load()
+	s.Malformed = m.n[malformed].Load()
+	s.WriteErrors = m.n[writeError].Load()
+	s.Shed = m.n[shed].Load()
+	s.ShedDropped = m.n[shedDropped].Load()
 	s.Panics = m.Panics.Load()
 	s.NTSServed = m.NTSServed.Load()
-	s.NTSNaks = m.NTSNaks.Load()
+	s.NTSNaks = m.n[ntsNak].Load()
 	s.Latency = m.Latency.Snapshot()
 	return s
 }

@@ -39,17 +39,17 @@ func TestLatencyResolvesSubBucket(t *testing.T) {
 // shard that saw both streams — counters summed, latency merged.
 func TestSnapshotMerge(t *testing.T) {
 	var a, b, both Metrics
-	a.Served.Store(3)
-	a.Limited.Store(1)
-	b.Served.Store(5)
-	b.Malformed.Store(2)
-	b.WriteErrors.Store(4)
-	b.Dropped.Store(6)
-	both.Served.Store(8)
-	both.Limited.Store(1)
-	both.Malformed.Store(2)
-	both.WriteErrors.Store(4)
-	both.Dropped.Store(6)
+	a.n[served].Store(3)
+	a.n[limited].Store(1)
+	b.n[served].Store(5)
+	b.n[malformed].Store(2)
+	b.n[writeError].Store(4)
+	b.n[dropped].Store(6)
+	both.n[served].Store(8)
+	both.n[limited].Store(1)
+	both.n[malformed].Store(2)
+	both.n[writeError].Store(4)
+	both.n[dropped].Store(6)
 	for i, d := range []time.Duration{10 * time.Microsecond, time.Second, 10 * time.Microsecond, 70 * time.Microsecond} {
 		if i%2 == 0 {
 			a.Latency.Record(d)
@@ -88,12 +88,7 @@ func TestServerLatencyBelowClientRTT(t *testing.T) {
 		}
 		rtt.Record(s.T4.Sub(s.T1))
 	}
-	// The server records after its write returns, which can trail the
-	// client's receive of the last reply.
-	snap := srv.Snapshot()
-	for deadline := time.Now().Add(2 * time.Second); snap.Latency.Count() < n && time.Now().Before(deadline); snap = srv.Snapshot() {
-		time.Sleep(time.Millisecond)
-	}
+	snap := finalSnapshot(srv)
 	if snap.Latency.Count() != n {
 		t.Fatalf("latency observations = %d, want %d", snap.Latency.Count(), n)
 	}

@@ -26,6 +26,27 @@ func startServer(t *testing.T, clk clock.Clock) (*Server, string) {
 	return srv, addr.String()
 }
 
+// finalSnapshot closes srv and reads its counters. A counter is bumped
+// after the reply is written (served means written), so a client that
+// already holds the reply may still read the old value from a live
+// server; Close waits for every worker, after which the counts are
+// final.
+func finalSnapshot(srv *Server) *Snapshot {
+	srv.Close()
+	return srv.Snapshot()
+}
+
+// waitSnapshot is finalSnapshot for a test that is not done with srv:
+// it polls (for at most a second) until ok holds and returns the last
+// snapshot read, for the caller to assert on.
+func waitSnapshot(srv *Server, ok func(*Snapshot) bool) *Snapshot {
+	snap := srv.Snapshot()
+	for deadline := time.Now().Add(time.Second); !ok(snap) && time.Now().Before(deadline); snap = srv.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
+	return snap
+}
+
 func TestLoopbackExchange(t *testing.T) {
 	srv, addr := startServer(t, clock.System{})
 	c := &Client{Timeout: 2 * time.Second}
@@ -41,8 +62,8 @@ func TestLoopbackExchange(t *testing.T) {
 	if s.Delay < 0 || s.Delay > time.Second {
 		t.Errorf("loopback delay = %v", s.Delay)
 	}
-	if srv.Snapshot().Served != 1 {
-		t.Errorf("served = %d", srv.Snapshot().Served)
+	if got := finalSnapshot(srv).Served; got != 1 {
+		t.Errorf("served = %d", got)
 	}
 }
 
@@ -103,8 +124,8 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	if _, err := exchange.Measure(clock.System{}, c, addr, ntppkt.Version4, true); err != nil {
 		t.Fatalf("valid request after garbage failed: %v", err)
 	}
-	if srv.Snapshot().Served != 1 {
-		t.Errorf("served = %d, want 1 (garbage dropped)", srv.Snapshot().Served)
+	if got := finalSnapshot(srv).Served; got != 1 {
+		t.Errorf("served = %d, want 1 (garbage dropped)", got)
 	}
 }
 
@@ -116,8 +137,8 @@ func TestServerIgnoresNonClientModes(t *testing.T) {
 	if _, _, err := c.Exchange(addr, req); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want timeout (request ignored)", err)
 	}
-	if srv.Snapshot().Served != 0 {
-		t.Errorf("served = %d, want 0", srv.Snapshot().Served)
+	if snap := finalSnapshot(srv); snap.Served != 0 || snap.Dropped != 1 {
+		t.Errorf("served = %d, dropped = %d, want 0 and 1", snap.Served, snap.Dropped)
 	}
 }
 
@@ -154,8 +175,8 @@ func TestRateLimitSendsKoD(t *testing.T) {
 	if !errors.Is(err, ntppkt.ErrKissOfDeath) {
 		t.Fatalf("err = %v, want kiss-of-death", err)
 	}
-	if srv.Snapshot().Limited != 1 {
-		t.Errorf("rate-limited = %d", srv.Snapshot().Limited)
+	if got := finalSnapshot(srv).Limited; got != 1 {
+		t.Errorf("rate-limited = %d", got)
 	}
 }
 
@@ -179,8 +200,8 @@ func TestSNTPClientDoesNotRetryKoD(t *testing.T) {
 	}
 	// Retries=5 but KoD must abort: exactly 1 served + limited count,
 	// not 6 more requests hammering the server.
-	if total := srv.Snapshot().Served + srv.Snapshot().Limited; total > 3 {
-		t.Errorf("server saw %d requests; client retried into the rate limit", total)
+	if snap := finalSnapshot(srv); snap.Served+snap.Limited > 3 {
+		t.Errorf("server saw %d requests; client retried into the rate limit", snap.Served+snap.Limited)
 	}
 }
 
@@ -357,7 +378,7 @@ func TestServePoolConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.Snapshot().Served; got != clients*perClient {
+	if got := finalSnapshot(srv).Served; got != clients*perClient {
 		t.Errorf("served = %d, want %d", got, clients*perClient)
 	}
 }
@@ -377,15 +398,8 @@ func TestServerMetricsCounters(t *testing.T) {
 	if _, err := exchange.Measure(clock.System{}, c, addr, ntppkt.Version4, true); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	var snap *Snapshot
-	for time.Now().Before(deadline) {
-		snap = srv.Snapshot()
-		if snap.Malformed >= 1 && snap.Dropped >= 1 && snap.Served >= 1 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Both stray datagrams left the socket queue before the request did.
+	snap := finalSnapshot(srv)
 	if snap.Malformed != 1 || snap.Dropped != 1 || snap.Served != 1 {
 		t.Fatalf("snapshot = %+v, want malformed=1 dropped=1 served=1", snap)
 	}

@@ -84,7 +84,7 @@ func TestNTSEndToEnd(t *testing.T) {
 			t.Fatalf("exchange %d: jar at %d, below low water %d — re-supply is not keeping up", i, jar, lowWater)
 		}
 	}
-	snap := srv.Snapshot()
+	snap := waitSnapshot(srv, func(s *Snapshot) bool { return s.Served >= exchanges })
 	if snap.NTSServed < exchanges {
 		t.Fatalf("NTSServed = %d, want >= %d", snap.NTSServed, exchanges)
 	}
@@ -130,7 +130,7 @@ func TestNTSEndToEnd(t *testing.T) {
 	if code, kod := nak.KissCode(); !kod || code != "NTSN" {
 		t.Fatalf("tampered request answered with stratum=%d code=%q, want NTSN kiss", nak.Stratum, code)
 	}
-	if got := srv.Snapshot().NTSNaks; got < 1 {
+	if got := waitSnapshot(srv, func(s *Snapshot) bool { return s.NTSNaks >= 1 }).NTSNaks; got < 1 {
 		t.Fatalf("NTSNaks = %d, want >= 1", got)
 	}
 

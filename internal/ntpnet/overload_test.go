@@ -93,7 +93,7 @@ func TestOverloadDegradedShedsNewFlowsKeepsEstablished(t *testing.T) {
 		}
 	}
 
-	snap := srv.Snapshot()
+	snap := waitSnapshot(srv, func(s *Snapshot) bool { return s.Shed >= 10 })
 	if snap.Shed < 10 {
 		t.Errorf("Shed = %d, want >= 10", snap.Shed)
 	}

@@ -75,7 +75,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 		}
 	}
 
-	snap := srv.Snapshot()
+	snap := finalSnapshot(srv)
 	if snap.Panics != 1 {
 		t.Errorf("Panics = %d, want 1", snap.Panics)
 	}

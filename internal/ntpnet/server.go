@@ -271,28 +271,37 @@ func listenReusePort(ua *net.UDPAddr, n int) ([]*net.UDPConn, error) {
 // Close's behavior — the sockets are closed under whatever is still in
 // flight — and returns ctx.Err(). Calling Shutdown on a closed server
 // returns nil; Close after Shutdown is a no-op.
-func (s *Server) Shutdown(ctx context.Context) error {
+func (s *Server) Shutdown(ctx context.Context) error { return s.stop(ctx, true) }
+
+// Close stops the server, undrained, and waits for every serve goroutine.
+func (s *Server) Close() error { return s.stop(context.Background(), false) }
+
+// stop is the one way down: mark closed, drain until ctx expires if
+// asked to, stop housekeeping, close the sockets, wait.
+func (s *Server) stop(ctx context.Context, drain bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true // stops worker respawns; makes Close a no-op
+	s.closed = true // stops worker respawns; makes a second stop a no-op
 	s.mu.Unlock()
-	now := time.Now()
-	for _, c := range s.conns {
-		_ = c.SetReadDeadline(now)
-	}
-	drained := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(drained)
-	}()
-	var drainErr error
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		drainErr = ctx.Err()
+	var cut error
+	if drain {
+		now := time.Now()
+		for _, c := range s.conns {
+			_ = c.SetReadDeadline(now)
+		}
+		drained := make(chan struct{})
+		go func() {
+			s.wg.Wait()
+			close(drained)
+		}()
+		select {
+		case <-drained:
+		case <-ctx.Done():
+			cut = ctx.Err()
+		}
 	}
 	if s.stopHk != nil {
 		close(s.stopHk)
@@ -304,9 +313,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.hkWG.Wait()
-	if drainErr != nil {
-		return drainErr
+	if cut != nil {
+		return cut // drain cut short: stragglers exit on their closed sockets
 	}
+	s.wg.Wait()
 	return first
 }
 
@@ -383,29 +393,6 @@ func (s *Server) Recycle() {
 	}
 }
 
-// Close stops the server and waits for every serve goroutine to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	if s.stopHk != nil {
-		close(s.stopHk)
-	}
-	var first error
-	for _, c := range s.conns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.hkWG.Wait()
-	s.wg.Wait()
-	return first
-}
-
 // Snapshot merges the shard-local metrics into the aggregate view.
 // Counters are read atomically per shard; the merge is not one atomic
 // transaction, which is fine for monitoring.
@@ -415,9 +402,7 @@ func (s *Server) Snapshot() *Snapshot {
 		out.Merge(sh.metrics.Snapshot())
 	}
 	out.Restarts = s.restarts.Load()
-	if s.ctrl != nil {
-		out.Health = s.ctrl.State()
-	}
+	out.Health = s.Health()
 	return out
 }
 
@@ -504,7 +489,7 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 	if sh.rxts {
 		oob = make([]byte, oobSpace)
 	}
-	var req ntppkt.Packet
+	var req, resp ntppkt.Packet
 	for sh.epoch.Load() == epoch {
 		var (
 			n       int
@@ -524,7 +509,7 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 		if err != nil {
 			return // closed
 		}
-		out = s.handle(sh, buf[:n], peer, ingress, &req, out)
+		out = s.handle(sh, buf[:n], peer, ingress, &req, &resp, out)
 	}
 }
 
@@ -532,28 +517,13 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 // the other seven pay one atomic add.
 const sojournSampleMask = 7
 
-// observeSojourn feeds a sampled ingress-to-now sojourn into the
-// overload controller. crypto is the AEAD time this request spent; it
-// is subtracted from the queue signal and fed to the controller's
-// crypto EWMA instead, so the two components of the effective sojourn
-// never double-count. Plain requests pass zero, which decays the
-// crypto estimate as authenticated load recedes.
-func (s *Server) observeSojourn(sh *shard, ingress time.Time, crypto time.Duration) {
-	if sh.sample.Add(1)&sojournSampleMask != 0 {
-		return
-	}
-	now := time.Now()
-	s.ctrl.Observe(now.Sub(ingress)-crypto, now)
-	if s.NTS != nil {
-		s.ctrl.ObserveCrypto(crypto, now)
-	}
-}
-
-// handle processes one datagram. The in-flight/completed bookkeeping
-// brackets everything — including an injected panic, whose unwind
-// still runs the deferred decrement before serve's recovery respawns
-// the worker.
-func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.Time, req *ntppkt.Packet, out []byte) []byte {
+// handle processes one datagram: decide concludes, and everything the
+// conclusion costs — the reply write, the counter, the overload
+// controller's sojourn sample — happens here, once, whatever the
+// outcome. The in-flight/completed bookkeeping brackets everything —
+// including an injected panic, whose unwind still runs the deferred
+// decrement before serve's recovery respawns the worker.
+func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.Time, req, resp *ntppkt.Packet, out []byte) []byte {
 	sh.inFlight.Add(1)
 	defer func() {
 		sh.inFlight.Add(-1)
@@ -564,6 +534,50 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// handling latency but not socket-queue wait.
 		ingress = time.Now()
 	}
+	v := s.decide(sh.idx, pkt, peer.IP, req, resp)
+	if v.outcome.replies() {
+		out = resp.Encode(out[:0])
+		if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
+			v.outcome = writeError
+		}
+	}
+	// Counted after the write: served means written.
+	if v.outcome == served {
+		sh.metrics.Latency.Record(s.Clock.Now().Sub(v.recv))
+		if v.nts {
+			sh.metrics.NTSServed.Add(1)
+		}
+	}
+	sh.metrics.n[v.outcome].Add(1)
+	if s.ctrl != nil && sh.sample.Add(1)&sojournSampleMask == 0 {
+		// The sampled ingress-to-now sojourn feeds the overload
+		// controller. The AEAD time this request spent is subtracted
+		// from the queue signal and fed to the controller's crypto EWMA
+		// instead, so the two components of the effective sojourn never
+		// double-count; plain requests feed zero, which decays the
+		// crypto estimate as authenticated load recedes.
+		now := time.Now()
+		s.ctrl.Observe(now.Sub(ingress)-v.crypto, now)
+		if s.NTS != nil {
+			s.ctrl.ObserveCrypto(v.crypto, now)
+		}
+	}
+	return out
+}
+
+// verdict is decide's conclusion about one datagram.
+type verdict struct {
+	outcome outcome
+	recv    time.Time     // receive stamp; zero when dropped before parsing
+	crypto  time.Duration // AEAD time spent verifying and sealing
+	nts     bool          // served under NTS
+}
+
+// decide runs the request path on one datagram — admit, receive stamp,
+// decode, NTS verify, shed, rate limit, reply build, seal, in that
+// order — and for the outcomes that reply (see outcome.replies) fills
+// resp. It does no socket I/O and counts nothing; handle owns both.
+func (s *Server) decide(shard int, pkt []byte, src net.IP, req, resp *ntppkt.Packet) verdict {
 	ctrl := s.ctrl
 	probe := false
 	if ctrl != nil && ctrl.State() == overload.Overloaded {
@@ -573,22 +587,18 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// backlog. 1-in-N probes are admitted so sojourn samples keep
 		// flowing and recovery stays possible.
 		if probe = ctrl.ProbeAdmit(); !probe {
-			sh.metrics.ShedDropped.Add(1)
-			s.observeSojourn(sh, ingress, 0)
-			return out
+			return verdict{outcome: shedDropped}
 		}
 	}
 	if s.FaultHook != nil {
-		s.FaultHook(sh.idx)
+		s.FaultHook(shard)
 	}
 	recv := s.Clock.Now()
 	if err := req.DecodeInto(pkt); err != nil {
-		sh.metrics.Malformed.Add(1)
-		return out
+		return verdict{outcome: malformed, recv: recv}
 	}
 	if req.Mode != ntppkt.ModeClient {
-		sh.metrics.Dropped.Add(1)
-		return out
+		return verdict{outcome: dropped, recv: recv}
 	}
 	version := req.Version
 	if version < ntppkt.Version3 || version > ntppkt.Version4 {
@@ -600,21 +610,25 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 	// granting it. The AEAD time is kept apart from the queue signal
 	// and fed to the controller's crypto EWMA.
 	var ntsReq *nts.ServerRequest
-	var cryptoDur time.Duration
+	var crypto time.Duration
 	if s.NTS != nil && nts.IsNTSRequest(req) {
 		cryptoStart := time.Now()
 		var err error
 		ntsReq, err = nts.VerifyRequest(s.NTS, req)
-		cryptoDur = time.Since(cryptoStart)
+		crypto = time.Since(cryptoStart)
 		if err != nil {
-			var ok bool
-			if out, ok = s.writeNTSNak(sh, version, req, peer, out); ok {
-				sh.metrics.NTSNaks.Add(1)
+			// NTS NAK (RFC 8915 §5.7): the server saw NTS fields it
+			// could not authenticate — a cookie sealed under a
+			// rotated-out epoch, or a forged/corrupted authenticator —
+			// and the client must re-run key establishment. The
+			// request's unique identifier is echoed so the client can
+			// match the NAK; no authenticator is added since the server
+			// has no verified keys.
+			kiss(resp, ntppkt.KissNTSN, version, req)
+			if uid, _ := req.FindExt(ntppkt.ExtUniqueIdentifier); uid != nil {
+				nts.ProtectNAK(uid.Value, resp)
 			}
-			if ctrl != nil {
-				s.observeSojourn(sh, ingress, cryptoDur)
-			}
-			return out
+			return verdict{outcome: ntsNak, recv: recv, crypto: crypto}
 		}
 	}
 	limiter := s.limiter.Load()
@@ -624,28 +638,21 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// answered well stays stable while fresh arrivals are told
 		// RATE — loudly, not by silent drop. Flows that win the coin
 		// toss proceed, enter the table below, and become established.
-		established := limiter != nil && limiter.known(keyFromIP(peer.IP), recv)
+		established := limiter != nil && limiter.known(keyFromIP(src), recv)
 		if !established && rand.Float64() < ctrl.ShedProb() {
-			var ok bool
-			if out, ok = s.writeRate(sh, version, req, peer, out); ok {
-				sh.metrics.Shed.Add(1)
-			}
-			s.observeSojourn(sh, ingress, 0)
-			return out
+			kiss(resp, ntppkt.KissRate, version, req)
+			return verdict{outcome: shed, recv: recv}
 		}
 	}
 	// The limiter runs on the server's clock, like every protocol
 	// timestamp: under a simulated or offset clock the windows
 	// must follow the clock that stamps the packets, not the
 	// wall.
-	if limiter != nil && limiter.over(keyFromIP(peer.IP), recv) {
-		var ok bool
-		if out, ok = s.writeRate(sh, version, req, peer, out); ok {
-			sh.metrics.Limited.Add(1)
-		}
-		return out
+	if limiter != nil && limiter.over(keyFromIP(src), recv) {
+		kiss(resp, ntppkt.KissRate, version, req)
+		return verdict{outcome: limited, recv: recv, crypto: crypto}
 	}
-	resp := ntppkt.Packet{
+	*resp = ntppkt.Packet{
 		Leap:      ntppkt.LeapNone,
 		Version:   version,
 		Mode:      ntppkt.ModeServer,
@@ -662,67 +669,23 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// Seal after the transmit stamp: the authenticator's
 		// associated data covers the final header image.
 		cryptoStart := time.Now()
-		err := nts.ProtectResponse(s.NTS, ntsReq, &resp)
-		cryptoDur += time.Since(cryptoStart)
+		err := nts.ProtectResponse(s.NTS, ntsReq, resp)
+		crypto += time.Since(cryptoStart)
 		if err != nil {
-			sh.metrics.Dropped.Add(1)
-			return out
+			return verdict{outcome: dropped, recv: recv, crypto: crypto}
 		}
 	}
-	out = resp.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out
-	}
-	sh.metrics.Latency.Record(s.Clock.Now().Sub(recv))
-	sh.metrics.Served.Add(1)
-	if ntsReq != nil {
-		sh.metrics.NTSServed.Add(1)
-	}
-	if ctrl != nil {
-		s.observeSojourn(sh, ingress, cryptoDur)
-	}
-	return out
+	return verdict{outcome: served, recv: recv, crypto: crypto, nts: ntsReq != nil}
 }
 
-// writeRate sends a RATE kiss-of-death echoing the request's origin,
-// returning the reused buffer and whether the write succeeded (a
-// failure is counted in WriteErrors, not in the caller's counter).
-func (s *Server) writeRate(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte) ([]byte, bool) {
-	kod := ntppkt.Packet{
+// kiss fills resp with a kiss-of-death: code, the request's origin
+// echoed, and no time — Receive and Transmit stay zero.
+func kiss(resp *ntppkt.Packet, code [4]byte, version uint8, req *ntppkt.Packet) {
+	*resp = ntppkt.Packet{
 		Leap: ntppkt.LeapNotSync, Version: version, Mode: ntppkt.ModeServer,
-		Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRate,
+		Stratum: ntppkt.StratumKoD, RefID: code,
 		Origin: req.Transmit,
 	}
-	out = kod.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out, false
-	}
-	return out, true
-}
-
-// writeNTSNak sends an NTS NAK kiss-of-death (RFC 8915 §5.7): the
-// server saw NTS fields it could not authenticate — a cookie sealed
-// under a rotated-out epoch, or a forged/corrupted authenticator —
-// and the client must re-run key establishment. The request's unique
-// identifier is echoed so the client can match the NAK; no
-// authenticator is added since the server has no verified keys.
-func (s *Server) writeNTSNak(sh *shard, version uint8, req *ntppkt.Packet, peer *net.UDPAddr, out []byte) ([]byte, bool) {
-	nak := ntppkt.Packet{
-		Leap: ntppkt.LeapNotSync, Version: version, Mode: ntppkt.ModeServer,
-		Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissNTSN,
-		Origin: req.Transmit,
-	}
-	if uid, _ := req.FindExt(ntppkt.ExtUniqueIdentifier); uid != nil {
-		nts.ProtectNAK(uid.Value, &nak)
-	}
-	out = nak.Encode(out[:0])
-	if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
-		sh.metrics.WriteErrors.Add(1)
-		return out, false
-	}
-	return out, true
 }
 
 // housekeep is the watchdog/housekeeping loop: it restarts wedged

@@ -54,7 +54,7 @@ func TestShardedServerServesConcurrentLoad(t *testing.T) {
 		}
 	}
 
-	snap := srv.Snapshot()
+	snap := finalSnapshot(srv)
 	if snap.Served != clients*perClient {
 		t.Errorf("aggregated served = %d, want %d", snap.Served, clients*perClient)
 	}
@@ -107,7 +107,7 @@ func TestShardedServerSharesRateLimitTable(t *testing.T) {
 	if kod != 3 {
 		t.Errorf("%d of 6 requests limited, want 3 (per-client budget must span shards)", kod)
 	}
-	if got := srv.Snapshot().Limited; got != 3 {
+	if got := finalSnapshot(srv).Limited; got != 3 {
 		t.Errorf("RateLimited = %d, want 3", got)
 	}
 	if got := srv.RateTableSize(); got != 1 {
@@ -137,7 +137,7 @@ func TestShardFallbackStillServes(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := srv.Snapshot().Served; got != 3 {
+	if got := finalSnapshot(srv).Served; got != 3 {
 		t.Errorf("served = %d, want 3", got)
 	}
 }

@@ -84,3 +84,18 @@ func RootPool(pemPath string) (*x509.CertPool, error) {
 	}
 	return pool, nil
 }
+
+// ClientTLS builds the NTS-KE client configuration the command-line
+// tools share: trust the PEM roots in caPath (empty: the system
+// roots), or skip certificate verification entirely (testing only).
+func ClientTLS(caPath string, insecure bool) (*tls.Config, error) {
+	cfg := &tls.Config{InsecureSkipVerify: insecure}
+	if caPath != "" {
+		pool, err := RootPool(caPath)
+		if err != nil {
+			return nil, err
+		}
+		cfg.RootCAs = pool
+	}
+	return cfg, nil
+}

@@ -182,20 +182,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Close stops accepting and waits for in-flight exchanges.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stopCh)
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+// Close is Shutdown with no deadline: it waits for every exchange.
+func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
