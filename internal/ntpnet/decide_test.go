@@ -194,16 +194,17 @@ func TestDecide(t *testing.T) {
 				}
 				s.limiter.Store(lim)
 			}
-			var req, resp ntppkt.Packet
+			var w worker
+			req, resp := &w.req, &w.resp
 			for i := 0; i < tc.skip; i++ {
-				if v := s.decide(0, tc.pkt, tc.src, &req, &resp); v.outcome != shedDropped {
+				if v := s.decide(0, tc.pkt, tc.src, &w); v.outcome != shedDropped {
 					t.Fatalf("datagram %d: outcome %d, want an early drop", i, v.outcome)
 				}
 			}
 			if n := hooked.Load(); n != 0 {
 				t.Fatalf("FaultHook ran %d times for early-dropped datagrams", n)
 			}
-			v := s.decide(0, tc.pkt, tc.src, &req, &resp)
+			v := s.decide(0, tc.pkt, tc.src, &w)
 			if v.outcome != tc.want {
 				t.Fatalf("outcome = %d, want %d", v.outcome, tc.want)
 			}
@@ -211,9 +212,44 @@ func TestDecide(t *testing.T) {
 				t.Errorf("FaultHook ran %d times, want %d", n, tc.hook)
 			}
 			if tc.check != nil {
-				tc.check(t, &req, &resp, v)
+				tc.check(t, req, resp, v)
 			}
 		})
+	}
+}
+
+// TestDecideAllocations: a worker reuses everything it builds a reply
+// in — the decoded request, the reply and its extension-field slice,
+// the NTS state, the wire image — so a plain request allocates nothing
+// and an NTS request only the three AES key schedules crypto/aes
+// returns by pointer.
+func TestDecideAllocations(t *testing.T) {
+	ring, err := nts.NewKeyRing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(&stepClock{}, 2)
+	s.NTS = ring
+	protected, _ := ntsRequest(t, ring)
+	var w worker
+	for _, tc := range []struct {
+		name string
+		pkt  []byte
+		want float64
+	}{
+		{"nts", protected, 3},
+		{"plain after nts", plainRequest(ntppkt.Version4, ntppkt.ModeClient), 0},
+	} {
+		serve := func() {
+			if v := s.decide(0, tc.pkt, srcA, &w); v.outcome != served {
+				t.Fatalf("%s: outcome %d, want served", tc.name, v.outcome)
+			}
+			w.out = w.resp.Encode(w.out[:0])
+		}
+		serve() // the first request sizes the buffers
+		if got := testing.AllocsPerRun(100, serve); got > tc.want {
+			t.Errorf("%s: %v allocations per request, want <= %v", tc.name, got, tc.want)
+		}
 	}
 }
 

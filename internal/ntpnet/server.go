@@ -484,12 +484,11 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 	// placeholder load) with headroom; plain 48-byte traffic is
 	// unaffected by the larger read buffer.
 	buf := make([]byte, 2048)
-	out := make([]byte, 0, ntppkt.HeaderLen)
 	var oob []byte
 	if sh.rxts {
 		oob = make([]byte, oobSpace)
 	}
-	var req, resp ntppkt.Packet
+	w := &worker{out: make([]byte, 0, ntppkt.HeaderLen)}
 	for sh.epoch.Load() == epoch {
 		var (
 			n       int
@@ -509,8 +508,18 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 		if err != nil {
 			return // closed
 		}
-		out = s.handle(sh, buf[:n], peer, ingress, &req, &resp, out)
+		s.handle(sh, w, buf[:n], peer, ingress)
 	}
+}
+
+// worker is what one serve goroutine reuses from datagram to datagram:
+// the decoded request, the reply under construction, the NTS state
+// that carries a request's keys and AEAD working memory from verify
+// to seal, and the reply's wire image.
+type worker struct {
+	req, resp ntppkt.Packet
+	nts       nts.ServerRequest
+	out       []byte
 }
 
 // sojournSampleMask: 1 in 8 handled datagrams feed the sojourn EWMA;
@@ -523,7 +532,7 @@ const sojournSampleMask = 7
 // outcome. The in-flight/completed bookkeeping brackets everything —
 // including an injected panic, whose unwind still runs the deferred
 // decrement before serve's recovery respawns the worker.
-func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.Time, req, resp *ntppkt.Packet, out []byte) []byte {
+func (s *Server) handle(sh *shard, w *worker, pkt []byte, peer *net.UDPAddr, ingress time.Time) {
 	sh.inFlight.Add(1)
 	defer func() {
 		sh.inFlight.Add(-1)
@@ -534,10 +543,10 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 		// handling latency but not socket-queue wait.
 		ingress = time.Now()
 	}
-	v := s.decide(sh.idx, pkt, peer.IP, req, resp)
+	v := s.decide(sh.idx, pkt, peer.IP, w)
 	if v.outcome.replies() {
-		out = resp.Encode(out[:0])
-		if _, err := sh.conn.WriteToUDP(out, peer); err != nil {
+		w.out = w.resp.Encode(w.out[:0])
+		if _, err := sh.conn.WriteToUDP(w.out, peer); err != nil {
 			v.outcome = writeError
 		}
 	}
@@ -562,7 +571,6 @@ func (s *Server) handle(sh *shard, pkt []byte, peer *net.UDPAddr, ingress time.T
 			s.ctrl.ObserveCrypto(v.crypto, now)
 		}
 	}
-	return out
 }
 
 // verdict is decide's conclusion about one datagram.
@@ -574,10 +582,12 @@ type verdict struct {
 }
 
 // decide runs the request path on one datagram — admit, receive stamp,
-// decode, NTS verify, shed, rate limit, reply build, seal, in that
-// order — and for the outcomes that reply (see outcome.replies) fills
-// resp. It does no socket I/O and counts nothing; handle owns both.
-func (s *Server) decide(shard int, pkt []byte, src net.IP, req, resp *ntppkt.Packet) verdict {
+// decode, NTS verify, shed, rate limit, reply build, cookie mint,
+// transmit stamp, seal, in that order — and for the outcomes that
+// reply (see outcome.replies) fills w.resp. It does no socket I/O and
+// counts nothing; handle owns both.
+func (s *Server) decide(shard int, pkt []byte, src net.IP, w *worker) verdict {
+	req, resp := &w.req, &w.resp
 	ctrl := s.ctrl
 	probe := false
 	if ctrl != nil && ctrl.State() == overload.Overloaded {
@@ -609,12 +619,11 @@ func (s *Server) decide(shard int, pkt []byte, src net.IP, req, resp *ntppkt.Pac
 	// so it both earns the bypass below and must be checked before
 	// granting it. The AEAD time is kept apart from the queue signal
 	// and fed to the controller's crypto EWMA.
-	var ntsReq *nts.ServerRequest
+	verified := false
 	var crypto time.Duration
 	if s.NTS != nil && nts.IsNTSRequest(req) {
 		cryptoStart := time.Now()
-		var err error
-		ntsReq, err = nts.VerifyRequest(s.NTS, req)
+		err := w.nts.Verify(s.NTS, req)
 		crypto = time.Since(cryptoStart)
 		if err != nil {
 			// NTS NAK (RFC 8915 §5.7): the server saw NTS fields it
@@ -630,9 +639,10 @@ func (s *Server) decide(shard int, pkt []byte, src net.IP, req, resp *ntppkt.Pac
 			}
 			return verdict{outcome: ntsNak, recv: recv, crypto: crypto}
 		}
+		verified = true
 	}
 	limiter := s.limiter.Load()
-	if ctrl != nil && !probe && ntsReq == nil && ctrl.State() == overload.Degraded {
+	if ctrl != nil && !probe && !verified && ctrl.State() == overload.Degraded {
 		// Shed new/unseen flows first: clients already holding
 		// rate-limit state keep their budget, so the population being
 		// answered well stays stable while fresh arrivals are told
@@ -663,19 +673,26 @@ func (s *Server) decide(shard int, pkt []byte, src net.IP, req, resp *ntppkt.Pac
 		RefTime:   ntptime.FromTime(recv.Add(-10 * time.Second)),
 		Origin:    req.Transmit,
 		Receive:   ntptime.FromTime(recv),
-		Transmit:  ntptime.FromTime(s.Clock.Now()),
+		Ext:       resp.Ext[:0], // keep the backing array across requests
 	}
-	if ntsReq != nil {
-		// Seal after the transmit stamp: the authenticator's
-		// associated data covers the final header image.
-		cryptoStart := time.Now()
-		err := nts.ProtectResponse(s.NTS, ntsReq, resp)
-		crypto += time.Since(cryptoStart)
-		if err != nil {
-			return verdict{outcome: dropped, recv: recv, crypto: crypto}
-		}
+	if !verified {
+		resp.Transmit = ntptime.FromTime(s.Clock.Now())
+		return verdict{outcome: served, recv: recv}
 	}
-	return verdict{outcome: served, recv: recv, crypto: crypto, nts: ntsReq != nil}
+	// Everything a protected reply needs that does not depend on its
+	// header — the re-supply cookies, sealed under the master key, and
+	// the nonce — is made before the transmit stamp. Only the seal must
+	// follow it, since the authenticator's associated data covers the
+	// final header image; whatever follows the stamp is served to the
+	// client as error in the server-to-client leg.
+	cryptoStart := time.Now()
+	if err := w.nts.MintCookies(s.NTS); err != nil {
+		return verdict{outcome: dropped, recv: recv, crypto: crypto + time.Since(cryptoStart)}
+	}
+	resp.Transmit = ntptime.FromTime(s.Clock.Now())
+	w.nts.Seal(resp)
+	crypto += time.Since(cryptoStart)
+	return verdict{outcome: served, recv: recv, crypto: crypto, nts: true}
 }
 
 // kiss fills resp with a kiss-of-death: code, the request's origin
@@ -685,6 +702,7 @@ func kiss(resp *ntppkt.Packet, code [4]byte, version uint8, req *ntppkt.Packet) 
 		Leap: ntppkt.LeapNotSync, Version: version, Mode: ntppkt.ModeServer,
 		Stratum: ntppkt.StratumKoD, RefID: code,
 		Origin: req.Transmit,
+		Ext:    resp.Ext[:0],
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // both minting and opening happen server-side):
 //
 //	epoch   (4, big-endian)  — selects the master key that sealed it
-//	sealed  (100)            — sivSeal(master, plaintext, epoch):
+//	sealed  (100)            — AES-SIV(master, plaintext, AD epoch):
 //	    siv tag (16)
 //	    ct      (84) of: aeadID(2) || keyLen(2) || c2s(32) || s2c(32) || pad(16)
 //
@@ -44,7 +44,21 @@ type KeyRing struct {
 	mu    sync.RWMutex
 	depth int
 	next  uint32
-	keys  map[uint32][]byte
+	keys  map[uint32]masterKey
+}
+
+// masterKey is one epoch's key: the raw bytes Save persists and their
+// expansion, built once when the epoch enters the ring (Rotate,
+// LoadKeyRing) and dropped with it, so no cookie operation expands a
+// master key.
+type masterKey struct {
+	raw []byte
+	siv *sivKey
+}
+
+func newMasterKey(raw []byte) (masterKey, error) {
+	siv, err := newSIVKey(raw)
+	return masterKey{raw: raw, siv: siv}, err
 }
 
 // NewKeyRing creates a ring that keeps the current master key plus
@@ -53,7 +67,7 @@ func NewKeyRing(depth int) (*KeyRing, error) {
 	if depth < 1 {
 		depth = 1
 	}
-	r := &KeyRing{depth: depth, keys: make(map[uint32][]byte)}
+	r := &KeyRing{depth: depth, keys: make(map[uint32]masterKey)}
 	if err := r.Rotate(); err != nil {
 		return nil, err
 	}
@@ -63,8 +77,12 @@ func NewKeyRing(depth int) (*KeyRing, error) {
 // Rotate introduces a new current epoch with a fresh random master
 // key and drops epochs older than the retention window.
 func (r *KeyRing) Rotate() error {
-	key := make([]byte, SIVKeyLen)
-	if _, err := rand.Read(key); err != nil {
+	raw := make([]byte, SIVKeyLen)
+	if _, err := rand.Read(raw); err != nil {
+		return err
+	}
+	key, err := newMasterKey(raw)
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -90,38 +108,45 @@ func (r *KeyRing) Epoch() uint32 {
 // SealCookie mints a cookie binding the association keys under the
 // current epoch's master key.
 func (r *KeyRing) SealCookie(aeadID uint16, c2s, s2c []byte) ([]byte, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return r.sealCookie(sc, make([]byte, 0, CookieLen), aeadID, c2s, s2c)
+}
+
+// sealCookie appends a fresh cookie to dst.
+func (r *KeyRing) sealCookie(sc *scratch, dst []byte, aeadID uint16, c2s, s2c []byte) ([]byte, error) {
 	if len(c2s) != SIVKeyLen || len(s2c) != SIVKeyLen {
-		return nil, errors.New("nts: association keys must be 32 bytes")
+		return dst, errors.New("nts: association keys must be 32 bytes")
 	}
+	plain := sc.cookie[:]
+	binary.BigEndian.PutUint16(plain[0:], aeadID)
+	binary.BigEndian.PutUint16(plain[2:], SIVKeyLen)
+	copy(plain[4:], c2s)
+	copy(plain[4+SIVKeyLen:], s2c)
+	if _, err := rand.Read(plain[4+2*SIVKeyLen:]); err != nil {
+		return dst, err
+	}
+
 	r.mu.RLock()
 	epoch := r.next - 1
-	master := r.keys[epoch]
+	master := r.keys[epoch].siv
 	r.mu.RUnlock()
-
-	plain := make([]byte, 0, cookiePlainLen)
-	plain = binary.BigEndian.AppendUint16(plain, aeadID)
-	plain = binary.BigEndian.AppendUint16(plain, SIVKeyLen)
-	plain = append(plain, c2s...)
-	plain = append(plain, s2c...)
-	pad := make([]byte, cookiePadLen)
-	if _, err := rand.Read(pad); err != nil {
-		return nil, err
-	}
-	plain = append(plain, pad...)
-
-	var epochAD [cookieEpochLen]byte
-	binary.BigEndian.PutUint32(epochAD[:], epoch)
-	sealed, err := sivSeal(master, plain, epochAD[:])
-	if err != nil {
-		return nil, err
-	}
-	return append(epochAD[:], sealed...), nil
+	dst = binary.BigEndian.AppendUint32(dst, epoch)
+	return master.seal(sc, dst, plain, dst[len(dst)-cookieEpochLen:]), nil
 }
 
 // OpenCookie authenticates and decrypts a cookie, returning the AEAD
 // algorithm and association keys it carries. Cookies sealed under an
 // epoch that has rotated out fail with ErrCookieEpoch.
 func (r *KeyRing) OpenCookie(cookie []byte) (aeadID uint16, c2s, s2c []byte, err error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return r.openCookie(sc, make([]byte, 0, cookiePlainLen), cookie)
+}
+
+// openCookie is OpenCookie with the plaintext — which the returned
+// keys alias — appended to dst.
+func (r *KeyRing) openCookie(sc *scratch, dst, cookie []byte) (aeadID uint16, c2s, s2c []byte, err error) {
 	if len(cookie) != CookieLen {
 		return 0, nil, nil, ErrCookieFormat
 	}
@@ -132,10 +157,12 @@ func (r *KeyRing) OpenCookie(cookie []byte) (aeadID uint16, c2s, s2c []byte, err
 	if !ok {
 		return 0, nil, nil, ErrCookieEpoch
 	}
-	plain, err := sivOpen(master, cookie[cookieEpochLen:], cookie[:cookieEpochLen])
+	n := len(dst)
+	dst, err = master.siv.open(sc, dst, cookie[cookieEpochLen:], cookie[:cookieEpochLen])
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	plain := dst[n:]
 	if len(plain) != cookiePlainLen {
 		return 0, nil, nil, ErrCookieFormat
 	}

@@ -26,97 +26,72 @@ var (
 	ErrBadExtField = errors.New("nts: malformed NTS extension field")
 )
 
-// newUniqueID returns a fresh 32-byte unique identifier.
-func newUniqueID() ([]byte, error) {
-	uid := make([]byte, UniqueIDLen)
-	_, err := rand.Read(uid)
-	return uid, err
-}
-
-// sealAuthenticator appends the NTS Authenticator and Encrypted
-// Extension Fields EF to p, sealing plaintext with key. The
-// associated data is the wire image of everything already in p — the
-// 48-byte header plus every extension field appended so far — which
-// is why the authenticator must always be added last.
+// appendAuthenticatorNonce starts the body of an NTS Authenticator and
+// Encrypted Extension Fields EF at the end of dst with the part that
+// does not depend on the packet: the two lengths and a fresh nonce.
 //
 // Body layout (RFC 8915 §5.6): nonceLen(2) || ctLen(2) || nonce || ct.
 // With a 16-byte nonce and SIV's 16-byte tag the body stays 4-aligned
 // whenever the plaintext is, so re-encoding is byte-exact.
-func sealAuthenticator(key []byte, p *ntppkt.Packet, plaintext []byte) error {
-	ad := p.Encode(nil)
-	nonce := make([]byte, nonceLen)
-	if _, err := rand.Read(nonce); err != nil {
-		return err
-	}
-	ct, err := sivSeal(key, plaintext, ad, nonce)
-	if err != nil {
-		return err
-	}
-	body := make([]byte, 0, 4+nonceLen+len(ct))
-	body = binary.BigEndian.AppendUint16(body, nonceLen)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(ct)))
-	body = append(body, nonce...)
-	body = append(body, ct...)
-	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSAuthenticator, Value: body})
-	return nil
+func appendAuthenticatorNonce(dst []byte, plaintextLen int) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint16(dst, nonceLen)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(SIVOverhead+plaintextLen))
+	dst = append(dst, make([]byte, nonceLen)...)
+	_, err := rand.Read(dst[len(dst)-nonceLen:])
+	return dst, err
 }
 
-// openAuthenticator verifies the authenticator at index authIdx of
-// p.Ext against key and returns the decrypted inner plaintext. The
-// associated data is reconstructed by re-encoding the header and the
-// fields preceding the authenticator — exact because decode keeps
-// field bodies verbatim.
-func openAuthenticator(key []byte, p *ntppkt.Packet, authIdx int) ([]byte, error) {
+// sealAuthenticator completes the body appendAuthenticatorNonce
+// started: plaintext sealed under key. The associated data is ad — the
+// wire image of everything that precedes the field, the 48-byte header
+// plus every extension field, which is why the authenticator is always
+// added last — and the nonce.
+func sealAuthenticator(key *sivKey, sc *scratch, dst, plaintext, ad []byte) []byte {
+	return key.seal(sc, dst, plaintext, ad, dst[len(dst)-nonceLen:])
+}
+
+// parseAuthenticator splits the body of the authenticator field at
+// index authIdx of p.Ext into its nonce and sealed fields.
+func parseAuthenticator(p *ntppkt.Packet, authIdx int) (nonce, ct []byte, err error) {
 	if authIdx < 0 || authIdx >= len(p.Ext) {
-		return nil, ErrNoAuth
+		return nil, nil, ErrNoAuth
 	}
 	body := p.Ext[authIdx].Value
 	if len(body) < 4 {
-		return nil, ErrBadExtField
+		return nil, nil, ErrBadExtField
 	}
 	nl := int(binary.BigEndian.Uint16(body[0:2]))
 	cl := int(binary.BigEndian.Uint16(body[2:4]))
 	if nl == 0 || 4+nl+cl > len(body) {
-		return nil, ErrBadExtField
+		return nil, nil, ErrBadExtField
 	}
-	nonce := body[4 : 4+nl]
-	ct := body[4+nl : 4+nl+cl]
+	return body[4 : 4+nl], body[4+nl : 4+nl+cl], nil
+}
 
+// openAuthenticator verifies the parsed authenticator at authIdx
+// against key and leaves the decrypted inner plaintext in sc.pt. The associated data is rebuilt in sc.ad by
+// re-encoding the header and the fields preceding the authenticator —
+// exact because decode keeps field bodies verbatim.
+func openAuthenticator(key *sivKey, sc *scratch, p *ntppkt.Packet, authIdx int, nonce, ct []byte) error {
 	prefix := *p
 	prefix.Ext = p.Ext[:authIdx]
 	prefix.LegacyMAC = nil
-	ad := prefix.Encode(nil)
-	return sivOpen(key, ct, ad, nonce)
+	sc.ad = prefix.Encode(sc.ad[:0])
+	var err error
+	sc.pt, err = key.open(sc, sc.pt[:0], ct, sc.ad, nonce)
+	return err
 }
 
-// appendInnerExt appends one extension field in wire framing to dst.
-// Inner (encrypted) fields use the same type+length header but are
-// exempt from the outer 16-byte minimum; bodies here are always
-// 4-aligned so no padding is emitted.
-func appendInnerExt(dst []byte, typ uint16, body []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, typ)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(ntppkt.ExtHeaderLen+len(body)))
-	return append(dst, body...)
-}
-
-// parseInnerExts parses the decrypted contents of an authenticator:
-// a sequence of extension fields framed like the outer ones but
+// nextInnerExt splits the first extension field off the decrypted
+// contents of an authenticator: fields framed like the outer ones but
 // without the RFC 7822 minimum-length rule.
-func parseInnerExts(plain []byte) ([]ntppkt.ExtField, error) {
-	var out []ntppkt.ExtField
-	for len(plain) > 0 {
-		if len(plain) < ntppkt.ExtHeaderLen {
-			return nil, ErrBadExtField
-		}
-		l := int(binary.BigEndian.Uint16(plain[2:4]))
-		if l < ntppkt.ExtHeaderLen || l%4 != 0 || l > len(plain) {
-			return nil, ErrBadExtField
-		}
-		out = append(out, ntppkt.ExtField{
-			Type:  binary.BigEndian.Uint16(plain[0:2]),
-			Value: plain[ntppkt.ExtHeaderLen:l],
-		})
-		plain = plain[l:]
+func nextInnerExt(plain []byte) (typ uint16, body, rest []byte, err error) {
+	if len(plain) < ntppkt.ExtHeaderLen {
+		return 0, nil, nil, ErrBadExtField
 	}
-	return out, nil
+	l := int(binary.BigEndian.Uint16(plain[2:4]))
+	if l < ntppkt.ExtHeaderLen || l%4 != 0 || l > len(plain) {
+		return 0, nil, nil, ErrBadExtField
+	}
+	return binary.BigEndian.Uint16(plain[0:2]), plain[ntppkt.ExtHeaderLen:l], plain[l:], nil
 }

@@ -3,13 +3,14 @@ package nts
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
 )
 
-func testRing(t *testing.T, depth int) *KeyRing {
+func testRing(t testing.TB, depth int) *KeyRing {
 	t.Helper()
 	ring, err := NewKeyRing(depth)
 	if err != nil {
@@ -104,7 +105,7 @@ func TestCookieGarbageRejected(t *testing.T) {
 
 // newTestSession builds a client session whose jar was filled by the
 // given ring, as NTS-KE would.
-func newTestSession(t *testing.T, ring *KeyRing, n int) *Session {
+func newTestSession(t testing.TB, ring *KeyRing, n int) *Session {
 	t.Helper()
 	c2s, s2c := testKeys(0x55)
 	s := &Session{AEAD: AEADAESSIVCMAC256, C2S: c2s, S2C: s2c}
@@ -287,4 +288,112 @@ func TestProtectRequestJarEmpty(t *testing.T) {
 		t.Fatalf("reused cookie rejected: %v", err)
 	}
 	_ = st
+}
+
+// TestRotatedOutEpochLeavesNoKey: the expansion of a master key lives
+// and dies with its epoch. A request whose cookie was good for depth
+// rotations draws ErrCookieEpoch from the serve path's reused
+// ServerRequest the moment Rotate evicts the epoch, and the ring holds
+// no key, raw or expanded, beyond its window.
+func TestRotatedOutEpochLeavesNoKey(t *testing.T) {
+	const depth = 2
+	ring := testRing(t, depth)
+	s := newTestSession(t, ring, 1)
+	req := ntppkt.NewClient(ntppkt.Version4, ntptime.Timestamp(6<<32))
+	if _, err := s.ProtectRequest(req); err != nil {
+		t.Fatalf("ProtectRequest: %v", err)
+	}
+	onWire, err := ntppkt.Decode(req.Encode(nil))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var sr ServerRequest
+	for i := 0; i <= depth; i++ {
+		if err := sr.Verify(ring, onWire); err != nil {
+			t.Fatalf("after %d rotations (depth %d): %v", i, depth, err)
+		}
+		if err := ring.Rotate(); err != nil {
+			t.Fatalf("Rotate: %v", err)
+		}
+	}
+	if err := sr.Verify(ring, onWire); !errors.Is(err, ErrCookieEpoch) {
+		t.Fatalf("rotated-out cookie: want ErrCookieEpoch, got %v", err)
+	}
+	if _, held := ring.keys[0]; held || len(ring.keys) != depth+1 {
+		t.Fatalf("ring holds %d epochs (epoch 0 held: %v), want %d without epoch 0", len(ring.keys), held, depth+1)
+	}
+}
+
+// TestRotateDuringServing runs the whole server half — cookie open,
+// verify, mint, seal — from several goroutines, each with its own
+// ServerRequest as the serve loops have, while the ring rotates under
+// them; the -race leg is what this is for. A request may lose its
+// epoch to the rotation, nothing else may fail, and every reply minted
+// must open under the ring that minted it.
+func TestRotateDuringServing(t *testing.T) {
+	ring := testRing(t, 3)
+	stop := make(chan struct{})
+	var rotator, servers sync.WaitGroup
+	rotator.Add(1)
+	go func() {
+		defer rotator.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ring.Rotate(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		servers.Add(1)
+		go func(g int) {
+			defer servers.Done()
+			c2s, s2c := testKeys(byte(g))
+			var sr ServerRequest
+			var resp ntppkt.Packet
+			for i := 0; i < 300; i++ {
+				cookie, err := ring.SealCookie(AEADAESSIVCMAC256, c2s, s2c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s := &Session{AEAD: AEADAESSIVCMAC256, C2S: c2s, S2C: s2c}
+				s.AddCookies([][]byte{cookie})
+				req := ntppkt.NewClient(ntppkt.Version4, ntptime.Timestamp(i+1)<<32)
+				st, err := s.ProtectRequest(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := sr.Verify(ring, req); err != nil {
+					if !errors.Is(err, ErrCookieEpoch) {
+						t.Errorf("verify during rotation: %v", err)
+						return
+					}
+					continue
+				}
+				resp = ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2, Origin: req.Transmit, Ext: resp.Ext[:0]}
+				if err := ProtectResponse(ring, &sr, &resp); err != nil {
+					t.Errorf("ProtectResponse during rotation: %v", err)
+					return
+				}
+				if err := s.VerifyReply(&resp, st); err != nil {
+					t.Errorf("VerifyReply during rotation: %v", err)
+					return
+				}
+				if s.CookieCount() == 0 {
+					t.Error("reply carried no cookie")
+					return
+				}
+			}
+		}(g)
+	}
+	servers.Wait()
+	close(stop)
+	rotator.Wait()
 }

@@ -15,7 +15,7 @@ import (
 //
 //	magic   (8)  "MNTPNTSR"
 //	version (2)  stateVersion
-//	sealed       sivSeal(stateKey, payload, magic||version):
+//	sealed       AES-SIV(stateKey, payload, AD magic||version):
 //	    siv tag (16)
 //	    ct of payload:
 //	        next  (4)  — the ring's next epoch counter
@@ -52,7 +52,8 @@ var (
 // in depth). Safe to call concurrently with Rotate and cookie
 // traffic; it snapshots the ring under its read lock.
 func (r *KeyRing) Save(path string, stateKey []byte) error {
-	if len(stateKey) != SIVKeyLen {
+	state, err := newSIVKey(stateKey)
+	if err != nil {
 		return fmt.Errorf("nts: state key must be %d bytes", SIVKeyLen)
 	}
 	r.mu.RLock()
@@ -63,7 +64,7 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 	}
 	entries := make([]entry, 0, len(r.keys))
 	for e, k := range r.keys {
-		entries = append(entries, entry{e, append([]byte(nil), k...)})
+		entries = append(entries, entry{e, k.raw}) // raw is never written after Rotate
 	}
 	r.mu.RUnlock()
 
@@ -79,10 +80,9 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 	header := make([]byte, 0, len(stateMagic)+2)
 	header = append(header, stateMagic...)
 	header = binary.BigEndian.AppendUint16(header, stateVersion)
-	sealed, err := sivSeal(stateKey, payload, header)
-	if err != nil {
-		return fmt.Errorf("nts: seal keyring state: %w", err)
-	}
+	sc := scratchPool.Get().(*scratch)
+	file := state.seal(sc, header, payload, header)
+	scratchPool.Put(sc)
 
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -95,7 +95,7 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(append(header, sealed...)); err != nil {
+	if _, err := f.Write(file); err != nil {
 		return cleanup(fmt.Errorf("nts: write %s: %w", tmp, err))
 	}
 	if err := f.Chmod(0o600); err != nil {
@@ -122,7 +122,8 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 // back to a fresh ring (see LoadOrNewKeyRing), never serve without
 // one.
 func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
-	if len(stateKey) != SIVKeyLen {
+	state, err := newSIVKey(stateKey)
+	if err != nil {
 		return nil, fmt.Errorf("nts: state key must be %d bytes", SIVKeyLen)
 	}
 	data, err := os.ReadFile(path)
@@ -139,7 +140,9 @@ func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 	if v := binary.BigEndian.Uint16(data[len(stateMagic):headerLen]); v != stateVersion {
 		return nil, fmt.Errorf("%w: %d", ErrStateVersion, v)
 	}
-	payload, err := sivOpen(stateKey, data[headerLen:], data[:headerLen])
+	sc := scratchPool.Get().(*scratch)
+	payload, err := state.open(sc, nil, data[headerLen:], data[:headerLen])
+	scratchPool.Put(sc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStateFormat, err)
 	}
@@ -152,14 +155,17 @@ func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 	if depth < 1 || count < 1 || len(payload) != 8+count*(4+SIVKeyLen) {
 		return nil, ErrStateFormat
 	}
-	r := &KeyRing{depth: depth, next: next, keys: make(map[uint32][]byte, count)}
+	r := &KeyRing{depth: depth, next: next, keys: make(map[uint32]masterKey, count)}
 	off := 8
 	for i := 0; i < count; i++ {
 		epoch := binary.BigEndian.Uint32(payload[off : off+4])
 		if epoch >= next {
 			return nil, ErrStateFormat
 		}
-		r.keys[epoch] = append([]byte(nil), payload[off+4:off+4+SIVKeyLen]...)
+		// payload is this call's own buffer, so the ring may keep it.
+		if r.keys[epoch], err = newMasterKey(payload[off+4 : off+4+SIVKeyLen]); err != nil {
+			return nil, err
+		}
 		off += 4 + SIVKeyLen
 	}
 	if _, ok := r.keys[next-1]; !ok {

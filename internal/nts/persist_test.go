@@ -63,6 +63,20 @@ func TestKeyRingSaveLoadRoundTrip(t *testing.T) {
 	if aead != AEADAESSIVCMAC256 || !bytes.Equal(rc2s, c2s) || !bytes.Equal(rs2c, s2c) {
 		t.Error("cookie contents differ after restore")
 	}
+	// LoadKeyRing expands every master key it restores: the restored
+	// ring mints as well as opens, and the two rings are one key set.
+	minted, err := restored.SealCookie(AEADAESSIVCMAC256, c2s, s2c)
+	if err != nil {
+		t.Fatalf("restored ring cannot mint: %v", err)
+	}
+	if _, _, _, err := ring.OpenCookie(minted); err != nil {
+		t.Fatalf("original ring cannot open the restored ring's cookie: %v", err)
+	}
+	for epoch, key := range restored.keys {
+		if key.siv == nil || !bytes.Equal(key.raw, ring.keys[epoch].raw) {
+			t.Errorf("epoch %d restored without its key or its expansion", epoch)
+		}
+	}
 	// Rotation continues monotonically from the restored counter: a
 	// cookie minted before the save stays decryptable through depth
 	// more rotations.

@@ -2,7 +2,9 @@ package nts
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"slices"
 	"sync"
 
 	"mntp/internal/ntppkt"
@@ -51,12 +53,27 @@ type Session struct {
 	mu      sync.Mutex
 	cookies [][]byte
 	last    []byte
+
+	expand   sync.Once // C2S and S2C are expanded once per association
+	c2s, s2c *sivKey
+	keyErr   error
 }
 
 // RequestState carries what VerifyReply needs to match and verify the
 // reply to one protected request.
 type RequestState struct {
 	UID []byte
+	uid [UniqueIDLen]byte
+}
+
+// keys returns the association keys, expanded on first use.
+func (s *Session) keys() (c2s, s2c *sivKey, err error) {
+	s.expand.Do(func() {
+		if s.c2s, s.keyErr = newSIVKey(s.C2S); s.keyErr == nil {
+			s.s2c, s.keyErr = newSIVKey(s.S2C)
+		}
+	})
+	return s.c2s, s.s2c, s.keyErr
 }
 
 // AddCookies appends cookies to the jar, discarding overflow beyond
@@ -64,12 +81,15 @@ type RequestState struct {
 func (s *Session) AddCookies(cookies [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	limit := s.capacity()
 	for _, c := range cookies {
-		if len(s.cookies) >= limit {
-			break
-		}
-		s.cookies = append(s.cookies, append([]byte(nil), c...))
+		s.add(c)
+	}
+}
+
+// add copies c into the jar unless the jar is full. s.mu must be held.
+func (s *Session) add(c []byte) {
+	if len(s.cookies) < s.capacity() {
+		s.cookies = append(s.cookies, bytes.Clone(c))
 	}
 }
 
@@ -93,8 +113,13 @@ func (s *Session) capacity() int {
 // authenticator over all of it. Must be called after the header
 // fields (including Transmit) are final.
 func (s *Session) ProtectRequest(p *ntppkt.Packet) (*RequestState, error) {
-	uid, err := newUniqueID()
+	c2s, _, err := s.keys()
 	if err != nil {
+		return nil, err
+	}
+	st := new(RequestState)
+	st.UID = st.uid[:]
+	if _, err := rand.Read(st.UID); err != nil {
 		return nil, err
 	}
 
@@ -116,18 +141,28 @@ func (s *Session) ProtectRequest(p *ntppkt.Packet) (*RequestState, error) {
 		placeholders = 0
 	}
 
-	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtUniqueIdentifier, Value: uid})
+	p.Ext = slices.Grow(p.Ext, 3+placeholders)
+	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtUniqueIdentifier, Value: st.UID})
 	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSCookie, Value: cookie})
-	for i := 0; i < placeholders; i++ {
-		p.Ext = append(p.Ext, ntppkt.ExtField{
-			Type:  ntppkt.ExtNTSCookiePlaceholder,
-			Value: make([]byte, len(cookie)),
-		})
+	if placeholders > 0 {
+		// Placeholder bodies are all-zero and only ever read, so the
+		// fields of one request share one.
+		zeros := make([]byte, len(cookie))
+		for i := 0; i < placeholders; i++ {
+			p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSCookiePlaceholder, Value: zeros})
+		}
 	}
-	if err := sealAuthenticator(s.C2S, p, nil); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.ad = p.Encode(sc.ad[:0])
+	// The body outlives the call inside p, so it is the packet's own.
+	body, err := appendAuthenticatorNonce(make([]byte, 0, 4+nonceLen+SIVOverhead), 0)
+	if err != nil {
 		return nil, err
 	}
-	return &RequestState{UID: uid}, nil
+	body = sealAuthenticator(c2s, sc, body, nil, sc.ad)
+	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSAuthenticator, Value: body})
+	return st, nil
 }
 
 // VerifyReply authenticates a server reply against the request state:
@@ -146,20 +181,34 @@ func (s *Session) VerifyReply(p *ntppkt.Packet, st *RequestState) error {
 	if authIdx < 0 {
 		return ErrReplyUnauthenticated
 	}
-	plain, err := openAuthenticator(s.S2C, p, authIdx)
-	if err != nil {
-		return ErrReplyUnauthenticated
-	}
-	inner, err := parseInnerExts(plain)
+	_, s2c, err := s.keys()
 	if err != nil {
 		return err
 	}
-	var fresh [][]byte
-	for i := range inner {
-		if inner[i].Type == ntppkt.ExtNTSCookie && len(inner[i].Value) > 0 {
-			fresh = append(fresh, inner[i].Value)
+	nonce, ct, err := parseAuthenticator(p, authIdx)
+	if err != nil {
+		return ErrReplyUnauthenticated
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := openAuthenticator(s2c, sc, p, authIdx, nonce, ct); err != nil {
+		return ErrReplyUnauthenticated
+	}
+	// All inner fields must parse before any cookie is accepted.
+	for rest := sc.pt; len(rest) > 0; {
+		if _, _, rest, err = nextInnerExt(rest); err != nil {
+			return err
 		}
 	}
-	s.AddCookies(fresh)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for rest := sc.pt; len(rest) > 0; {
+		var typ uint16
+		var body []byte
+		typ, body, rest, _ = nextInnerExt(rest)
+		if typ == ntppkt.ExtNTSCookie && len(body) > 0 {
+			s.add(body)
+		}
+	}
 	return nil
 }

@@ -16,7 +16,9 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
+	"sync"
 )
 
 // AEADAESSIVCMAC256 is the IANA AEAD algorithm identifier of
@@ -27,13 +29,82 @@ const AEADAESSIVCMAC256 uint16 = 15
 // one for S2V/CMAC and one for CTR.
 const SIVKeyLen = 32
 
-// SIVOverhead is the length added to a plaintext by sivSeal: the
-// 16-byte synthetic IV prepended to the ciphertext.
+// SIVOverhead is the length a seal adds to its plaintext: the 16-byte
+// synthetic IV prepended to the ciphertext.
 const SIVOverhead = 16
 
 // ErrAuthFailed is returned when an AES-SIV tag does not verify:
 // the packet (or cookie) was forged, corrupted or keyed differently.
 var ErrAuthFailed = errors.New("nts: AEAD authentication failed")
+
+var errSIVKeyLen = errors.New("nts: AES-SIV-CMAC-256 key must be 32 bytes")
+
+// sivKey is an expanded AES-SIV-CMAC-256 key: both AES key schedules
+// and everything S2V derives from the key alone, computed once by
+// expand. It is immutable until the next expand, so any number of
+// goroutines may seal and open under one sivKey, each with its own
+// scratch.
+type sivKey struct {
+	mac    cipher.Block // S2V half (first 16 key bytes)
+	ctr    cipher.Block // CTR half (last 16); nil after a macOnly expand
+	k1, k2 [16]byte     // CMAC subkeys (RFC 4493 §2.3)
+	zero   [16]byte     // CMAC(0¹²⁸), the value every S2V starts from
+}
+
+// scratch is the working memory of one AEAD user. Arguments to a
+// cipher.Block method (an interface call) and to crypto/rand escape to
+// the heap, so every block handed to either lives here instead of in a
+// local, next to the buffers a packet's AD image and inner plaintext
+// are built in. A scratch serves one seal or open at a time: the serve
+// path's is part of its worker's ServerRequest, everything else
+// borrows one from scratchPool.
+type scratch struct {
+	x      [16]byte             // CMAC chaining value; the synthetic IV after s2v
+	ctr    [16]byte             // CTR counter block
+	ks     [16]byte             // CTR keystream block
+	cookie [cookiePlainLen]byte // cookie plaintext, opened or about to be sealed
+	ad     []byte               // wire image the authenticator covers
+	pt     []byte               // authenticator plaintext: the inner extension fields
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// newSIVKey expands a 32-byte key into a fresh sivKey.
+func newSIVKey(key []byte) (*sivKey, error) {
+	k := new(sivKey)
+	if err := k.expand(key, false); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// expand (re)builds k from a 32-byte key. With macOnly the CTR half is
+// left unexpanded: such a key seals and opens only empty plaintexts,
+// which is all a request authenticator normally carries.
+func (k *sivKey) expand(key []byte, macOnly bool) error {
+	if len(key) != SIVKeyLen {
+		return errSIVKeyLen
+	}
+	mac, err := aes.NewCipher(key[:16])
+	if err != nil {
+		return err
+	}
+	k.mac, k.ctr = mac, nil
+	if !macOnly {
+		if k.ctr, err = aes.NewCipher(key[16:]); err != nil {
+			return err
+		}
+	}
+	// k's own fields are the blocks handed to Encrypt (see scratch).
+	k.k1 = [16]byte{}
+	mac.Encrypt(k.k1[:], k.k1[:])
+	dbl(&k.k1)
+	k.k2 = k.k1
+	dbl(&k.k2)
+	// CMAC of one all-zero block: its only, complete block is 0 ^ k1.
+	mac.Encrypt(k.zero[:], k.k1[:])
+	return nil
+}
 
 // dbl doubles a block in GF(2^128) per RFC 5297 §2.3: left shift by
 // one, conditionally XORing the primitive polynomial constant 0x87
@@ -49,145 +120,117 @@ func dbl(b *[16]byte) {
 	}
 }
 
-func xorBlock(dst *[16]byte, src [16]byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+// xor16 XORs the first 16 bytes of src into dst.
+func xor16(dst *[16]byte, src []byte) {
+	_ = src[15]
+	binary.LittleEndian.PutUint64(dst[0:], binary.LittleEndian.Uint64(dst[0:])^binary.LittleEndian.Uint64(src[0:]))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(dst[8:])^binary.LittleEndian.Uint64(src[8:]))
 }
 
-// cmacKeys derives the two CMAC subkeys (RFC 4493 §2.3).
-func cmacKeys(c cipher.Block) (k1, k2 [16]byte) {
-	var l [16]byte
-	c.Encrypt(l[:], l[:])
-	k1 = l
-	dbl(&k1)
-	k2 = k1
-	dbl(&k2)
-	return
+// cmac leaves AES-CMAC (RFC 4493) of msg in sc.x. A non-nil xorend
+// (len(msg) >= 16) is XORed into the last 16 bytes of msg as they
+// stream past — S2V's T = Sn xorend D — so T is never built.
+func (k *sivKey) cmac(sc *scratch, msg []byte, xorend *[16]byte) {
+	sc.x = [16]byte{}
+	// head is whole blocks that are neither the final one nor reached
+	// by xorend; the remaining 0..31 bytes are finished in tail.
+	head := 0
+	if len(msg) >= 32 {
+		head = (len(msg) - 16) &^ 15
+	}
+	for i := 0; i < head; i += 16 {
+		xor16(&sc.x, msg[i:])
+		k.mac.Encrypt(sc.x[:], sc.x[:])
+	}
+	var tail [32]byte
+	n := copy(tail[:], msg[head:])
+	if xorend != nil {
+		subtle.XORBytes(tail[n-16:n], tail[n-16:n], xorend[:])
+	}
+	last := 0
+	if n > 16 {
+		xor16(&sc.x, tail[:])
+		k.mac.Encrypt(sc.x[:], sc.x[:])
+		last = 16
+	}
+	subkey := &k.k1
+	if n != last+16 {
+		tail[n] = 0x80 // incomplete final block: pad 10*
+		subkey = &k.k2
+	}
+	xor16(&sc.x, tail[last:])
+	xor16(&sc.x, subkey[:])
+	k.mac.Encrypt(sc.x[:], sc.x[:])
 }
 
-// cmacSum computes AES-CMAC (RFC 4493) of msg.
-func cmacSum(c cipher.Block, k1, k2 [16]byte, msg []byte) [16]byte {
-	var x [16]byte
-	n := len(msg)
-	for n > 16 {
-		var m [16]byte
-		copy(m[:], msg[:16])
-		xorBlock(&x, m)
-		c.Encrypt(x[:], x[:])
-		msg = msg[16:]
-		n -= 16
-	}
-	var last [16]byte
-	if n == 16 {
-		copy(last[:], msg)
-		xorBlock(&last, k1)
-	} else {
-		copy(last[:], msg)
-		last[n] = 0x80
-		xorBlock(&last, k2)
-	}
-	xorBlock(&x, last)
-	c.Encrypt(x[:], x[:])
-	return x
-}
-
-// s2v computes the S2V function of RFC 5297 §2.4 over the given
-// strings (associated data components, the nonce if any, and the
-// plaintext last).
-func s2v(c cipher.Block, k1, k2 [16]byte, strings ...[]byte) [16]byte {
-	if len(strings) == 0 {
-		var one [16]byte
-		one[15] = 0x01
-		return cmacSum(c, k1, k2, one[:])
-	}
-	var zero [16]byte
-	d := cmacSum(c, k1, k2, zero[:])
-	for _, s := range strings[:len(strings)-1] {
+// s2v leaves the synthetic IV in sc.x: RFC 5297 §2.4's S2V over the
+// associated-data components (for the RFC 5116 nonce-based interface:
+// the AD first, the nonce last) and then the plaintext.
+func (k *sivKey) s2v(sc *scratch, plaintext []byte, ad [][]byte) {
+	d := k.zero
+	for _, a := range ad {
 		dbl(&d)
-		xorBlock(&d, cmacSum(c, k1, k2, s))
+		k.cmac(sc, a, nil)
+		xor16(&d, sc.x[:])
 	}
-	sn := strings[len(strings)-1]
-	var t []byte
-	if len(sn) >= 16 {
-		// xorend: XOR D into the last 16 bytes of Sn.
-		t = make([]byte, len(sn))
-		copy(t, sn)
-		off := len(t) - 16
-		for i := 0; i < 16; i++ {
-			t[off+i] ^= d[i]
+	if len(plaintext) >= 16 {
+		k.cmac(sc, plaintext, &d)
+		return
+	}
+	dbl(&d)
+	var padded [16]byte
+	padded[copy(padded[:], plaintext)] = 0x80
+	xor16(&d, padded[:])
+	k.cmac(sc, d[:], nil)
+}
+
+// xorKeyStream XORs buf in place with AES-CTR keyed by the CTR half,
+// counting up from the synthetic IV v with its two reserved bits
+// cleared (RFC 5297 §2.6). An empty buf never touches the CTR half.
+func (k *sivKey) xorKeyStream(sc *scratch, v *[16]byte, buf []byte) {
+	sc.ctr = *v
+	sc.ctr[8] &= 0x7f
+	sc.ctr[12] &= 0x7f
+	for len(buf) > 0 {
+		k.ctr.Encrypt(sc.ks[:], sc.ctr[:])
+		buf = buf[subtle.XORBytes(buf, buf, sc.ks[:]):]
+		for i := 15; i >= 0; i-- {
+			if sc.ctr[i]++; sc.ctr[i] != 0 {
+				break
+			}
 		}
-	} else {
-		dbl(&d)
-		var padded [16]byte
-		copy(padded[:], sn)
-		padded[len(sn)] = 0x80
-		xorBlock(&d, padded)
-		t = d[:]
 	}
-	return cmacSum(c, k1, k2, t)
 }
 
-// sivCiphers splits a 32-byte AES-SIV-CMAC-256 key into the S2V
-// (first half) and CTR (second half) AES blocks.
-func sivCiphers(key []byte) (s2vBlock, ctrBlock cipher.Block, err error) {
-	if len(key) != SIVKeyLen {
-		return nil, nil, errors.New("nts: AES-SIV-CMAC-256 key must be 32 bytes")
-	}
-	if s2vBlock, err = aes.NewCipher(key[:16]); err != nil {
-		return nil, nil, err
-	}
-	if ctrBlock, err = aes.NewCipher(key[16:]); err != nil {
-		return nil, nil, err
-	}
-	return s2vBlock, ctrBlock, nil
+// seal appends to dst the 16-byte synthetic IV followed by the
+// ciphertext of plaintext, authenticated together with the ad
+// components, and returns the extended slice. plaintext must not
+// overlap dst's spare capacity.
+func (k *sivKey) seal(sc *scratch, dst, plaintext []byte, ad ...[]byte) []byte {
+	k.s2v(sc, plaintext, ad)
+	v := sc.x
+	dst = append(dst, v[:]...)
+	dst = append(dst, plaintext...)
+	k.xorKeyStream(sc, &v, dst[len(dst)-len(plaintext):])
+	return dst
 }
 
-// sivCTR runs AES-CTR keyed with ctrBlock over src using the
-// synthetic IV with the two reserved bits cleared (RFC 5297 §2.6).
-func sivCTR(ctrBlock cipher.Block, iv [16]byte, dst, src []byte) {
-	iv[8] &= 0x7f
-	iv[12] &= 0x7f
-	cipher.NewCTR(ctrBlock, iv[:]).XORKeyStream(dst, src)
-}
-
-// sivSeal encrypts and authenticates plaintext with AES-SIV-CMAC-256
-// under key, binding the associated-data components (for the RFC 5116
-// nonce-based interface: the AD first, the nonce last). The result is
-// the 16-byte synthetic IV followed by the ciphertext.
-func sivSeal(key, plaintext []byte, ad ...[]byte) ([]byte, error) {
-	s2vBlock, ctrBlock, err := sivCiphers(key)
-	if err != nil {
-		return nil, err
-	}
-	k1, k2 := cmacKeys(s2vBlock)
-	comps := append(append([][]byte(nil), ad...), plaintext)
-	v := s2v(s2vBlock, k1, k2, comps...)
-	out := make([]byte, 16+len(plaintext))
-	copy(out, v[:])
-	sivCTR(ctrBlock, v, out[16:], plaintext)
-	return out, nil
-}
-
-// sivOpen verifies and decrypts a sivSeal output. It returns
-// ErrAuthFailed when the tag does not match.
-func sivOpen(key, sealed []byte, ad ...[]byte) ([]byte, error) {
-	if len(sealed) < 16 {
-		return nil, ErrAuthFailed
-	}
-	s2vBlock, ctrBlock, err := sivCiphers(key)
-	if err != nil {
-		return nil, err
+// open verifies a seal output against the ad components and appends
+// the decrypted plaintext to dst. A tag that does not match — compared
+// in constant time — returns dst unextended and ErrAuthFailed.
+func (k *sivKey) open(sc *scratch, dst, sealed []byte, ad ...[]byte) ([]byte, error) {
+	if len(sealed) < SIVOverhead {
+		return dst, ErrAuthFailed
 	}
 	var v [16]byte
-	copy(v[:], sealed[:16])
-	plaintext := make([]byte, len(sealed)-16)
-	sivCTR(ctrBlock, v, plaintext, sealed[16:])
-	k1, k2 := cmacKeys(s2vBlock)
-	comps := append(append([][]byte(nil), ad...), plaintext)
-	t := s2v(s2vBlock, k1, k2, comps...)
-	if subtle.ConstantTimeCompare(t[:], v[:]) != 1 {
-		return nil, ErrAuthFailed
+	copy(v[:], sealed)
+	n := len(dst)
+	dst = append(dst, sealed[SIVOverhead:]...)
+	k.xorKeyStream(sc, &v, dst[n:])
+	k.s2v(sc, dst[n:], ad)
+	if subtle.ConstantTimeCompare(sc.x[:], v[:]) != 1 {
+		clear(dst[n:])
+		return dst[:n], ErrAuthFailed
 	}
-	return plaintext, nil
+	return dst, nil
 }
