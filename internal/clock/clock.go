@@ -100,18 +100,23 @@ type Sim struct {
 	offset   float64       // seconds of error at lastTrue
 	wander   float64       // accumulated random-walk frequency (s/s)
 	adjFreq  float64       // applied frequency correction (s/s)
+	// wanderStep is the random-walk standard deviation of one quantum
+	// (s/s), fixed by cfg.
+	wanderStep float64
 }
 
 // NewSim creates a simulated clock. trueNow must return monotonically
 // non-decreasing true elapsed time (the scheduler's Now); epoch anchors
 // the returned wall-clock times.
 func NewSim(cfg Config, epoch time.Time, trueNow func() time.Duration) *Sim {
+	wanderPerSqrtSec := cfg.WanderPPMPerSqrtHour * 1e-6 / math.Sqrt(3600)
 	return &Sim{
-		cfg:     cfg,
-		trueNow: trueNow,
-		epoch:   epoch,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		offset:  cfg.InitialOffset.Seconds(),
+		cfg:        cfg,
+		trueNow:    trueNow,
+		epoch:      epoch,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		offset:     cfg.InitialOffset.Seconds(),
+		wanderStep: wanderPerSqrtSec * math.Sqrt(quantum.Seconds()),
 	}
 }
 
@@ -121,7 +126,6 @@ func (s *Sim) advanceTo(t time.Duration) {
 	if t <= s.lastTrue {
 		return
 	}
-	wanderPerSqrtSec := s.cfg.WanderPPMPerSqrtHour * 1e-6 / math.Sqrt(3600)
 	for s.lastTrue < t {
 		step := quantum
 		if rem := t - s.lastTrue; rem < step {
@@ -133,7 +137,7 @@ func (s *Sim) advanceTo(t time.Duration) {
 		s.offset += freq * dt
 		// Random-walk the wander once per full quantum.
 		if step == quantum {
-			s.wander += wanderPerSqrtSec * math.Sqrt(dt) * s.rng.NormFloat64()
+			s.wander += s.wanderStep * s.rng.NormFloat64()
 		}
 		s.lastTrue += step
 	}

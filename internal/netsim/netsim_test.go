@@ -212,7 +212,7 @@ func TestCompositePath(t *testing.T) {
 
 // buildNet wires a scheduler, a perfect server and a client clock with
 // a known offset, connected by a symmetric path.
-func buildNet(t *testing.T, clientOffset time.Duration, path PathModel) (*Scheduler, *Network, *clock.Sim) {
+func buildNet(t testing.TB, clientOffset time.Duration, path PathModel) (*Scheduler, *Network, *clock.Sim) {
 	t.Helper()
 	s := NewScheduler(epoch)
 	truth := clock.NewTrue(epoch, s.Now)

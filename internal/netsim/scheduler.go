@@ -9,12 +9,25 @@
 // milliseconds and — unlike the live testbed the paper used, which
 // could not repeat experiments exactly (§3.2) — bit-identical under a
 // fixed seed.
+//
+// Two parties advance virtual time, never at once. The scheduler does
+// when it pops an event. A process does, from inside Sleep and on its
+// own goroutine, when it is provably what the scheduler would run next:
+//
+//  1. every queued event is strictly later than the wake-up instant (an
+//     event at that very instant was scheduled earlier and fires first),
+//  2. the wake-up instant does not pass the bound of the enclosing Run
+//     or RunUntil, and
+//  3. the process was not entered through Step, which runs exactly one
+//     queued event.
+//
+// Otherwise the process queues its wake-up and hands control back. The
+// order of events, their timestamps and so every seeded output are the
+// same either way; the shortcut only spares the two goroutine switches
+// of handing control to a scheduler that would hand it straight back.
 package netsim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Scheduler is a single-threaded discrete-event scheduler. Virtual
 // time starts at zero and only advances when Run consumes events.
@@ -24,7 +37,17 @@ type Scheduler struct {
 	events eventHeap
 	seq    uint64
 	epoch  time.Time
+	// horizon is the latest instant a sleeping process may move now to
+	// by itself: the bound of the Run or RunUntil it runs under, or
+	// noInline under a bare Step. Only read while an event is firing.
+	horizon time.Duration
 }
+
+const (
+	// noInline is below every virtual instant (time starts at zero).
+	noInline  = time.Duration(-1)
+	noHorizon = time.Duration(1<<63 - 1)
+)
 
 // NewScheduler creates a scheduler whose virtual time zero corresponds
 // to the given wall-clock epoch.
@@ -45,11 +68,16 @@ func (s *Scheduler) WallNow() time.Time { return s.epoch.Add(s.now) }
 // At schedules fn to run at virtual time t. Times in the past run at
 // the current time (never before).
 func (s *Scheduler) At(t time.Duration, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
 	s.seq++
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: s.clamp(t), seq: s.seq, fn: fn})
+}
+
+// clamp moves an instant in the past to now.
+func (s *Scheduler) clamp(t time.Duration) time.Duration {
+	if t < s.now {
+		return s.now
+	}
+	return t
 }
 
 // After schedules fn to run d from now.
@@ -67,68 +95,126 @@ func (s *Scheduler) Every(start, interval time.Duration, fn func() bool) {
 	s.At(start, tick)
 }
 
-// Step runs the next event, if any, and reports whether one ran.
+// Step runs the next event, if any, and reports whether one ran. It
+// runs exactly one queued event: a process it resumes parks at its
+// next Sleep whatever the queue holds.
 func (s *Scheduler) Step() bool {
-	if s.events.Len() == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.events).(*event)
-	s.now = ev.at
-	ev.fn()
+	prev := s.horizon
+	s.horizon = noInline
+	s.fire()
+	s.horizon = prev
 	return true
 }
 
 // Run consumes events until none remain.
-func (s *Scheduler) Run() {
-	for s.Step() {
-	}
-}
+func (s *Scheduler) Run() { s.runTo(noHorizon) }
 
 // RunUntil consumes events with timestamps ≤ t, then sets the virtual
 // time to t.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for s.events.Len() > 0 && s.events[0].at <= t {
-		s.Step()
-	}
+	s.runTo(t)
 	if s.now < t {
 		s.now = t
 	}
 }
 
-// Pending returns the number of scheduled events.
-func (s *Scheduler) Pending() int { return s.events.Len() }
+// runTo fires every event due at or before t, letting processes sleep
+// up to t on their own.
+func (s *Scheduler) runTo(t time.Duration) {
+	prev := s.horizon
+	s.horizon = t
+	for len(s.events) > 0 && s.events[0].at <= t {
+		s.fire()
+	}
+	s.horizon = prev
+}
 
+// fire pops the earliest event and runs it: a plain event's function,
+// or a process until it parks again or exits.
+func (s *Scheduler) fire() {
+	ev := s.events.pop()
+	s.now = ev.at
+	if ev.p == nil {
+		ev.fn()
+		return
+	}
+	ev.p.resume <- struct{}{}
+	<-ev.p.parked
+}
+
+// Pending returns the number of scheduled events.
+func (s *Scheduler) Pending() int { return len(s.events) }
+
+// event is one queue entry: fn to call at instant at, or, when p is
+// set, the wake-up of a sleeping process.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	p   *Proc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is a binary min-heap of events by (at, seq), kept as
+// values so that scheduling allocates nothing once the slice has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the references for the collector
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	return top
 }
 
 // Proc is a cooperative blocking process: a goroutine that runs
 // protocol code in ordinary sequential style, suspending on Sleep
 // while virtual time advances. Exactly one goroutine (a Proc or the
 // scheduler) executes at any moment, so simulations remain
-// deterministic.
+// deterministic: while a process runs, the scheduler goroutine is
+// blocked inside the event that resumed it, and the channel handshake
+// that passes control orders every write of one before every read of
+// the other. That is what lets a process that is next in line anyway
+// advance the scheduler's clock itself (see Sleep).
 type Proc struct {
 	s      *Scheduler
 	resume chan struct{}
@@ -163,17 +249,28 @@ func (s *Scheduler) Go(fn func(p *Proc)) {
 	})
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time (not at all for
+// d ≤ 0, though events already due at this instant still fire first).
+//
+// When nothing else is due up to and including the wake-up instant and
+// that instant is within the horizon of the running Run or RunUntil,
+// the scheduler's next act would be to resume this very process, so
+// Sleep moves the clock there and returns without leaving its
+// goroutine. Otherwise it queues the wake-up and parks.
 func (p *Proc) Sleep(d time.Duration) {
 	if p.stop {
 		// A stopped process must unwind; sleeping forever would
 		// deadlock the scheduler. Panic unwinds to Go's wrapper.
 		panic(procStopped{})
 	}
-	p.s.After(d, func() {
-		p.resume <- struct{}{}
-		<-p.parked
-	})
+	s := p.s
+	wake := s.clamp(s.now + d)
+	s.seq++ // the wake-up takes its place in scheduling order either way
+	if wake <= s.horizon && (len(s.events) == 0 || s.events[0].at > wake) {
+		s.now = wake
+		return
+	}
+	s.events.push(event{at: wake, seq: s.seq, p: p})
 	p.parked <- struct{}{}
 	<-p.resume
 	if p.stop {

@@ -238,6 +238,11 @@ func (t *Transport) Ping(server string) (time.Duration, bool) {
 		return 0, true
 	}
 	path := n.pathFor(srv.Name)
+	if path == nil {
+		// No route, as for an unknown name: Exchange reports an error,
+		// a probe can only be lost.
+		return 0, true
+	}
 	up, upLost := path.SampleOneWay(t.Proc.Now(), Uplink)
 	if upLost {
 		t.Proc.Sleep(n.Timeout)

@@ -126,8 +126,11 @@ func (p *Params) applyDefaults() {
 	defDur(&p.MaxDelay, 1100*time.Millisecond)
 }
 
-// quantum is the state-integration step.
-const quantum = 500 * time.Millisecond
+// quantum is the state-integration step; quantumSec is it in seconds.
+const (
+	quantum    = 500 * time.Millisecond
+	quantumSec = float64(quantum) / float64(time.Second)
+)
 
 // Channel is the simulated 802.11 channel. It implements
 // hints.Provider and netsim.PathModel. Safe for use from scheduler
@@ -148,11 +151,17 @@ type Channel struct {
 	burstNoise float64 // dBm, sampled at burst entry
 	txPower    float64
 	load       float64 // injected cross-traffic occupancy 0..1
+
+	// Per-quantum constants of the state integration, fixed by p.
+	shadowKeep    float64 // OU decay exp(−quantum/ShadowTau)
+	shadowKick    float64 // OU innovation scale ShadowSigmaDB·√(1−keep²)
+	burstExitProb float64 // quantum/BurstMean
 }
 
 // NewChannel creates a channel over the given virtual time source.
 func NewChannel(p Params, timeNow func() time.Duration) *Channel {
 	p.applyDefaults()
+	keep := math.Exp(-quantumSec / p.ShadowTau.Seconds())
 	return &Channel{
 		p:       p,
 		timeNow: timeNow,
@@ -160,26 +169,26 @@ func NewChannel(p Params, timeNow func() time.Duration) *Channel {
 		pktRng:  rand.New(rand.NewSource(p.Seed ^ 0x7f4a7c15_9e3779b9)),
 		obsRng:  rand.New(rand.NewSource(p.Seed ^ 0x4c957f2d_5851f42d)),
 		txPower: p.TxPowerDBm,
+
+		shadowKeep:    keep,
+		shadowKick:    p.ShadowSigmaDB * math.Sqrt(1-keep*keep),
+		burstExitProb: quantumSec / p.BurstMean.Seconds(),
 	}
 }
 
 // advanceTo integrates channel state to virtual time t (mu held).
 func (c *Channel) advanceTo(t time.Duration) {
 	for c.last+quantum <= t {
-		dt := quantum.Seconds()
 		// Ornstein–Uhlenbeck shadowing.
-		tau := c.p.ShadowTau.Seconds()
-		a := math.Exp(-dt / tau)
-		c.shadow = c.shadow*a + c.p.ShadowSigmaDB*math.Sqrt(1-a*a)*c.rng.NormFloat64()
+		c.shadow = c.shadow*c.shadowKeep + c.shadowKick*c.rng.NormFloat64()
 		// Markov-modulated interference bursts.
 		if c.inBurst {
-			exitProb := dt / c.p.BurstMean.Seconds()
-			if c.rng.Float64() < exitProb {
+			if c.rng.Float64() < c.burstExitProb {
 				c.inBurst = false
 			}
 		} else {
 			ratePerSec := (c.p.BurstRatePerMin + c.p.BurstLoadRatePerMin*c.occupancyLocked()) / 60
-			if c.rng.Float64() < ratePerSec*dt {
+			if c.rng.Float64() < ratePerSec*quantumSec {
 				c.inBurst = true
 				c.burstNoise = c.p.BurstNoiseDBm + 2*c.rng.NormFloat64()
 			}
