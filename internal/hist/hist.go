@@ -2,6 +2,9 @@
 // server's handling latency, the load generator's round-trip times
 // and the fleet engine's virtual RTTs all record into a Histogram,
 // so their quantiles share one bucket layout and compare one-to-one.
+// A recorder that only one goroutine ever touches (the fleet engine in
+// ModeSim) may call Snapshot.Record on a Snapshot it owns instead: the
+// same buckets, no atomics.
 package hist
 
 import (
@@ -91,6 +94,20 @@ func (h *Histogram) Snapshot() Snapshot {
 		s.count += s.buckets[i]
 	}
 	return s
+}
+
+// Record adds one observation to s as Histogram.Record would, without
+// atomics: only for a Snapshot that a single goroutine owns.
+func (s *Snapshot) Record(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	s.buckets[bucketIndex(uint64(d))]++
+	s.count++
+	s.sum += int64(d)
+	if int64(d) > s.max {
+		s.max = int64(d)
+	}
 }
 
 // Quantile is Snapshot().Quantile(q).

@@ -160,6 +160,30 @@ func TestMergeEqualsUnion(t *testing.T) {
 	}
 }
 
+// TestSnapshotRecordEqualsHistogram: the plain single-goroutine Record
+// leaves a Snapshot equal to the one a Histogram that saw the same
+// stream returns — negative values, the maximum arriving mid-stream and
+// a following Merge included.
+func TestSnapshotRecordEqualsHistogram(t *testing.T) {
+	var h Histogram
+	var plain Snapshot
+	for i := -3; i <= 300; i++ {
+		d := time.Duration(i*(350-i)) * time.Microsecond
+		h.Record(d)
+		plain.Record(d)
+	}
+	if want := h.Snapshot(); plain != want {
+		t.Errorf("Snapshot.Record differs from Histogram.Record: count %d vs %d, max %v vs %v, mean %v vs %v",
+			plain.Count(), want.Count(), plain.Max(), want.Max(), plain.Mean(), want.Mean())
+	}
+	merged, twice, same := h.Snapshot(), h.Snapshot(), h.Snapshot()
+	merged.Merge(&plain)
+	twice.Merge(&same)
+	if merged != twice {
+		t.Error("merging a recorded-into Snapshot differs from merging the Histogram's own")
+	}
+}
+
 func TestSubEqualsInterval(t *testing.T) {
 	var h, interval Histogram
 	for i := 1; i <= 100; i++ {

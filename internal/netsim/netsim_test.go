@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -349,7 +350,8 @@ func TestServerRespondEchoesOrigin(t *testing.T) {
 	srv := NewServer("ref0", truth, 1, 1)
 	tx := ntptime.FromTime(epoch.Add(time.Second))
 	req := ntppkt.NewSNTPClient(ntppkt.Version4, tx)
-	resp := srv.Respond(req, epoch.Add(2*time.Second), epoch.Add(2*time.Second))
+	resp := new(ntppkt.Packet)
+	srv.Respond(resp, req, epoch.Add(2*time.Second), epoch.Add(2*time.Second))
 	if resp.Origin != tx {
 		t.Error("origin not echoed")
 	}
@@ -358,6 +360,21 @@ func TestServerRespondEchoesOrigin(t *testing.T) {
 	}
 	if err := resp.ValidateServerReply(tx); err != nil {
 		t.Errorf("self-validation failed: %v", err)
+	}
+
+	// A reused reply packet is overwritten whole: a packet with every
+	// field set to something no reply carries comes out equal to a reply
+	// built in a fresh one.
+	reused := &ntppkt.Packet{
+		Leap: ntppkt.LeapNotSync, Version: 1, Mode: ntppkt.ModeClient, Stratum: 15,
+		Poll: 17, Precision: 3, RootDelay: 0xffffffff, RootDisp: 0xffffffff,
+		RefID: [4]byte{'X', 'X', 'X', 'X'}, RefTime: ^ntptime.Timestamp(0), Origin: ^ntptime.Timestamp(0),
+		Receive: ^ntptime.Timestamp(0), Transmit: ^ntptime.Timestamp(0),
+		Ext: []ntppkt.ExtField{{}}, LegacyMAC: []byte{1, 2, 3, 4},
+	}
+	srv.Respond(reused, req, epoch.Add(2*time.Second), epoch.Add(2*time.Second))
+	if !reflect.DeepEqual(reused, resp) {
+		t.Errorf("reused reply packet keeps old fields:\n got %+v\nwant %+v", reused, resp)
 	}
 }
 

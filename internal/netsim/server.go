@@ -53,10 +53,11 @@ func (s *Server) ProcessingDelay() time.Duration {
 	return s.ProcMin + time.Duration(s.rng.Int63n(int64(s.ProcMax-s.ProcMin)))
 }
 
-// Respond builds the server reply to req. recv and xmit are the
-// server-clock readings at packet arrival and departure (T2, T3).
-func (s *Server) Respond(req *ntppkt.Packet, recv, xmit time.Time) *ntppkt.Packet {
-	return &ntppkt.Packet{
+// Respond overwrites rep (every field, so a caller may reuse one) with
+// the server reply to req. recv and xmit are the server-clock readings
+// at packet arrival and departure (T2, T3).
+func (s *Server) Respond(rep, req *ntppkt.Packet, recv, xmit time.Time) {
+	*rep = ntppkt.Packet{
 		Leap:      s.Leap,
 		Version:   req.Version,
 		Mode:      ntppkt.ModeServer,
@@ -210,7 +211,8 @@ func (t *Transport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet,
 	proc := srv.ProcessingDelay()
 	t.Proc.Sleep(proc)
 	xmit := srv.Clock.Now()
-	resp := srv.Respond(req, recv, xmit)
+	resp := new(ntppkt.Packet)
+	srv.Respond(resp, req, recv, xmit)
 
 	down, downLost := path.SampleOneWay(t.Proc.Now(), Downlink)
 	if downLost || up+proc+down > n.Timeout {

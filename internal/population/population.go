@@ -6,7 +6,8 @@
 // real sharded internal/ntpnet server over loopback UDP.
 //
 // The engine is built for a million clients on one box, so the design
-// is struct-of-arrays and pooled throughout:
+// is struct-of-arrays and pooled throughout, and one regular-phase
+// ModeSim exchange allocates nothing and touches no atomic:
 //
 //   - no per-client goroutine: clients are rows in flat slices
 //     (~60 bytes each) advanced by a sharded binary event heap keyed
@@ -18,9 +19,10 @@
 //   - client clocks are integrated lazily: a row's offset advances by
 //     skew·dt only when its event fires, so idle clients cost nothing.
 //
-// Aggregate recording uses the shared log-bucketed hist.Histogram
-// for exchange RTTs and fixed-width traffic bins for arrival shaping
-// — both O(1) in N.
+// Aggregate recording uses the shared log-bucketed hist buckets for
+// exchange RTTs (ModeUDP's workers record into a hist.Histogram,
+// ModeSim's one goroutine into a plain hist.Snapshot) and fixed-width
+// traffic bins for arrival shaping — both O(1) in N.
 //
 // Real-UDP mode keeps the same event heap but batches due clients
 // into virtual-time quanta served by a bounded worker pool of
@@ -280,28 +282,35 @@ func (h *evHeap) push(e ev) {
 	}
 }
 
+// pop is Floyd's bottom-up sift: the hole at the root sinks to a leaf
+// along the smaller children (one comparison a level), then the
+// displaced last element rises from there. The right child only wins
+// when strictly earlier and the rise passes equal keys: that leaves the
+// array exactly as the textbook top-down sift would, ties included, and
+// tie order is visible in seeded outputs (TestPopMatchesReference).
 func (h *evHeap) pop() ev {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
-	old[0] = old[n]
+	x := old[n]
 	*h = old[:n]
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && old[l].at < old[m].at {
-			m = l
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && old[r].at < old[c].at {
+			c = r
 		}
-		if r < n && old[r].at < old[m].at {
-			m = r
-		}
-		if m == i {
+		old[i] = old[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if old[p].at < x.at {
 			break
 		}
-		old[i], old[m] = old[m], old[i]
-		i = m
+		old[i] = old[p]
+		i = p
 	}
+	old[i] = x
 	return top
 }
 
@@ -336,7 +345,8 @@ type Engine struct {
 	down     bool  // regional outage: every exchange fails
 
 	bins    *bins
-	rtt     hist.Histogram
+	rtt     hist.Histogram // ModeUDP: recorded by the workers
+	simRTT  hist.Snapshot  // ModeSim: recorded by Run's goroutine alone
 	sent    uint64
 	ok      uint64
 	rated   uint64
@@ -441,10 +451,15 @@ func (c *engineClock) Now() time.Time { return Epoch.Add(time.Duration(c.e.vt)) 
 
 // At schedules fn to run at virtual time d — the scenario/chaos hook
 // for outages, liar flips, visibility changes. Must be called before
-// Run or from within a prior control action.
+// Run or from within a prior control action; actions on one instant
+// run in call order.
 func (e *Engine) At(d time.Duration, fn func()) {
-	e.ctrl = append(e.ctrl, ctrlEv{at: int64(d), fn: fn})
-	sort.Slice(e.ctrl, func(i, j int) bool { return e.ctrl[i].at < e.ctrl[j].at })
+	i := len(e.ctrl)
+	e.ctrl = append(e.ctrl, ctrlEv{})
+	for ; i > 0 && e.ctrl[i-1].at > int64(d); i-- {
+		e.ctrl[i] = e.ctrl[i-1]
+	}
+	e.ctrl[i] = ctrlEv{at: int64(d), fn: fn}
 }
 
 // SetOutage toggles a regional outage: while down, every exchange
@@ -595,11 +610,15 @@ func (e *Engine) warmup(id int) bool {
 		th  float64
 		srv int16
 	}
-	var samples [8]sample
+	var samples [len(vis)]sample // sorted by th as they arrive
 	ns := 0
 	for i := 0; i < k; i++ {
 		if th, _, ok := e.exchange(id, int(vis[i])); ok {
-			samples[ns] = sample{th, vis[i]}
+			j := ns
+			for ; j > 0 && th < samples[j-1].th; j-- {
+				samples[j] = samples[j-1]
+			}
+			samples[j] = sample{th, vis[i]}
 			ns++
 		}
 	}
@@ -607,7 +626,6 @@ func (e *Engine) warmup(id int) bool {
 		return false
 	}
 	sub := samples[:ns]
-	sort.Slice(sub, func(a, b int) bool { return sub[a].th < sub[b].th })
 	var med float64
 	if ns%2 == 1 {
 		med = sub[ns/2].th
@@ -649,13 +667,14 @@ func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bo
 	t4 := base.Add(up + proc + down).Add(off)
 
 	req := ntppkt.NewClient(4, ntptime.FromTime(t1))
-	rep := srv.srv.Respond(req, recv, xmit)
+	var rep ntppkt.Packet
+	srv.srv.Respond(&rep, req, recv, xmit)
 	if err := rep.ValidateServerReply(req.Transmit); err != nil {
 		return 0, 0, false
 	}
 	d := rep.Receive.Sub(req.Transmit) + rep.Transmit.Sub(ntptime.FromTime(t4))
 	rtt = up + proc + down
-	e.rtt.Record(rtt)
+	e.simRTT.Record(rtt)
 	return (time.Duration(d) / 2).Seconds(), rtt, true
 }
 
@@ -711,8 +730,12 @@ func (e *Engine) Totals() Totals {
 	return Totals{Sent: e.sent, OK: e.ok, Rated: e.rated, Fails: e.fails, Suspends: e.susp}
 }
 
-// RTT returns the exchange round-trip histogram.
-func (e *Engine) RTT() *hist.Histogram { return &e.rtt }
+// RTT returns the exchange round-trip distribution recorded so far.
+func (e *Engine) RTT() *hist.Snapshot {
+	s := e.rtt.Snapshot()
+	s.Merge(&e.simRTT)
+	return &s
+}
 
 // Bins returns the traffic bins (arrival shaping).
 func (e *Engine) Bins() *bins { return e.bins }
@@ -760,19 +783,17 @@ type OffsetStats struct {
 }
 
 // Stats integrates every client to the current instant and summarizes
-// |offset| quantiles over the population (an exact pass below 128k
-// clients, a seeded 65536-sample otherwise — O(1) extra memory either
-// way relative to N).
+// |offset| quantiles over the population: every client up to 65 536 of
+// them, above that every ⌊N/65536⌋-th by id (no rng: between 65 536 and
+// 131 071 clients read) — bounded extra memory whatever N is.
 func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 	n := e.cfg.N
-	sampleN := n
 	const sampleCap = 1 << 16
 	stride := 1
 	if n > sampleCap {
-		sampleN = sampleCap
 		stride = n / sampleCap
 	}
-	abs := make([]float64, 0, sampleN)
+	abs := make([]float64, 0, (n+stride-1)/stride)
 	above := 0
 	th := absThresh.Seconds()
 	for i := 0; i < n; i += stride {

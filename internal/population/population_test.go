@@ -1,7 +1,9 @@
 package population
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -139,6 +141,144 @@ func TestEvHeapOrder(t *testing.T) {
 			t.Fatalf("heap order violated: %d after %d", e.at, prev)
 		}
 		prev = e.at
+	}
+}
+
+// refPop is the textbook top-down sift the engine popped with before
+// the bottom-up one: the last element goes to the root and sinks while
+// a child is strictly earlier, the left child winning ties.
+func refPop(h *evHeap) ev {
+	old := *h
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && old[l].at < old[m].at {
+			m = l
+		}
+		if r < n && old[r].at < old[m].at {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		old[i], old[m] = old[m], old[i]
+		i = m
+	}
+	return top
+}
+
+// TestPopMatchesReference: pop leaves the array element for element as
+// refPop does, not merely a valid heap. Which of two events on one
+// instant fires first is decided by where earlier pops left them, and
+// they draw from shared server and channel rngs, so a pop that orders
+// ties differently changes every seeded output. 300 seeded mixes of
+// pushes and pops, keys drawn from 1 to 50 values so that ties are the
+// rule (one value: the synchronized cold start), compared after every
+// operation.
+func TestPopMatchesReference(t *testing.T) {
+	for mix := 0; mix < 300; mix++ {
+		st := uint64(mix) + 1
+		keys := 1 + randInt(&st, 50)
+		var got, want evHeap
+		check := func(op int, what string) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("mix %d op %d (%s): %d entries, reference has %d", mix, op, what, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("mix %d op %d (%s), %d keys: slot %d of %d holds %+v, reference %+v",
+						mix, op, what, keys, i, len(got), got[i], want[i])
+				}
+			}
+		}
+		const ops = 600
+		for op := 0; op < ops; op++ {
+			// Grow for the first half, drain over the second.
+			pushOdds := uint64(7)
+			if op >= ops/2 {
+				pushOdds = 3
+			}
+			if len(got) == 0 || Rand(&st)%10 < pushOdds {
+				e := ev{at: randInt(&st, keys), id: int32(op)}
+				got.push(e)
+				want.push(e)
+				check(op, "push")
+				continue
+			}
+			if a, b := got.pop(), refPop(&want); a != b {
+				t.Fatalf("mix %d op %d: popped %+v, reference %+v", mix, op, a, b)
+			}
+			check(op, "pop")
+		}
+	}
+}
+
+// TestAtRunsEqualInstantsInCallOrder: control actions scheduled for one
+// instant run in the order At was called, however many there are (an
+// unstable sort keeps that order only up to its insertion-sort cutoff),
+// and instants still run in time order whatever the call order.
+func TestAtRunsEqualInstantsInCallOrder(t *testing.T) {
+	e, err := New(simConfig(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type mark struct {
+		at  time.Duration
+		seq int
+	}
+	var ran []mark
+	instants := []time.Duration{20 * time.Second, 10 * time.Second, 30 * time.Second}
+	const perInstant = 40
+	for seq := 0; seq < perInstant; seq++ {
+		for _, at := range instants {
+			m := mark{at, seq}
+			e.At(at, func() { ran = append(ran, m) })
+		}
+	}
+	if err := e.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var want []mark
+	for _, at := range []time.Duration{10 * time.Second, 20 * time.Second, 30 * time.Second} {
+		for seq := 0; seq < perInstant; seq++ {
+			want = append(want, mark{at, seq})
+		}
+	}
+	if !slices.Equal(ran, want) {
+		t.Fatalf("actions ran in the order\n%+v\nwant\n%+v", ran, want)
+	}
+}
+
+// TestWarmupMoreThanEightProbes: WarmupProbes is clamped only to the
+// visible count (up to 64); a warm-up over nine servers used to index
+// past an 8-entry sample array.
+func TestWarmupMoreThanEightProbes(t *testing.T) {
+	cfg := simConfig(300, 4)
+	cfg.Upstreams = nil
+	for i := 0; i < 9; i++ {
+		cfg.Upstreams = append(cfg.Upstreams, Upstream{Name: fmt.Sprintf("s%d", i), Err: time.Duration(i-4) * time.Millisecond})
+	}
+	cfg.WarmupProbes = 9
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(cfg.PollBase); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ServedClients(); got < 290 {
+		t.Fatalf("nine-probe warm-up served %d/300 clients", got)
+	}
+	// The median of nine samples a millisecond apart is the middle
+	// server's, give or take path asymmetry.
+	if st := e.Stats(0); st.Median > 20*time.Millisecond {
+		t.Fatalf("median offset %v after a nine-probe warm-up, want ≤ 20ms", st.Median)
 	}
 }
 
