@@ -82,9 +82,11 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// quantum is the integration step of the oscillator state. Wander is
-// injected per quantum so the noise path is independent of the query
-// pattern.
+// quantum is the longest integration step of the oscillator state, and
+// wander takes one random-walk draw per *full* step. The noise path
+// therefore depends on the query pattern: a clock read every 300 ms
+// never wanders, one read every 2.5 s draws twice, not 2.5 times. The
+// goldens pin this (ROADMAP, next [benchmark] issue).
 const quantum = time.Second
 
 // Sim is a simulated oscillator clock. It is driven by a TrueTime

@@ -391,6 +391,9 @@ type Client struct {
 	// the run loop's last observed value.
 	netGen  atomic.Uint32
 	seenGen uint32
+	// warmupRound's usable replies and their pool slots, refilled each round.
+	samples []exchange.Sample
+	idxs    []int
 }
 
 // New creates an MNTP client with defaults applied.
@@ -712,8 +715,7 @@ func (c *Client) warmupRound(h hints.Hints) {
 	res := c.pool.Round()
 	c.requests += res.Exchanges
 
-	var samples []exchange.Sample
-	var idxs []int
+	samples, idxs := c.samples[:0], c.idxs[:0]
 	for _, o := range res.Outcomes {
 		switch {
 		case o.Skipped:
@@ -739,6 +741,7 @@ func (c *Client) warmupRound(h hints.Hints) {
 			idxs = append(idxs, o.Index)
 		}
 	}
+	c.samples, c.idxs = samples, idxs
 	if len(samples) == 0 {
 		// Nothing usable came back: a blackout round.
 		c.roundDry(PhaseWarmup, h)

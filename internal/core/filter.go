@@ -71,7 +71,7 @@ func NewFilterKind(kind trend.Kind, window int, floor time.Duration, minSamples 
 	f := floor.Seconds()
 	return &Filter{
 		est:        trend.NewEstimator(kind, window, f),
-		residuals:  trend.NewResidualTracker(f*f, 0),
+		residuals:  trend.NewResidualTracker(f * f),
 		minSamples: minSamples,
 		floor:      f,
 	}
@@ -202,32 +202,37 @@ func secToDur(s float64) time.Duration {
 // deviation"; the symmetric form is used so a false ticker that is
 // *behind* the truth is rejected too — see DESIGN.md.) With fewer than
 // three samples there is no meaningful majority and all are kept.
+//
+// samples is partitioned in place, each side in its original order;
+// the results are its two halves and nothing is allocated.
 func RejectFalseTickers(samples []exchange.Sample) (kept, rejected []exchange.Sample) {
 	if len(samples) < 3 {
 		return samples, nil
 	}
-	offs := make([]float64, len(samples))
-	for i, s := range samples {
-		offs[i] = s.Offset.Seconds()
+	var acc stats.Online
+	for i := range samples {
+		acc.Add(samples[i].Offset.Seconds())
 	}
-	mean, std := stats.MeanStd(offs)
-	for i, s := range samples {
-		d := offs[i] - mean
-		if d < 0 {
-			d = -d
-		}
-		if std > 0 && d > std {
-			rejected = append(rejected, s)
+	mean, std := acc.Mean(), acc.StdDev()
+	// The rejected wait on the stack while the kept close up in front.
+	var buf [8]exchange.Sample
+	out := buf[:0]
+	k := 0
+	for i := range samples {
+		if d := math.Abs(samples[i].Offset.Seconds() - mean); std > 0 && d > std {
+			out = append(out, samples[i])
 		} else {
-			kept = append(kept, s)
+			samples[k] = samples[i]
+			k++
 		}
 	}
-	if len(kept) == 0 {
-		// Degenerate spread: fall back to keeping everything rather
-		// than discarding the whole round.
+	copy(samples[k:], out)
+	if k == 0 || len(out) == 0 {
+		// Nothing rejected, or a degenerate spread that rejected all:
+		// keep the round (the copy put it back in order).
 		return samples, nil
 	}
-	return kept, rejected
+	return samples[:k:k], samples[k:]
 }
 
 // CombineOffsets averages the offsets of the kept samples — the

@@ -183,6 +183,45 @@ func TestRejectFalseTickersAllEqual(t *testing.T) {
 	}
 }
 
+// TestRejectFalseTickersPartitionsInPlace: the two results are the
+// halves of the caller's slice, each in arrival order, and nothing is
+// allocated.
+func TestRejectFalseTickersPartitionsInPlace(t *testing.T) {
+	build := func() []exchange.Sample {
+		return []exchange.Sample{
+			sampleWithOffset("far+", ms(480)),
+			sampleWithOffset("a", ms(1)),
+			sampleWithOffset("b", ms(-2)),
+			sampleWithOffset("far-", ms(-470)),
+			sampleWithOffset("c", ms(3)),
+			sampleWithOffset("d", ms(0)),
+		}
+	}
+	samples := build()
+	kept, rejected := RejectFalseTickers(samples)
+	names := func(ss []exchange.Sample) (out string) {
+		for _, s := range ss {
+			out += s.Server + " "
+		}
+		return out
+	}
+	if got := names(kept); got != "a b c d " {
+		t.Errorf("kept = %q, want arrival order a b c d", got)
+	}
+	if got := names(rejected); got != "far+ far- " {
+		t.Errorf("rejected = %q, want arrival order far+ far-", got)
+	}
+	if got := names(samples); got != "a b c d far+ far- " {
+		t.Errorf("samples after the call = %q, want kept then rejected", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s := build()
+		RejectFalseTickers(s)
+	}); n > 1 { // build's slice
+		t.Errorf("RejectFalseTickers allocates: %v per call beyond its input", n-1)
+	}
+}
+
 func TestCombineOffsets(t *testing.T) {
 	if got := CombineOffsets(nil); got != 0 {
 		t.Errorf("empty combine = %v", got)

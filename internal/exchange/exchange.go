@@ -8,6 +8,7 @@
 package exchange
 
 import (
+	"sync"
 	"time"
 
 	"mntp/internal/clock"
@@ -19,6 +20,9 @@ import (
 // server. It returns the reply packet and the client-clock time at
 // which the reply was received (T4). The caller stamps req.Transmit
 // (T1) before the call.
+//
+// Nothing may keep req once Exchange has returned, and the reply is
+// valid until the next Exchange on the same transport: copy to keep it.
 type Transport interface {
 	Exchange(server string, req *ntppkt.Packet) (resp *ntppkt.Packet, t4 time.Time, err error)
 }
@@ -59,18 +63,25 @@ type Sample struct {
 	When time.Time
 }
 
+// requests recycles Measure's request packets, which cross an interface
+// call and so cannot live on the stack. A Measure abandoned by its
+// caller keeps its packet until its Exchange comes back.
+var requests = sync.Pool{New: func() any { return new(ntppkt.Packet) }}
+
 // Measure performs one exchange with the server using the client's
 // clock for T1/T4 and returns the computed Sample. If simple is true a
 // minimal SNTP-shaped request is sent, otherwise a full NTP client
-// request. The reply is validated per RFC 4330 before computation.
+// request. The reply is validated per RFC 4330 before computation;
+// the Sample holds copies of what it needs from it.
 func Measure(clk clock.Clock, tr Transport, server string, version uint8, simple bool) (Sample, error) {
 	t1 := clk.Now()
 	t1ts := ntptime.FromTime(t1)
-	var req *ntppkt.Packet
+	req := requests.Get().(*ntppkt.Packet)
+	defer requests.Put(req)
 	if simple {
-		req = ntppkt.NewSNTPClient(version, t1ts)
+		*req = *ntppkt.NewSNTPClient(version, t1ts)
 	} else {
-		req = ntppkt.NewClient(version, t1ts)
+		*req = *ntppkt.NewClient(version, t1ts)
 	}
 	resp, t4, err := tr.Exchange(server, req)
 	if err != nil {

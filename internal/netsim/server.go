@@ -176,16 +176,21 @@ func (e *ErrTimeout) Error() string {
 // Transport is the simulated client transport. It binds a Proc (whose
 // virtual time advances during exchanges) and the client's clock
 // (which stamps T4). It implements the exchange.Transport interface.
+// Being bound to one Proc its calls are serial, so it owns the one
+// reply packet it hands out.
 type Transport struct {
 	Net   *Network
 	Proc  *Proc
 	Clock clock.Clock
+
+	reply ntppkt.Packet
 }
 
 // Exchange sends req to the named server (or pool) and blocks the
 // process for the full round trip. It returns the reply and the
 // client-clock receive time T4. Lost packets surface as *ErrTimeout
-// after Network.Timeout of virtual time.
+// after Network.Timeout of virtual time. The reply is the transport's
+// own packet, overwritten by the next Exchange.
 func (t *Transport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
 	n := t.Net
 	srv, err := n.Resolve(server)
@@ -211,7 +216,7 @@ func (t *Transport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet,
 	proc := srv.ProcessingDelay()
 	t.Proc.Sleep(proc)
 	xmit := srv.Clock.Now()
-	resp := new(ntppkt.Packet)
+	resp := &t.reply
 	srv.Respond(resp, req, recv, xmit)
 
 	down, downLost := path.SampleOneWay(t.Proc.Now(), Downlink)

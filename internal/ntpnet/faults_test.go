@@ -2,6 +2,8 @@ package ntpnet
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,5 +221,47 @@ func TestMNTPKoDStormMakesNoProgress(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Errorf("inner transport reached %d times", calls)
+	}
+}
+
+// TestFaultTransportNeverSeesRecycledRequest: exchange.Measure recycles
+// its request packet once Exchange returns. Eight goroutines measure
+// through one FaultTransport that delays every exchange and duplicates
+// half the replies; the transport underneath requires its request to
+// stay as it was for as long as its call lasts. Under -race, a packet
+// handed to a second exchange too early is also a reported data race.
+func TestFaultTransportNeverSeesRecycledRequest(t *testing.T) {
+	clk := clock.System{}
+	inner := exchange.TransportFunc(func(server string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
+		before := *req
+		time.Sleep(50 * time.Microsecond)
+		if req.Transmit != before.Transmit || req.Mode != before.Mode || len(req.Ext) != 0 {
+			t.Errorf("request changed during its exchange: %+v, was %+v", *req, before)
+		}
+		srv := ntptime.FromTime(clk.Now())
+		return &ntppkt.Packet{
+			Leap: ntppkt.LeapNone, Version: req.Version, Mode: ntppkt.ModeServer,
+			Stratum: 2, Origin: before.Transmit, Receive: srv, Transmit: srv,
+		}, clk.Now(), nil
+	})
+	ft := &FaultTransport{Inner: inner, Clock: clk, Seed: 9, DupProb: 0.5, Delay: 20 * time.Microsecond, Jitter: 50 * time.Microsecond}
+	var wg sync.WaitGroup
+	var ok atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				// A duplicated reply answers the wrong request and fails
+				// validation; that is the fault, not the subject.
+				if _, err := exchange.Measure(clk, ft, "s", ntppkt.Version4, i%2 == 0); err == nil {
+					ok.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := ft.Stats(); ok.Load() == 0 || st.Duplicated == 0 {
+		t.Errorf("%d measurements succeeded, %d replies duplicated: the faults did not mix", ok.Load(), st.Duplicated)
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mntp/internal/clock"
 	"mntp/internal/exchange"
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
@@ -169,5 +172,50 @@ func TestTransportRecoversFromNAK(t *testing.T) {
 	}
 	if got := tr.CookieCount(addr); got == 0 {
 		t.Fatal("no fresh session after NAK recovery")
+	}
+}
+
+// TestTransportNeverSeesRecycledRequest: exchange.Measure recycles its
+// request packet once Exchange returns, and this decorator rewrites the
+// request's extension fields on every attempt. Four goroutines measure
+// through one Transport; the NTP server underneath requires each
+// protected request to stay as it was for as long as its call lasts.
+// Under -race, a packet handed to a second exchange too early is also a
+// reported data race.
+func TestTransportNeverSeesRecycledRequest(t *testing.T) {
+	ring, err := nts.NewKeyRing(1)
+	if err != nil {
+		t.Fatalf("NewKeyRing: %v", err)
+	}
+	addr, cfg := testKE(t, ring, 123)
+	server := fakeNTPServer(ring)
+	tr := &Transport{TLSConfig: cfg, Inner: exchange.TransportFunc(
+		func(name string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
+			before := req.Encode(nil)
+			time.Sleep(50 * time.Microsecond)
+			resp, t4, err := server.Exchange(name, req)
+			if !bytes.Equal(before, req.Encode(nil)) {
+				t.Error("protected request changed during its exchange")
+			}
+			return resp, t4, err
+		})}
+	var wg sync.WaitGroup
+	var ok atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				// Goroutines sharing one session can race each other to
+				// an empty jar; what matters is that most get through.
+				if _, err := exchange.Measure(clock.System{}, tr, addr, ntppkt.Version4, false); err == nil {
+					ok.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ok.Load() < 100 {
+		t.Errorf("%d of 200 protected measurements succeeded", ok.Load())
 	}
 }

@@ -51,8 +51,9 @@ type RoundResult struct {
 // transports that are bound to a single simulated process.
 func (p *Pool) Round() RoundResult {
 	now := p.now()
+	var buf [maxStackSlots]int
 	p.mu.Lock()
-	elig := p.eligibleIdx(now)
+	elig := p.eligibleIdx(now, buf[:0])
 	p.mu.Unlock()
 
 	res := RoundResult{Outcomes: make([]Outcome, len(p.srcs))}
@@ -90,8 +91,9 @@ func (p *Pool) Round() RoundResult {
 // outcomes — no request was sent.
 func (p *Pool) MeasureBest() (exchange.Sample, []Outcome, error) {
 	now := p.now()
+	var buf [maxStackSlots]int
 	p.mu.Lock()
-	ranked := p.rankedLocked(now)
+	ranked := p.rankedLocked(now, buf[:0])
 	p.mu.Unlock()
 	if len(ranked) == 0 {
 		return exchange.Sample{}, nil, ErrNoEligibleSource
@@ -100,7 +102,7 @@ func (p *Pool) MeasureBest() (exchange.Sample, []Outcome, error) {
 	if tries > len(ranked) {
 		tries = len(ranked)
 	}
-	var outs []Outcome
+	outs := make([]Outcome, 0, tries)
 	var lastErr error
 	for _, i := range ranked[:tries] {
 		o := p.query(i)

@@ -1,8 +1,9 @@
 package sources
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"mntp/internal/exchange"
@@ -34,18 +35,18 @@ func Marzullo(ivals []Interval) []int {
 		val float64
 		typ int // +1 = lower bound, 0 = midpoint, -1 = upper bound
 	}
-	edges := make([]edge, 0, 3*m)
+	var buf [3 * maxStackSlots]edge
+	edges := buf[:0]
 	for _, iv := range ivals {
 		edges = append(edges,
 			edge{iv.Lo, +1}, edge{iv.Mid, 0}, edge{iv.Hi, -1})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].val != edges[j].val {
-			return edges[i].val < edges[j].val
-		}
+	// Edges that compare equal are identical, so any sort gives this
+	// sequence; the generic one builds no reflection swapper.
+	slices.SortFunc(edges, func(a, b edge) int {
 		// Lower bounds first, then midpoints, then upper bounds, so
 		// touching intervals count as overlapping.
-		return edges[i].typ > edges[j].typ
+		return cmp.Or(cmp.Compare(a.val, b.val), b.typ-a.typ)
 	})
 
 	var low, high float64
@@ -90,7 +91,7 @@ func Marzullo(ivals []Interval) []int {
 		return nil
 	}
 
-	var survivors []int
+	survivors := make([]int, 0, m)
 	for i, iv := range ivals {
 		if iv.Hi >= low && iv.Lo <= high {
 			survivors = append(survivors, i)
@@ -111,6 +112,11 @@ func ClusterPrune(mids, jitters []float64, nmin int) []int {
 	for i := range kept {
 		kept[i] = i
 	}
+	return clusterPrune(kept, mids, jitters, nmin)
+}
+
+// clusterPrune prunes kept, indexes into mids and jitters, in place.
+func clusterPrune(kept []int, mids, jitters []float64, nmin int) []int {
 	for len(kept) > nmin {
 		worst, worstJit := -1, -1.0
 		minSrcJit := math.Inf(1)
@@ -187,27 +193,27 @@ func (p *Pool) SelectCombine(samples []exchange.Sample, srcIdx []int) Selection 
 	if len(samples) == 0 {
 		return Selection{}
 	}
-	ivals := make([]Interval, len(samples))
-	for i, s := range samples {
+	var ivBuf [maxStackSlots]Interval
+	ivals := ivBuf[:0]
+	for _, s := range samples {
 		h := p.halfwidth(s)
 		mid := s.Offset.Seconds()
-		ivals[i] = Interval{Lo: mid - h, Mid: mid, Hi: mid + h}
+		ivals = append(ivals, Interval{Lo: mid - h, Mid: mid, Hi: mid + h})
 	}
 	surv := Marzullo(ivals)
 	if surv == nil {
 		return p.fallbackSelection(samples, srcIdx)
 	}
 
-	sel := Selection{OK: true, Survivors: surv}
-	inSurv := make(map[int]bool, len(surv))
-	for _, i := range surv {
-		inSurv[i] = true
-	}
+	sel := Selection{OK: true}
+	k := 0 // surv is in sample order: one walk finds who is missing
 	for i := range samples {
-		if !inSurv[i] {
-			sel.Falsetickers = append(sel.Falsetickers, i)
-			p.markFalseticker(srcIdx[i])
+		if k < len(surv) && surv[k] == i {
+			k++
+			continue
 		}
+		sel.Falsetickers = append(sel.Falsetickers, i)
+		p.markFalseticker(srcIdx[i])
 	}
 	for _, i := range surv {
 		p.markSurvivor(srcIdx[i])
@@ -216,22 +222,19 @@ func (p *Pool) SelectCombine(samples []exchange.Sample, srcIdx []int) Selection 
 	// Cluster pruning over the survivors, using each source's smoothed
 	// jitter (falling back to the interval halfwidth for sources
 	// without history).
-	mids := make([]float64, len(surv))
-	jits := make([]float64, len(surv))
+	var midBuf, jitBuf [maxStackSlots]float64
+	mids, jits := midBuf[:0], jitBuf[:0]
 	p.mu.Lock()
-	for k, i := range surv {
-		mids[k] = ivals[i].Mid
-		jits[k] = p.srcs[srcIdx[i]].jitter
-		if jits[k] == 0 {
-			jits[k] = p.halfwidth(samples[i])
+	for i, s := range samples {
+		jit := p.srcs[srcIdx[i]].jitter
+		if jit == 0 {
+			jit = p.halfwidth(s)
 		}
+		mids, jits = append(mids, ivals[i].Mid), append(jits, jit)
 	}
 	p.mu.Unlock()
-	keptK := ClusterPrune(mids, jits, minClusterSurvivors)
-	kept := make([]int, len(keptK))
-	for a, k := range keptK {
-		kept[a] = surv[k]
-	}
+	// Marzullo's result, pruned in place, becomes Survivors.
+	kept := clusterPrune(surv, mids, jits, minClusterSurvivors)
 	sel.Survivors = kept
 
 	// Combine: weighted average by inverse halfwidth (the tighter the

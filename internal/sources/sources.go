@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -149,8 +148,7 @@ func (s *source) score(now time.Time) float64 {
 // failure hurts more than an old one.
 func weightedReach(reach uint8) float64 {
 	var sum, norm float64
-	for i := 0; i < 8; i++ {
-		w := math.Pow(2, -float64(i))
+	for i, w := range reachWeight {
 		norm += w
 		if reach&(1<<uint(i)) != 0 {
 			sum += w
@@ -158,6 +156,9 @@ func weightedReach(reach uint8) float64 {
 	}
 	return sum / norm
 }
+
+// reachWeight[i] is 2^-i, exactly.
+var reachWeight = [8]float64{1, 1. / 2, 1. / 4, 1. / 8, 1. / 16, 1. / 32, 1. / 64, 1. / 128}
 
 // Pool owns the upstream sources and their health state. All methods
 // are safe for concurrent use.
@@ -203,16 +204,19 @@ var ErrNoEligibleSource = errors.New("sources: no eligible source (all held down
 // per-exchange wall-clock deadline.
 var ErrDeadline = errors.New("sources: exchange deadline exceeded")
 
-// eligibleIdx returns the slots not currently in KoD hold-down, in
-// slot order. Caller must hold p.mu.
-func (p *Pool) eligibleIdx(now time.Time) []int {
-	var out []int
+// maxStackSlots sizes a round's on-stack scratch (slots, scores,
+// intervals); a pool with more sources spills it to the heap.
+const maxStackSlots = 8
+
+// eligibleIdx appends to dst the slots not currently in KoD hold-down,
+// in slot order. Caller must hold p.mu.
+func (p *Pool) eligibleIdx(now time.Time, dst []int) []int {
 	for i, s := range p.srcs {
 		if s.kodUntil.IsZero() || !now.Before(s.kodUntil) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // EligibleNames returns the names of the sources not currently held
@@ -222,8 +226,9 @@ func (p *Pool) EligibleNames() []string {
 	now := p.now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var buf [maxStackSlots]int
 	var out []string
-	for _, i := range p.eligibleIdx(now) {
+	for _, i := range p.eligibleIdx(now, buf[:0]) {
 		out = append(out, p.srcs[i].name)
 	}
 	return out
@@ -235,14 +240,24 @@ func (p *Pool) Ranked() []int {
 	now := p.now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.rankedLocked(now)
+	return p.rankedLocked(now, make([]int, 0, len(p.srcs)))
 }
 
-func (p *Pool) rankedLocked(now time.Time) []int {
-	elig := p.eligibleIdx(now)
-	sort.SliceStable(elig, func(a, b int) bool {
-		return p.srcs[elig[a]].score(now) > p.srcs[elig[b]].score(now)
-	})
+// rankedLocked appends the ranking to dst: each source is scored once
+// and the handful of slots insertion-sorted, ties keeping slot order.
+func (p *Pool) rankedLocked(now time.Time, dst []int) []int {
+	elig := p.eligibleIdx(now, dst)
+	var buf [maxStackSlots]float64
+	scores := buf[:0]
+	for _, i := range elig {
+		scores = append(scores, p.srcs[i].score(now))
+	}
+	for a := 1; a < len(elig); a++ {
+		for b := a; b > 0 && scores[b] > scores[b-1]; b-- {
+			elig[b], elig[b-1] = elig[b-1], elig[b]
+			scores[b], scores[b-1] = scores[b-1], scores[b]
+		}
+	}
 	return elig
 }
 

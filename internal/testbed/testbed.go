@@ -187,12 +187,13 @@ func (tb *Testbed) startMonitor(duration time.Duration) {
 	// Controller: ping-based feedback every 15 s.
 	tb.Sched.Go(func(p *netsim.Proc) {
 		tr := &netsim.Transport{Net: tb.Net, Proc: p, Clock: tb.TNClock}
+		target := tb.Members[0].Name
 		for p.Now() < duration {
 			losses := 0
 			var rttSum time.Duration
 			const probes = 4
 			for i := 0; i < probes; i++ {
-				rtt, lost := tr.Ping(poolMemberName(0))
+				rtt, lost := tr.Ping(target)
 				if lost {
 					losses++
 				} else {
@@ -349,6 +350,9 @@ func (s *Series) Summary() stats.Summary { return stats.Summarize(s.AbsReported(
 // series is the raw material of Figures 4, 5, 6, 8, 9, 10 and 12.
 func (tb *Testbed) RunSNTP(interval, duration time.Duration) *Series {
 	s := &Series{Name: "sntp"}
+	if interval > 0 {
+		s.Points = make([]Point, 0, min(duration/interval+1, 1<<14)) // one per query at most
+	}
 	tb.startMonitor(duration)
 	tb.startNTP(duration)
 	tb.startGPS(duration)

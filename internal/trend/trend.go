@@ -11,7 +11,8 @@ package trend
 
 import (
 	"errors"
-	"math"
+
+	"mntp/internal/stats"
 )
 
 // ErrInsufficient is returned when a fit is requested with fewer than
@@ -167,48 +168,31 @@ func Fit(xs, ys []float64) (Line, error) {
 // residual history is still degenerate (e.g. the first few samples sit
 // exactly on the line, giving zero variance).
 type ResidualTracker struct {
-	sq    []float64 // squared errors of accepted samples
-	floor float64   // minimum gate width in squared units
-	cap   int       // sliding-window length, 0 = unbounded
+	// sq is the running count, mean and M2 (Welford) of the accepted
+	// squared errors: an O(1) gate and no history. It may differ from
+	// the two-pass value in the last ulp; it is only compared against,
+	// and tests hold the Admits decisions fixed (DESIGN.md note 2).
+	sq    stats.Online
+	floor float64 // minimum gate width in squared units
 }
 
 // NewResidualTracker creates a tracker. floor is the minimum tolerated
-// squared error (in the same squared units as the offsets); window, if
-// positive, bounds the history to the most recent accepted samples.
-func NewResidualTracker(floor float64, window int) *ResidualTracker {
-	return &ResidualTracker{floor: floor, cap: window}
+// squared error (in the same squared units as the offsets).
+func NewResidualTracker(floor float64) *ResidualTracker {
+	return &ResidualTracker{floor: floor}
 }
 
 // Accept records the squared error of a sample that passed the gate.
-func (r *ResidualTracker) Accept(sqErr float64) {
-	r.sq = append(r.sq, sqErr)
-	if r.cap > 0 && len(r.sq) > r.cap {
-		r.sq = r.sq[len(r.sq)-r.cap:]
-	}
-}
+func (r *ResidualTracker) Accept(sqErr float64) { r.sq.Add(sqErr) }
 
 // N returns the number of recorded residuals.
-func (r *ResidualTracker) N() int { return len(r.sq) }
+func (r *ResidualTracker) N() int { return r.sq.N() }
 
 // Gate returns the current rejection threshold for squared errors:
 // mean + 1·stddev of the recorded squared errors, but never below the
 // configured floor.
 func (r *ResidualTracker) Gate() float64 {
-	if len(r.sq) == 0 {
-		return r.floor
-	}
-	var mean float64
-	for _, s := range r.sq {
-		mean += s
-	}
-	mean /= float64(len(r.sq))
-	var v float64
-	for _, s := range r.sq {
-		d := s - mean
-		v += d * d
-	}
-	v /= float64(len(r.sq))
-	gate := mean + math.Sqrt(v)
+	gate := r.sq.Mean() + r.sq.StdDev()
 	if gate < r.floor {
 		gate = r.floor
 	}

@@ -96,7 +96,7 @@ func TestFitRecoverKnownDrift(t *testing.T) {
 }
 
 func TestResidualTrackerGate(t *testing.T) {
-	r := NewResidualTracker(1e-6, 0)
+	r := NewResidualTracker(1e-6)
 	// Before any residuals, the gate is the floor.
 	if got := r.Gate(); got != 1e-6 {
 		t.Errorf("initial gate = %v", got)
@@ -117,21 +117,6 @@ func TestResidualTrackerGate(t *testing.T) {
 	}
 	if !r.Admits(4e-6) {
 		t.Error("typical residual rejected")
-	}
-}
-
-func TestResidualTrackerWindow(t *testing.T) {
-	r := NewResidualTracker(0, 3)
-	for i := 1; i <= 10; i++ {
-		r.Accept(float64(i))
-	}
-	if r.N() != 3 {
-		t.Errorf("window length = %d, want 3", r.N())
-	}
-	// Window holds {8,9,10}: mean 9, std sqrt(2/3).
-	want := 9 + math.Sqrt(2.0/3.0)
-	if got := r.Gate(); !almost(got, want, 1e-12) {
-		t.Errorf("windowed gate = %v, want %v", got, want)
 	}
 }
 
@@ -194,7 +179,7 @@ func TestQuickExactRecovery(t *testing.T) {
 func TestQuickGateFloor(t *testing.T) {
 	f := func(res []float64, floorRaw uint16) bool {
 		floor := float64(floorRaw) / 1e6
-		r := NewResidualTracker(floor, 0)
+		r := NewResidualTracker(floor)
 		for _, s := range res {
 			if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
 				continue

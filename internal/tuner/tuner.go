@@ -78,7 +78,7 @@ func Collect(tb *testbed.Testbed, sources []string, interval, duration time.Dura
 		xp := &netsim.Transport{Net: tb.Net, Proc: p, Clock: tb.TNClock}
 		cl := sntp.New(tb.TNClock, xp, p, sntp.Config{})
 		for p.Now() < duration {
-			rec := Record{Elapsed: p.Now(), Hints: tb.Hints.Hints()}
+			rec := Record{Elapsed: p.Now(), Hints: tb.Hints.Hints(), Offsets: make([]OffsetObs, 0, len(sources))}
 			for _, src := range sources {
 				cl.Config.Server = src
 				s, err := cl.Query()
@@ -156,13 +156,17 @@ func Emulate(tr *Trace, p core.Params) Result {
 		return o.Delay <= gate
 	}
 
-	var corrected []float64
+	// A record yields at most one corrected offset and samples is one
+	// round's scratch: a replay allocates per cycle, not per record.
 	i := 0
 	n := len(tr.Records)
+	corrected := make([]float64, 0, n)
+	var samples []exchange.Sample
 	advance := func(d time.Duration) {
-		steps := int(d / tr.Interval)
-		if steps < 1 {
-			steps = 1
+		// Without an interval (a hand-built trace) a wait is one record.
+		steps := 1
+		if tr.Interval > 0 {
+			steps = max(1, int(d/tr.Interval))
 		}
 		i += steps
 	}
@@ -180,7 +184,7 @@ func Emulate(tr *Trace, p core.Params) Result {
 				i++ // re-check at the next logging instant
 				continue
 			}
-			var samples []exchange.Sample
+			samples = samples[:0]
 			for _, o := range rec.Offsets {
 				res.Requests++
 				if o.OK && delayOK(o) {
