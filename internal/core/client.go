@@ -10,15 +10,16 @@ import (
 	"mntp/internal/discipline"
 	"mntp/internal/exchange"
 	"mntp/internal/hints"
-	"mntp/internal/ntppkt"
 	"mntp/internal/sources"
 	"mntp/internal/sysclock"
 	"mntp/internal/trend"
 )
 
 // Params are MNTP's tunables: the four timing parameters of
-// Algorithm 1 (the subject of the §5.3 tuner study), the channel
-// thresholds, and the ablation switches used by the evaluation.
+// Algorithm 1 (the subject of the §5.3 tuner study), the source and
+// discipline settings a deployment varies, and the ablation switches
+// used by the evaluation. The channel thresholds are the paper's §4.2
+// baselines (hints.Default) and requests are NTPv4.
 type Params struct {
 	// WarmupPeriod is the duration of the warm-up phase.
 	WarmupPeriod time.Duration
@@ -30,8 +31,6 @@ type Params struct {
 	// phases; when it elapses the algorithm restarts at step 1.
 	ResetPeriod time.Duration
 
-	// Thresholds gate request emission (§4.2 baselines by default).
-	Thresholds hints.Thresholds
 	// WarmupServers are the multiple references of the warm-up phase
 	// (the paper uses 0/1/3.pool.ntp.org).
 	WarmupServers []string
@@ -40,13 +39,6 @@ type Params struct {
 	// HintPollInterval is how long to wait before re-checking an
 	// unfavorable channel (default 1 s).
 	HintPollInterval time.Duration
-	// ResidualFloor is the filter's minimum tolerated prediction
-	// error (default 3 ms).
-	ResidualFloor time.Duration
-	// MinTrendSamples is how many samples the filter accepts
-	// unconditionally before gating (default 3; the paper records 10
-	// warm-up offsets before trusting the trend).
-	MinTrendSamples int
 	// Estimator selects the trend estimator the filter fits offsets
 	// against: trend.KindLeastSquares (the paper's §4.2 fit, the
 	// default), trend.KindTheilSen or trend.KindLAD (the robust
@@ -87,19 +79,6 @@ type Params struct {
 	// default, so simulations stay reproducible; real deployments
 	// should seed per device — see cmd/mntp).
 	JitterSeed int64
-	// MaxSampleDelay rejects samples whose round-trip delay exceeds
-	// it. The four-timestamp algebra bounds a sample's offset error
-	// by δ/2, so a high-delay sample is untrustworthy regardless of
-	// the trend — this guards the trend-less start of each cycle,
-	// where the least-squares filter cannot yet reject anything.
-	// Zero (the default) selects an adaptive gate of
-	// 3·minDelay + 30 ms relative to the smallest delay seen this
-	// cycle, which tracks the path's floor on WiFi and cellular alike
-	// — the same philosophy as NTP's delay-based sample selection
-	// (which §4.2 invokes).
-	MaxSampleDelay time.Duration
-	// Version is the NTP version in requests (default 4).
-	Version uint8
 
 	// StepThreshold separates slewed from stepped corrections in the
 	// clock discipline (default 128 ms, ntpd's STEPT). See
@@ -146,7 +125,6 @@ func DefaultParams(pool string) Params {
 		WarmupWaitTime:  15 * time.Second,
 		RegularWaitTime: 15 * time.Minute,
 		ResetPeriod:     240 * time.Minute,
-		Thresholds:      hints.Default(),
 		WarmupServers:   []string{pool, pool, pool},
 		RegularServer:   pool,
 	}
@@ -156,23 +134,11 @@ func (p *Params) applyDefaults() {
 	if p.HintPollInterval == 0 {
 		p.HintPollInterval = time.Second
 	}
-	if p.ResidualFloor == 0 {
-		p.ResidualFloor = 3 * time.Millisecond
-	}
-	if p.Version == 0 {
-		p.Version = ntppkt.Version4
-	}
-	if p.MinTrendSamples == 0 {
-		p.MinTrendSamples = 3
-	}
 	if p.Estimator == "" {
 		p.Estimator = trend.KindLeastSquares
 	}
 	if p.EstimatorWindow == 0 {
 		p.EstimatorWindow = trend.DefaultWindow
-	}
-	if (p.Thresholds == hints.Thresholds{}) {
-		p.Thresholds = hints.Default()
 	}
 	if p.HoldoverAfter == 0 {
 		p.HoldoverAfter = 3
@@ -184,6 +150,15 @@ func (p *Params) applyDefaults() {
 		p.PollJitter = maxPollJitter
 	}
 }
+
+// ResidualFloor is the filter's minimum tolerated prediction error,
+// and MinTrendSamples how many samples it accepts unconditionally
+// before gating. The tuner's offline replay builds its filters from
+// the same two values.
+const (
+	ResidualFloor   = 3 * time.Millisecond
+	MinTrendSamples = 3
+)
 
 // DefaultPollJitter is the default ± cadence randomization fraction.
 // 10% is enough to diffuse a phase-locked fleet within a handful of
@@ -443,7 +418,6 @@ func New(clk clock.Clock, adj sysclock.Adjuster, tr exchange.Transport,
 		Servers:         servers,
 		Parallelism:     params.Parallelism,
 		ExchangeTimeout: params.ExchangeTimeout,
-		Version:         params.Version,
 		KoDBaseHold:     params.KoDHoldDown,
 		FailoverTries:   params.FailoverTries,
 	})
@@ -499,7 +473,7 @@ func (c *Client) runCycle(total time.Duration) {
 	p := &c.Params
 
 	// Step 1–3: fresh state.
-	c.filter = NewFilterKind(p.Estimator, p.EstimatorWindow, p.ResidualFloor, p.MinTrendSamples)
+	c.filter = NewFilterKind(p.Estimator, p.EstimatorWindow, ResidualFloor, MinTrendSamples)
 	c.minDelay, c.haveMinDelay = 0, false
 	startRequests := c.requests
 	c.cycle = CycleStats{}
@@ -680,7 +654,7 @@ func sqrtMs(v float64) float64 {
 func (c *Client) waitFavorable(phase Phase, total time.Duration) (hints.Hints, bool) {
 	for {
 		h := c.Hints.Hints()
-		if c.Params.DisableGating || c.Params.Thresholds.Favorable(h) {
+		if c.Params.DisableGating || hints.Default().Favorable(h) {
 			return h, true
 		}
 		c.emit(Event{
@@ -702,7 +676,7 @@ func (c *Client) waitFavorable(phase Phase, total time.Duration) (hints.Hints, b
 // channel the thresholds exist to avoid.
 func (c *Client) favorableNow() (hints.Hints, bool) {
 	h := c.Hints.Hints()
-	return h, c.Params.DisableGating || c.Params.Thresholds.Favorable(h)
+	return h, c.Params.DisableGating || hints.Default().Favorable(h)
 }
 
 // warmupRound fans out through the source pool with bounded
@@ -916,19 +890,21 @@ func (c *Client) offer(phase Phase, offset time.Duration, h hints.Hints, update 
 }
 
 // delayAcceptable applies the delay sanity gate and updates the
-// per-cycle minimum. The first sample of a cycle always passes and
-// anchors the gate.
+// per-cycle minimum. The four-timestamp algebra bounds a sample's
+// offset error by δ/2, so a high-delay sample is untrustworthy
+// regardless of the trend — this guards the trend-less start of each
+// cycle, where the filter cannot yet reject anything. The gate is
+// 3·minDelay + 30 ms over the smallest delay seen this cycle, which
+// tracks the path's floor on WiFi and cellular alike (the philosophy
+// of NTP's delay-based sample selection, which §4.2 invokes). The
+// first sample of a cycle always passes and anchors the gate.
 func (c *Client) delayAcceptable(d time.Duration) bool {
 	if !c.haveMinDelay || d < c.minDelay {
 		c.minDelay = d
 		c.haveMinDelay = true
 		return true
 	}
-	gate := c.Params.MaxSampleDelay
-	if gate == 0 {
-		gate = 3*c.minDelay + 30*time.Millisecond
-	}
-	return d <= gate
+	return d <= 3*c.minDelay+30*time.Millisecond
 }
 
 func (c *Client) emit(e Event) {

@@ -368,19 +368,6 @@ func TestDelayGateAdaptive(t *testing.T) {
 	}
 }
 
-func TestDelayGateFixedOverride(t *testing.T) {
-	params := DefaultParams("pool")
-	params.MaxSampleDelay = 500 * time.Millisecond
-	c := New(nil, nil, nil, nil, nil, params)
-	c.delayAcceptable(40 * time.Millisecond) // anchor
-	if !c.delayAcceptable(450 * time.Millisecond) {
-		t.Error("fixed gate should admit 450ms")
-	}
-	if c.delayAcceptable(600 * time.Millisecond) {
-		t.Error("fixed gate should reject 600ms")
-	}
-}
-
 func TestDelayGateWorksOnCellularScaleDelays(t *testing.T) {
 	// A 4G path with ~450ms RTTs must not be starved by the gate (the
 	// adaptive form tracks the path's own floor).

@@ -22,7 +22,7 @@
 //     system suspend but CLOCK_MONOTONIC does not, so a resume shows
 //     up as wall-vs-monotonic divergence. Callers feed periodic
 //     (wall, monotonic) readings to ObserveTimes; a divergence beyond
-//     SuspendThreshold invalidates the discipline's sync state so the
+//     suspendThreshold invalidates the discipline's sync state so the
 //     caller can re-warm-up instead of "correcting" a giant offset
 //     produced by a stale in-flight sample. Steps applied through the
 //     discipline itself are compensated, so a legitimate correction
@@ -51,6 +51,11 @@ const MaxFreqPPM = 500
 // MaxFreq is MaxFreqPPM expressed in seconds per second.
 const MaxFreq = MaxFreqPPM * 1e-6
 
+// suspendThreshold is the wall-vs-monotonic divergence between
+// consecutive ObserveTimes calls that is read as a suspend/resume (or
+// an external clock step).
+const suspendThreshold = 2 * time.Second
+
 // Config are the discipline's tunables. The zero value selects
 // defaults comparable to ntpd's.
 type Config struct {
@@ -69,10 +74,6 @@ type Config struct {
 	// are applied, amortizing small corrections across successive
 	// samples. Default 1 (apply in full). ntpclient uses 0.5.
 	SlewGain float64
-	// FreqClamp bounds the cumulative frequency correction, in
-	// seconds per second. Default MaxFreq; values above MaxFreq are
-	// themselves clamped to MaxFreq.
-	FreqClamp float64
 	// HoldoverMax bounds how long holdover keeps the sync state: past
 	// it the discipline degrades to cold, dropping the panic gate so
 	// that recovery after a very long blackout can step freely.
@@ -82,11 +83,9 @@ type Config struct {
 	// holdover uncertainty bound grows: it models how fast the local
 	// oscillator may wander from the last good frequency estimate.
 	// Default 15 ppm (commodity crystal residual after correction).
+	// No binary sets it: the holdover tests raise it so the bound's
+	// growth shows within a short run.
 	HoldoverDispPPM float64
-	// SuspendThreshold is the wall-vs-monotonic divergence between
-	// consecutive ObserveTimes calls that is read as a suspend/resume
-	// (or an external clock step). Default 2 s.
-	SuspendThreshold time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -99,20 +98,11 @@ func (c *Config) applyDefaults() {
 	if c.SlewGain == 0 {
 		c.SlewGain = 1
 	}
-	if c.FreqClamp == 0 || c.FreqClamp > MaxFreq {
-		c.FreqClamp = MaxFreq
-	}
-	if c.FreqClamp < 0 {
-		c.FreqClamp = -c.FreqClamp
-	}
 	if c.HoldoverMax == 0 {
 		c.HoldoverMax = time.Hour
 	}
 	if c.HoldoverDispPPM == 0 {
 		c.HoldoverDispPPM = 15
-	}
-	if c.SuspendThreshold == 0 {
-		c.SuspendThreshold = 2 * time.Second
 	}
 }
 
@@ -254,9 +244,6 @@ func New(adj sysclock.Adjuster, cfg Config) *Discipline {
 	return &Discipline{adj: adj, cfg: cfg}
 }
 
-// Config returns the discipline's effective (defaulted) config.
-func (d *Discipline) Config() Config { return d.cfg }
-
 // Apply offers an offset correction at the given time. It decides
 // slew/step/panic, applies the chosen correction through the
 // adjuster, and updates the sync state. now is the caller's clock
@@ -327,15 +314,15 @@ func (d *Discipline) expireHoldoverLocked(now time.Time) {
 }
 
 // SetFreq sets the cumulative frequency correction, clamped to
-// ±FreqClamp, and returns the value actually applied. On adjuster
+// ±MaxFreq, and returns the value actually applied. On adjuster
 // error the stored frequency is unchanged.
 func (d *Discipline) SetFreq(f float64) (applied float64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if f > d.cfg.FreqClamp {
-		f = d.cfg.FreqClamp
-	} else if f < -d.cfg.FreqClamp {
-		f = -d.cfg.FreqClamp
+	if f > MaxFreq {
+		f = MaxFreq
+	} else if f < -MaxFreq {
+		f = -MaxFreq
 	}
 	if err := d.adj.AdjustFreq(f); err != nil {
 		return d.freq, err
@@ -391,7 +378,7 @@ func (d *Discipline) Desync() {
 
 // ObserveTimes feeds one paired (wall, monotonic) reading for
 // suspend/resume detection and returns the measured divergence since
-// the previous reading. A divergence beyond SuspendThreshold — after
+// the previous reading. A divergence beyond suspendThreshold — after
 // compensating for steps the discipline itself applied — is reported
 // as resumed=true and desynchronizes the discipline: wall time moved
 // without monotonic time following (suspend, external step), so any
@@ -410,7 +397,7 @@ func (d *Discipline) ObserveTimes(wall time.Time, mono time.Duration) (jump time
 	jump = dWall - dMono - d.stepAccum
 	d.lastWall, d.lastMono = wall, mono
 	d.stepAccum = 0
-	if jump > d.cfg.SuspendThreshold || jump < -d.cfg.SuspendThreshold {
+	if jump > suspendThreshold || jump < -suspendThreshold {
 		d.state = StateCold
 		d.holdoverSince = time.Time{}
 		d.panics = 0

@@ -246,7 +246,7 @@ func TestHoldoverExpiresToCold(t *testing.T) {
 }
 
 func TestObserveTimesDetectsSuspend(t *testing.T) {
-	d := New(&recAdjuster{}, Config{SuspendThreshold: 2 * time.Second})
+	d := New(&recAdjuster{}, Config{})
 	d.Apply(time.Millisecond, epoch)
 
 	if _, resumed := d.ObserveTimes(epoch, 0); resumed {
@@ -267,7 +267,7 @@ func TestObserveTimesDetectsSuspend(t *testing.T) {
 }
 
 func TestObserveTimesCompensatesOwnSteps(t *testing.T) {
-	d := New(&recAdjuster{}, Config{SuspendThreshold: 2 * time.Second})
+	d := New(&recAdjuster{}, Config{})
 	d.ObserveTimes(epoch, 0)
 	// The discipline steps the clock 10 s itself (cold, so allowed).
 	r := d.Apply(10*time.Second, epoch)
@@ -282,7 +282,7 @@ func TestObserveTimesCompensatesOwnSteps(t *testing.T) {
 }
 
 func TestObserveTimesNegativeJump(t *testing.T) {
-	d := New(&recAdjuster{}, Config{SuspendThreshold: 2 * time.Second})
+	d := New(&recAdjuster{}, Config{})
 	d.Apply(time.Millisecond, epoch)
 	d.ObserveTimes(epoch, 0)
 	// An external actor stepped the wall clock backwards 30 s.

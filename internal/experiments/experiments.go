@@ -25,22 +25,20 @@ type Options struct {
 	// Quick shrinks durations/scales so benchmarks and CI runs finish
 	// fast; the full settings match the paper's experiment durations.
 	Quick bool
-	// LogScale overrides the §3.1 trace scale (default 1/2000 full,
-	// 1/20000 quick).
-	LogScale float64
 }
 
 func (o *Options) applyDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 2016
 	}
-	if o.LogScale == 0 {
-		if o.Quick {
-			o.LogScale = 1.0 / 20000
-		} else {
-			o.LogScale = 1.0 / 2000
-		}
+}
+
+// logScale is the §3.1 trace scale.
+func (o Options) logScale() float64 {
+	if o.Quick {
+		return 1.0 / 20000
 	}
+	return 1.0 / 2000
 }
 
 // Metric pairs a measured value with the paper's reported target.

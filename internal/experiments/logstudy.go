@@ -23,7 +23,7 @@ func generateDataset(opt Options) (map[string]*ntplog.Report, *ipasn.Registry, e
 	for _, prof := range ntplog.Table1Profiles() {
 		var buf bytes.Buffer
 		if _, _, err := ntplog.Generate(&buf, prof, reg, ntplog.GenConfig{
-			Scale: opt.LogScale, Seed: opt.Seed,
+			Scale: opt.logScale(), Seed: opt.Seed,
 		}); err != nil {
 			return nil, nil, fmt.Errorf("generate %s: %w", prof.ID, err)
 		}
@@ -52,13 +52,13 @@ func Table1(opt Options) Outcome {
 		rep := reports[prof.ID]
 		row := rep.Table1Row(prof.ID)
 		t.AddRow(row.ServerID, row.UniqueClients, int(row.Stratum), row.IPVersion,
-			row.TotalMeasurements, int(float64(row.UniqueClients)/opt.LogScale))
+			row.TotalMeasurements, int(float64(row.UniqueClients)/opt.logScale()))
 		totalClients += row.UniqueClients
 		totalMeas += row.TotalMeasurements
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1 (synthetic dataset at scale %.5f):\n\n", opt.LogScale)
+	fmt.Fprintf(&b, "Table 1 (synthetic dataset at scale %.5f):\n\n", opt.logScale())
 	b.WriteString(t.String())
 
 	out := Outcome{ID: "table1", Title: "Summary of client statistics in NTP logs", Text: b.String()}

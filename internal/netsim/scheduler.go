@@ -294,7 +294,4 @@ func (p *Proc) Scheduler() *Scheduler { return p.s }
 // terminate cleanly.
 func (p *Proc) Stop() { p.stop = true }
 
-// Stopped reports whether Stop was called.
-func (p *Proc) Stopped() bool { return p.stop }
-
 type procStopped struct{}

@@ -15,13 +15,11 @@ import (
 // to its peers acts as the "false ticker" MNTP's warm-up phase must
 // reject (§4.2).
 type Server struct {
-	Name      string
-	Clock     clock.Clock
-	Stratum   uint8
-	RefID     [4]byte
-	Leap      ntppkt.Leap
-	RootDelay time.Duration
-	RootDisp  time.Duration
+	Name    string
+	Clock   clock.Clock
+	Stratum uint8
+	RefID   [4]byte
+	Leap    ntppkt.Leap
 	// ProcMin/ProcMax bound the uniform server processing time between
 	// receive (T2) and transmit (T3).
 	ProcMin, ProcMax time.Duration
@@ -55,7 +53,8 @@ func (s *Server) ProcessingDelay() time.Duration {
 
 // Respond overwrites rep (every field, so a caller may reuse one) with
 // the server reply to req. recv and xmit are the server-clock readings
-// at packet arrival and departure (T2, T3).
+// at packet arrival and departure (T2, T3). Root delay and dispersion
+// are zero: a simulated server is its own reference.
 func (s *Server) Respond(rep, req *ntppkt.Packet, recv, xmit time.Time) {
 	*rep = ntppkt.Packet{
 		Leap:      s.Leap,
@@ -64,8 +63,6 @@ func (s *Server) Respond(rep, req *ntppkt.Packet, recv, xmit time.Time) {
 		Stratum:   s.Stratum,
 		Poll:      req.Poll,
 		Precision: -23,
-		RootDelay: ntptime.DurationToShort(s.RootDelay),
-		RootDisp:  ntptime.DurationToShort(s.RootDisp),
 		RefID:     s.RefID,
 		RefTime:   ntptime.FromTime(recv.Add(-30 * time.Second)),
 		Origin:    req.Transmit,
@@ -103,7 +100,6 @@ type Network struct {
 	servers map[string]*Server
 	pools   map[string]*Pool
 	paths   map[string]PathModel
-	defPath PathModel
 	// Timeout is how long a client waits before declaring a request
 	// lost. The default matches common SNTP client settings.
 	Timeout time.Duration
@@ -122,8 +118,9 @@ func NewNetwork(sched *Scheduler) *Network {
 	}
 }
 
-// AddServer registers a server, optionally with a dedicated path. A
-// nil path uses the network default.
+// AddServer registers a server with its path. A server added with a
+// nil path (or only as a pool member) is unreachable: Exchange reports
+// no path and a Ping is lost.
 func (n *Network) AddServer(s *Server, path PathModel) {
 	n.servers[s.Name] = s
 	if path != nil {
@@ -142,10 +139,6 @@ func (n *Network) AddPool(p *Pool) {
 	}
 }
 
-// SetDefaultPath sets the path used for servers without a dedicated
-// one — typically the shared access link (the wireless hop).
-func (n *Network) SetDefaultPath(p PathModel) { n.defPath = p }
-
 // Resolve maps a name to a concrete server, picking a pool member if
 // the name is a pool.
 func (n *Network) Resolve(name string) (*Server, error) {
@@ -158,12 +151,7 @@ func (n *Network) Resolve(name string) (*Server, error) {
 	return nil, fmt.Errorf("netsim: unknown server %q", name)
 }
 
-func (n *Network) pathFor(server string) PathModel {
-	if p, ok := n.paths[server]; ok {
-		return p
-	}
-	return n.defPath
-}
+func (n *Network) pathFor(server string) PathModel { return n.paths[server] }
 
 // ErrTimeout is returned when a request or response is lost and the
 // client timeout elapses.

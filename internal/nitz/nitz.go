@@ -35,34 +35,27 @@ type SourceConfig struct {
 	// MeanBoundaryInterval is the mean time between network-boundary
 	// crossings (Poisson arrivals; default 4 h — a commuting device).
 	MeanBoundaryInterval time.Duration
-	// Quantum is the granularity of the carrier's time indication
-	// (default 1 s; NITZ carries whole seconds).
-	Quantum time.Duration
-	// CarrierError is the maximum absolute error of the carrier's own
-	// clock (uniform; default 1 s — carrier NITZ servers are loosely
-	// synchronized).
-	CarrierError time.Duration
-	// DeliveryDelay is the maximum signalling latency between the
-	// boundary event and delivery to the device (uniform; default
-	// 2 s).
-	DeliveryDelay time.Duration
-	Seed          int64
+	Seed                 int64
 }
 
-func (c *SourceConfig) applyDefaults() {
-	if c.MeanBoundaryInterval == 0 {
-		c.MeanBoundaryInterval = 4 * time.Hour
-	}
-	if c.Quantum == 0 {
-		c.Quantum = time.Second
-	}
-	if c.CarrierError == 0 {
-		c.CarrierError = time.Second
-	}
-	if c.DeliveryDelay == 0 {
-		c.DeliveryDelay = 2 * time.Second
-	}
-}
+const (
+	// quantum is the granularity of the carrier's time indication
+	// (NITZ carries whole seconds).
+	quantum = time.Second
+	// carrierError is the maximum absolute error of the carrier's own
+	// clock (uniform — carrier NITZ servers are loosely synchronized).
+	carrierError = time.Second
+	// deliveryDelay is the maximum signalling latency between the
+	// boundary event and delivery to the device (uniform).
+	deliveryDelay = 2 * time.Second
+	// sntpPollInterval is the fallback cadence without NITZ ("Android
+	// SNTP implementations poll once a day if data from NITZ are
+	// unavailable", §2).
+	sntpPollInterval = 24 * time.Hour
+	// updateThreshold suppresses clock updates smaller than this (the
+	// Android behaviour).
+	updateThreshold = 5000 * time.Millisecond
+)
 
 // Source delivers NITZ signals on a scheduler.
 type Source struct {
@@ -75,7 +68,9 @@ type Source struct {
 // NewSource creates a signal source over the scheduler; truth is the
 // reference the carrier's clock approximates.
 func NewSource(sched *netsim.Scheduler, truth clock.Clock, cfg SourceConfig) *Source {
-	cfg.applyDefaults()
+	if cfg.MeanBoundaryInterval == 0 {
+		cfg.MeanBoundaryInterval = 4 * time.Hour
+	}
 	return &Source{cfg: cfg, sched: sched, truth: truth, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -95,9 +90,9 @@ func (s *Source) Run(until time.Duration, deliver func(Signal)) {
 			// Carrier indication: truth + carrier error, quantized,
 			// delivered after signalling latency.
 			indicated := s.truth.Now().
-				Add(time.Duration((s.rng.Float64()*2 - 1) * float64(s.cfg.CarrierError))).
-				Truncate(s.cfg.Quantum)
-			delay := time.Duration(s.rng.Float64() * float64(s.cfg.DeliveryDelay))
+				Add(time.Duration((s.rng.Float64()*2 - 1) * float64(carrierError))).
+				Truncate(quantum)
+			delay := time.Duration(s.rng.Float64() * float64(deliveryDelay))
 			s.sched.After(delay, func() {
 				if s.sched.Now() >= until {
 					return
@@ -113,24 +108,9 @@ func (s *Source) Run(until time.Duration, deliver func(Signal)) {
 // ManagerConfig parameterizes the Android-style time manager.
 type ManagerConfig struct {
 	// NITZAvailable selects whether the carrier provides NITZ; when
-	// false the manager falls back to SNTP polling ("Android SNTP
-	// implementations poll once a day if data from NITZ are
-	// unavailable", §2).
+	// false the manager falls back to SNTP polling every
+	// sntpPollInterval.
 	NITZAvailable bool
-	// SNTPPollInterval is the fallback cadence (default 24 h).
-	SNTPPollInterval time.Duration
-	// UpdateThreshold suppresses updates smaller than this (default
-	// 5000 ms, the Android behaviour).
-	UpdateThreshold time.Duration
-}
-
-func (c *ManagerConfig) applyDefaults() {
-	if c.SNTPPollInterval == 0 {
-		c.SNTPPollInterval = 24 * time.Hour
-	}
-	if c.UpdateThreshold == 0 {
-		c.UpdateThreshold = 5000 * time.Millisecond
-	}
 }
 
 // Manager reproduces the Android system time policy.
@@ -147,9 +127,8 @@ type Manager struct {
 // NewManager creates a manager; snptClient may be nil when
 // NITZAvailable is true.
 func NewManager(clk clock.Adjustable, sntpClient *sntp.Client, cfg ManagerConfig) *Manager {
-	cfg.applyDefaults()
 	if sntpClient != nil {
-		sntpClient.Config.UpdateThreshold = cfg.UpdateThreshold
+		sntpClient.Config.UpdateThreshold = updateThreshold
 	}
 	return &Manager{Clock: clk, SNTP: sntpClient, Cfg: cfg}
 }
@@ -162,7 +141,7 @@ func (m *Manager) OnNITZ(sig Signal) {
 		return
 	}
 	diff := sig.Time.Sub(m.Clock.Now())
-	if diff > -m.Cfg.UpdateThreshold && diff < m.Cfg.UpdateThreshold {
+	if diff > -updateThreshold && diff < updateThreshold {
 		return
 	}
 	m.Clock.Step(diff)
@@ -176,10 +155,10 @@ func (m *Manager) RunFallback(sl sntp.Sleeper, duration time.Duration) {
 	if m.Cfg.NITZAvailable || m.SNTP == nil {
 		return
 	}
-	for elapsed := time.Duration(0); elapsed < duration; elapsed += m.Cfg.SNTPPollInterval {
+	for elapsed := time.Duration(0); elapsed < duration; elapsed += sntpPollInterval {
 		if _, updated, err := m.SNTP.SyncOnce(); err == nil && updated {
 			m.Updates++
 		}
-		sl.Sleep(m.Cfg.SNTPPollInterval)
+		sl.Sleep(sntpPollInterval)
 	}
 }

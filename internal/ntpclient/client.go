@@ -18,69 +18,34 @@ import (
 type Config struct {
 	// Servers are the references to poll (ntpd typically uses 3–4).
 	Servers []string
-	// MinPoll and MaxPoll bound the adaptive poll interval
-	// (defaults 16 s and 1024 s).
-	MinPoll, MaxPoll time.Duration
-	// StepThreshold is the offset magnitude beyond which the clock is
-	// stepped rather than slewed (default 128 ms, ntpd's STEPT).
-	StepThreshold time.Duration
-	// PanicThreshold refuses offsets beyond it once the clock has
-	// been disciplined (default 1000 s, ntpd's PANICT — but instead
-	// of exiting like ntpd, the round reports Update.Panicked and
-	// the clock is left alone; negative disables the gate).
-	PanicThreshold time.Duration
-	// FreqClamp bounds the absolute frequency correction
-	// (default 500 ppm, ntpd's maximum, shared with
-	// internal/discipline and internal/driftfile).
-	FreqClamp float64
+	// MaxPoll is the upper bound of the adaptive poll interval
+	// (default 1024 s); the lower bound is minPoll.
+	MaxPoll time.Duration
 	// InitialFreq seeds the frequency correction (seconds per
 	// second), like ntpd's drift file: a host that has run NTP before
 	// starts with its oscillator error mostly pre-compensated.
 	InitialFreq float64
-	// DriftEstimator selects the trend estimator behind
-	// DriftEstimate, the client's observability-only residual-drift
-	// readout (empty means least squares; see internal/trend).
-	DriftEstimator trend.Kind
-	// DriftWindow bounds the drift estimator's sample history
-	// (default trend.DefaultWindow for the robust estimators).
-	DriftWindow int
-	// PollJitter randomizes Update.Poll by ± this fraction (default
-	// 0.1) so a fleet of clients sharing a cold-start instant cannot
-	// phase-lock on the pool (ntpd's poll randomization serves the
-	// same purpose). PollInterval() stays exact — the jitter is
-	// applied to each round's returned wait, not to the adaptive
-	// interval state.
-	PollJitter float64
-	// DisablePollJitter pins Update.Poll to the exact adaptive
-	// interval, for determinism-sensitive tests.
-	DisablePollJitter bool
-	// JitterSeed seeds the poll-jitter randomness (0 = fixed default).
-	JitterSeed int64
 }
 
-func (c *Config) applyDefaults() {
-	if c.MinPoll == 0 {
-		c.MinPoll = 16 * time.Second
-	}
-	if c.MaxPoll == 0 {
-		c.MaxPoll = 1024 * time.Second
-	}
-	if c.StepThreshold == 0 {
-		c.StepThreshold = 128 * time.Millisecond
-	}
-	if c.PanicThreshold == 0 {
-		c.PanicThreshold = 1000 * time.Second
-	}
-	if c.FreqClamp == 0 {
-		c.FreqClamp = discipline.MaxFreq
-	}
-	if c.PollJitter == 0 {
-		c.PollJitter = 0.1
-	}
-	if c.PollJitter > 0.5 {
-		c.PollJitter = 0.5
-	}
-}
+const (
+	// minPoll is the lower bound of the adaptive poll interval.
+	minPoll = 16 * time.Second
+	// panicThreshold refuses offsets beyond it once the clock has been
+	// disciplined (ntpd's PANICT — but instead of exiting like ntpd,
+	// the round reports Update.Panicked and the clock is left alone).
+	// The step threshold and the frequency clamp are the discipline's
+	// own (128 ms and ±500 ppm, ntpd's STEPT and maximum).
+	panicThreshold = 1000 * time.Second
+	// pollJitter randomizes Update.Poll by ± this fraction so a fleet
+	// of clients sharing a cold-start instant cannot phase-lock on the
+	// pool (ntpd's poll randomization serves the same purpose).
+	// PollInterval() stays exact — the jitter is applied to each
+	// round's returned wait, not to the adaptive interval state.
+	pollJitter = 0.1
+	// jitterSeed seeds the poll-jitter randomness, so simulations stay
+	// reproducible.
+	jitterSeed = 0x6e747063
+)
 
 // Update is the outcome of one poll round.
 type Update struct {
@@ -122,28 +87,24 @@ type Client struct {
 	disc *discipline.Discipline
 	// discipline state
 	freq     float64 // accumulated frequency correction (s/s)
-	pollExp  int     // current poll interval = MinPoll << pollExp
+	pollExp  int     // current poll interval = minPoll << pollExp
 	lastTime time.Time
 	haveLast bool
-	// drift fits combined offsets against elapsed time for the
-	// DriftEstimate readout: residual drift the PLL has not yet
+	// drift fits combined offsets (least squares) against elapsed time
+	// for the DriftEstimate readout: residual drift the PLL has not yet
 	// absorbed. Observability only — it never gates a correction.
-	drift      trend.Estimator
+	drift      *trend.Fitter
 	driftEpoch time.Time
 	haveDrift  bool
-	// jrng draws the per-round poll jitter (seeded, so simulations
-	// stay reproducible).
+	// jrng draws the per-round poll jitter.
 	jrng *rand.Rand
 }
 
-// driftScaleFloor is the drift estimator's residual scale floor in
-// seconds (1 ms — below typical wired-path jitter, so the robust
-// estimators never mistake clean history for an all-outlier window).
-const driftScaleFloor = 1e-3
-
 // New creates a client with defaults applied.
 func New(clk clock.Adjustable, tr exchange.Transport, cfg Config) *Client {
-	cfg.applyDefaults()
+	if cfg.MaxPoll == 0 {
+		cfg.MaxPoll = 1024 * time.Second
+	}
 	c := &Client{
 		Clock: clk, Transport: tr, Config: cfg,
 		peers: make(map[string]*peerFilter),
@@ -153,17 +114,11 @@ func New(clk clock.Adjustable, tr exchange.Transport, cfg Config) *Client {
 			KoDBaseHold: demobilizePeriod,
 		}),
 	}
-	jseed := cfg.JitterSeed
-	if jseed == 0 {
-		jseed = 0x6e747063
-	}
-	c.jrng = rand.New(rand.NewSource(jseed))
-	c.drift = trend.NewEstimator(cfg.DriftEstimator, cfg.DriftWindow, driftScaleFloor)
+	c.jrng = rand.New(rand.NewSource(jitterSeed))
+	c.drift = &trend.Fitter{}
 	c.disc = discipline.New(sysclock.SimAdjuster{Clock: clk}, discipline.Config{
-		StepThreshold:  cfg.StepThreshold,
-		PanicThreshold: cfg.PanicThreshold,
+		PanicThreshold: panicThreshold,
 		SlewGain:       0.5,
-		FreqClamp:      cfg.FreqClamp,
 	})
 	if cfg.InitialFreq != 0 {
 		// Through the gate, so a corrupt drift-file value is clamped
@@ -178,25 +133,18 @@ func New(clk clock.Adjustable, tr exchange.Transport, cfg Config) *Client {
 
 // PollInterval returns the current adaptive poll interval.
 func (c *Client) PollInterval() time.Duration {
-	iv := c.Config.MinPoll << uint(c.pollExp)
+	iv := minPoll << uint(c.pollExp)
 	if iv > c.Config.MaxPoll {
 		iv = c.Config.MaxPoll
 	}
 	return iv
 }
 
-// nextPoll returns the adaptive interval randomized by ±PollJitter —
+// nextPoll returns the adaptive interval randomized by ±pollJitter —
 // the wait Update.Poll reports, de-phasing fleets of clients.
 func (c *Client) nextPoll() time.Duration {
 	iv := c.PollInterval()
-	j := c.Config.PollJitter
-	if c.Config.DisablePollJitter || j <= 0 {
-		return iv
-	}
-	span := time.Duration(float64(iv) * j)
-	if span <= 0 {
-		return iv
-	}
+	span := time.Duration(float64(iv) * pollJitter)
 	return iv - span + time.Duration(c.jrng.Int63n(int64(2*span)+1))
 }
 
@@ -298,7 +246,7 @@ func (c *Client) discipline(offset time.Duration, u *Update) {
 		// peer filters (their offsets were measured against the
 		// pre-step clock); ntpd likewise clears its registers.
 		c.haveLast = false
-		c.drift = trend.NewEstimator(c.Config.DriftEstimator, c.Config.DriftWindow, driftScaleFloor)
+		c.drift = &trend.Fitter{}
 		c.haveDrift = false
 		for _, pf := range c.peers {
 			*pf = peerFilter{}
@@ -368,7 +316,7 @@ func (c *Client) adaptPoll(offset time.Duration, surv []Candidate) {
 		abs = -abs
 	}
 	maxExp := 0
-	for iv := c.Config.MinPoll; iv < c.Config.MaxPoll; iv <<= 1 {
+	for iv := minPoll; iv < c.Config.MaxPoll; iv <<= 1 {
 		maxExp++
 	}
 	if abs < 4*maxJitter {
@@ -385,7 +333,7 @@ func (c *Client) adaptPoll(offset time.Duration, surv []Candidate) {
 func (c *Client) FreqCorrection() float64 { return c.freq }
 
 // DriftEstimate returns the residual drift (seconds of offset per
-// second of elapsed time) the configured trend estimator sees in the
+// second of elapsed time) a least-squares fit sees in the
 // combined offsets the discipline has not yet absorbed, and whether
 // enough post-step history exists to fit it. Observability only.
 func (c *Client) DriftEstimate() (float64, bool) {

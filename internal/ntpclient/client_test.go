@@ -8,7 +8,6 @@ import (
 	"mntp/internal/exchange"
 	"mntp/internal/netsim"
 	"mntp/internal/ntppkt"
-	"mntp/internal/trend"
 )
 
 var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
@@ -220,7 +219,7 @@ func TestPollPanicRefusesImplausibleJump(t *testing.T) {
 
 	sched.Go(func(p *netsim.Proc) {
 		tr := &netsim.Transport{Net: net, Proc: p, Clock: clk}
-		c := New(clk, tr, Config{Servers: names, PanicThreshold: 10 * time.Second})
+		c := New(clk, tr, Config{Servers: names})
 		// First poll synchronizes and arms the panic gate.
 		if _, err := c.Poll(); err != nil {
 			t.Error(err)
@@ -272,50 +271,44 @@ func TestInitialFreqClampedThroughSharedBound(t *testing.T) {
 
 func TestDriftEstimateTracksResidualSkew(t *testing.T) {
 	// The observability drift readout must produce a finite estimate
-	// once the clock is being slewed, under every estimator kind, and
-	// must reset across a step (the first poll here steps the 300 ms
-	// initial offset away).
-	for _, kind := range trend.Kinds() {
-		sched := netsim.NewScheduler(epoch)
-		net, names := buildPoolNet(sched, 3, 0)
-		clk := clock.NewSim(clock.Config{
-			InitialOffset: 300 * time.Millisecond, SkewPPM: 25, Seed: 4,
-		}, epoch, sched.Now)
+	// once the clock is being slewed, and must reset across a step
+	// (the first poll here steps the 300 ms initial offset away).
+	sched := netsim.NewScheduler(epoch)
+	net, names := buildPoolNet(sched, 3, 0)
+	clk := clock.NewSim(clock.Config{
+		InitialOffset: 300 * time.Millisecond, SkewPPM: 25, Seed: 4,
+	}, epoch, sched.Now)
 
-		var gotEstimate bool
-		var est float64
-		sched.Go(func(p *netsim.Proc) {
-			tr := &netsim.Transport{Net: net, Proc: p, Clock: clk}
-			c := New(clk, tr, Config{
-				Servers: names, MaxPoll: 64 * time.Second,
-				DriftEstimator: kind,
-			})
-			for p.Now() < 30*time.Minute {
-				u, err := c.Poll()
-				if err != nil {
-					t.Errorf("%s: poll at %v: %v", kind, p.Now(), err)
-					return
-				}
-				if u.Stepped {
-					if _, ok := c.DriftEstimate(); ok {
-						t.Errorf("%s: drift estimate survived a step", kind)
-					}
-				}
-				if d, ok := c.DriftEstimate(); ok {
-					gotEstimate = true
-					est = d
-				}
-				p.Sleep(u.Poll)
+	var gotEstimate bool
+	var est float64
+	sched.Go(func(p *netsim.Proc) {
+		tr := &netsim.Transport{Net: net, Proc: p, Clock: clk}
+		c := New(clk, tr, Config{Servers: names, MaxPoll: 64 * time.Second})
+		for p.Now() < 30*time.Minute {
+			u, err := c.Poll()
+			if err != nil {
+				t.Errorf("poll at %v: %v", p.Now(), err)
+				return
 			}
-		})
-		sched.Run()
-		if !gotEstimate {
-			t.Fatalf("%s: no drift estimate after 30 min of polling", kind)
+			if u.Stepped {
+				if _, ok := c.DriftEstimate(); ok {
+					t.Error("drift estimate survived a step")
+				}
+			}
+			if d, ok := c.DriftEstimate(); ok {
+				gotEstimate = true
+				est = d
+			}
+			p.Sleep(u.Poll)
 		}
-		// The PLL absorbs most of the 25 ppm skew; the residual readout
-		// must stay bounded by the raw skew (sanity, not accuracy).
-		if est < -100e-6 || est > 100e-6 {
-			t.Errorf("%s: residual drift = %v ppm, want |d| ≤ 100 ppm", kind, est*1e6)
-		}
+	})
+	sched.Run()
+	if !gotEstimate {
+		t.Fatal("no drift estimate after 30 min of polling")
+	}
+	// The PLL absorbs most of the 25 ppm skew; the residual readout
+	// must stay bounded by the raw skew (sanity, not accuracy).
+	if est < -100e-6 || est > 100e-6 {
+		t.Errorf("residual drift = %v ppm, want |d| ≤ 100 ppm", est*1e6)
 	}
 }

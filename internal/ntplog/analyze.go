@@ -13,33 +13,25 @@ import (
 	"mntp/internal/stats"
 )
 
-// AnalyzeConfig tunes the filtering heuristic.
-type AnalyzeConfig struct {
-	// MaxOWD is the sanity ceiling on a one-way delay; samples beyond
-	// it indicate an unsynchronized client clock (default 1.2 s,
-	// comfortably above the paper's 997 ms observed maximum).
-	MaxOWD time.Duration
-	// MinOWD is the floor; non-positive OWDs indicate a client clock
-	// ahead of true time (default 100 µs).
-	MinOWD time.Duration
-	// MinValidFraction is the share of a client's samples that must
-	// pass the bounds for the client to be considered synchronized
-	// (default 0.9) — the filtering heuristic of Durairajan et al.
-	// that §3.1 applies "to eliminate invalid latency measurements".
-	MinValidFraction float64
-}
+// AnalyzeConfig holds no options: the filtering heuristic is fixed by
+// the constants below. The type stays because Analyze's signature is
+// part of what bench/ compiles against.
+type AnalyzeConfig struct{}
 
-func (c *AnalyzeConfig) applyDefaults() {
-	if c.MaxOWD == 0 {
-		c.MaxOWD = 1200 * time.Millisecond
-	}
-	if c.MinOWD == 0 {
-		c.MinOWD = 100 * time.Microsecond
-	}
-	if c.MinValidFraction == 0 {
-		c.MinValidFraction = 0.9
-	}
-}
+// The filtering heuristic of Durairajan et al. that §3.1 applies "to
+// eliminate invalid latency measurements".
+const (
+	// owdCeiling is the sanity ceiling on a one-way delay; samples
+	// beyond it indicate an unsynchronized client clock (comfortably
+	// above the paper's 997 ms observed maximum).
+	owdCeiling = 1200 * time.Millisecond
+	// owdFloor is the floor; non-positive OWDs indicate a client clock
+	// ahead of true time.
+	owdFloor = 100 * time.Microsecond
+	// minValidFraction is the share of a client's samples that must
+	// pass the bounds for the client to be considered synchronized.
+	minValidFraction = 0.9
+)
 
 // ClientStats aggregates one client's traffic.
 type ClientStats struct {
@@ -157,8 +149,7 @@ func (r *Report) ProtocolShare() (sntpFrac float64) {
 }
 
 // Analyze parses one server capture and applies the §3.1 pipeline.
-func Analyze(rd io.Reader, reg *ipasn.Registry, cfg AnalyzeConfig) (*Report, error) {
-	cfg.applyDefaults()
+func Analyze(rd io.Reader, reg *ipasn.Registry, _ AnalyzeConfig) (*Report, error) {
 	pr, err := pcap.NewReader(rd)
 	if err != nil {
 		return nil, err
@@ -214,11 +205,11 @@ func Analyze(rd io.Reader, reg *ipasn.Registry, cfg AnalyzeConfig) (*Report, err
 		}
 	}
 
-	// Filtering heuristic: a client is valid when ≥ MinValidFraction
+	// Filtering heuristic: a client is valid when ≥ minValidFraction
 	// of its OWD samples are plausible; its OWD list is then pruned
 	// to the plausible samples.
-	minMs := float64(cfg.MinOWD) / float64(time.Millisecond)
-	maxMs := float64(cfg.MaxOWD) / float64(time.Millisecond)
+	minMs := float64(owdFloor) / float64(time.Millisecond)
+	maxMs := float64(owdCeiling) / float64(time.Millisecond)
 	for _, cs := range rep.Clients {
 		if len(cs.OWDs) == 0 {
 			continue
@@ -229,7 +220,7 @@ func Analyze(rd io.Reader, reg *ipasn.Registry, cfg AnalyzeConfig) (*Report, err
 				valid = append(valid, o)
 			}
 		}
-		if float64(len(valid)) >= cfg.MinValidFraction*float64(len(cs.OWDs)) && len(valid) > 0 {
+		if float64(len(valid)) >= minValidFraction*float64(len(cs.OWDs)) && len(valid) > 0 {
 			cs.Valid = true
 			cs.OWDs = valid
 		}

@@ -23,13 +23,13 @@ type GenConfig struct {
 	Scale float64
 	// MaxRequestsPerClient caps the per-client request count for
 	// tractability (default 120; only SU1's very chatty population is
-	// affected).
+	// affected). No binary sets it: the tests lower it to keep their
+	// traces small.
 	MaxRequestsPerClient int
-	// Day is the capture day (default 2016-11-14, 24 h).
-	Day time.Time
 	// UnsyncFraction is the share of clients with badly wrong clocks
 	// that the analyzer's filtering heuristic must exclude
-	// (default 0.05).
+	// (default 0.05). No binary sets it: the filtering test raises it
+	// to 0.5 so that a heuristic that excluded nobody would show.
 	UnsyncFraction float64
 	// Seed drives everything.
 	Seed int64
@@ -41,9 +41,6 @@ func (c *GenConfig) applyDefaults() {
 	}
 	if c.MaxRequestsPerClient == 0 {
 		c.MaxRequestsPerClient = 120
-	}
-	if c.Day.IsZero() {
-		c.Day = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 	}
 	if c.UnsyncFraction == 0 {
 		c.UnsyncFraction = 0.05
@@ -174,7 +171,7 @@ func Generate(w io.Writer, prof ServerProfile, reg *ipasn.Registry, cfg GenConfi
 	}
 
 	var events []event
-	day := cfg.Day
+	day := time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC) // the capture day, 24 h
 	perProviderIdx := make(map[int]int)
 
 	for ci := 0; ci < nClients; ci++ {

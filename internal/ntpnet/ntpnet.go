@@ -25,18 +25,15 @@ import (
 	"net"
 	"time"
 
-	"mntp/internal/clock"
 	"mntp/internal/ntppkt"
 )
 
 // Client is a UDP client transport implementing exchange.Transport.
 // Each Exchange opens a fresh ephemeral socket, as one-shot SNTP
-// clients do.
+// clients do, and stamps T4 from the system clock.
 type Client struct {
 	// Timeout bounds the wait for a reply (default 5 s).
 	Timeout time.Duration
-	// Clock stamps T4 at reply reception (default the system clock).
-	Clock clock.Clock
 }
 
 // ErrTimeout is returned when no reply arrives within the timeout.
@@ -53,10 +50,6 @@ func (c *Client) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet, ti
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = 5 * time.Second
-	}
-	clk := c.Clock
-	if clk == nil {
-		clk = clock.System{}
 	}
 
 	conn, err := net.Dial("udp", server)
@@ -85,7 +78,7 @@ func (c *Client) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet, ti
 			}
 			return nil, time.Time{}, fmt.Errorf("ntpnet: recv: %w", err)
 		}
-		t4 := clk.Now()
+		t4 := time.Now()
 		if err := resp.DecodeInto(buf[:n]); err != nil {
 			continue // runt datagram from someone else; keep waiting
 		}

@@ -42,8 +42,6 @@ type Session struct {
 	AEAD uint16
 	// C2S and S2C are the exported association keys.
 	C2S, S2C []byte
-	// Capacity is the jar's target size; 0 means DefaultJarCapacity.
-	Capacity int
 	// ReuseWhenDry lets ProtectRequest reuse the last cookie instead
 	// of failing when the jar empties. Cookie reuse links requests
 	// observably, so this is only for load generation — never for a
@@ -77,7 +75,7 @@ func (s *Session) keys() (c2s, s2c *sivKey, err error) {
 }
 
 // AddCookies appends cookies to the jar, discarding overflow beyond
-// capacity.
+// DefaultJarCapacity.
 func (s *Session) AddCookies(cookies [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,7 +86,7 @@ func (s *Session) AddCookies(cookies [][]byte) {
 
 // add copies c into the jar unless the jar is full. s.mu must be held.
 func (s *Session) add(c []byte) {
-	if len(s.cookies) < s.capacity() {
+	if len(s.cookies) < DefaultJarCapacity {
 		s.cookies = append(s.cookies, bytes.Clone(c))
 	}
 }
@@ -98,13 +96,6 @@ func (s *Session) CookieCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.cookies)
-}
-
-func (s *Session) capacity() int {
-	if s.Capacity > 0 {
-		return s.Capacity
-	}
-	return DefaultJarCapacity
 }
 
 // ProtectRequest turns a bare client packet into an NTS-protected one:
@@ -132,7 +123,7 @@ func (s *Session) ProtectRequest(p *ntppkt.Packet) (*RequestState, error) {
 	} else if s.ReuseWhenDry && s.last != nil {
 		cookie = s.last
 	}
-	placeholders := s.capacity() - 1 - len(s.cookies)
+	placeholders := DefaultJarCapacity - 1 - len(s.cookies)
 	s.mu.Unlock()
 	if cookie == nil {
 		return nil, ErrJarEmpty

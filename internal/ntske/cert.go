@@ -18,15 +18,9 @@ import (
 // serving (hosts defaults to localhost plus the loopback addresses)
 // and returns it ready for a tls.Config along with the PEM-encoded
 // certificate, which clients can load as their trust root. The
-// certificate is valid for a year; SelfSignedFor controls the
-// lifetime (the cert rotate loop uses short ones).
+// certificate is valid for a year from notBefore (with an hour of
+// backdating for clock skew).
 func SelfSigned(notBefore time.Time, hosts ...string) (tls.Certificate, []byte, error) {
-	return SelfSignedFor(notBefore, 365*24*time.Hour, hosts...)
-}
-
-// SelfSignedFor is SelfSigned with an explicit validity lifetime,
-// measured from notBefore (with an hour of backdating for clock skew).
-func SelfSignedFor(notBefore time.Time, lifetime time.Duration, hosts ...string) (tls.Certificate, []byte, error) {
 	if len(hosts) == 0 {
 		hosts = []string{"localhost", "127.0.0.1", "::1"}
 	}
@@ -42,7 +36,7 @@ func SelfSignedFor(notBefore time.Time, lifetime time.Duration, hosts ...string)
 		SerialNumber:          serial,
 		Subject:               pkix.Name{CommonName: "mntp self-signed"},
 		NotBefore:             notBefore.Add(-time.Hour),
-		NotAfter:              notBefore.Add(lifetime),
+		NotAfter:              notBefore.Add(365 * 24 * time.Hour),
 		KeyUsage:              x509.KeyUsageDigitalSignature,
 		ExtKeyUsage:           []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
 		BasicConstraintsValid: true,

@@ -34,84 +34,6 @@ func peekCert(t *testing.T, addr string) *x509.Certificate {
 	return certs[0]
 }
 
-// TestCertRotateLoop covers the self-signed rotation path: the served
-// certificate changes across a rotation period, its expiry rolls
-// forward, and a client key-exchanges successfully both before and
-// after the swap — the listener never drops.
-func TestCertRotateLoop(t *testing.T) {
-	ring, err := nts.NewKeyRing(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, _, err := SelfSignedFor(time.Now(), 30*time.Minute, "127.0.0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotated := make(chan []byte, 16)
-	srv := &Server{
-		Ring:            ring,
-		TLSConfig:       &tls.Config{Certificates: []tls.Certificate{cert}},
-		CertRotateEvery: 100 * time.Millisecond,
-		CertLifetime:    time.Hour,
-		CertHosts:       []string{"127.0.0.1"},
-		OnCertRotate:    func(pem []byte) { rotated <- pem },
-	}
-	bound, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	addr := bound.String()
-
-	// A rotation-agnostic client (no pinning — rotation regenerates
-	// the key pair, so a pinned old PEM cannot verify the new cert;
-	// real deployments re-read the published PEM, which is what
-	// OnCertRotate exists for).
-	clientCfg := &tls.Config{InsecureSkipVerify: true}
-
-	if _, err := KeyExchange(addr, clientCfg, 5*time.Second); err != nil {
-		t.Fatalf("KE before rotation: %v", err)
-	}
-	before := peekCert(t, addr)
-
-	var pem []byte
-	select {
-	case pem = <-rotated:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no cert rotation within 5s")
-	}
-	if len(pem) == 0 {
-		t.Fatal("OnCertRotate got empty PEM")
-	}
-
-	after := peekCert(t, addr)
-	if after.SerialNumber.Cmp(before.SerialNumber) == 0 {
-		t.Error("certificate serial unchanged across rotation")
-	}
-	if !after.NotAfter.After(before.NotAfter) {
-		// CertLifetime (1h) from a later notBefore vs the initial
-		// 30-minute cert: expiry must roll forward.
-		t.Errorf("expiry did not roll forward: %v -> %v", before.NotAfter, after.NotAfter)
-	}
-	// The published PEM pins the current cert.
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(pem) {
-		t.Fatal("rotated PEM does not parse")
-	}
-	if _, err := KeyExchange(addr, &tls.Config{RootCAs: pool}, 5*time.Second); err != nil {
-		t.Fatalf("KE pinning the rotated cert: %v", err)
-	}
-	// Cookies minted across the cert rotation still come from the
-	// same ring: the client continues, no re-KE storm.
-	sess, err := KeyExchange(addr, clientCfg, 5*time.Second)
-	if err != nil {
-		t.Fatalf("KE after rotation: %v", err)
-	}
-	if sess.CookieCount() == 0 {
-		t.Fatal("no cookies after rotation")
-	}
-}
-
 // TestSetCertificateSwapsLive: an explicit SetCertificate (the SIGHUP
 // cert-reload path) changes what new handshakes see without a listen
 // restart.

@@ -37,9 +37,6 @@ type Server struct {
 	// NTPPort, if non-zero, is advertised in a Port Negotiation
 	// record; otherwise clients use the default NTP port.
 	NTPPort int
-	// Cookies is the number handed out per exchange (default
-	// nts.DefaultJarCapacity).
-	Cookies int
 	// RotateEvery, if positive, rotates the key ring on a timer for
 	// the lifetime of the server.
 	RotateEvery time.Duration
@@ -51,25 +48,6 @@ type Server struct {
 	// CheckpointErrors.
 	StatePath string
 	StateKey  []byte
-	// CertRotateEvery, if positive, regenerates the serving
-	// certificate on a timer: a fresh self-signed cert (lifetime
-	// CertLifetime, hosts CertHosts) is swapped in atomically — new
-	// handshakes pick it up, in-flight ones finish under the old one,
-	// and the listener never drops. Requires the TLSConfig to have
-	// carried static Certificates (the swap path); a caller-provided
-	// GetCertificate wins over rotation.
-	CertRotateEvery time.Duration
-	// CertLifetime is the rotated certificates' validity (default
-	// 2×CertRotateEvery, so a client that pinned the previous cert
-	// has a full rotation period of overlap).
-	CertLifetime time.Duration
-	// CertHosts are the rotated certificates' SANs (default the
-	// SelfSigned loopback set).
-	CertHosts []string
-	// OnCertRotate, if non-nil, is called with the PEM of each newly
-	// rotated certificate — cmd/ntpserver rewrites its -nts-cert-out
-	// file here so late-joining clients can pin the current cert.
-	OnCertRotate func(certPEM []byte)
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -101,8 +79,8 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	}
 	if cfg.GetCertificate == nil && len(cfg.Certificates) > 0 {
 		// Route certificate selection through the atomic holder so
-		// SetCertificate (and the rotate loop) can swap the serving
-		// cert under live handshakes without touching the listener.
+		// SetCertificate can swap the serving cert under live
+		// handshakes without touching the listener.
 		first := cfg.Certificates[0]
 		s.cert.Store(&first)
 		cfg.Certificates = nil
@@ -121,10 +99,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if s.RotateEvery > 0 {
 		s.wg.Add(1)
 		go s.rotateLoop()
-	}
-	if s.CertRotateEvery > 0 && s.cert.Load() != nil {
-		s.wg.Add(1)
-		go s.certRotateLoop()
 	}
 	return tcp.Addr(), nil
 }
@@ -228,36 +202,6 @@ func (s *Server) rotateLoop() {
 	}
 }
 
-// certRotateLoop regenerates the self-signed serving certificate on a
-// timer. Each rotation mints a fresh key pair with lifetime
-// CertLifetime (default 2×CertRotateEvery — a rotation period of
-// validity overlap for clients pinning the previous cert) and swaps
-// it into the holder; generation failures keep the current cert.
-func (s *Server) certRotateLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.CertRotateEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-			lifetime := s.CertLifetime
-			if lifetime <= 0 {
-				lifetime = 2 * s.CertRotateEvery
-			}
-			cert, certPEM, err := SelfSignedFor(time.Now(), lifetime, s.CertHosts...)
-			if err != nil {
-				continue
-			}
-			s.SetCertificate(cert)
-			if s.OnCertRotate != nil {
-				s.OnCertRotate(certPEM)
-			}
-		}
-	}
-}
-
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(connDeadline))
@@ -284,10 +228,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	n := s.Cookies
-	if n <= 0 {
-		n = nts.DefaultJarCapacity
-	}
 	var msg []byte
 	msg = appendUint16Record(msg, recNextProtocol, true, protocolNTPv4)
 	msg = appendUint16Record(msg, recAEADAlgorithm, true, nts.AEADAESSIVCMAC256)
@@ -297,7 +237,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if s.NTPPort != 0 {
 		msg = appendUint16Record(msg, recPortNegotiat, true, uint16(s.NTPPort))
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < nts.DefaultJarCapacity; i++ {
 		cookie, err := s.Ring.SealCookie(nts.AEADAESSIVCMAC256, c2s, s2c)
 		if err != nil {
 			s.writeError(tlsConn, errInternalServer)

@@ -1,7 +1,7 @@
 // Package population is a discrete-event fleet simulator: N mobile
 // NTP clients — each with a seeded wireless channel, an oscillator
-// clock (offset + skew, the internal/clock model), a mobility/suspend
-// schedule and a randomized poll interval — driven in virtual time
+// clock (offset + skew, the internal/clock model) and a randomized
+// poll interval — driven in virtual time
 // against either the simulated internal/netsim server pool or the
 // real sharded internal/ntpnet server over loopback UDP.
 //
@@ -70,10 +70,6 @@ type Upstream struct {
 	// an honest stratum server, hundreds of ms for a falseticker.
 	Err     time.Duration
 	Stratum uint8
-	// Visibility is the fraction of the population that can see this
-	// server (default 1). Partial visibility is the falseticker
-	// scenario's key ingredient.
-	Visibility float64
 }
 
 // Config parameterizes an Engine. Zero values select the defaults
@@ -85,9 +81,10 @@ type Config struct {
 
 	// Upstreams is the simulated server pool (ModeSim; required there).
 	Upstreams []Upstream
-	// VisibilityFn, if non-nil, overrides per-Upstream Visibility:
-	// it returns the visibility bitmask (bit i = Upstreams[i]) for
-	// one client, drawing any randomness from rng via Rand/RandFloat.
+	// VisibilityFn, if non-nil, returns the visibility bitmask (bit i
+	// = Upstreams[i]) for one client, drawing any randomness from rng
+	// via Rand/RandFloat; nil lets every client see every upstream.
+	// Partial visibility is the falseticker scenario's key ingredient.
 	VisibilityFn func(id int, rng *uint64) uint64
 
 	// PollBase is the regular poll interval (default 64s).
@@ -102,33 +99,12 @@ type Config struct {
 	// WarmupProbes is how many distinct visible servers a cold client
 	// samples before applying the median (default 3, the MNTP
 	// warm-up's falseticker defense; clamped to the visible count).
+	// No scenario sets it: TestWarmupMoreThanEightProbes raises it to
+	// guard the probe scratch against the visible count, not a fixed 8.
 	WarmupProbes int
 	// MaxBackoffShift caps the poll backoff after RATE/timeouts at
 	// PollBase << shift (default 2).
 	MaxBackoffShift uint8
-
-	// SuspendProb is the per-poll probability the device is asleep
-	// and skips the poll, drifting for an exponential gap of mean
-	// SuspendMean (default 10·PollBase when SuspendProb > 0).
-	SuspendProb float64
-	SuspendMean time.Duration
-
-	// SkewPPM bounds the per-client oscillator skew, drawn uniformly
-	// in ±SkewPPM (default 18, the clock package's default part).
-	SkewPPM float64
-	// InitialOffsetMax bounds the per-client cold-start clock error,
-	// uniform in ± (default 2s).
-	InitialOffsetMax time.Duration
-
-	// Channels is the wireless channel pool size (default 256,
-	// clamped to N). ChannelParams seeds the pool; its Seed field is
-	// re-derived per pooled channel.
-	Channels      int
-	ChannelParams wireless.Params
-
-	// BinWidth is the traffic-bin width for arrival shaping
-	// (default 1s).
-	BinWidth time.Duration
 
 	// Addr is the real server address (ModeUDP; required there).
 	Addr string
@@ -140,6 +116,21 @@ type Config struct {
 	// (default 250ms).
 	Quantum time.Duration
 }
+
+const (
+	// skewPPM bounds the per-client oscillator skew, drawn uniformly
+	// in ±skewPPM (the clock package's default part). Typed, so the
+	// draw multiplies in the order it would with a variable.
+	skewPPM float64 = 18
+	// initialOffsetMax bounds the per-client cold-start clock error,
+	// uniform in ±.
+	initialOffsetMax = 2 * time.Second
+	// maxChannels is the wireless channel pool size (fewer when N is
+	// smaller): distinct seeds, shared by N/maxChannels clients each.
+	maxChannels = 256
+	// binWidth is the traffic-bin width for arrival shaping.
+	binWidth = time.Second
+)
 
 func (c *Config) applyDefaults() error {
 	if c.N <= 0 {
@@ -153,24 +144,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.MaxBackoffShift == 0 {
 		c.MaxBackoffShift = 2
-	}
-	if c.SuspendProb > 0 && c.SuspendMean <= 0 {
-		c.SuspendMean = 10 * c.PollBase
-	}
-	if c.SkewPPM == 0 {
-		c.SkewPPM = 18
-	}
-	if c.InitialOffsetMax == 0 {
-		c.InitialOffsetMax = 2 * time.Second
-	}
-	if c.Channels <= 0 {
-		c.Channels = 256
-	}
-	if c.Channels > c.N {
-		c.Channels = c.N
-	}
-	if c.BinWidth <= 0 {
-		c.BinWidth = time.Second
 	}
 	switch c.Mode {
 	case ModeSim:
@@ -351,7 +324,6 @@ type Engine struct {
 	ok      uint64
 	rated   uint64
 	fails   uint64
-	susp    uint64
 	darkMax int
 
 	vc  *VClock
@@ -359,7 +331,7 @@ type Engine struct {
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
-// O(N·~60B + Channels·channel + bins).
+// O(N·~60B + maxChannels·channel + bins).
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -367,17 +339,14 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:  cfg,
 		f:    newFleet(cfg.N),
-		bins: newBins(int64(cfg.BinWidth)),
+		bins: newBins(int64(binWidth)),
 	}
 
-	// Pooled heterogeneous wireless channels: distinct seeds, shared
-	// by N/Channels clients each.
-	e.channels = make([]*wireless.Channel, cfg.Channels)
+	// Pooled heterogeneous wireless channels.
+	e.channels = make([]*wireless.Channel, min(maxChannels, cfg.N))
 	now := func() time.Duration { return time.Duration(e.vt) }
 	for i := range e.channels {
-		p := cfg.ChannelParams
-		p.Seed = cfg.Seed*1_000_003 + int64(i)
-		e.channels[i] = wireless.NewChannel(p, now)
+		e.channels[i] = wireless.NewChannel(wireless.Params{Seed: cfg.Seed*1_000_003 + int64(i)}, now)
 	}
 
 	if cfg.Mode == ModeSim {
@@ -402,9 +371,9 @@ func New(cfg Config) (*Engine, error) {
 		st := seed + uint64(i)*0x9e3779b97f4a7c15
 		Rand(&st) // decorrelate adjacent ids
 		e.f.rng[i] = st
-		e.f.offset[i] = (2*RandFloat(&e.f.rng[i]) - 1) * cfg.InitialOffsetMax.Seconds()
-		e.f.skew[i] = (2*RandFloat(&e.f.rng[i]) - 1) * cfg.SkewPPM * 1e-6
-		e.f.chanIdx[i] = uint32(i % cfg.Channels)
+		e.f.offset[i] = (2*RandFloat(&e.f.rng[i]) - 1) * initialOffsetMax.Seconds()
+		e.f.skew[i] = (2*RandFloat(&e.f.rng[i]) - 1) * skewPPM * 1e-6
+		e.f.chanIdx[i] = uint32(i % len(e.channels))
 		e.f.srvIdx[i] = -1
 		if cfg.Mode == ModeSim {
 			e.f.visMask[i] = e.visibility(i)
@@ -426,20 +395,7 @@ func (e *Engine) visibility(id int) uint64 {
 		}
 		return m
 	}
-	var m uint64
-	for i, u := range e.cfg.Upstreams {
-		v := u.Visibility
-		if v == 0 {
-			v = 1
-		}
-		if v >= 1 || RandFloat(&e.f.rng[id]) < v {
-			m |= 1 << uint(i)
-		}
-	}
-	if m == 0 {
-		m = 1 // a client must see something or it never syncs
-	}
-	return m
+	return ^uint64(0) >> (64 - len(e.cfg.Upstreams))
 }
 
 // engineClock exposes the engine's virtual true time as a
@@ -535,18 +491,6 @@ func (e *Engine) integrate(id int) {
 // stepSim runs one poll round for one client in ModeSim.
 func (e *Engine) stepSim(id int) {
 	e.integrate(id)
-
-	// Mobility/suspend: the device sleeps through this poll and
-	// drifts for an exponential gap.
-	if e.cfg.SuspendProb > 0 && RandFloat(&e.f.rng[id]) < e.cfg.SuspendProb {
-		e.susp++
-		gap := time.Duration(expDraw(&e.f.rng[id]) * float64(e.cfg.SuspendMean))
-		if gap < e.cfg.PollBase {
-			gap = e.cfg.PollBase
-		}
-		e.schedule(id, gap)
-		return
-	}
 
 	e.sent++
 	e.bins.sentAt(e.vt)
@@ -711,23 +655,14 @@ func (e *Engine) schedule(id int, after time.Duration) {
 	e.heaps[id&(nShards-1)].push(ev{at: e.vt + int64(after), id: int32(id)})
 }
 
-// expDraw samples a unit exponential from a client rng.
-func expDraw(s *uint64) float64 {
-	u := RandFloat(s)
-	if u <= 0 {
-		u = 1e-12
-	}
-	return -math.Log(u)
-}
-
 // Totals are the engine-wide exchange counters.
 type Totals struct {
-	Sent, OK, Rated, Fails, Suspends uint64
+	Sent, OK, Rated, Fails uint64
 }
 
 // Totals returns the aggregate exchange counters.
 func (e *Engine) Totals() Totals {
-	return Totals{Sent: e.sent, OK: e.ok, Rated: e.rated, Fails: e.fails, Suspends: e.susp}
+	return Totals{Sent: e.sent, OK: e.ok, Rated: e.rated, Fails: e.fails}
 }
 
 // RTT returns the exchange round-trip distribution recorded so far.

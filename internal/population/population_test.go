@@ -71,36 +71,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineSuspend: a heavy suspend schedule must register suspends
-// and reduce traffic versus an always-on fleet.
-func TestEngineSuspend(t *testing.T) {
-	base := simConfig(1000, 3)
-	e1, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withSusp := base
-	withSusp.SuspendProb = 0.5
-	withSusp.SuspendMean = 4 * base.PollBase
-	e2, err := New(withSusp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := 10 * 64 * time.Second
-	if err := e1.Run(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Run(h); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Totals().Suspends == 0 {
-		t.Fatal("suspending fleet recorded no suspends")
-	}
-	if e2.Totals().Sent >= e1.Totals().Sent {
-		t.Fatalf("suspending fleet sent %d ≥ always-on %d", e2.Totals().Sent, e1.Totals().Sent)
-	}
-}
-
 // TestEngineOutageHook: SetOutage via At must fail all polls during
 // the window and the fleet must recover afterwards.
 func TestEngineOutageHook(t *testing.T) {

@@ -22,11 +22,10 @@ type Report struct {
 	Mode           string  `json:"mode"`
 	VirtualSeconds float64 `json:"virtual_seconds"`
 
-	Sent     uint64 `json:"sent"`
-	Served   uint64 `json:"served"`
-	Rated    uint64 `json:"rated"`
-	Fails    uint64 `json:"fails"`
-	Suspends uint64 `json:"suspends,omitempty"`
+	Sent   uint64 `json:"sent"`
+	Served uint64 `json:"served"`
+	Rated  uint64 `json:"rated"`
+	Fails  uint64 `json:"fails"`
 
 	ServedClients int `json:"served_clients"`
 	RatedClients  int `json:"rated_clients,omitempty"`
@@ -66,7 +65,7 @@ func (r *Report) Violate(format string, args ...any) {
 
 func (r *Report) Finish(e *Engine, horizon time.Duration) {
 	t := e.Totals()
-	r.Sent, r.Served, r.Rated, r.Fails, r.Suspends = t.Sent, t.OK, t.Rated, t.Fails, t.Suspends
+	r.Sent, r.Served, r.Rated, r.Fails = t.Sent, t.OK, t.Rated, t.Fails
 	r.ServedClients = e.ServedClients()
 	r.RatedClients = e.RatedClients()
 	r.MaxDryStreak = e.MaxDryStreak()

@@ -25,13 +25,13 @@ type Config struct {
 	// random member per request, as mobile clients using
 	// 0.pool.ntp.org experience).
 	Server string
-	// Version is the NTP protocol version in requests (default 4).
-	Version uint8
 	// Retries is how many additional attempts follow a failed
 	// exchange within one Query call (Android uses 3; Windows Mobile
 	// 0).
 	Retries int
-	// RetryWait is the sleeper-provided pause between retries.
+	// RetryWait is the sleeper-provided pause between retries (default
+	// 2 s). No binary sets it: the retry tests over real sockets and
+	// fault transports shorten it to a millisecond to stay fast.
 	RetryWait time.Duration
 	// UpdateThreshold suppresses clock updates smaller than this
 	// magnitude (Android: 5000 ms — "updates the system time only if
@@ -63,9 +63,6 @@ type Client struct {
 
 // New creates an SNTP client with defaults applied.
 func New(clk clock.Clock, tr exchange.Transport, sl Sleeper, cfg Config) *Client {
-	if cfg.Version == 0 {
-		cfg.Version = ntppkt.Version4
-	}
 	if cfg.RetryWait == 0 {
 		cfg.RetryWait = 2 * time.Second
 	}
@@ -92,10 +89,10 @@ func WindowsMobileConfig(server string) Config {
 func (c *Client) Query() (exchange.Sample, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.Config.Retries; attempt++ {
-		if attempt > 0 && c.Sleeper != nil && c.Config.RetryWait > 0 {
+		if attempt > 0 && c.Sleeper != nil {
 			c.Sleeper.Sleep(c.Config.RetryWait)
 		}
-		s, err := exchange.Measure(c.Clock, c.Transport, c.Config.Server, c.Config.Version, true)
+		s, err := exchange.Measure(c.Clock, c.Transport, c.Config.Server, ntppkt.Version4, true)
 		if err == nil {
 			return s, nil
 		}

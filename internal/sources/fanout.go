@@ -142,7 +142,7 @@ func (p *Pool) query(i int) Outcome {
 // discarded.
 func (p *Pool) measure(server string) (exchange.Sample, error) {
 	if p.cfg.ExchangeTimeout <= 0 {
-		return exchange.Measure(p.clk, p.tr, server, p.cfg.Version, !p.cfg.FullNTP)
+		return exchange.Measure(p.clk, p.tr, server, ntppkt.Version4, !p.cfg.FullNTP)
 	}
 	type result struct {
 		s   exchange.Sample
@@ -150,7 +150,7 @@ func (p *Pool) measure(server string) (exchange.Sample, error) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		s, err := exchange.Measure(p.clk, p.tr, server, p.cfg.Version, !p.cfg.FullNTP)
+		s, err := exchange.Measure(p.clk, p.tr, server, ntppkt.Version4, !p.cfg.FullNTP)
 		ch <- result{s, err}
 	}()
 	timer := time.NewTimer(p.cfg.ExchangeTimeout)

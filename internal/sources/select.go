@@ -166,10 +166,10 @@ type Selection struct {
 
 // halfwidth is the correctness-interval halfwidth of a sample: half
 // the round-trip delay (the four-timestamp offset error bound) plus
-// the server's root distance contribution, floored at MinHalfwidth.
+// the server's root distance contribution, floored at minHalfwidth.
 func (p *Pool) halfwidth(s exchange.Sample) float64 {
 	h := s.Delay.Seconds()/2 + s.RootDelay.Seconds()/2 + s.RootDisp.Seconds()
-	if min := p.cfg.MinHalfwidth.Seconds(); h < min {
+	if min := minHalfwidth.Seconds(); h < min {
 		h = min
 	}
 	return h

@@ -46,42 +46,34 @@ type Config struct {
 	// applies. Zero relies on the transport alone. Leave zero in
 	// virtual-time simulations: the deadline timer runs in wall time.
 	ExchangeTimeout time.Duration
-	// Version is the NTP version in requests (default 4).
-	Version uint8
 	// FullNTP sends full client-shaped requests instead of minimal
 	// SNTP-shaped ones.
 	FullNTP bool
 	// KoDBaseHold is the hold-down applied to a source after its first
 	// kiss-of-death reply (default 1 h, ntpd-style demobilization).
-	// Repeated KoDs double the hold-down up to KoDMaxHold.
+	// Repeated KoDs double the hold-down up to kodMaxHold.
 	KoDBaseHold time.Duration
-	// KoDMaxHold caps the exponential hold-down (default 8 h).
-	KoDMaxHold time.Duration
 	// FailoverTries is how many additional ranked sources MeasureBest
 	// may try after a failed exchange within one call (default 0:
 	// failover then happens across rounds through re-ranking).
 	FailoverTries int
-	// MinHalfwidth floors the correctness-interval halfwidth used by
-	// selection (default 1 ms), so zero-delay in-memory exchanges
-	// still form intervals that can intersect.
-	MinHalfwidth time.Duration
 }
+
+const (
+	// kodMaxHold caps the exponential KoD hold-down.
+	kodMaxHold = 8 * time.Hour
+	// minHalfwidth floors the correctness-interval halfwidth used by
+	// selection, so zero-delay in-memory exchanges still form
+	// intervals that can intersect.
+	minHalfwidth = time.Millisecond
+)
 
 func (c *Config) applyDefaults() {
 	if c.Parallelism < 1 {
 		c.Parallelism = 1
 	}
-	if c.Version == 0 {
-		c.Version = ntppkt.Version4
-	}
 	if c.KoDBaseHold == 0 {
 		c.KoDBaseHold = time.Hour
-	}
-	if c.KoDMaxHold == 0 {
-		c.KoDMaxHold = 8 * time.Hour
-	}
-	if c.MinHalfwidth == 0 {
-		c.MinHalfwidth = time.Millisecond
 	}
 }
 
@@ -303,8 +295,8 @@ func (p *Pool) reportKoD(i int, now time.Time, err error) {
 	src.reach <<= 1
 	src.kodStreak++
 	hold := p.cfg.KoDBaseHold << uint(src.kodStreak-1)
-	if hold > p.cfg.KoDMaxHold || hold <= 0 {
-		hold = p.cfg.KoDMaxHold
+	if hold > kodMaxHold || hold <= 0 {
+		hold = kodMaxHold
 	}
 	src.kodUntil = now.Add(hold)
 	src.lastErr = err.Error()

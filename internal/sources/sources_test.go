@@ -149,7 +149,7 @@ func TestKoDExponentialHoldDown(t *testing.T) {
 		t.Errorf("streak = %d, want 2", st.KoDStreak)
 	}
 
-	// The exponential back-off caps at KoDMaxHold.
+	// The exponential back-off caps at kodMaxHold.
 	for i := 0; i < 12; i++ {
 		clk.Advance(9 * time.Hour)
 		p.ReportError("a", ntppkt.ErrKissOfDeath)

@@ -62,11 +62,6 @@ type Config struct {
 	// ClockConfig overrides the TN oscillator (zero value selects
 	// clock.DefaultConfig(Seed)).
 	ClockConfig *clock.Config
-	// PoolSize is the number of pool members (default 4).
-	PoolSize int
-	// CellularProfile overrides the 4G profile (zero value selects
-	// cellular.LTE2016()).
-	CellularProfile *cellular.Profile
 	// RTSCTS enables the 802.11 RTS/CTS handshake on the wireless
 	// channel (the paper ran with it disabled, §3.2).
 	RTSCTS bool
@@ -75,6 +70,9 @@ type Config struct {
 // PoolName is the pool address testbed clients query, standing in for
 // 0.pool.ntp.org.
 const PoolName = "0.pool.sim"
+
+// poolSize is the number of pool members.
+const poolSize = 4
 
 // Testbed is a constructed simulation instance.
 type Testbed struct {
@@ -90,9 +88,6 @@ type Testbed struct {
 
 // New builds the Figure 3 topology.
 func New(cfg Config) *Testbed {
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 4
-	}
 	sched := netsim.NewScheduler(Epoch)
 	truth := clock.NewTrue(Epoch, sched.Now)
 	net := netsim.NewNetwork(sched)
@@ -110,11 +105,7 @@ func New(cfg Config) *Testbed {
 		access = netsim.NewWiredPath(2*time.Millisecond, 500*time.Microsecond, 0, 0.0005, cfg.Seed^0x11)
 		tb.Hints = hints.AlwaysFavorable
 	case Cellular:
-		prof := cellular.LTE2016()
-		if cfg.CellularProfile != nil {
-			prof = *cfg.CellularProfile
-		}
-		access = cellular.NewPath(prof, cfg.Seed^0x22)
+		access = cellular.NewPath(cellular.LTE2016(), cfg.Seed^0x22)
 		// Cellular hints are favorable: MNTP's 802.11 gates do not
 		// apply; the §3.3 experiment measures SNTP only.
 		tb.Hints = hints.AlwaysFavorable
@@ -123,11 +114,11 @@ func New(cfg Config) *Testbed {
 	// Pool members: true-time servers behind per-server wired
 	// backbone segments of varying base delay, like pool.ntp.org
 	// members scattered across the Internet.
-	for i := 0; i < cfg.PoolSize; i++ {
+	for i := 0; i < poolSize; i++ {
 		srv := netsim.NewServer(poolMemberName(i), truth, 2, cfg.Seed*37+int64(i))
 		backbone := netsim.NewWiredPath(
 			time.Duration(6+5*i)*time.Millisecond, 1500*time.Microsecond,
-			time.Duration(i-cfg.PoolSize/2)*time.Millisecond, // mild per-path asymmetry
+			time.Duration(i-poolSize/2)*time.Millisecond, // mild per-path asymmetry
 			0.001, cfg.Seed*91+int64(i))
 		net.AddServer(srv, &netsim.CompositePath{Segments: []netsim.PathModel{access, backbone}})
 		tb.Members = append(tb.Members, srv)

@@ -125,21 +125,10 @@ func Emulate(tr *Trace, p core.Params) Result {
 	if len(tr.Records) == 0 {
 		return res
 	}
-	th := p.Thresholds
-	if (th == hints.Thresholds{}) {
-		th = hints.Default()
-	}
-	floor := p.ResidualFloor
-	if floor == 0 {
-		floor = 3 * time.Millisecond
-	}
-	minSamples := p.MinTrendSamples
-	if minSamples == 0 {
-		minSamples = 3
-	}
-	// Delay sanity gate, mirroring the live client: fixed when
-	// configured, otherwise adaptive to the smallest delay seen in
-	// the cycle. minDelay is reset per cycle below.
+	th := hints.Default()
+	// Delay sanity gate, mirroring the live client: adaptive to the
+	// smallest delay seen in the cycle. minDelay is reset per cycle
+	// below.
 	var minDelay time.Duration
 	delayOK := func(o OffsetObs) bool {
 		if o.Delay == 0 {
@@ -149,11 +138,7 @@ func Emulate(tr *Trace, p core.Params) Result {
 			minDelay = o.Delay
 			return true
 		}
-		gate := p.MaxSampleDelay
-		if gate == 0 {
-			gate = 3*minDelay + 30*time.Millisecond
-		}
-		return o.Delay <= gate
+		return o.Delay <= 3*minDelay+30*time.Millisecond
 	}
 
 	// A record yields at most one corrected offset and samples is one
@@ -173,7 +158,7 @@ func Emulate(tr *Trace, p core.Params) Result {
 
 	for i < n {
 		cycleStart := tr.Records[i].Elapsed
-		filter := core.NewFilterKind(p.Estimator, p.EstimatorWindow, floor, minSamples)
+		filter := core.NewFilterKind(p.Estimator, p.EstimatorWindow, core.ResidualFloor, core.MinTrendSamples)
 		minDelay = 0
 
 		// Warm-up phase.

@@ -33,59 +33,9 @@ import (
 	"mntp/internal/netsim"
 )
 
-// Params configures a Channel. Zero values select the defaults noted
-// on each field (applied by NewChannel).
+// Params selects one realization of the channel model. The model
+// itself is fixed: its calibration is the constant block below.
 type Params struct {
-	// TxPowerDBm is the WAP transmit power (default 20 dBm, the legal
-	// indoor maximum the testbed starts from).
-	TxPowerDBm float64
-	// PathLossDB is the static path loss between WAP and client
-	// (default 75 dB, a same-room 5 GHz link).
-	PathLossDB float64
-	// ShadowSigmaDB is the stationary standard deviation of shadow
-	// fading (default 3.5 dB).
-	ShadowSigmaDB float64
-	// ShadowTau is the shadowing correlation time (default 25 s).
-	ShadowTau time.Duration
-	// FastSigmaDB is per-reading measurement jitter on hints
-	// (default 1 dB).
-	FastSigmaDB float64
-	// NoiseFloorDBm is the quiet-channel noise level (default −93 dBm).
-	NoiseFloorDBm float64
-	// BurstNoiseDBm is the mean noise level during an interference
-	// burst (default −67 dBm — above the paper's −70 dBm gate).
-	BurstNoiseDBm float64
-	// BurstRatePerMin is the quiet-channel burst arrival rate
-	// (default 0.25/min).
-	BurstRatePerMin float64
-	// BurstLoadRatePerMin is the extra burst rate at full occupancy
-	// (default 2.2/min).
-	BurstLoadRatePerMin float64
-	// BurstMean is the mean burst duration (default 14 s).
-	BurstMean time.Duration
-	// AmbientLoad is the baseline medium occupancy without injected
-	// cross traffic (default 0.08).
-	AmbientLoad float64
-	// LoadNoiseDB couples medium occupancy into the measured noise
-	// level: co-channel traffic raises the noise indication by
-	// LoadNoiseDB·occupancy dB above the floor (default 34 dB — a
-	// saturated channel reads ≈ −60 dBm). This is what makes heavy
-	// cross traffic visible to MNTP's hints, as it was on the paper's
-	// testbed.
-	LoadNoiseDB float64
-	// BaseDelay is the uncontended access delay (default 3 ms).
-	BaseDelay time.Duration
-	// QueueScale scales occupancy-driven queueing delay (default
-	// 45 ms): mean queue wait = QueueScale·ρ/(1−ρ).
-	QueueScale time.Duration
-	// RetrySlot is the mean per-retry penalty when SNR is poor
-	// (default 22 ms).
-	RetrySlot time.Duration
-	// MaxDelay is the tail-drop bound: a packet whose access delay
-	// would exceed it is dropped instead (finite queue; default
-	// 1.1 s, matching the ~1 s worst offsets of the paper's
-	// uncorrected wireless runs).
-	MaxDelay time.Duration
 	// RTSCTS enables the RTS/CTS handshake. The paper disabled it and
 	// notes "given the introduction of additional variable delays due
 	// to RTS/CTS, we would expect the performance of SNTP to be even
@@ -97,34 +47,53 @@ type Params struct {
 	Seed int64
 }
 
-func (p *Params) applyDefaults() {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	defDur := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&p.TxPowerDBm, 20)
-	def(&p.PathLossDB, 75)
-	def(&p.ShadowSigmaDB, 3.5)
-	defDur(&p.ShadowTau, 25*time.Second)
-	def(&p.FastSigmaDB, 1)
-	def(&p.NoiseFloorDBm, -93)
-	def(&p.BurstNoiseDBm, -67)
-	def(&p.BurstRatePerMin, 0.25)
-	def(&p.BurstLoadRatePerMin, 2.2)
-	defDur(&p.BurstMean, 14*time.Second)
-	def(&p.AmbientLoad, 0.08)
-	def(&p.LoadNoiseDB, 34)
-	defDur(&p.BaseDelay, 3*time.Millisecond)
-	defDur(&p.QueueScale, 45*time.Millisecond)
-	defDur(&p.RetrySlot, 22*time.Millisecond)
-	defDur(&p.MaxDelay, 1100*time.Millisecond)
-}
+// The channel's calibration. The float64 ones are typed so that every
+// expression they enter rounds as it would with a variable operand.
+const (
+	// txPowerDBm is the WAP transmit power the testbed starts from
+	// (the legal indoor maximum).
+	txPowerDBm float64 = 20
+	// pathLossDB is the static path loss between WAP and client (a
+	// same-room 5 GHz link).
+	pathLossDB float64 = 75
+	// shadowSigmaDB is the stationary standard deviation of shadow
+	// fading and shadowTau its correlation time.
+	shadowSigmaDB float64 = 3.5
+	shadowTau             = 25 * time.Second
+	// fastSigmaDB is per-reading measurement jitter on hints.
+	fastSigmaDB float64 = 1
+	// noiseFloorDBm is the quiet-channel noise level.
+	noiseFloorDBm float64 = -93
+	// burstNoiseDBm is the mean noise level during an interference
+	// burst — above the paper's −70 dBm gate.
+	burstNoiseDBm float64 = -67
+	// burstRatePerMin is the quiet-channel burst arrival rate,
+	// burstLoadRatePerMin the extra rate at full occupancy and
+	// burstMean the mean burst duration.
+	burstRatePerMin     float64 = 0.25
+	burstLoadRatePerMin float64 = 2.2
+	burstMean                   = 14 * time.Second
+	// ambientLoad is the baseline medium occupancy without injected
+	// cross traffic.
+	ambientLoad float64 = 0.08
+	// loadNoiseDB couples medium occupancy into the measured noise
+	// level: co-channel traffic raises the noise indication by
+	// loadNoiseDB·occupancy dB above the floor (a saturated channel
+	// reads ≈ −60 dBm). This is what makes heavy cross traffic visible
+	// to MNTP's hints, as it was on the paper's testbed.
+	loadNoiseDB float64 = 34
+	// baseDelay is the uncontended access delay.
+	baseDelay = 3 * time.Millisecond
+	// queueScale scales occupancy-driven queueing delay: mean queue
+	// wait = queueScale·ρ/(1−ρ).
+	queueScale = 45 * time.Millisecond
+	// retrySlot is the mean per-retry penalty when SNR is poor.
+	retrySlot = 22 * time.Millisecond
+	// maxDelay is the tail-drop bound: a packet whose access delay
+	// would exceed it is dropped instead (finite queue; matches the
+	// ~1 s worst offsets of the paper's uncorrected wireless runs).
+	maxDelay = 1100 * time.Millisecond
+)
 
 // quantum is the state-integration step; quantumSec is it in seconds.
 const (
@@ -152,27 +121,26 @@ type Channel struct {
 	txPower    float64
 	load       float64 // injected cross-traffic occupancy 0..1
 
-	// Per-quantum constants of the state integration, fixed by p.
-	shadowKeep    float64 // OU decay exp(−quantum/ShadowTau)
-	shadowKick    float64 // OU innovation scale ShadowSigmaDB·√(1−keep²)
-	burstExitProb float64 // quantum/BurstMean
+	// Per-quantum constants of the state integration.
+	shadowKeep    float64 // OU decay exp(−quantum/shadowTau)
+	shadowKick    float64 // OU innovation scale shadowSigmaDB·√(1−keep²)
+	burstExitProb float64 // quantum/burstMean
 }
 
 // NewChannel creates a channel over the given virtual time source.
 func NewChannel(p Params, timeNow func() time.Duration) *Channel {
-	p.applyDefaults()
-	keep := math.Exp(-quantumSec / p.ShadowTau.Seconds())
+	keep := math.Exp(-quantumSec / shadowTau.Seconds())
 	return &Channel{
 		p:       p,
 		timeNow: timeNow,
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		pktRng:  rand.New(rand.NewSource(p.Seed ^ 0x7f4a7c15_9e3779b9)),
 		obsRng:  rand.New(rand.NewSource(p.Seed ^ 0x4c957f2d_5851f42d)),
-		txPower: p.TxPowerDBm,
+		txPower: txPowerDBm,
 
 		shadowKeep:    keep,
-		shadowKick:    p.ShadowSigmaDB * math.Sqrt(1-keep*keep),
-		burstExitProb: quantumSec / p.BurstMean.Seconds(),
+		shadowKick:    shadowSigmaDB * math.Sqrt(1-keep*keep),
+		burstExitProb: quantumSec / burstMean.Seconds(),
 	}
 }
 
@@ -187,10 +155,10 @@ func (c *Channel) advanceTo(t time.Duration) {
 				c.inBurst = false
 			}
 		} else {
-			ratePerSec := (c.p.BurstRatePerMin + c.p.BurstLoadRatePerMin*c.occupancyLocked()) / 60
+			ratePerSec := (burstRatePerMin + burstLoadRatePerMin*c.occupancyLocked()) / 60
 			if c.rng.Float64() < ratePerSec*quantumSec {
 				c.inBurst = true
-				c.burstNoise = c.p.BurstNoiseDBm + 2*c.rng.NormFloat64()
+				c.burstNoise = burstNoiseDBm + 2*c.rng.NormFloat64()
 			}
 		}
 		c.last += quantum
@@ -199,7 +167,7 @@ func (c *Channel) advanceTo(t time.Duration) {
 
 // occupancyLocked returns total medium occupancy in [0, 0.97].
 func (c *Channel) occupancyLocked() float64 {
-	rho := c.p.AmbientLoad + c.load
+	rho := ambientLoad + c.load
 	if rho > 0.97 {
 		rho = 0.97
 	}
@@ -210,13 +178,13 @@ func (c *Channel) occupancyLocked() float64 {
 }
 
 // rssiLocked returns the current mean RSSI (no measurement jitter).
-func (c *Channel) rssiLocked() float64 { return c.txPower - c.p.PathLossDB + c.shadow }
+func (c *Channel) rssiLocked() float64 { return c.txPower - pathLossDB + c.shadow }
 
 // noiseLocked returns the current mean noise level: the quiet floor
 // raised by occupancy-coupled co-channel interference, or the burst
 // level during an interference burst, whichever is louder.
 func (c *Channel) noiseLocked() float64 {
-	n := c.p.NoiseFloorDBm + c.p.LoadNoiseDB*c.occupancyLocked()
+	n := noiseFloorDBm + loadNoiseDB*c.occupancyLocked()
 	if c.inBurst && c.burstNoise > n {
 		return c.burstNoise
 	}
@@ -230,8 +198,8 @@ func (c *Channel) Hints() hints.Hints {
 	defer c.mu.Unlock()
 	c.advanceTo(c.timeNow())
 	return hints.Hints{
-		RSSI:  c.rssiLocked() + c.p.FastSigmaDB*c.obsRng.NormFloat64(),
-		Noise: c.noiseLocked() + 0.5*c.p.FastSigmaDB*c.obsRng.NormFloat64(),
+		RSSI:  c.rssiLocked() + fastSigmaDB*c.obsRng.NormFloat64(),
+		Noise: c.noiseLocked() + 0.5*fastSigmaDB*c.obsRng.NormFloat64(),
 	}
 }
 
@@ -330,7 +298,7 @@ func (c *Channel) SampleOneWay(now time.Duration, _ netsim.Direction) (time.Dura
 	// Delay: base + per-packet jitter + occupancy queueing + SNR
 	// retries + rare heavy spikes when the channel is both busy and
 	// noisy (queue buildup behind retransmissions).
-	d := c.p.BaseDelay
+	d := baseDelay
 	d += time.Duration(c.pktRng.ExpFloat64() * float64(2*time.Millisecond))
 	if c.p.RTSCTS {
 		// RTS/CTS reservation: a fixed handshake plus a variable wait
@@ -340,7 +308,7 @@ func (c *Channel) SampleOneWay(now time.Duration, _ netsim.Direction) (time.Dura
 		d += time.Duration(c.pktRng.ExpFloat64() * float64(14*time.Millisecond) * rho / (1 - rho))
 	}
 	if rho > 0.05 {
-		mean := float64(c.p.QueueScale) * rho / (1 - rho)
+		mean := float64(queueScale) * rho / (1 - rho)
 		d += time.Duration(c.pktRng.ExpFloat64() * mean)
 	}
 	if snr < 22 {
@@ -350,13 +318,13 @@ func (c *Channel) SampleOneWay(now time.Duration, _ netsim.Direction) (time.Dura
 			pRetry = 0.85
 		}
 		for retries := 0; retries < 7 && c.pktRng.Float64() < pRetry; retries++ {
-			d += time.Duration((0.5 + c.pktRng.Float64()) * float64(c.p.RetrySlot))
+			d += time.Duration((0.5 + c.pktRng.Float64()) * float64(retrySlot))
 		}
 	}
 	if rho > 0.5 && snr < 22 && c.pktRng.Float64() < 0.22 {
 		d += time.Duration(c.pktRng.ExpFloat64() * float64(200*time.Millisecond))
 	}
-	if d > c.p.MaxDelay {
+	if d > maxDelay {
 		return 0, true // tail drop: the queue is finite
 	}
 	return d, false

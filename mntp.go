@@ -43,7 +43,7 @@ type (
 	// Client runs Algorithm 1 over any transport and hint provider.
 	Client = core.Client
 	// Params are MNTP's tunables (warm-up/regular cadence, reset
-	// period, channel thresholds, ablation switches).
+	// period, source and discipline settings, ablation switches).
 	Params = core.Params
 	// Event is one observable algorithm step.
 	Event = core.Event
@@ -113,12 +113,7 @@ type (
 	Hints = hints.Hints
 	// HintProvider supplies channel hints.
 	HintProvider = hints.Provider
-	// Thresholds are the favorable-channel gates.
-	Thresholds = hints.Thresholds
 )
-
-// DefaultThresholds returns the paper's §4.2 baseline thresholds.
-var DefaultThresholds = hints.Default
 
 // Baselines.
 type (
