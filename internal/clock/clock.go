@@ -102,9 +102,10 @@ type Sim struct {
 	offset   float64       // seconds of error at lastTrue
 	wander   float64       // accumulated random-walk frequency (s/s)
 	adjFreq  float64       // applied frequency correction (s/s)
-	// wanderStep is the random-walk standard deviation of one quantum
-	// (s/s), fixed by cfg.
-	wanderStep float64
+	// Fixed by cfg: the random-walk standard deviation of one quantum,
+	// the constant skew and the temperature coefficient (all s/s), and
+	// the temperature period in ns, zero when the term is off.
+	wanderStep, skew, tempCoeff, tempPeriod float64
 }
 
 // NewSim creates a simulated clock. trueNow must return monotonically
@@ -112,48 +113,49 @@ type Sim struct {
 // the returned wall-clock times.
 func NewSim(cfg Config, epoch time.Time, trueNow func() time.Duration) *Sim {
 	wanderPerSqrtSec := cfg.WanderPPMPerSqrtHour * 1e-6 / math.Sqrt(3600)
-	return &Sim{
+	s := &Sim{
 		cfg:        cfg,
 		trueNow:    trueNow,
 		epoch:      epoch,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		offset:     cfg.InitialOffset.Seconds(),
 		wanderStep: wanderPerSqrtSec * math.Sqrt(quantum.Seconds()),
+		skew:       cfg.SkewPPM * 1e-6,
+		tempCoeff:  cfg.TempCoeffPPMPerC * 1e-6,
 	}
+	if cfg.TempAmplitudeC != 0 && cfg.TempPeriod > 0 && cfg.TempCoeffPPMPerC != 0 {
+		s.tempPeriod = float64(cfg.TempPeriod)
+	}
+	return s
 }
 
 // advanceTo integrates the oscillator state forward to true time t.
 // Must be called with mu held.
 func (s *Sim) advanceTo(t time.Duration) {
-	if t <= s.lastTrue {
-		return
-	}
 	for s.lastTrue < t {
-		step := quantum
-		if rem := t - s.lastTrue; rem < step {
-			step = rem
+		// Frequency error during this step; the goldens pin the order.
+		freq := s.skew + s.wander + s.tempFreq(s.lastTrue) + s.adjFreq
+		if rem := t - s.lastTrue; rem < quantum {
+			s.offset += freq * rem.Seconds()
+			s.lastTrue = t
+			return
 		}
-		dt := step.Seconds()
-		// Frequency error during this step.
-		freq := s.cfg.SkewPPM*1e-6 + s.wander + s.tempFreq(s.lastTrue) + s.adjFreq
-		s.offset += freq * dt
-		// Random-walk the wander once per full quantum.
-		if step == quantum {
-			s.wander += s.wanderStep * s.rng.NormFloat64()
-		}
-		s.lastTrue += step
+		// A full quantum lasts exactly 1.0 s, so freq is its offset gain
+		// bit for bit; each takes one random-walk draw.
+		s.offset += freq
+		s.wander += s.wanderStep * s.rng.NormFloat64()
+		s.lastTrue += quantum
 	}
 }
 
 // tempFreq returns the temperature-induced frequency error at true
 // time t.
 func (s *Sim) tempFreq(t time.Duration) float64 {
-	if s.cfg.TempAmplitudeC == 0 || s.cfg.TempPeriod <= 0 || s.cfg.TempCoeffPPMPerC == 0 {
+	if s.tempPeriod == 0 {
 		return 0
 	}
-	phase := 2 * math.Pi * float64(t) / float64(s.cfg.TempPeriod)
-	tempDelta := s.cfg.TempAmplitudeC * math.Sin(phase)
-	return s.cfg.TempCoeffPPMPerC * 1e-6 * tempDelta
+	phase := 2 * math.Pi * float64(t) / s.tempPeriod
+	return s.tempCoeff * (s.cfg.TempAmplitudeC * math.Sin(phase))
 }
 
 // Now returns the clock's current indication: epoch + true elapsed +
@@ -208,7 +210,7 @@ func (s *Sim) RawFreqError() float64 {
 	defer s.mu.Unlock()
 	t := s.trueNow()
 	s.advanceTo(t)
-	return s.cfg.SkewPPM*1e-6 + s.wander + s.tempFreq(t)
+	return s.skew + s.wander + s.tempFreq(t)
 }
 
 // True is a perfect reference clock: it indicates exactly epoch + true

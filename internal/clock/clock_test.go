@@ -2,6 +2,8 @@ package clock
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -181,5 +183,137 @@ func TestQuickSkewLinearity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refSim is Sim's oscillator state with advanceTo and tempFreq as they
+// stood before the loop invariants were hoisted: every step recomputes
+// the skew product, tests the temperature configuration and multiplies
+// by the step length. It is the reference the hoisted loop is held to.
+type refSim struct {
+	cfg        Config
+	rng        *rand.Rand
+	lastTrue   time.Duration
+	offset     float64
+	wander     float64
+	adjFreq    float64
+	wanderStep float64
+}
+
+func (s *refSim) advanceTo(t time.Duration) {
+	if t <= s.lastTrue {
+		return
+	}
+	for s.lastTrue < t {
+		step := quantum
+		if rem := t - s.lastTrue; rem < step {
+			step = rem
+		}
+		dt := step.Seconds()
+		// Frequency error during this step.
+		freq := s.cfg.SkewPPM*1e-6 + s.wander + s.tempFreq(s.lastTrue) + s.adjFreq
+		s.offset += freq * dt
+		// Random-walk the wander once per full quantum.
+		if step == quantum {
+			s.wander += s.wanderStep * s.rng.NormFloat64()
+		}
+		s.lastTrue += step
+	}
+}
+
+func (s *refSim) tempFreq(t time.Duration) float64 {
+	if s.cfg.TempAmplitudeC == 0 || s.cfg.TempPeriod <= 0 || s.cfg.TempCoeffPPMPerC == 0 {
+		return 0
+	}
+	phase := 2 * math.Pi * float64(t) / float64(s.cfg.TempPeriod)
+	tempDelta := s.cfg.TempAmplitudeC * math.Sin(phase)
+	return s.cfg.TempCoeffPPMPerC * 1e-6 * tempDelta
+}
+
+// TestAdvanceMatchesReference drives a Sim and the reference through
+// the same seeded read patterns — reads inside a quantum, jumps over
+// several, reads landing exactly on a quantum edge, steps and frequency
+// trims in between, with the temperature term and the wander each on
+// and off — and requires the same state bit for bit and the same next
+// random draw.
+func TestAdvanceMatchesReference(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("a fused multiply-add may legally round the two loops differently; the goldens are amd64's")
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		plan := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig(seed)
+		cfg.InitialOffset = time.Duration(plan.Intn(2000)-1000) * time.Microsecond
+		cfg.SkewPPM = plan.Float64()*80 - 40
+		switch seed % 4 {
+		case 1:
+			cfg.TempAmplitudeC = 0
+		case 2:
+			cfg.WanderPPMPerSqrtHour = 0
+		case 3:
+			cfg.TempPeriod = 0
+			cfg.WanderPPMPerSqrtHour = 0
+		}
+		mt := &manualTime{}
+		c := NewSim(cfg, epoch, mt.now)
+		ref := &refSim{
+			cfg:        cfg,
+			rng:        rand.New(rand.NewSource(cfg.Seed)),
+			offset:     cfg.InitialOffset.Seconds(),
+			wanderStep: c.wanderStep,
+		}
+		for i := 0; i < 1000; i++ {
+			switch plan.Intn(5) {
+			case 0: // no time passes
+			case 1: // inside a quantum
+				mt.t += time.Duration(1 + plan.Int63n(int64(quantum)-1))
+			case 2: // over several quanta, ending inside one
+				mt.t += time.Duration(plan.Int63n(int64(12 * quantum)))
+			case 3: // exactly onto a quantum edge of the integrated state
+				mt.t = c.lastTrue + time.Duration(1+plan.Intn(4))*quantum
+			case 4: // a long idle stretch
+				mt.t += time.Duration(plan.Int63n(int64(10 * time.Minute)))
+			}
+			switch plan.Intn(6) {
+			case 0:
+				d := time.Duration(plan.Intn(2000)-1000) * time.Microsecond
+				c.Step(d)
+				ref.advanceTo(mt.t)
+				ref.offset += d.Seconds()
+			case 1:
+				f := (plan.Float64() - 0.5) * 100e-6
+				c.AdjustFreq(f)
+				ref.advanceTo(mt.t)
+				ref.adjFreq = f
+			case 2:
+				c.TrueOffset()
+				ref.advanceTo(mt.t)
+			default:
+				c.Now()
+				ref.advanceTo(mt.t)
+			}
+			if math.Float64bits(c.offset) != math.Float64bits(ref.offset) ||
+				math.Float64bits(c.wander) != math.Float64bits(ref.wander) ||
+				c.lastTrue != ref.lastTrue {
+				t.Fatalf("seed %d op %d at %v: offset %v wander %v lastTrue %v, reference %v %v %v",
+					seed, i, mt.t, c.offset, c.wander, c.lastTrue, ref.offset, ref.wander, ref.lastTrue)
+			}
+		}
+		if got, want := c.rng.Int63(), ref.rng.Int63(); got != want {
+			t.Fatalf("seed %d: next draw %d, reference %d", seed, got, want)
+		}
+	}
+}
+
+// BenchmarkSimAdvance prices one simulated second of the default
+// oscillator inside advanceTo — a sine, a normal draw and the sums
+// around them: the clock is read once a minute, so the per-read cost
+// (mutex, time arithmetic) is a sixtieth of an op.
+func BenchmarkSimAdvance(b *testing.B) {
+	mt := &manualTime{}
+	c := NewSim(DefaultConfig(1), epoch, mt.now)
+	for i := 0; i < b.N; i += 60 {
+		mt.t += time.Minute
+		c.Now()
 	}
 }

@@ -11,8 +11,9 @@
 // fixed seed.
 //
 // Two parties advance virtual time, never at once. The scheduler does
-// when it pops an event. A process does, from inside Sleep and on its
-// own goroutine, when it is provably what the scheduler would run next:
+// when it pops an event. A process does, from inside Sleep and without
+// giving up control, when it is provably what the scheduler would run
+// next:
 //
 //  1. every queued event is strictly later than the wake-up instant (an
 //     event at that very instant was scheduled earlier and fires first),
@@ -23,8 +24,9 @@
 //
 // Otherwise the process queues its wake-up and hands control back. The
 // order of events, their timestamps and so every seeded output are the
-// same either way; the shortcut only spares the two goroutine switches
-// of handing control to a scheduler that would hand it straight back.
+// same either way; the shortcut only spares the park and resume (see
+// handoff) of handing control to a scheduler that would hand it
+// straight back.
 package netsim
 
 import "time"
@@ -141,8 +143,7 @@ func (s *Scheduler) fire() {
 		ev.fn()
 		return
 	}
-	ev.p.resume <- struct{}{}
-	<-ev.p.parked
+	ev.p.resume()
 }
 
 // Pending returns the number of scheduled events.
@@ -206,32 +207,26 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Proc is a cooperative blocking process: a goroutine that runs
-// protocol code in ordinary sequential style, suspending on Sleep
-// while virtual time advances. Exactly one goroutine (a Proc or the
-// scheduler) executes at any moment, so simulations remain
-// deterministic: while a process runs, the scheduler goroutine is
-// blocked inside the event that resumed it, and the channel handshake
-// that passes control orders every write of one before every read of
-// the other. That is what lets a process that is next in line anyway
-// advance the scheduler's clock itself (see Sleep).
+// Proc is a cooperative blocking process: protocol code in ordinary
+// sequential style on a stack of its own, suspending on Sleep while
+// virtual time advances. Exactly one party (a Proc or the scheduler)
+// executes at any moment, so simulations remain deterministic: while a
+// process runs, the scheduler is blocked inside the event that resumed
+// it, and the hand-off that passes control orders every write of one
+// before every read of the other. That is what lets a process that is
+// next in line anyway advance the scheduler's clock itself (see Sleep).
 type Proc struct {
-	s      *Scheduler
-	resume chan struct{}
-	parked chan struct{}
-	stop   bool
+	s *Scheduler
+	handoff
+	stop bool
 }
 
 // Go starts fn as a process at the current virtual time. Run (or
 // RunUntil past the start time) must be called for it to execute.
 func (s *Scheduler) Go(fn func(p *Proc)) {
-	p := &Proc{
-		s:      s,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{s: s}
 	s.After(0, func() {
-		go func() {
+		p.start(func() {
 			defer func() {
 				// Convert a procStopped unwind into a clean exit;
 				// other panics propagate. recover must be called
@@ -241,11 +236,9 @@ func (s *Scheduler) Go(fn func(p *Proc)) {
 						panic(r)
 					}
 				}
-				p.parked <- struct{}{} // final park: process exited
 			}()
 			fn(p)
-		}()
-		<-p.parked
+		})
 	})
 }
 
@@ -255,8 +248,8 @@ func (s *Scheduler) Go(fn func(p *Proc)) {
 // When nothing else is due up to and including the wake-up instant and
 // that instant is within the horizon of the running Run or RunUntil,
 // the scheduler's next act would be to resume this very process, so
-// Sleep moves the clock there and returns without leaving its
-// goroutine. Otherwise it queues the wake-up and parks.
+// Sleep moves the clock there and returns without giving up control.
+// Otherwise it queues the wake-up and parks.
 func (p *Proc) Sleep(d time.Duration) {
 	if p.stop {
 		// A stopped process must unwind; sleeping forever would
@@ -271,8 +264,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	s.events.push(event{at: wake, seq: s.seq, p: p})
-	p.parked <- struct{}{}
-	<-p.resume
+	p.park()
 	if p.stop {
 		// Stopped while sleeping: unwind instead of returning into
 		// the protocol loop.
@@ -289,9 +281,8 @@ func (p *Proc) WallNow() time.Time { return p.s.WallNow() }
 // Scheduler returns the owning scheduler.
 func (p *Proc) Scheduler() *Scheduler { return p.s }
 
-// Stop marks the process as stopped; its next Sleep unwinds the
-// goroutine. Protocol loops structured as "for { work; Sleep }"
-// terminate cleanly.
+// Stop marks the process as stopped; its next Sleep unwinds it.
+// Protocol loops structured as "for { work; Sleep }" terminate cleanly.
 func (p *Proc) Stop() { p.stop = true }
 
 type procStopped struct{}

@@ -87,19 +87,17 @@ func NewPool(name string, members []*Server, seed int64) *Pool {
 	return &Pool{Name: name, Members: members, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Pick returns a random member.
-func (p *Pool) Pick() *Server {
-	return p.Members[p.rng.Intn(len(p.Members))]
-}
+// pick draws the index of a random member.
+func (p *Pool) pick() int { return p.rng.Intn(len(p.Members)) }
 
 // Network wires names to servers/pools and paths, and implements the
 // simulated Exchange. A Network belongs to one client host: the paths
 // are the client's paths.
 type Network struct {
-	sched   *Scheduler
-	servers map[string]*Server
-	pools   map[string]*Pool
-	paths   map[string]PathModel
+	sched *Scheduler
+	// routes has one entry per server and pool name, so that an
+	// exchange looks its name up once.
+	routes map[string]*route
 	// Timeout is how long a client waits before declaring a request
 	// lost. The default matches common SNTP client settings.
 	Timeout time.Duration
@@ -107,51 +105,71 @@ type Network struct {
 	Sent, Lost int
 }
 
+// route is where a name leads: to a server over the client's path to
+// it (nil: unreachable), or through a pool to the route of a member.
+type route struct {
+	srv     *Server
+	path    PathModel
+	pool    *Pool
+	members []*route // of pool.Members, in order
+}
+
 // NewNetwork creates an empty network over the scheduler.
 func NewNetwork(sched *Scheduler) *Network {
-	return &Network{
-		sched:   sched,
-		servers: make(map[string]*Server),
-		pools:   make(map[string]*Pool),
-		paths:   make(map[string]PathModel),
-		Timeout: 2 * time.Second,
+	return &Network{sched: sched, routes: make(map[string]*route), Timeout: 2 * time.Second}
+}
+
+// serverRoute returns the route of s's name, making s its server if
+// the name is new.
+func (n *Network) serverRoute(s *Server) *route {
+	r := n.routes[s.Name]
+	if r == nil {
+		r = &route{srv: s}
+		n.routes[s.Name] = r
 	}
+	return r
 }
 
 // AddServer registers a server with its path. A server added with a
 // nil path (or only as a pool member) is unreachable: Exchange reports
 // no path and a Ping is lost.
 func (n *Network) AddServer(s *Server, path PathModel) {
-	n.servers[s.Name] = s
+	r := n.serverRoute(s)
+	r.srv = s
 	if path != nil {
-		n.paths[s.Name] = path
+		r.path = path
 	}
 }
 
 // AddPool registers a pool name resolving to its members. Members must
 // also be added as servers (AddServer) to receive paths.
 func (n *Network) AddPool(p *Pool) {
-	n.pools[p.Name] = p
+	r := &route{pool: p}
 	for _, m := range p.Members {
-		if _, ok := n.servers[m.Name]; !ok {
-			n.servers[m.Name] = m
-		}
+		r.members = append(r.members, n.serverRoute(m))
 	}
+	n.routes[p.Name] = r
 }
 
 // Resolve maps a name to a concrete server, picking a pool member if
 // the name is a pool.
 func (n *Network) Resolve(name string) (*Server, error) {
-	if p, ok := n.pools[name]; ok {
-		return p.Pick(), nil
-	}
-	if s, ok := n.servers[name]; ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("netsim: unknown server %q", name)
+	srv, _, err := n.lookup(name)
+	return srv, err
 }
 
-func (n *Network) pathFor(server string) PathModel { return n.paths[server] }
+// lookup is Resolve that also returns the path to the server, if any.
+func (n *Network) lookup(name string) (*Server, PathModel, error) {
+	r := n.routes[name]
+	if r == nil {
+		return nil, nil, fmt.Errorf("netsim: unknown server %q", name)
+	}
+	if r.pool != nil {
+		i := r.pool.pick()
+		return r.pool.Members[i], r.members[i].path, nil
+	}
+	return r.srv, r.path, nil
+}
 
 // ErrTimeout is returned when a request or response is lost and the
 // client timeout elapses.
@@ -181,11 +199,10 @@ type Transport struct {
 // own packet, overwritten by the next Exchange.
 func (t *Transport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
 	n := t.Net
-	srv, err := n.Resolve(server)
+	srv, path, err := n.lookup(server)
 	if err != nil {
 		return nil, time.Time{}, err
 	}
-	path := n.pathFor(srv.Name)
 	if path == nil {
 		return nil, time.Time{}, fmt.Errorf("netsim: no path to %q", srv.Name)
 	}
@@ -228,12 +245,8 @@ func (t *Transport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet,
 // lost.
 func (t *Transport) Ping(server string) (time.Duration, bool) {
 	n := t.Net
-	srv, err := n.Resolve(server)
-	if err != nil {
-		return 0, true
-	}
-	path := n.pathFor(srv.Name)
-	if path == nil {
+	_, path, err := n.lookup(server)
+	if err != nil || path == nil {
 		// No route, as for an unknown name: Exchange reports an error,
 		// a probe can only be lost.
 		return 0, true

@@ -12,18 +12,14 @@ import (
 
 // refSleep is Proc.Sleep as it stood before a process that is next in
 // line was allowed to keep running: every sleep queues a wake-up and
-// hands control to the scheduler goroutine. It is the reference the
-// inline rule is held to.
+// hands control to the scheduler, over whichever hand-off this
+// toolchain compiles. It is the reference the inline rule is held to.
 func refSleep(p *Proc, d time.Duration) {
 	if p.stop {
 		panic(procStopped{})
 	}
-	p.s.After(d, func() {
-		p.resume <- struct{}{}
-		<-p.parked
-	})
-	p.parked <- struct{}{}
-	<-p.resume
+	p.s.After(d, p.resume)
+	p.park()
 	if p.stop {
 		panic(procStopped{})
 	}
@@ -298,6 +294,25 @@ func BenchmarkProcSleep(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkProcHandoff prices one park + resume: two processes half a
+// millisecond out of phase sleep 1 ms each, so every Sleep has the
+// other's wake-up inside it and hands control over.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	s := NewScheduler(epoch)
+	for i := 0; i < 2; i++ {
+		phase := time.Duration(i) * time.Millisecond / 2
+		s.Go(func(p *Proc) {
+			p.Sleep(phase)
+			for n := 0; n < b.N; n += 2 {
+				p.Sleep(time.Millisecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	s.Run()
 }
 
 func BenchmarkTransportExchange(b *testing.B) {

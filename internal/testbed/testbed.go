@@ -399,6 +399,9 @@ func (tb *Testbed) RunMNTP(params core.Params, duration time.Duration, updateClo
 			adj = sysclock.SimAdjuster{Clock: tb.TNClock}
 		}
 		c := core.New(tb.TNClock, adj, tr, tb.Hints, p, params)
+		// A deferral per hint poll is the densest the stream gets; the
+		// rounds in between are sparser.
+		s.Events = make([]core.Event, 0, min(duration/c.Params.HintPollInterval, 1<<16))
 		c.OnEvent = func(e core.Event) {
 			s.Events = append(s.Events, e)
 			switch e.Kind {
