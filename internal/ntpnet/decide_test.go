@@ -71,8 +71,12 @@ func ntsRequest(t *testing.T, ring *nts.KeyRing) (pkt, uid []byte) {
 // this server do with a datagram" — on servers that never bound a
 // socket: a stepping clock, controller state forced through
 // overload.Controller, the limiter installed directly. Each row is one
-// datagram against a fresh server.
+// datagram against a fresh server, decided twice: as one of the seven
+// in eight that are not measured (timed off) and as the worker's sample
+// (timed on). Timing must change nothing but verdict.crypto — same
+// outcome, same reply — and off the tick crypto is zero.
 func TestDecide(t *testing.T) {
+	var timed bool // the pass the row is in; read by the rows' checks
 	ring, err := nts.NewKeyRing(2)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +151,8 @@ func TestDecide(t *testing.T) {
 		{name: "degraded keeps a verified NTS request", state: overload.Degraded, limit: 100, nts: true, pkt: goodNTS, src: srcB, want: served, hook: 1,
 			check: func(t *testing.T, req, resp *ntppkt.Packet, v verdict) {
 				isTime(4)(t, req, resp, v)
-				if !v.nts || v.crypto <= 0 {
-					t.Errorf("verdict nts=%v crypto=%v, want an NTS-served reply with AEAD time", v.nts, v.crypto)
+				if !v.nts || (v.crypto > 0) != timed {
+					t.Errorf("timed=%v: verdict nts=%v crypto=%v, want an NTS-served reply with AEAD time exactly when timed", timed, v.nts, v.crypto)
 				}
 				if uid, _ := resp.FindExt(ntppkt.ExtUniqueIdentifier); uid == nil || !bytes.Equal(uid.Value, goodUID) {
 					t.Error("protected reply does not echo the unique identifier")
@@ -176,46 +180,78 @@ func TestDecide(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := new(stepClock)
-			s := NewServer(clk, 2)
-			s.Reload(ReloadConfig{Stratum: 5})
-			var hooked atomic.Int32
-			s.FaultHook = func(int) { hooked.Add(1) }
-			if tc.state != overload.Healthy {
-				s.ctrl = forcedController(tc.state)
-			}
-			if tc.nts {
-				s.NTS = ring
-			}
-			if tc.limit > 0 {
-				lim := newRateLimiter(tc.limit, time.Minute, 0)
-				for _, ip := range tc.seen {
-					lim.over(keyFromIP(ip), clk.Now())
+			var outcomes [2]outcome
+			var replies [2][]byte
+			for pass := range outcomes {
+				timed = pass == 1
+				clk := new(stepClock)
+				s := NewServer(clk, 2)
+				s.Reload(ReloadConfig{Stratum: 5})
+				var hooked atomic.Int32
+				s.FaultHook = func(int) { hooked.Add(1) }
+				if tc.state != overload.Healthy {
+					s.ctrl = forcedController(tc.state)
 				}
-				s.limiter.Store(lim)
-			}
-			var w worker
-			req, resp := &w.req, &w.resp
-			for i := 0; i < tc.skip; i++ {
-				if v := s.decide(0, tc.pkt, tc.src, &w); v.outcome != shedDropped {
-					t.Fatalf("datagram %d: outcome %d, want an early drop", i, v.outcome)
+				if tc.nts {
+					s.NTS = ring
+				}
+				if tc.limit > 0 {
+					lim := newRateLimiter(tc.limit, time.Minute, 0)
+					for _, ip := range tc.seen {
+						lim.over(keyFromIP(ip), clk.Now())
+					}
+					s.limiter.Store(lim)
+				}
+				w := worker{timed: timed}
+				req, resp := &w.req, &w.resp
+				for i := 0; i < tc.skip; i++ {
+					if v := s.decide(0, tc.pkt, tc.src, &w); v.outcome != shedDropped {
+						t.Fatalf("datagram %d: outcome %d, want an early drop", i, v.outcome)
+					}
+				}
+				if n := hooked.Load(); n != 0 {
+					t.Fatalf("FaultHook ran %d times for early-dropped datagrams", n)
+				}
+				v := s.decide(0, tc.pkt, tc.src, &w)
+				if v.outcome != tc.want {
+					t.Fatalf("timed=%v: outcome = %d, want %d", timed, v.outcome, tc.want)
+				}
+				if n := hooked.Load(); n != tc.hook {
+					t.Errorf("FaultHook ran %d times, want %d", n, tc.hook)
+				}
+				if !timed && v.crypto != 0 {
+					t.Errorf("crypto = %v off the tick, want 0: a clock was read for a measurement nobody takes", v.crypto)
+				}
+				if tc.check != nil {
+					tc.check(t, req, resp, v)
+				}
+				outcomes[pass] = v.outcome
+				if v.outcome.replies() {
+					replies[pass] = replyImage(resp)
 				}
 			}
-			if n := hooked.Load(); n != 0 {
-				t.Fatalf("FaultHook ran %d times for early-dropped datagrams", n)
-			}
-			v := s.decide(0, tc.pkt, tc.src, &w)
-			if v.outcome != tc.want {
-				t.Fatalf("outcome = %d, want %d", v.outcome, tc.want)
-			}
-			if n := hooked.Load(); n != tc.hook {
-				t.Errorf("FaultHook ran %d times, want %d", n, tc.hook)
-			}
-			if tc.check != nil {
-				tc.check(t, req, resp, v)
+			if outcomes[0] != outcomes[1] || !bytes.Equal(replies[0], replies[1]) {
+				t.Errorf("timing changed the conclusion: outcome %d, reply %x untimed; outcome %d, reply %x timed",
+					outcomes[0], replies[0], outcomes[1], replies[1])
 			}
 		})
 	}
+}
+
+// replyImage is resp's wire image with what legitimately differs
+// between two replies to one request blanked: the fields made of fresh
+// randomness (re-supplied cookies, the authenticator's nonce and
+// ciphertext) keep their length and lose their content. The stamps
+// need no blanking: both passes read the stepping clock equally often.
+func replyImage(resp *ntppkt.Packet) []byte {
+	img := *resp
+	img.Ext = append([]ntppkt.ExtField(nil), resp.Ext...)
+	for i, ef := range img.Ext {
+		if ef.Type == ntppkt.ExtNTSCookie || ef.Type == ntppkt.ExtNTSAuthenticator {
+			img.Ext[i].Value = make([]byte, len(ef.Value))
+		}
+	}
+	return img.Encode(nil)
 }
 
 // TestDecideAllocations: a worker reuses everything it builds a reply

@@ -39,18 +39,25 @@ func enableRxTimestamps(conn *net.UDPConn) error {
 }
 
 // rxTimestamp extracts the kernel receive timestamp from the
-// ancillary data of one ReadMsgUDP.
-func rxTimestamp(oob []byte) (time.Time, bool) {
-	msgs, err := syscall.ParseSocketControlMessage(oob)
-	if err != nil {
-		return time.Time{}, false
-	}
-	for _, m := range msgs {
-		if m.Header.Level == syscall.SOL_SOCKET && m.Header.Type == syscall.SCM_TIMESTAMPNS &&
-			len(m.Data) >= int(unsafe.Sizeof(syscall.Timespec{})) {
-			ts := (*syscall.Timespec)(unsafe.Pointer(&m.Data[0]))
-			return time.Unix(ts.Sec, ts.Nsec), true
+// ancillary data of one ReadMsgUDPAddrPort. It walks the control
+// messages in place and answers as a loop over
+// syscall.ParseSocketControlMessage would — the first stamp, and none
+// at all from a buffer holding a malformed message — without building
+// that function's slice.
+func rxTimestamp(oob []byte) (at time.Time, ok bool) {
+	hdr := syscall.CmsgLen(0)
+	for len(oob) >= hdr {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+		if h.Len < syscall.SizeofCmsghdr || uint64(h.Len) > uint64(len(oob)) {
+			return time.Time{}, false
 		}
+		if !ok && h.Level == syscall.SOL_SOCKET && h.Type == syscall.SCM_TIMESTAMPNS &&
+			int(h.Len) >= syscall.CmsgLen(int(unsafe.Sizeof(syscall.Timespec{}))) {
+			ts := (*syscall.Timespec)(unsafe.Pointer(&oob[hdr]))
+			at, ok = time.Unix(ts.Sec, ts.Nsec), true
+		}
+		// CmsgSpace(n) - CmsgLen(0) is n rounded up to the cmsg alignment.
+		oob = oob[min(syscall.CmsgSpace(int(h.Len))-hdr, len(oob)):]
 	}
-	return time.Time{}, false
+	return at, ok
 }

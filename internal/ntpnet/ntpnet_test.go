@@ -1,6 +1,7 @@
 package ntpnet
 
 import (
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +13,8 @@ import (
 	"mntp/internal/exchange"
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
+	"mntp/internal/ntske"
+	"mntp/internal/overload"
 	"mntp/internal/sntp"
 )
 
@@ -414,20 +417,54 @@ func TestServerMetricsCounters(t *testing.T) {
 	}
 }
 
+// BenchmarkServePool is the serve path in-process, one sub-benchmark
+// per configuration the repo benchmark's serve_* workloads run, so a
+// CPU profile of the server needs no patched main:
+//
+//	go test -run '^$' -bench 'ServePool/nts' -cpu 1 -cpuprofile cpu.out ./internal/ntpnet
+//
+// The allocations reported include the client's half of each exchange.
 func BenchmarkServePool(b *testing.B) {
-	srv := NewServer(clock.System{}, 2)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.RunParallel(func(pb *testing.PB) {
-		c := &Client{Timeout: 5 * time.Second}
-		for pb.Next() {
-			if _, err := exchange.Measure(clock.System{}, c, addr.String(), ntppkt.Version4, true); err != nil {
-				b.Error(err)
-				return
+	for _, bc := range []struct {
+		name      string
+		configure func(*Server)
+		nts       bool
+	}{
+		{name: "plain", configure: func(*Server) {}},
+		{name: "guarded", configure: func(s *Server) {
+			s.Overload = &overload.Config{}
+			s.RateLimit, s.RateWindow = 1<<30, time.Minute // a limit nobody reaches
+		}},
+		{name: "nts", configure: func(*Server) {}, nts: true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := NewServer(clock.System{}, 2)
+			bc.configure(srv)
+			var target string
+			var clientTLS *tls.Config
+			if bc.nts {
+				_, target, clientTLS = startNTSStack(b, srv)
+			} else {
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				target = addr.String()
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				var c exchange.Transport = &Client{Timeout: 5 * time.Second}
+				if bc.nts {
+					c = &ntske.Transport{Inner: c, TLSConfig: clientTLS}
+				}
+				for pb.Next() {
+					if _, err := exchange.Measure(clock.System{}, c, target, ntppkt.Version4, true); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
 }

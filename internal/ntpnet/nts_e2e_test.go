@@ -20,7 +20,7 @@ import (
 // loopback: a UDP NTP server verifying against a key ring, and an
 // NTS-KE TLS server minting cookies from the same ring, advertising
 // the UDP server's port.
-func startNTSStack(t *testing.T, srv *Server) (ring *nts.KeyRing, keAddr string, clientTLS *tls.Config) {
+func startNTSStack(t testing.TB, srv *Server) (ring *nts.KeyRing, keAddr string, clientTLS *tls.Config) {
 	t.Helper()
 	ring, err := nts.NewKeyRing(2)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -138,7 +139,6 @@ type shard struct {
 	// completions means the pool is wedged, not idle.
 	inFlight  atomic.Int64
 	completed atomic.Uint64
-	sample    atomic.Uint64
 	metrics   Metrics
 }
 
@@ -480,73 +480,105 @@ func (s *Server) serve(sh *shard, epoch uint64) {
 		}
 		s.wg.Done()
 	}()
-	// 2048 covers the largest NTS request/reply (~1KB with a full
-	// placeholder load) with headroom; plain 48-byte traffic is
-	// unaffected by the larger read buffer.
-	buf := make([]byte, 2048)
-	var oob []byte
-	if sh.rxts {
-		oob = make([]byte, oobSpace)
-	}
-	w := &worker{out: make([]byte, 0, ntppkt.HeaderLen)}
+	w := new(worker)
 	for sh.epoch.Load() == epoch {
-		var (
-			n       int
-			peer    *net.UDPAddr
-			err     error
-			ingress time.Time
-		)
-		if sh.rxts {
-			var oobn int
-			n, oobn, _, peer, err = sh.conn.ReadMsgUDP(buf, oob)
-			if err == nil {
-				ingress, _ = rxTimestamp(oob[:oobn])
-			}
-		} else {
-			n, peer, err = sh.conn.ReadFromUDP(buf)
-		}
-		if err != nil {
+		if err := s.serveOne(sh, w); err != nil {
 			return // closed
 		}
-		s.handle(sh, w, buf[:n], peer, ingress)
 	}
+}
+
+// serveOne reads one datagram off the shard's socket and handles it.
+// The AddrPort socket calls pass the peer by value: no allocation here.
+func (s *Server) serveOne(sh *shard, w *worker) error {
+	var n, oobn int
+	var peer netip.AddrPort
+	var err error
+	if sh.rxts {
+		n, oobn, _, peer, err = sh.conn.ReadMsgUDPAddrPort(w.buf[:], w.oob[:])
+	} else {
+		n, peer, err = sh.conn.ReadFromUDPAddrPort(w.buf[:])
+	}
+	if err == nil {
+		s.handle(sh, w, w.buf[:n], peer, w.oob[:oobn])
+	}
+	return err
 }
 
 // worker is what one serve goroutine reuses from datagram to datagram:
+// the read and control buffers, the source address as decide takes it,
 // the decoded request, the reply under construction, the NTS state
 // that carries a request's keys and AEAD working memory from verify
-// to seal, and the reply's wire image.
+// to seal, the reply's wire image, and the measurement tick.
 type worker struct {
+	// 2048 covers the largest NTS request/reply (~1KB with a full
+	// placeholder load) with headroom.
+	buf       [2048]byte
+	oob       [oobSpace]byte
+	src       [16]byte
 	req, resp ntppkt.Packet
 	nts       nts.ServerRequest
 	out       []byte
+	tick      uint // datagrams handled
+	timed     bool // this one is the 1 in 8 that is measured (see handle)
 }
 
-// sojournSampleMask: 1 in 8 handled datagrams feed the sojourn EWMA;
-// the other seven pay one atomic add.
+// source returns a's bytes, held in the worker, as the net.IP decide
+// takes: 4 bytes for an IPv4 or IPv4-mapped address, so one client has
+// one rate-limit key whichever socket family it arrived over.
+func (w *worker) source(a netip.Addr) net.IP {
+	w.src = a.As16()
+	if a.Is4() || a.Is4In6() {
+		return w.src[12:]
+	}
+	return w.src[:]
+}
+
+// now is decide's AEAD stopwatch: the wall clock on the worker's tick,
+// and off it the zero time — no clock read, and every interval zero.
+func (w *worker) now() (t time.Time) {
+	if w.timed {
+		t = time.Now()
+	}
+	return t
+}
+
+// sojournSampleMask: each worker measures 1 in 8 of the datagrams it
+// handles; the other seven pay one increment.
 const sojournSampleMask = 7
 
 // handle processes one datagram: decide concludes, and everything the
 // conclusion costs — the reply write, the counter, the overload
 // controller's sojourn sample — happens here, once, whatever the
-// outcome. The in-flight/completed bookkeeping brackets everything —
-// including an injected panic, whose unwind still runs the deferred
-// decrement before serve's recovery respawns the worker.
-func (s *Server) handle(sh *shard, w *worker, pkt []byte, peer *net.UDPAddr, ingress time.Time) {
+// outcome. Whether this datagram is the worker's sample is decided
+// first, and everything that only measures rides that tick: the
+// ingress stamp (the kernel's, parsed out of oob, else a clock read),
+// decide's AEAD stopwatch and the controller's two observations. With
+// no controller there is no tick. The in-flight/completed bookkeeping
+// brackets everything — including an injected panic, whose unwind
+// still runs the deferred decrement before serve's recovery respawns
+// the worker.
+func (s *Server) handle(sh *shard, w *worker, pkt []byte, peer netip.AddrPort, oob []byte) {
 	sh.inFlight.Add(1)
 	defer func() {
 		sh.inFlight.Add(-1)
 		sh.completed.Add(1)
 	}()
-	if ingress.IsZero() {
-		// No kernel stamp: ingress degrades to read time, measuring
-		// handling latency but not socket-queue wait.
-		ingress = time.Now()
+	w.tick++
+	w.timed = s.ctrl != nil && w.tick&sojournSampleMask == 0
+	var ingress time.Time
+	if w.timed {
+		var ok bool
+		if ingress, ok = rxTimestamp(oob); !ok {
+			// No kernel stamp: ingress degrades to read time, measuring
+			// handling latency but not socket-queue wait.
+			ingress = time.Now()
+		}
 	}
-	v := s.decide(sh.idx, pkt, peer.IP, w)
+	v := s.decide(sh.idx, pkt, w.source(peer.Addr()), w)
 	if v.outcome.replies() {
 		w.out = w.resp.Encode(w.out[:0])
-		if _, err := sh.conn.WriteToUDP(w.out, peer); err != nil {
+		if _, err := sh.conn.WriteToUDPAddrPort(w.out, peer); err != nil {
 			v.outcome = writeError
 		}
 	}
@@ -558,7 +590,7 @@ func (s *Server) handle(sh *shard, w *worker, pkt []byte, peer *net.UDPAddr, ing
 		}
 	}
 	sh.metrics.n[v.outcome].Add(1)
-	if s.ctrl != nil && sh.sample.Add(1)&sojournSampleMask == 0 {
+	if w.timed {
 		// The sampled ingress-to-now sojourn feeds the overload
 		// controller. The AEAD time this request spent is subtracted
 		// from the queue signal and fed to the controller's crypto EWMA
@@ -577,7 +609,7 @@ func (s *Server) handle(sh *shard, w *worker, pkt []byte, peer *net.UDPAddr, ing
 type verdict struct {
 	outcome outcome
 	recv    time.Time     // receive stamp; zero when dropped before parsing
-	crypto  time.Duration // AEAD time spent verifying and sealing
+	crypto  time.Duration // AEAD time spent verifying and sealing; zero unless w.timed
 	nts     bool          // served under NTS
 }
 
@@ -622,9 +654,9 @@ func (s *Server) decide(shard int, pkt []byte, src net.IP, w *worker) verdict {
 	verified := false
 	var crypto time.Duration
 	if s.NTS != nil && nts.IsNTSRequest(req) {
-		cryptoStart := time.Now()
+		cryptoStart := w.now()
 		err := w.nts.Verify(s.NTS, req)
-		crypto = time.Since(cryptoStart)
+		crypto = w.now().Sub(cryptoStart)
 		if err != nil {
 			// NTS NAK (RFC 8915 §5.7): the server saw NTS fields it
 			// could not authenticate — a cookie sealed under a
@@ -685,13 +717,13 @@ func (s *Server) decide(shard int, pkt []byte, src net.IP, w *worker) verdict {
 	// follow it, since the authenticator's associated data covers the
 	// final header image; whatever follows the stamp is served to the
 	// client as error in the server-to-client leg.
-	cryptoStart := time.Now()
+	cryptoStart := w.now()
 	if err := w.nts.MintCookies(s.NTS); err != nil {
-		return verdict{outcome: dropped, recv: recv, crypto: crypto + time.Since(cryptoStart)}
+		return verdict{outcome: dropped, recv: recv, crypto: crypto + w.now().Sub(cryptoStart)}
 	}
 	resp.Transmit = ntptime.FromTime(s.Clock.Now())
 	w.nts.Seal(resp)
-	crypto += time.Since(cryptoStart)
+	crypto += w.now().Sub(cryptoStart)
 	return verdict{outcome: served, recv: recv, crypto: crypto, nts: true}
 }
 

@@ -110,14 +110,9 @@ func (k *sivKey) expand(key []byte, macOnly bool) error {
 // one, conditionally XORing the primitive polynomial constant 0x87
 // into the last byte when the shifted-out bit was set.
 func dbl(b *[16]byte) {
-	msb := b[0] >> 7
-	for i := 0; i < 15; i++ {
-		b[i] = b[i]<<1 | b[i+1]>>7
-	}
-	b[15] <<= 1
-	if msb == 1 {
-		b[15] ^= 0x87
-	}
+	hi, lo := binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+	binary.BigEndian.PutUint64(b[:8], hi<<1|lo>>63)
+	binary.BigEndian.PutUint64(b[8:], lo<<1^(hi>>63)*0x87)
 }
 
 // xor16 XORs the first 16 bytes of src into dst.

@@ -117,3 +117,19 @@ func TestSIVKeyLength(t *testing.T) {
 		t.Fatal("64-byte key accepted")
 	}
 }
+
+// TestDblMatchesByteLoop holds dbl's two 64-bit words to the byte loop
+// they replaced (refDbl) along two doubling chains long enough to
+// carry across the word boundary and out of the top bit many times.
+func TestDblMatchesByteLoop(t *testing.T) {
+	for _, b := range [][16]byte{{15: 0x01}, {0: 0x80, 7: 0xa5, 8: 0x5a, 15: 0x87}} {
+		got, want := b, b
+		for i := 0; i < 300; i++ {
+			dbl(&got)
+			refDbl(&want)
+			if got != want {
+				t.Fatalf("%x doubled %d times: %x, the byte loop gives %x", b, i+1, got, want)
+			}
+		}
+	}
+}

@@ -24,10 +24,23 @@ func refCMACKeys(c cipher.Block) (k1, k2 [16]byte) {
 	var l [16]byte
 	c.Encrypt(l[:], l[:])
 	k1 = l
-	dbl(&k1)
+	refDbl(&k1)
 	k2 = k1
-	dbl(&k2)
+	refDbl(&k2)
 	return
+}
+
+// refDbl doubles a block in GF(2^128) (RFC 5297 §2.3) a byte at a
+// time: the loop the production dbl's two 64-bit words replaced.
+func refDbl(b *[16]byte) {
+	msb := b[0] >> 7
+	for i := 0; i < 15; i++ {
+		b[i] = b[i]<<1 | b[i+1]>>7
+	}
+	b[15] <<= 1
+	if msb == 1 {
+		b[15] ^= 0x87
+	}
 }
 
 // refCMACSum computes AES-CMAC (RFC 4493) of msg.
@@ -68,7 +81,7 @@ func refS2V(c cipher.Block, k1, k2 [16]byte, strings ...[]byte) [16]byte {
 	var zero [16]byte
 	d := refCMACSum(c, k1, k2, zero[:])
 	for _, s := range strings[:len(strings)-1] {
-		dbl(&d)
+		refDbl(&d)
 		refXorBlock(&d, refCMACSum(c, k1, k2, s))
 	}
 	sn := strings[len(strings)-1]
@@ -82,7 +95,7 @@ func refS2V(c cipher.Block, k1, k2 [16]byte, strings ...[]byte) [16]byte {
 			t[off+i] ^= d[i]
 		}
 	} else {
-		dbl(&d)
+		refDbl(&d)
 		var padded [16]byte
 		copy(padded[:], sn)
 		padded[len(sn)] = 0x80
