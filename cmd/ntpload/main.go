@@ -10,7 +10,7 @@
 //	ntpload -target 127.0.0.1:11123 [-rate 10000] [-duration 10s]
 //	        [-senders 4] [-arrival poisson] [-timeout 1s]
 //	        [-population 0] [-interval 1s] [-version 4] [-seed 1]
-//	        [-json -] [-json-out report.json]
+//	        [-json -]
 //	        [-nts host:4460] [-nts-ca ca.pem | -nts-insecure]
 //	        [-nts-sessions 0]
 //
@@ -54,7 +54,6 @@ func main() {
 	version := flag.Int("version", 4, "NTP version of the requests")
 	seed := flag.Int64("seed", 1, "arrival randomness seed")
 	jsonOut := flag.String("json", "-", "JSON report destination (- = stdout)")
-	jsonFile := flag.String("json-out", "", "also write the JSON report to this file (for BENCH_*.json trajectories and CI)")
 	ntsKE := flag.String("nts", "", "NTS-KE server host:port — authenticate the load (NTP target stays -target)")
 	ntsCA := flag.String("nts-ca", "", "PEM file with the NTS-KE server's trust root (default: system roots)")
 	ntsInsecure := flag.Bool("nts-insecure", false, "skip NTS-KE certificate verification (testing only)")
@@ -65,10 +64,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ntpload: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *target == "" {
+	// Range-check before anything silently rewrites: the engine reads
+	// a non-positive sender count or timeout as its default, and a
+	// negative population, interval or session count as "none".
+	switch {
+	case *target == "":
 		fail("-target is required")
-	}
-	if *version < 1 || *version > 7 {
+	case !(*rate > 0):
+		fail("-rate %v must be positive", *rate)
+	case *duration <= 0:
+		fail("-duration %v must be positive", *duration)
+	case *senders <= 0:
+		fail("-senders %d must be positive", *senders)
+	case *timeout <= 0:
+		fail("-timeout %v must be positive", *timeout)
+	case *population < 0:
+		fail("-population %d is negative", *population)
+	case *interval < 0:
+		fail("-interval %v is negative", *interval)
+	case *ntsSessions < 0:
+		fail("-nts-sessions %d is negative", *ntsSessions)
+	case *version < 1 || *version > 7:
 		fail("-version %d does not fit the 3-bit field", *version)
 	}
 	var ntsCfg *loadgen.NTSConfig
@@ -130,12 +146,6 @@ func main() {
 	} else if err := os.WriteFile(*jsonOut, out, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "ntpload:", err)
 		os.Exit(1)
-	}
-	if *jsonFile != "" {
-		if err := os.WriteFile(*jsonFile, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ntpload:", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Fprintln(os.Stderr, rep)
 }

@@ -5,15 +5,15 @@
 //
 // Usage:
 //
-//	ntppop -scenario nat [-n 10000] [-seed 1] [-json -] [-json-out report.json]
+//	ntppop -scenario nat [-n 10000] [-seed 1] [-json -]
 //	ntppop -list
 //
 // Scenarios: flashcrowd (overload shedding without a dark interval),
 // herd (poll phase-locking vs the jitter fix), nat (10k clients
 // behind one source IP vs the per-IP rate limiter), falseticker (a
-// liar only a fraction of the population can see), restart (a mid-run
-// server restart on pinned ports: invisible to the NTS fleet with a
-// persisted keyring, a NAK/re-KE herd without one).
+// liar only a fraction of the population can see), chaos-blackout and
+// chaos-falseticker-flip (a single-client chaos fault window — total
+// outage, an upstream that lies and recants — replayed over a fleet).
 //
 // The process exits 1 when the scenario's seeded assertions are
 // violated, so CI legs can gate on it directly.
@@ -34,7 +34,6 @@ func main() {
 	n := flag.Int("n", 0, "population size (0: the scenario's default)")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	jsonOut := flag.String("json", "-", "JSON report destination (- = stdout)")
-	jsonFile := flag.String("json-out", "", "also write the JSON report to this file")
 	list := flag.Bool("list", false, "list scenarios and exit")
 	flag.Parse()
 
@@ -66,12 +65,6 @@ func main() {
 	} else if err := os.WriteFile(*jsonOut, out, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "ntppop:", err)
 		os.Exit(1)
-	}
-	if *jsonFile != "" {
-		if err := os.WriteFile(*jsonFile, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ntppop:", err)
-			os.Exit(1)
-		}
 	}
 	if !rep.Pass {
 		fmt.Fprintf(os.Stderr, "ntppop: scenario %s FAILED: %s\n", rep.Scenario, strings.Join(rep.Violations, "; "))

@@ -3,6 +3,7 @@ package population
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -62,36 +63,55 @@ func TestFleetMatchesBenchGolden(t *testing.T) {
 
 // TestSimScenariosReplay: a ModeSim scenario is a function of its seed.
 // Two runs marshal to the same bytes, and those are the bytes of
-// testdata/, which `ntppop -scenario X -seed 1` printed at the commit
-// before the engine's pop, warm-up sort and RTT recorder were
-// rewritten. Regenerate a file the same way after an intended change.
+// testdata/<name>_seed<seed>.json, which `ntppop -scenario X -seed N`
+// printed before the engine's pop, warm-up sort and RTT recorder were
+// rewritten (the chaos rows: before the options census). Regenerate a
+// file the same way after an intended change. Every row passes and
+// keeps its failure count. The chaos rows are small enough to run
+// under -race; herd and falseticker skip there, as TestHerdScenario
+// does.
 func TestSimScenariosReplay(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sim scenarios skipped under -race, as TestHerdScenario is")
-	}
-	for _, name := range []string{ScenarioHerd, ScenarioFalseticker} {
-		marshal := func() []byte {
-			r, err := Run(name, 0, 1)
+	for _, c := range []struct {
+		name string
+		seed int64
+		race bool
+	}{
+		{ScenarioHerd, 1, false},
+		{ScenarioFalseticker, 1, false},
+		{scenarioBlackout, 9, true},
+		{scenarioFalsetickerFlip, 9, true},
+	} {
+		t.Run(fmt.Sprintf("%s_seed%d", c.name, c.seed), func(t *testing.T) {
+			if raceEnabled && !c.race {
+				t.Skip("skipped under -race, as TestHerdScenario is")
+			}
+			var r *Report
+			marshal := func() []byte {
+				var err error
+				if r, err = Run(c.name, 0, c.seed); err != nil {
+					t.Fatal(err)
+				}
+				out, err := json.MarshalIndent(r, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(out, '\n')
+			}
+			first, again := marshal(), marshal()
+			if !bytes.Equal(first, again) {
+				t.Errorf("two runs differ:\n%s\n%s", first, again)
+			}
+			want, err := os.ReadFile(fmt.Sprintf("testdata/%s_seed%d.json", c.name, c.seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(first, want) {
+				t.Errorf("report differs from testdata:\n got %s\nwant %s", first, want)
 			}
-			return append(out, '\n')
-		}
-		first, again := marshal(), marshal()
-		if !bytes.Equal(first, again) {
-			t.Errorf("%s: two runs at seed 1 differ:\n%s\n%s", name, first, again)
-		}
-		want, err := os.ReadFile("testdata/" + name + "_seed1.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, want) {
-			t.Errorf("%s: report differs from testdata:\n got %s\nwant %s", name, first, want)
-		}
+			if !r.Pass || r.Fails == 0 {
+				t.Errorf("pass = %v, fails = %d: want a passing report that kept its failure count (violations: %v)", r.Pass, r.Fails, r.Violations)
+			}
+		})
 	}
 }
 

@@ -42,16 +42,6 @@ type Report struct {
 	Shed           uint64 `json:"shed,omitempty"`
 	ShedDropped    uint64 `json:"shed_dropped,omitempty"`
 
-	// Restart-storm fields: the persisted-keyring pass's NTS NAK and
-	// re-KE counts (both must be zero) and the cold baseline's, which
-	// must show the herd. Cold's dark interval is reported beside the
-	// persisted pass's DarkStreakReal for comparison.
-	NTSNaks            uint64 `json:"nts_naks,omitempty"`
-	ReKEs              uint64 `json:"re_kes,omitempty"`
-	ColdNTSNaks        uint64 `json:"cold_nts_naks,omitempty"`
-	ColdReKEs          uint64 `json:"cold_re_kes,omitempty"`
-	ColdDarkStreakReal int    `json:"cold_dark_streak_real,omitempty"`
-
 	RTTP50MS float64 `json:"rtt_p50_ms,omitempty"`
 	RTTP99MS float64 `json:"rtt_p99_ms,omitempty"`
 
@@ -82,52 +72,54 @@ func (r *Report) Finish(e *Engine, horizon time.Duration) {
 	}
 }
 
-// Scenario names accepted by Run and cmd/ntppop.
+// Scenario names accepted by Run and cmd/ntppop. The two chaos-
+// prefixed ones replay a single-client chaos scenario's fault window
+// over a fleet.
 const (
-	ScenarioFlashCrowd  = "flashcrowd"
-	ScenarioHerd        = "herd"
-	ScenarioNAT         = "nat"
-	ScenarioFalseticker = "falseticker"
-	ScenarioRestart     = "restart"
+	ScenarioFlashCrowd      = "flashcrowd"
+	ScenarioHerd            = "herd"
+	ScenarioNAT             = "nat"
+	ScenarioFalseticker     = "falseticker"
+	scenarioBlackout        = "chaos-blackout"
+	scenarioFalsetickerFlip = "chaos-falseticker-flip"
 )
+
+// catalog is every scenario in presentation order with its default
+// population size.
+var catalog = []struct {
+	name string
+	n    int
+	run  func(n int, seed int64) (*Report, error)
+}{
+	{ScenarioFlashCrowd, 2500, FlashCrowd},
+	{ScenarioHerd, 5000, ThunderingHerd},
+	{ScenarioNAT, 10000, NATCollision},
+	{ScenarioFalseticker, 20000, PartialFalseticker},
+	{scenarioBlackout, 2000, blackout},
+	{scenarioFalsetickerFlip, 4000, falsetickerFlip},
+}
 
 // Scenarios lists the catalog in presentation order.
 func Scenarios() []string {
-	return []string{ScenarioFlashCrowd, ScenarioHerd, ScenarioNAT, ScenarioFalseticker, ScenarioRestart}
+	names := make([]string, len(catalog))
+	for i, s := range catalog {
+		names[i] = s.name
+	}
+	return names
 }
 
-// Run dispatches a scenario by name with its default population size
-// when n is 0.
+// Run runs a scenario by name, at its default population size when n
+// is 0.
 func Run(name string, n int, seed int64) (*Report, error) {
-	switch name {
-	case ScenarioFlashCrowd:
-		if n == 0 {
-			n = 2500
+	for _, s := range catalog {
+		if s.name == name {
+			if n == 0 {
+				n = s.n
+			}
+			return s.run(n, seed)
 		}
-		return FlashCrowd(n, seed)
-	case ScenarioHerd:
-		if n == 0 {
-			n = 5000
-		}
-		return ThunderingHerd(n, seed)
-	case ScenarioNAT:
-		if n == 0 {
-			n = 10000
-		}
-		return NATCollision(n, seed)
-	case ScenarioFalseticker:
-		if n == 0 {
-			n = 20000
-		}
-		return PartialFalseticker(n, seed)
-	case ScenarioRestart:
-		if n == 0 {
-			n = 48
-		}
-		return RestartStorm(n, seed)
-	default:
-		return nil, fmt.Errorf("population: unknown scenario %q (have %v)", name, Scenarios())
 	}
+	return nil, fmt.Errorf("population: unknown scenario %q (have %v)", name, Scenarios())
 }
 
 // goodPool is the default honest four-server pool for sim scenarios.
@@ -249,6 +241,93 @@ func PartialFalseticker(n int, seed int64) (*Report, error) {
 		r.Violate("only %.1f%% of clients beyond 100ms < 2%%: the liar did no damage (harness broken)", 100*st.FracAbove)
 	}
 	r.Finish(e, horizon)
+	return r, nil
+}
+
+// The chaos promotions' timeline in 64 s poll rounds: the fault holds
+// over rounds 5–8 and the fleet is judged at round 14.
+const (
+	chaosPoll      = 64 * time.Second
+	chaosFrom      = 5 * chaosPoll
+	chaosTo        = 8 * chaosPoll
+	chaosHorizon   = 14 * chaosPoll
+	chaosLiarError = 400 * time.Millisecond
+)
+
+// chaosFleet is the honest fleet both chaos promotions start from.
+func chaosFleet(n int, seed int64) (*Engine, error) {
+	return New(Config{
+		N:           n,
+		Seed:        seed,
+		Mode:        ModeSim,
+		Upstreams:   goodPool(),
+		PollBase:    chaosPoll,
+		PollJitter:  0.1,
+		StartSpread: 30 * time.Second,
+	})
+}
+
+// blackout promotes chaos' total-blackout scenario: a network outage
+// over the window hits every client, and after restoration the whole
+// fleet must be served and re-converged by the horizon.
+func blackout(n int, seed int64) (*Report, error) {
+	e, err := chaosFleet(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	e.At(chaosFrom, func() { e.SetOutage(true) })
+	e.At(chaosTo, func() { e.SetOutage(false) })
+	if err := e.Run(chaosHorizon); err != nil {
+		return nil, err
+	}
+
+	r := &Report{Scenario: scenarioBlackout, N: n, Seed: seed, Mode: "sim"}
+	if e.Totals().Fails == 0 {
+		r.Violate("blackout window produced no failed polls (harness broken)")
+	}
+	if got := e.ServedClients(); got < n {
+		r.Violate("%d of %d clients never served after the blackout lifted", n-got, n)
+	}
+	if st := e.Stats(0); st.Median > 20*time.Millisecond {
+		r.Violate("population median %v after recovery, want ≤ 20ms", st.Median)
+	}
+	r.Finish(e, chaosHorizon)
+	return r, nil
+}
+
+// falsetickerFlip promotes chaos' falseticker scenario: an honest
+// upstream turns into a 400ms liar for the window, dragging the
+// clients locked to it, then recants. Mid-window the lie must show in
+// the population tail; by the horizon the fleet must have re-converged
+// and the median must never have moved.
+func falsetickerFlip(n int, seed int64) (*Report, error) {
+	e, err := chaosFleet(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	var mid OffsetStats
+	e.At(chaosFrom, func() { e.SetUpstreamErr(0, chaosLiarError) })
+	e.At(chaosTo-time.Second, func() { mid = e.Stats(100 * time.Millisecond) })
+	e.At(chaosTo, func() { e.SetUpstreamErr(0, 1*time.Millisecond) })
+	if err := e.Run(chaosHorizon); err != nil {
+		return nil, err
+	}
+
+	r := &Report{Scenario: scenarioFalsetickerFlip, N: n, Seed: seed, Mode: "sim"}
+	if mid.FracAbove < 0.02 {
+		r.Violate("mid-window only %.1f%% of clients beyond 100ms: the flipped server captured nobody (harness broken)", 100*mid.FracAbove)
+	}
+	if mid.Median > 25*time.Millisecond {
+		r.Violate("mid-window population median %v > 25ms: one liar moved the median", mid.Median)
+	}
+	st := e.Stats(100 * time.Millisecond)
+	if st.Median > 20*time.Millisecond {
+		r.Violate("population median %v after the flip-back, want ≤ 20ms", st.Median)
+	}
+	if st.FracAbove > 0.01 {
+		r.Violate("%.1f%% of clients still beyond 100ms after the flip-back", 100*st.FracAbove)
+	}
+	r.Finish(e, chaosHorizon)
 	return r, nil
 }
 

@@ -47,26 +47,6 @@ func TestNATScenario(t *testing.T) {
 	requirePass(t, r, err)
 }
 
-// TestRestartStormScenario: a mid-run server restart on pinned ports
-// must be invisible to the NTS fleet when the keyring is persisted
-// (zero NAKs, dark interval within the drain budget), while the cold
-// baseline reproduces the NAK/re-KE herd and recovers.
-func TestRestartStormScenario(t *testing.T) {
-	if raceEnabled {
-		t.Skip("restart-storm scenario skipped under -race (CI race leg runs the NAT scenario)")
-	}
-	r, err := Run(ScenarioRestart, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%s: n=%d sent=%d served=%d fails=%d darkReal=%d naks=%d reKEs=%d coldNaks=%d coldReKEs=%d coldDark=%d",
-		r.Scenario, r.N, r.Sent, r.Served, r.Fails, r.DarkStreakReal,
-		r.NTSNaks, r.ReKEs, r.ColdNTSNaks, r.ColdReKEs, r.ColdDarkStreakReal)
-	if !r.Pass {
-		t.Fatalf("scenario %s violations: %v", r.Scenario, r.Violations)
-	}
-}
-
 // TestFlashCrowdScenario: a synchronized cold start at ~5× server
 // capacity; the overload controller must shed without a dark interval.
 func TestFlashCrowdScenario(t *testing.T) {
