@@ -1,16 +1,16 @@
 // Command ntppop runs a population-scale scenario: N simulated
 // mobile clients (struct-of-arrays, pooled wireless channels, lazy
 // oscillator clocks) driven in virtual time against either simulated
-// upstreams or a real loopback server the scenario starts itself.
+// upstreams or the real server's request path, called in process. A
+// report is a function of the scenario, n and seed.
 //
 // Usage:
 //
 //	ntppop -scenario nat [-n 10000] [-seed 1] [-json -]
 //	ntppop -list
 //
-// Scenarios: flashcrowd (overload shedding without a dark interval),
-// herd (poll phase-locking vs the jitter fix), nat (10k clients
-// behind one source IP vs the per-IP rate limiter), falseticker (a
+// Scenarios: herd (poll phase-locking vs the jitter fix), nat (10k
+// clients behind one source IP vs the per-IP rate limiter), falseticker (a
 // liar only a fraction of the population can see), chaos-blackout and
 // chaos-falseticker-flip (a single-client chaos fault window — total
 // outage, an upstream that lies and recants — replayed over a fleet).

@@ -96,10 +96,10 @@ type Server struct {
 	NTS *nts.KeyRing
 	// FaultHook, if non-nil, is called with the shard index for every
 	// admitted datagram, before parsing. It exists for server-side
-	// fault injection (ServerFaults): a hook that panics exercises
-	// worker respawn, one that blocks exercises the watchdog. A
-	// blocked hook must be released before Close, which waits for
-	// every worker.
+	// fault injection, and only tests set it: a hook that panics
+	// exercises worker respawn, one that blocks exercises the watchdog
+	// or holds requests in flight. A blocked hook must be released
+	// before Close, which waits for every worker.
 	FaultHook func(shard int)
 
 	conns           []*net.UDPConn
@@ -165,13 +165,7 @@ func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
 		return nil, err
 	}
 	s.conns = conns
-	s.stratum.Store(uint32(s.Stratum))
-	if s.RateLimit > 0 {
-		s.limiter.Store(newRateLimiter(s.RateLimit, s.RateWindow, s.MaxClients))
-	}
-	if s.Overload != nil {
-		s.ctrl = overload.New(*s.Overload)
-	}
+	s.configure()
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) / nshards
@@ -201,6 +195,39 @@ func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
 		go s.housekeep(wd)
 	}
 	return conns[0].LocalAddr().(*net.UDPAddr), nil
+}
+
+// configure installs the serving parameters decide reads — stratum,
+// rate limiter, admission controller — from the exported fields.
+func (s *Server) configure() {
+	s.stratum.Store(uint32(s.Stratum))
+	if s.RateLimit > 0 {
+		s.limiter.Store(newRateLimiter(s.RateLimit, s.RateWindow, s.MaxClients))
+	}
+	if s.Overload != nil {
+		s.ctrl = overload.New(*s.Overload)
+	}
+}
+
+// Responder is the request path without a socket, for a caller that
+// owns time: each call of the returned function decides one datagram
+// from src at the server clock's current instant and returns the
+// reply's wire image, valid until the next call, or nil when the
+// outcome sends nothing. It configures the server as Listen does, so a
+// server gets one or the other, once. The function is for one
+// goroutine; it counts nothing, feeds the admission controller no
+// sojourn and runs no housekeeping.
+func (s *Server) Responder() func(pkt []byte, src netip.Addr) []byte {
+	s.configure()
+	w := new(worker)
+	return func(pkt []byte, src netip.Addr) []byte {
+		v := s.decide(0, pkt, w.source(src), w)
+		if !v.outcome.replies() {
+			return nil
+		}
+		w.out = w.resp.Encode(w.out[:0])
+		return w.out
+	}
 }
 
 // listenShards binds n sockets to addr with SO_REUSEPORT. When the

@@ -61,25 +61,31 @@ func TestFleetMatchesBenchGolden(t *testing.T) {
 	}
 }
 
-// TestSimScenariosReplay: a ModeSim scenario is a function of its seed.
-// Two runs marshal to the same bytes, and those are the bytes of
+// TestSimScenariosReplay: a scenario is a function of its seed. Two
+// runs marshal to the same bytes, and those are the bytes of
 // testdata/<name>_seed<seed>.json, which `ntppop -scenario X -seed N`
 // printed before the engine's pop, warm-up sort and RTT recorder were
-// rewritten (the chaos rows: before the options census). Regenerate a
-// file the same way after an intended change. Every row passes and
-// keeps its failure count. The chaos rows are small enough to run
-// under -race; herd and falseticker skip there, as TestHerdScenario
-// does.
+// rewritten (the chaos rows: before the options census; nat: when its
+// server moved in process). Regenerate a file the same way after an
+// intended change. Every row passes and keeps the count that shows its
+// harness did something — failed polls, or for nat, whose in-process
+// server never times out, RATE replies. The chaos and nat rows are
+// small enough to run under -race; herd and falseticker skip there, as
+// TestHerdScenario does.
 func TestSimScenariosReplay(t *testing.T) {
+	fails := func(r *Report) uint64 { return r.Fails }
+	rated := func(r *Report) uint64 { return r.Rated }
 	for _, c := range []struct {
-		name string
-		seed int64
-		race bool
+		name  string
+		seed  int64
+		race  bool
+		alive func(*Report) uint64
 	}{
-		{ScenarioHerd, 1, false},
-		{ScenarioFalseticker, 1, false},
-		{scenarioBlackout, 9, true},
-		{scenarioFalsetickerFlip, 9, true},
+		{ScenarioHerd, 1, false, fails},
+		{ScenarioFalseticker, 1, false, fails},
+		{ScenarioNAT, 1, true, rated},
+		{scenarioBlackout, 9, true, fails},
+		{scenarioFalsetickerFlip, 9, true, fails},
 	} {
 		t.Run(fmt.Sprintf("%s_seed%d", c.name, c.seed), func(t *testing.T) {
 			if raceEnabled && !c.race {
@@ -108,8 +114,8 @@ func TestSimScenariosReplay(t *testing.T) {
 			if !bytes.Equal(first, want) {
 				t.Errorf("report differs from testdata:\n got %s\nwant %s", first, want)
 			}
-			if !r.Pass || r.Fails == 0 {
-				t.Errorf("pass = %v, fails = %d: want a passing report that kept its failure count (violations: %v)", r.Pass, r.Fails, r.Violations)
+			if !r.Pass || c.alive(r) == 0 {
+				t.Errorf("pass = %v, harness-alive count = %d: want a passing report that kept it (violations: %v)", r.Pass, c.alive(r), r.Violations)
 			}
 		})
 	}
@@ -139,7 +145,7 @@ func TestSimExchangeDoesNotAllocate(t *testing.T) {
 		_, shard, _ := e.nextClient()
 		evt := e.heaps[shard].pop()
 		e.vt = evt.at
-		e.stepSim(int(evt.id))
+		e.step(int(evt.id))
 	})
 	if allocs != 0 {
 		t.Fatalf("a regular-phase ModeSim poll allocates %v times, want 0", allocs)

@@ -3,7 +3,7 @@
 // clock (offset + skew, the internal/clock model) and a randomized
 // poll interval — driven in virtual time
 // against either the simulated internal/netsim server pool or the
-// real sharded internal/ntpnet server over loopback UDP.
+// real internal/ntpnet server's request path, called in process.
 //
 // The engine is built for a million clients on one box, so the design
 // is struct-of-arrays and pooled throughout, and one regular-phase
@@ -20,28 +20,28 @@
 //     skew·dt only when its event fires, so idle clients cost nothing.
 //
 // Aggregate recording uses the shared log-bucketed hist buckets for
-// exchange RTTs (ModeUDP's workers record into a hist.Histogram,
-// ModeSim's one goroutine into a plain hist.Snapshot) and fixed-width
-// traffic bins for arrival shaping — both O(1) in N.
+// exchange RTTs and fixed-width traffic bins for arrival shaping —
+// both O(1) in N.
 //
-// Real-UDP mode keeps the same event heap but batches due clients
-// into virtual-time quanta served by a bounded worker pool of
-// connected sockets; the server's clock is the engine's VClock, so
-// its rate-limit windows follow virtual time while its overload
-// sojourn signal stays real. All workers share the loopback source
-// address, which is exactly the NAT-collision population the rate
-// limiter must not starve.
+// Both modes run on one goroutine through one loop and replay from
+// their seed. ModeServer hands each poll, at the client's virtual
+// instant and without a network path, to a real ntpnet.Server whose
+// clock is the engine's: its rate-limit windows follow virtual time.
+// Every client shares one source address, which is exactly the
+// NAT-collision population the rate limiter must not starve.
 package population
 
 import (
 	"fmt"
 	"math"
+	"net/netip"
 	"sort"
 	"time"
 
 	"mntp/internal/clock"
 	"mntp/internal/hist"
 	"mntp/internal/netsim"
+	"mntp/internal/ntpnet"
 	"mntp/internal/ntppkt"
 	"mntp/internal/ntptime"
 	"mntp/internal/wireless"
@@ -55,13 +55,17 @@ var Epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 type Mode int
 
 const (
-	// ModeSim exchanges with simulated netsim servers in pure virtual
-	// time (single-threaded, fully deterministic).
+	// ModeSim exchanges with simulated netsim servers through pooled
+	// wireless channels.
 	ModeSim Mode = iota
-	// ModeUDP exchanges with a real server over loopback UDP through
-	// a bounded worker pool, quantizing virtual time into batches.
-	ModeUDP
+	// ModeServer exchanges with Config.Server's request path in
+	// process, from one shared source address, with no network path:
+	// a poll is served, told RATE, or fails.
+	ModeServer
 )
+
+// natSource is the one address every ModeServer client sends from.
+var natSource = netip.AddrFrom4([4]byte{198, 51, 100, 1})
 
 // Upstream describes one simulated server of the pool (ModeSim).
 type Upstream struct {
@@ -106,15 +110,10 @@ type Config struct {
 	// PollBase << shift (default 2).
 	MaxBackoffShift uint8
 
-	// Addr is the real server address (ModeUDP; required there).
-	Addr string
-	// Workers bounds the UDP worker pool (default 16).
-	Workers int
-	// Timeout is the real per-exchange reply deadline (default 250ms).
-	Timeout time.Duration
-	// Quantum is the virtual-time batch width in ModeUDP
-	// (default 250ms).
-	Quantum time.Duration
+	// Server is the real server the fleet polls (ModeServer; required
+	// there). New sets its Clock to the engine's virtual time and takes
+	// its Responder, so it must not also Listen.
+	Server *ntpnet.Server
 }
 
 const (
@@ -153,18 +152,9 @@ func (c *Config) applyDefaults() error {
 		if len(c.Upstreams) > 64 {
 			return fmt.Errorf("population: at most 64 upstreams (visibility bitmask), got %d", len(c.Upstreams))
 		}
-	case ModeUDP:
-		if c.Addr == "" {
-			return fmt.Errorf("population: ModeUDP needs Addr")
-		}
-		if c.Workers <= 0 {
-			c.Workers = 16
-		}
-		if c.Timeout <= 0 {
-			c.Timeout = 250 * time.Millisecond
-		}
-		if c.Quantum <= 0 {
-			c.Quantum = 250 * time.Millisecond
+	case ModeServer:
+		if c.Server == nil {
+			return fmt.Errorf("population: ModeServer needs a Server")
 		}
 	default:
 		return fmt.Errorf("population: unknown mode %d", c.Mode)
@@ -184,11 +174,10 @@ type fleet struct {
 	srvIdx  []int16   // regular server (ModeSim); -1 while cold
 	visMask []uint64  // visible-upstream bitmask (ModeSim)
 	served  []uint32  // successful exchanges
-	rated   []uint32  // RATE kiss-of-death replies (ModeUDP)
+	rated   []uint32  // RATE kiss-of-death replies (ModeServer)
 	dry     []uint8   // consecutive polls without success (sat. 255)
 	maxDry  []uint8   // worst dry streak
 	boff    []uint8   // current backoff shift
-	res     []uint8   // last UDP exchange result (worker → engine)
 }
 
 func newFleet(n int) fleet {
@@ -205,7 +194,6 @@ func newFleet(n int) fleet {
 		dry:     make([]uint8, n),
 		maxDry:  make([]uint8, n),
 		boff:    make([]uint8, n),
-		res:     make([]uint8, n),
 	}
 }
 
@@ -305,8 +293,7 @@ type simServer struct {
 }
 
 // Engine drives one population. Construct with New, schedule control
-// actions with At, then Run. Not safe for concurrent use; ModeUDP
-// manages its internal worker pool itself.
+// actions with At, then Run. Not safe for concurrent use.
 type Engine struct {
 	cfg      Config
 	f        fleet
@@ -317,17 +304,18 @@ type Engine struct {
 	vt       int64 // current virtual ns
 	down     bool  // regional outage: every exchange fails
 
-	bins    *bins
-	rtt     hist.Histogram // ModeUDP: recorded by the workers
-	simRTT  hist.Snapshot  // ModeSim: recorded by Run's goroutine alone
-	sent    uint64
-	ok      uint64
-	rated   uint64
-	fails   uint64
-	darkMax int
+	// ModeServer: the server's request path, the request's wire image
+	// and the decoded reply, reused poll to poll.
+	respond func(pkt []byte, src netip.Addr) []byte
+	reqBuf  []byte
+	rep     ntppkt.Packet
 
-	vc  *VClock
-	udp *udpPool
+	bins  *bins
+	rtt   hist.Snapshot // one goroutine records, so no atomics
+	sent  uint64
+	ok    uint64
+	rated uint64
+	fails uint64
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
@@ -349,9 +337,9 @@ func New(cfg Config) (*Engine, error) {
 		e.channels[i] = wireless.NewChannel(wireless.Params{Seed: cfg.Seed*1_000_003 + int64(i)}, now)
 	}
 
+	ec := &engineClock{e: e}
 	if cfg.Mode == ModeSim {
 		e.servers = make([]simServer, len(cfg.Upstreams))
-		ec := &engineClock{e: e}
 		for i, u := range cfg.Upstreams {
 			s := netsim.NewServer(u.Name, &clock.Fixed{Base: ec, Error: u.Err}, u.Stratum, cfg.Seed*31+int64(i))
 			if u.Stratum == 0 {
@@ -360,7 +348,8 @@ func New(cfg Config) (*Engine, error) {
 			e.servers[i] = simServer{srv: s, err: u.Err}
 		}
 	} else {
-		e.vc = NewVClock(Epoch)
+		cfg.Server.Clock = ec
+		e.respond = cfg.Server.Responder()
 	}
 
 	seed := uint64(cfg.Seed)
@@ -419,7 +408,7 @@ func (e *Engine) At(d time.Duration, fn func()) {
 }
 
 // SetOutage toggles a regional outage: while down, every exchange
-// fails (ModeSim) or no batches are dispatched (ModeUDP).
+// fails.
 func (e *Engine) SetOutage(down bool) { e.down = down }
 
 // SetUpstreamErr retargets a simulated upstream's clock error mid-run
@@ -430,15 +419,8 @@ func (e *Engine) SetUpstreamErr(idx int, err time.Duration) {
 	s.srv.Clock = &clock.Fixed{Base: &engineClock{e: e}, Error: err}
 }
 
-// VClock returns the virtual clock a real ntpnet server should use in
-// ModeUDP so its rate-limit windows follow population virtual time.
-func (e *Engine) VClock() *VClock { return e.vc }
-
 // Run advances the population to the virtual horizon.
 func (e *Engine) Run(horizon time.Duration) error {
-	if e.cfg.Mode == ModeUDP {
-		return e.runUDP(horizon)
-	}
 	h := int64(horizon)
 	for {
 		at, shard, ok := e.nextClient()
@@ -457,7 +439,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 		}
 		evt := e.heaps[shard].pop()
 		e.vt = evt.at
-		e.stepSim(int(evt.id))
+		e.step(int(evt.id))
 	}
 	if e.vt < h {
 		e.vt = h
@@ -488,35 +470,75 @@ func (e *Engine) integrate(id int) {
 	}
 }
 
-// stepSim runs one poll round for one client in ModeSim.
-func (e *Engine) stepSim(id int) {
+// What one poll came to.
+const (
+	pollFailed = iota
+	pollServed
+	pollRated // told RATE: backs off like a failure, counted apart
+)
+
+// step runs one poll round for one client.
+func (e *Engine) step(id int) {
 	e.integrate(id)
 
 	e.sent++
 	e.bins.sentAt(e.vt)
 
-	success := false
-	if !e.down {
-		if e.f.srvIdx[id] < 0 {
-			success = e.warmup(id)
-		} else {
-			if th, _, ok := e.exchange(id, int(e.f.srvIdx[id])); ok {
-				e.f.offset[id] += th
-				success = true
-			}
+	res := pollFailed
+	switch {
+	case e.down:
+	case e.respond != nil:
+		res = e.ask(id)
+	case e.f.srvIdx[id] < 0:
+		if e.warmup(id) {
+			res = pollServed
+		}
+	default:
+		if th, _, ok := e.exchange(id, int(e.f.srvIdx[id])); ok {
+			e.f.offset[id] += th
+			res = pollServed
 		}
 	}
 
-	if success {
+	switch res {
+	case pollServed:
 		e.ok++
 		e.f.served[id]++
 		e.f.dry[id] = 0
 		e.f.boff[id] = 0
-	} else {
+	case pollRated:
+		e.rated++
+		e.f.rated[id]++
+		e.bump(id)
+	default:
 		e.fails++
 		e.bump(id)
 	}
 	e.schedule(id, e.pollDelay(id))
+}
+
+// ask is ModeServer's exchange: a request stamped by the client's
+// clock, decided by the real server at this virtual instant. A reply
+// that does not echo the request's transmit stamp, a kiss other than
+// RATE and an invalid reply fail the poll, as silence does.
+func (e *Engine) ask(id int) int {
+	t1 := Epoch.Add(time.Duration(e.vt)).Add(time.Duration(e.f.offset[id] * 1e9))
+	req := ntppkt.NewClient(4, ntptime.FromTime(t1))
+	e.reqBuf = req.Encode(e.reqBuf[:0])
+	out := e.respond(e.reqBuf, natSource)
+	if out == nil || e.rep.DecodeInto(out) != nil || e.rep.Origin != req.Transmit {
+		return pollFailed
+	}
+	if code, ok := e.rep.KissCode(); ok {
+		if code == "RATE" {
+			return pollRated
+		}
+		return pollFailed
+	}
+	if e.rep.ValidateServerReply(req.Transmit) != nil {
+		return pollFailed
+	}
+	return pollServed
 }
 
 // warmup samples up to WarmupProbes distinct visible servers and
@@ -618,7 +640,7 @@ func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bo
 	}
 	d := rep.Receive.Sub(req.Transmit) + rep.Transmit.Sub(ntptime.FromTime(t4))
 	rtt = up + proc + down
-	e.simRTT.Record(rtt)
+	e.rtt.Record(rtt)
 	return (time.Duration(d) / 2).Seconds(), rtt, true
 }
 
@@ -665,10 +687,10 @@ func (e *Engine) Totals() Totals {
 	return Totals{Sent: e.sent, OK: e.ok, Rated: e.rated, Fails: e.fails}
 }
 
-// RTT returns the exchange round-trip distribution recorded so far.
+// RTT returns the exchange round-trip distribution recorded so far
+// (ModeSim: a ModeServer poll has no network path to time).
 func (e *Engine) RTT() *hist.Snapshot {
-	s := e.rtt.Snapshot()
-	s.Merge(&e.simRTT)
+	s := e.rtt
 	return &s
 }
 
@@ -756,7 +778,7 @@ func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 }
 
 // bins are fixed-width virtual-time traffic counters — the arrival
-// shape the herd and flash-crowd scenarios assert on. Memory is
+// shape the herd scenario asserts on. Memory is
 // bounded by maxBins; later traffic folds into the last bin.
 type bins struct {
 	width int64

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"time"
 
-	"mntp/internal/clock"
 	"mntp/internal/ntpnet"
-	"mntp/internal/overload"
 )
 
 // Report is one scenario's JSON-serializable outcome.
@@ -37,10 +35,6 @@ type Report struct {
 	MedianOffsetMS float64 `json:"median_offset_ms,omitempty"`
 	P99OffsetMS    float64 `json:"p99_offset_ms,omitempty"`
 	FracAbove100MS float64 `json:"frac_above_100ms,omitempty"`
-
-	DarkStreakReal int    `json:"dark_streak_real,omitempty"`
-	Shed           uint64 `json:"shed,omitempty"`
-	ShedDropped    uint64 `json:"shed_dropped,omitempty"`
 
 	RTTP50MS float64 `json:"rtt_p50_ms,omitempty"`
 	RTTP99MS float64 `json:"rtt_p99_ms,omitempty"`
@@ -76,7 +70,6 @@ func (r *Report) Finish(e *Engine, horizon time.Duration) {
 // prefixed ones replay a single-client chaos scenario's fault window
 // over a fleet.
 const (
-	ScenarioFlashCrowd      = "flashcrowd"
 	ScenarioHerd            = "herd"
 	ScenarioNAT             = "nat"
 	ScenarioFalseticker     = "falseticker"
@@ -91,7 +84,6 @@ var catalog = []struct {
 	n    int
 	run  func(n int, seed int64) (*Report, error)
 }{
-	{ScenarioFlashCrowd, 2500, FlashCrowd},
 	{ScenarioHerd, 5000, ThunderingHerd},
 	{ScenarioNAT, 10000, NATCollision},
 	{ScenarioFalseticker, 20000, PartialFalseticker},
@@ -331,12 +323,12 @@ func falsetickerFlip(n int, seed int64) (*Report, error) {
 	return r, nil
 }
 
-// NATCollision drives n clients that all share one source IP (every
-// pool worker dials from 127.0.0.1) into the real server's per-IP
-// rate-limit table. The first synchronized window blows the budget —
-// thousands of RATE kisses — and the assertion is the starvation
-// bound: backoff plus jitter must get every single client served
-// within the horizon, with a small worst dry streak.
+// NATCollision drives n clients that all share one source IP into
+// the real server's per-IP rate-limit table. The first synchronized
+// window blows the budget — thousands of RATE kisses — and the
+// assertion is the starvation bound: backoff plus jitter must get
+// every single client served within the horizon, with a small worst
+// dry streak.
 func NATCollision(n int, seed int64) (*Report, error) {
 	const (
 		poll       = 60 * time.Second
@@ -344,11 +336,14 @@ func NATCollision(n int, seed int64) (*Report, error) {
 		rateWindow = 10 * time.Second
 		rateLimit  = 5000
 	)
+	srv := ntpnet.NewServer(nil, 2) // New gives it the engine's clock
+	srv.RateLimit = rateLimit
+	srv.RateWindow = rateWindow
 	e, err := New(Config{
 		N:           n,
 		Seed:        seed,
-		Mode:        ModeUDP,
-		Addr:        "127.0.0.1:0", // replaced below once the server binds
+		Mode:        ModeServer,
+		Server:      srv,
 		PollBase:    poll,
 		PollJitter:  0.1,
 		StartSpread: 5 * time.Second,
@@ -357,31 +352,15 @@ func NATCollision(n int, seed int64) (*Report, error) {
 		// exponential would push twice-kissed clients past any
 		// reasonable horizon — the starvation the scenario polices.
 		MaxBackoffShift: 1,
-		Workers:         32,
-		Timeout:         250 * time.Millisecond,
-		Quantum:         500 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	srv := ntpnet.NewServer(e.VClock(), 2)
-	srv.RateLimit = rateLimit
-	srv.RateWindow = rateWindow
-	srv.Workers = 2
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	e.cfg.Addr = addr.String()
-
 	if err := e.Run(horizon); err != nil {
 		return nil, err
 	}
 
-	r := &Report{Scenario: ScenarioNAT, N: n, Seed: seed, Mode: "udp"}
-	snap := srv.Snapshot()
+	r := &Report{Scenario: ScenarioNAT, N: n, Seed: seed, Mode: "server"}
 	if e.ServedClients() < n {
 		r.Violate("%d of %d clients never served: the rate limiter starved the NAT population", n-e.ServedClients(), n)
 	}
@@ -391,76 +370,6 @@ func NATCollision(n int, seed int64) (*Report, error) {
 	if d := e.MaxDryStreak(); d > 3 {
 		r.Violate("worst dry streak %d > 3 polls", d)
 	}
-	if snap.Limited == 0 {
-		r.Violate("server counted no rate-limited requests")
-	}
 	r.Finish(e, horizon)
 	return r, nil
 }
-
-// FlashCrowd is the synchronized cold start after a regional outage,
-// aimed at a deliberately under-provisioned real server (a per-request
-// FaultHook sleep pins its capacity below the offered storm). The
-// overload controller must shed — RATE kisses or pre-parse drops —
-// while never going dark: some requests are answered in every 100ms
-// of wall time while the storm drains.
-func FlashCrowd(n int, seed int64) (*Report, error) {
-	const (
-		horizon = 60 * time.Second
-		// serviceTime pins server capacity at ~workers/serviceTime
-		// ≈ 1000 req/s — far below the cold-start burst.
-		serviceTime = 2 * time.Millisecond
-	)
-	e, err := New(Config{
-		N:    n,
-		Seed: seed,
-		Mode: ModeUDP,
-		Addr: "127.0.0.1:0",
-		// The whole region restores within 2s; clients re-poll every
-		// 10s (backoff-shifted) until they get through.
-		PollBase:    10 * time.Second,
-		PollJitter:  0.1,
-		StartSpread: 2 * time.Second,
-		Workers:     48,
-		Timeout:     100 * time.Millisecond,
-		Quantum:     500 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	srv := ntpnet.NewServer(e.VClock(), 2)
-	srv.Workers = 2
-	srv.Overload = &overload.Config{}
-	srv.FaultHook = func(int) { time.Sleep(serviceTime) }
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	e.cfg.Addr = addr.String()
-
-	if err := e.Run(horizon); err != nil {
-		return nil, err
-	}
-
-	r := &Report{Scenario: ScenarioFlashCrowd, N: n, Seed: seed, Mode: "udp"}
-	snap := srv.Snapshot()
-	r.Shed = snap.Shed
-	r.ShedDropped = snap.ShedDropped
-	r.DarkStreakReal = e.DarkStreakReal()
-	if snap.Shed+snap.ShedDropped == 0 {
-		r.Violate("overload controller never shed: the crowd did not overload the server (harness broken)")
-	}
-	if r.DarkStreakReal > 5 {
-		r.Violate("dark interval: %d consecutive 100ms wall bins with zero answers (> 5)", r.DarkStreakReal)
-	}
-	t := e.Totals()
-	if t.OK < uint64(n)/4 {
-		r.Violate("only %d successes for %d clients: the server collapsed instead of shedding", t.OK, n)
-	}
-	r.Finish(e, horizon)
-	return r, nil
-}
-
-var _ clock.Clock = (*VClock)(nil)
