@@ -54,7 +54,7 @@ func rxTimestamp(oob []byte) (at time.Time, ok bool) {
 		if !ok && h.Level == syscall.SOL_SOCKET && h.Type == syscall.SCM_TIMESTAMPNS &&
 			int(h.Len) >= syscall.CmsgLen(int(unsafe.Sizeof(syscall.Timespec{}))) {
 			ts := (*syscall.Timespec)(unsafe.Pointer(&oob[hdr]))
-			at, ok = time.Unix(ts.Sec, ts.Nsec), true
+			at, ok = time.Unix(ts.Unix()), true
 		}
 		// CmsgSpace(n) - CmsgLen(0) is n rounded up to the cmsg alignment.
 		oob = oob[min(syscall.CmsgSpace(int(h.Len))-hdr, len(oob)):]

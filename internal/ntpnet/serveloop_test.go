@@ -51,8 +51,8 @@ func idleServer(t testing.TB, srv *Server) (w *worker, pump func(req []byte)) {
 
 // TestServeLoopDoesNotAllocate: one datagram through the socket read,
 // handle and the socket write allocates nothing — at the socket as in
-// decide (TestDecideAllocations) — except an NTS request's three AES
-// key schedules. Every configuration is measured off the tick and on
+// decide (TestDecideAllocations), NTS included (see ntsAllocs). Every
+// configuration is measured off the tick and on
 // it (the worker's counter is parked so that every datagram, or none,
 // is its one in eight).
 func TestServeLoopDoesNotAllocate(t *testing.T) {
@@ -72,7 +72,7 @@ func TestServeLoopDoesNotAllocate(t *testing.T) {
 			s.Overload = &overload.Config{}
 			s.RateLimit, s.RateWindow = 1<<30, time.Minute
 		}, plainRequest(4, 3), 0},
-		{"nts", func(s *Server) { s.NTS = ring }, protected, 3},
+		{"nts", func(s *Server) { s.NTS = ring }, protected, ntsAllocs()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := NewServer(clock.System{}, 2)

@@ -108,31 +108,34 @@ func (r *KeyRing) Epoch() uint32 {
 // SealCookie mints a cookie binding the association keys under the
 // current epoch's master key.
 func (r *KeyRing) SealCookie(aeadID uint16, c2s, s2c []byte) ([]byte, error) {
+	if len(c2s) != SIVKeyLen || len(s2c) != SIVKeyLen {
+		return nil, errors.New("nts: association keys must be 32 bytes")
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return r.sealCookie(sc, make([]byte, 0, CookieLen), aeadID, c2s, s2c)
+	pad := sc.rnd[:cookiePadLen]
+	if _, err := rand.Read(pad); err != nil {
+		return nil, err
+	}
+	return r.sealCookie(sc, make([]byte, 0, CookieLen), aeadID, c2s, s2c, pad), nil
 }
 
-// sealCookie appends a fresh cookie to dst.
-func (r *KeyRing) sealCookie(sc *scratch, dst []byte, aeadID uint16, c2s, s2c []byte) ([]byte, error) {
-	if len(c2s) != SIVKeyLen || len(s2c) != SIVKeyLen {
-		return dst, errors.New("nts: association keys must be 32 bytes")
-	}
+// sealCookie appends to dst a cookie of the 32-byte association keys
+// and the cookiePadLen bytes of fresh randomness in pad.
+func (r *KeyRing) sealCookie(sc *scratch, dst []byte, aeadID uint16, c2s, s2c, pad []byte) []byte {
 	plain := sc.cookie[:]
 	binary.BigEndian.PutUint16(plain[0:], aeadID)
 	binary.BigEndian.PutUint16(plain[2:], SIVKeyLen)
 	copy(plain[4:], c2s)
 	copy(plain[4+SIVKeyLen:], s2c)
-	if _, err := rand.Read(plain[4+2*SIVKeyLen:]); err != nil {
-		return dst, err
-	}
+	copy(plain[4+2*SIVKeyLen:], pad)
 
 	r.mu.RLock()
 	epoch := r.next - 1
 	master := r.keys[epoch].siv
 	r.mu.RUnlock()
 	dst = binary.BigEndian.AppendUint32(dst, epoch)
-	return master.seal(sc, dst, plain, dst[len(dst)-cookieEpochLen:]), nil
+	return master.seal(sc, dst, plain, dst[len(dst)-cookieEpochLen:])
 }
 
 // OpenCookie authenticates and decrypts a cookie, returning the AEAD

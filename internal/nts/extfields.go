@@ -1,7 +1,6 @@
 package nts
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 
@@ -28,17 +27,16 @@ var (
 
 // appendAuthenticatorNonce starts the body of an NTS Authenticator and
 // Encrypted Extension Fields EF at the end of dst with the part that
-// does not depend on the packet: the two lengths and a fresh nonce.
+// does not depend on the packet: the two lengths and the nonceLen
+// fresh random bytes of nonce.
 //
 // Body layout (RFC 8915 §5.6): nonceLen(2) || ctLen(2) || nonce || ct.
 // With a 16-byte nonce and SIV's 16-byte tag the body stays 4-aligned
 // whenever the plaintext is, so re-encoding is byte-exact.
-func appendAuthenticatorNonce(dst []byte, plaintextLen int) ([]byte, error) {
+func appendAuthenticatorNonce(dst []byte, plaintextLen int, nonce []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, nonceLen)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(SIVOverhead+plaintextLen))
-	dst = append(dst, make([]byte, nonceLen)...)
-	_, err := rand.Read(dst[len(dst)-nonceLen:])
-	return dst, err
+	return append(dst, nonce[:nonceLen]...)
 }
 
 // sealAuthenticator completes the body appendAuthenticatorNonce

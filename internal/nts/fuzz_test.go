@@ -9,8 +9,8 @@ import (
 
 // FuzzSIVAgainstReference holds the expanded-key core to the reference
 // (sivref_test.go) on any key, 0–3 associated-data components and
-// plaintexts up to 1024 bytes: same sealed bytes, each opens the
-// other's, and a flipped byte fails both.
+// plaintexts up to 1024 bytes, under every AES path (aes_test.go): same
+// sealed bytes, each opens the other's, and a flipped byte fails both.
 func FuzzSIVAgainstReference(f *testing.F) {
 	key := bytes.Repeat([]byte{0x3c}, SIVKeyLen)
 	long := make([]byte, 1024)
@@ -25,6 +25,8 @@ func FuzzSIVAgainstReference(f *testing.F) {
 		}
 	}
 	sc := new(scratch)
+	kernel := useAESNI
+	paths := aesPaths(kernel)
 	f.Fuzz(func(t *testing.T, key []byte, nAD uint8, ad0, ad1, ad2, pt []byte, flip uint16) {
 		key = append(key, make([]byte, SIVKeyLen)...)[:SIVKeyLen]
 		if len(pt) > 1024 {
@@ -36,30 +38,34 @@ func FuzzSIVAgainstReference(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference seal: %v", err)
 		}
-		k, err := newSIVKey(key)
-		if err != nil {
-			t.Fatalf("newSIVKey: %v", err)
-		}
-		prefix := []byte("kept")
-		got := k.seal(sc, prefix, pt, ad...)
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("seal diverges from the reference (pt %d B, %d AD):\n got  %x\n want %x", len(pt), len(ad), got[len(prefix):], want)
-		}
-		back, err := k.open(sc, prefix, want, ad...)
-		if err != nil || !bytes.Equal(back[len(prefix):], pt) {
-			t.Fatalf("open of the reference's seal: %v, %x", err, back)
-		}
-		if back, err := refSIVOpen(key, got[len(prefix):], ad...); err != nil || !bytes.Equal(back, pt) {
-			t.Fatalf("reference open of the core's seal: %v, %x", err, back)
-		}
-
 		bad := bytes.Clone(want)
 		bad[int(flip)%len(bad)] ^= 1 << (flip % 8)
-		if out, err := k.open(sc, prefix, bad, ad...); err != ErrAuthFailed || len(out) != len(prefix) {
-			t.Fatalf("tampered seal: err %v, %d bytes returned", err, len(out))
-		}
 		if _, err := refSIVOpen(key, bad, ad...); err != ErrAuthFailed {
 			t.Fatalf("reference accepts a tampered seal: %v", err)
+		}
+
+		defer func() { useAESNI = kernel }()
+		for _, path := range paths {
+			useAESNI = path.aesni
+			k, err := newSIVKey(key)
+			if err != nil {
+				t.Fatalf("newSIVKey: %v", err)
+			}
+			prefix := []byte("kept")
+			got := k.seal(sc, prefix, pt, ad...)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s seal diverges from the reference (pt %d B, %d AD):\n got  %x\n want %x", path.name, len(pt), len(ad), got[len(prefix):], want)
+			}
+			back, err := k.open(sc, prefix, want, ad...)
+			if err != nil || !bytes.Equal(back[len(prefix):], pt) {
+				t.Fatalf("open of the reference's seal: %v, %x", err, back)
+			}
+			if back, err := refSIVOpen(key, got[len(prefix):], ad...); err != nil || !bytes.Equal(back, pt) {
+				t.Fatalf("reference open of the core's seal: %v, %x", err, back)
+			}
+			if out, err := k.open(sc, prefix, bad, ad...); err != ErrAuthFailed || len(out) != len(prefix) {
+				t.Fatalf("tampered seal: err %v, %d bytes returned", err, len(out))
+			}
 		}
 	})
 }

@@ -98,37 +98,39 @@ func mustDecode(t testing.TB, wire []byte) *ntppkt.Packet {
 // server seals verifies under the reference, re-supplied cookie
 // included.
 func TestReferenceClientInteroperates(t *testing.T) {
-	ring := testRing(t, 1)
-	c2s, s2c := testKeys(0x66)
-	uid := bytes.Repeat([]byte{0xa1}, UniqueIDLen)
-	wire := refRequest(t, ring, c2s, s2c, uid, bytes.Repeat([]byte{0xb2}, cookiePadLen), bytes.Repeat([]byte{0xc3}, nonceLen))
-	if len(wire) != 232 {
-		t.Fatalf("reference request is %d bytes, want 232", len(wire))
-	}
-	onWire := mustDecode(t, wire)
-	sreq, err := VerifyRequest(ring, onWire)
-	if err != nil {
-		t.Fatalf("production server rejects the reference's request: %v", err)
-	}
-	if !bytes.Equal(sreq.C2S, c2s) || !bytes.Equal(sreq.S2C, s2c) || !bytes.Equal(sreq.UID, uid) {
-		t.Fatal("production server recovered different association parameters")
-	}
-	resp := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2, Origin: onWire.Transmit}
-	if err := ProtectResponse(ring, sreq, resp); err != nil {
-		t.Fatalf("ProtectResponse: %v", err)
-	}
-	replyWire := resp.Encode(nil)
-	if len(replyWire) != 232 {
-		t.Fatalf("production reply is %d bytes, want 232", len(replyWire))
-	}
-	inner := refOpenAuthenticator(t, s2c, mustDecode(t, replyWire))
-	if len(inner) != ntppkt.ExtHeaderLen+CookieLen || binary.BigEndian.Uint16(inner) != ntppkt.ExtNTSCookie {
-		t.Fatalf("reply's encrypted fields are not one cookie: %x", inner)
-	}
-	gotC2S, gotS2C := refOpenCookie(t, ring, inner[ntppkt.ExtHeaderLen:])
-	if !bytes.Equal(gotC2S, c2s) || !bytes.Equal(gotS2C, s2c) {
-		t.Fatal("re-supplied cookie carries different keys")
-	}
+	forEachAESPath(t, func(t *testing.T) {
+		ring := testRing(t, 1)
+		c2s, s2c := testKeys(0x66)
+		uid := bytes.Repeat([]byte{0xa1}, UniqueIDLen)
+		wire := refRequest(t, ring, c2s, s2c, uid, bytes.Repeat([]byte{0xb2}, cookiePadLen), bytes.Repeat([]byte{0xc3}, nonceLen))
+		if len(wire) != 232 {
+			t.Fatalf("reference request is %d bytes, want 232", len(wire))
+		}
+		onWire := mustDecode(t, wire)
+		sreq, err := VerifyRequest(ring, onWire)
+		if err != nil {
+			t.Fatalf("production server rejects the reference's request: %v", err)
+		}
+		if !bytes.Equal(sreq.C2S, c2s) || !bytes.Equal(sreq.S2C, s2c) || !bytes.Equal(sreq.UID, uid) {
+			t.Fatal("production server recovered different association parameters")
+		}
+		resp := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2, Origin: onWire.Transmit}
+		if err := ProtectResponse(ring, sreq, resp); err != nil {
+			t.Fatalf("ProtectResponse: %v", err)
+		}
+		replyWire := resp.Encode(nil)
+		if len(replyWire) != 232 {
+			t.Fatalf("production reply is %d bytes, want 232", len(replyWire))
+		}
+		inner := refOpenAuthenticator(t, s2c, mustDecode(t, replyWire))
+		if len(inner) != ntppkt.ExtHeaderLen+CookieLen || binary.BigEndian.Uint16(inner) != ntppkt.ExtNTSCookie {
+			t.Fatalf("reply's encrypted fields are not one cookie: %x", inner)
+		}
+		gotC2S, gotS2C := refOpenCookie(t, ring, inner[ntppkt.ExtHeaderLen:])
+		if !bytes.Equal(gotC2S, c2s) || !bytes.Equal(gotS2C, s2c) {
+			t.Fatal("re-supplied cookie carries different keys")
+		}
+	})
 }
 
 // TestReferenceServerInteroperates is the other direction: the
@@ -136,38 +138,40 @@ func TestReferenceClientInteroperates(t *testing.T) {
 // reply the reference seals verifies under the production client and
 // refills its jar.
 func TestReferenceServerInteroperates(t *testing.T) {
-	ring := testRing(t, 1)
-	s := newTestSession(t, ring, DefaultJarCapacity)
-	req := ntppkt.NewClient(ntppkt.Version4, ntptime.Timestamp(7<<32))
-	st, err := s.ProtectRequest(req)
-	if err != nil {
-		t.Fatalf("ProtectRequest: %v", err)
-	}
-	wire := req.Encode(nil)
-	if len(wire) != 232 {
-		t.Fatalf("production request is %d bytes, want 232", len(wire))
-	}
-	onWire := mustDecode(t, wire)
-	cookieEF, _ := onWire.FindExt(ntppkt.ExtNTSCookie)
-	c2s, s2c := refOpenCookie(t, ring, cookieEF.Value)
-	if !bytes.Equal(c2s, s.C2S) || !bytes.Equal(s2c, s.S2C) {
-		t.Fatal("reference recovered different keys from the production cookie")
-	}
-	if inner := refOpenAuthenticator(t, c2s, onWire); len(inner) != 0 {
-		t.Fatalf("request authenticator encrypts %d bytes, want none", len(inner))
-	}
+	forEachAESPath(t, func(t *testing.T) {
+		ring := testRing(t, 1)
+		s := newTestSession(t, ring, DefaultJarCapacity)
+		req := ntppkt.NewClient(ntppkt.Version4, ntptime.Timestamp(7<<32))
+		st, err := s.ProtectRequest(req)
+		if err != nil {
+			t.Fatalf("ProtectRequest: %v", err)
+		}
+		wire := req.Encode(nil)
+		if len(wire) != 232 {
+			t.Fatalf("production request is %d bytes, want 232", len(wire))
+		}
+		onWire := mustDecode(t, wire)
+		cookieEF, _ := onWire.FindExt(ntppkt.ExtNTSCookie)
+		c2s, s2c := refOpenCookie(t, ring, cookieEF.Value)
+		if !bytes.Equal(c2s, s.C2S) || !bytes.Equal(s2c, s.S2C) {
+			t.Fatal("reference recovered different keys from the production cookie")
+		}
+		if inner := refOpenAuthenticator(t, c2s, onWire); len(inner) != 0 {
+			t.Fatalf("request authenticator encrypts %d bytes, want none", len(inner))
+		}
 
-	resp := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2, Origin: onWire.Transmit}
-	resp.Ext = []ntppkt.ExtField{{Type: ntppkt.ExtUniqueIdentifier, Value: st.UID}}
-	cookie := refSealCookie(t, ring, c2s, s2c, bytes.Repeat([]byte{0xd4}, cookiePadLen))
-	inner := binary.BigEndian.AppendUint16(nil, ntppkt.ExtNTSCookie)
-	inner = binary.BigEndian.AppendUint16(inner, uint16(ntppkt.ExtHeaderLen+len(cookie)))
-	refSealAuthenticator(t, s2c, resp, append(inner, cookie...), bytes.Repeat([]byte{0xe5}, nonceLen))
-	before := s.CookieCount()
-	if err := s.VerifyReply(mustDecode(t, resp.Encode(nil)), st); err != nil {
-		t.Fatalf("production client rejects the reference's reply: %v", err)
-	}
-	if got := s.CookieCount(); got != before+1 {
-		t.Fatalf("jar holds %d cookies after the reply, want %d", got, before+1)
-	}
+		resp := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2, Origin: onWire.Transmit}
+		resp.Ext = []ntppkt.ExtField{{Type: ntppkt.ExtUniqueIdentifier, Value: st.UID}}
+		cookie := refSealCookie(t, ring, c2s, s2c, bytes.Repeat([]byte{0xd4}, cookiePadLen))
+		inner := binary.BigEndian.AppendUint16(nil, ntppkt.ExtNTSCookie)
+		inner = binary.BigEndian.AppendUint16(inner, uint16(ntppkt.ExtHeaderLen+len(cookie)))
+		refSealAuthenticator(t, s2c, resp, append(inner, cookie...), bytes.Repeat([]byte{0xe5}, nonceLen))
+		before := s.CookieCount()
+		if err := s.VerifyReply(mustDecode(t, resp.Encode(nil)), st); err != nil {
+			t.Fatalf("production client rejects the reference's reply: %v", err)
+		}
+		if got := s.CookieCount(); got != before+1 {
+			t.Fatalf("jar holds %d cookies after the reply, want %d", got, before+1)
+		}
+	})
 }

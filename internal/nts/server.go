@@ -1,6 +1,7 @@
 package nts
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 
@@ -19,11 +20,13 @@ var ErrNotNTS = errors.New("nts: not an NTS-protected request")
 
 // ServerRequest is a verified NTS request: everything the serving
 // path needs to build the authenticated response, and the working
-// memory both halves of that run in. A serve loop keeps one and calls
-// Verify on it for every request, so a steady-state request allocates
-// only the three AES key schedules the standard library returns by
-// pointer. The exported fields and anything ProtectResponse puts into
-// a reply alias that memory: they hold until the next Verify.
+// memory both halves of that run in, the two association keys'
+// schedules included. A serve loop keeps one and calls Verify on it
+// for every request, so a steady-state request allocates nothing
+// (except on the crypto/aes fallback, whose three key schedules the
+// standard library returns by pointer). The exported fields and
+// anything ProtectResponse puts into a reply alias that memory: they
+// hold until the next Verify.
 type ServerRequest struct {
 	// UID is the client's unique identifier, echoed in the reply.
 	UID []byte
@@ -126,22 +129,23 @@ func (sr *ServerRequest) Verify(ring *KeyRing, p *ntppkt.Packet) error {
 
 // MintCookies does the part of ProtectResponse that does not depend
 // on the reply: it mints NumCookies fresh cookies as the reply's
-// encrypted extension fields and draws the authenticator's nonce. A
-// server calls it before stamping the reply's transmit time, so that
-// only Seal stands between the stamp and the wire.
+// encrypted extension fields and draws the authenticator's nonce, all
+// from one random draw. A server calls it before stamping the reply's
+// transmit time, so that only Seal stands between the stamp and the
+// wire.
 func (sr *ServerRequest) MintCookies(ring *KeyRing) error {
+	rnd := sr.rnd[:sr.NumCookies*cookiePadLen+nonceLen]
+	if _, err := rand.Read(rnd); err != nil {
+		return err
+	}
 	sr.pt = sr.pt[:0]
 	for i := 0; i < sr.NumCookies; i++ {
 		sr.pt = binary.BigEndian.AppendUint16(sr.pt, ntppkt.ExtNTSCookie)
 		sr.pt = binary.BigEndian.AppendUint16(sr.pt, ntppkt.ExtHeaderLen+CookieLen)
-		var err error
-		if sr.pt, err = ring.sealCookie(&sr.scratch, sr.pt, sr.AEAD, sr.C2S, sr.S2C); err != nil {
-			return err
-		}
+		sr.pt = ring.sealCookie(&sr.scratch, sr.pt, sr.AEAD, sr.C2S, sr.S2C, rnd[i*cookiePadLen:(i+1)*cookiePadLen])
 	}
-	var err error
-	sr.body, err = appendAuthenticatorNonce(sr.body[:0], len(sr.pt))
-	return err
+	sr.body = appendAuthenticatorNonce(sr.body[:0], len(sr.pt), rnd[len(rnd)-nonceLen:])
+	return nil
 }
 
 // Seal completes ProtectResponse after MintCookies: echo the unique

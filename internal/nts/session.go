@@ -145,12 +145,13 @@ func (s *Session) ProtectRequest(p *ntppkt.Packet) (*RequestState, error) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.ad = p.Encode(sc.ad[:0])
-	// The body outlives the call inside p, so it is the packet's own.
-	body, err := appendAuthenticatorNonce(make([]byte, 0, 4+nonceLen+SIVOverhead), 0)
-	if err != nil {
+	nonce := sc.rnd[:nonceLen]
+	if _, err := rand.Read(nonce); err != nil {
 		return nil, err
 	}
+	sc.ad = p.Encode(sc.ad[:0])
+	// The body outlives the call inside p, so it is the packet's own.
+	body := appendAuthenticatorNonce(make([]byte, 0, 4+nonceLen+SIVOverhead), 0, nonce)
 	body = sealAuthenticator(c2s, sc, body, nil, sc.ad)
 	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSAuthenticator, Value: body})
 	return st, nil

@@ -1,6 +1,7 @@
 // Package nts implements the Network Time Security protection of NTP
-// packets (RFC 8915): the AES-SIV-CMAC-256 AEAD (RFC 5297, built from
-// the standard library's AES primitive — no external dependencies),
+// packets (RFC 8915): the AES-SIV-CMAC-256 AEAD (RFC 5297, on an amd64
+// AES-NI kernel, or the standard library's AES primitive where there
+// is none — no external dependencies),
 // server cookies minted under a rotating key-epoch ring, the NTS
 // extension fields on the NTP wire format, the client session with
 // its unlinkable cookie jar, and the server-side request
@@ -13,8 +14,6 @@
 package nts
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -45,27 +44,35 @@ var errSIVKeyLen = errors.New("nts: AES-SIV-CMAC-256 key must be 32 bytes")
 // goroutines may seal and open under one sivKey, each with its own
 // scratch.
 type sivKey struct {
-	mac    cipher.Block // S2V half (first 16 key bytes)
-	ctr    cipher.Block // CTR half (last 16); nil after a macOnly expand
-	k1, k2 [16]byte     // CMAC subkeys (RFC 4493 §2.3)
-	zero   [16]byte     // CMAC(0¹²⁸), the value every S2V starts from
+	mac    aesKey   // S2V half (first 16 key bytes)
+	ctr    aesKey   // CTR half (last 16); stale after a macOnly expand
+	k1, k2 [16]byte // CMAC subkeys (RFC 4493 §2.3)
+	zero   [16]byte // CMAC(0¹²⁸), the value every S2V starts from
 }
 
+// zeroBlock is the all-zero block.
+var zeroBlock [16]byte
+
 // scratch is the working memory of one AEAD user. Arguments to a
-// cipher.Block method (an interface call) and to crypto/rand escape to
-// the heap, so every block handed to either lives here instead of in a
-// local, next to the buffers a packet's AD image and inner plaintext
-// are built in. A scratch serves one seal or open at a time: the serve
-// path's is part of its worker's ServerRequest, everything else
-// borrows one from scratchPool.
+// cipher.Block method (an interface call, which the crypto/aes
+// fallback makes) and to crypto/rand escape to the heap, so every
+// block handed to either lives here instead of in a local, next to the
+// buffers a packet's AD image and inner plaintext are built in. A
+// scratch serves one seal or open at a time: the serve path's is part
+// of its worker's ServerRequest, everything else borrows one from
+// scratchPool.
 type scratch struct {
 	x      [16]byte             // CMAC chaining value; the synthetic IV after s2v
-	ctr    [16]byte             // CTR counter block
-	ks     [16]byte             // CTR keystream block
+	ctr    [64]byte             // four CTR counter blocks
+	ks     [64]byte             // their keystream
 	cookie [cookiePlainLen]byte // cookie plaintext, opened or about to be sealed
+	rnd    [randLen]byte        // one reply's random draw: cookie pads, then the nonce
 	ad     []byte               // wire image the authenticator covers
 	pt     []byte               // authenticator plaintext: the inner extension fields
 }
+
+// randLen is the most randomness one protected reply needs.
+const randLen = MaxCookiesPerReply*cookiePadLen + nonceLen
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -78,31 +85,30 @@ func newSIVKey(key []byte) (*sivKey, error) {
 	return k, nil
 }
 
-// expand (re)builds k from a 32-byte key. With macOnly the CTR half is
-// left unexpanded: such a key seals and opens only empty plaintexts,
-// which is all a request authenticator normally carries.
+// expand (re)builds k from a 32-byte key in place. With macOnly the
+// CTR half is left as it was: such a key seals and opens only empty
+// plaintexts, which is all a request authenticator normally carries.
 func (k *sivKey) expand(key []byte, macOnly bool) error {
 	if len(key) != SIVKeyLen {
 		return errSIVKeyLen
 	}
-	mac, err := aes.NewCipher(key[:16])
-	if err != nil {
+	if err := k.mac.expand(key[:16]); err != nil {
 		return err
 	}
-	k.mac, k.ctr = mac, nil
 	if !macOnly {
-		if k.ctr, err = aes.NewCipher(key[16:]); err != nil {
+		if err := k.ctr.expand(key[16:]); err != nil {
 			return err
 		}
 	}
-	// k's own fields are the blocks handed to Encrypt (see scratch).
+	// k's own fields are the chaining values (see scratch).
 	k.k1 = [16]byte{}
-	mac.Encrypt(k.k1[:], k.k1[:])
+	k.mac.cmacBlocks(&k.k1, zeroBlock[:])
 	dbl(&k.k1)
 	k.k2 = k.k1
 	dbl(&k.k2)
 	// CMAC of one all-zero block: its only, complete block is 0 ^ k1.
-	mac.Encrypt(k.zero[:], k.k1[:])
+	k.zero = [16]byte{}
+	k.mac.cmacBlocks(&k.zero, k.k1[:])
 	return nil
 }
 
@@ -133,10 +139,7 @@ func (k *sivKey) cmac(sc *scratch, msg []byte, xorend *[16]byte) {
 	if len(msg) >= 32 {
 		head = (len(msg) - 16) &^ 15
 	}
-	for i := 0; i < head; i += 16 {
-		xor16(&sc.x, msg[i:])
-		k.mac.Encrypt(sc.x[:], sc.x[:])
-	}
+	k.mac.cmacBlocks(&sc.x, msg[:head])
 	var tail [32]byte
 	n := copy(tail[:], msg[head:])
 	if xorend != nil {
@@ -144,8 +147,6 @@ func (k *sivKey) cmac(sc *scratch, msg []byte, xorend *[16]byte) {
 	}
 	last := 0
 	if n > 16 {
-		xor16(&sc.x, tail[:])
-		k.mac.Encrypt(sc.x[:], sc.x[:])
 		last = 16
 	}
 	subkey := &k.k1
@@ -153,9 +154,8 @@ func (k *sivKey) cmac(sc *scratch, msg []byte, xorend *[16]byte) {
 		tail[n] = 0x80 // incomplete final block: pad 10*
 		subkey = &k.k2
 	}
-	xor16(&sc.x, tail[last:])
-	xor16(&sc.x, subkey[:])
-	k.mac.Encrypt(sc.x[:], sc.x[:])
+	xor16((*[16]byte)(tail[last:]), subkey[:])
+	k.mac.cmacBlocks(&sc.x, tail[:last+16])
 }
 
 // s2v leaves the synthetic IV in sc.x: RFC 5297 §2.4's S2V over the
@@ -181,19 +181,21 @@ func (k *sivKey) s2v(sc *scratch, plaintext []byte, ad [][]byte) {
 
 // xorKeyStream XORs buf in place with AES-CTR keyed by the CTR half,
 // counting up from the synthetic IV v with its two reserved bits
-// cleared (RFC 5297 §2.6). An empty buf never touches the CTR half.
+// (the top bits of its last two 32-bit words) cleared (RFC 5297 §2.6),
+// four blocks at a time. An empty buf never touches the CTR half.
+// With its top bit clear the counter's low half cannot wrap within any
+// plaintext, so the high half is constant.
 func (k *sivKey) xorKeyStream(sc *scratch, v *[16]byte, buf []byte) {
-	sc.ctr = *v
-	sc.ctr[8] &= 0x7f
-	sc.ctr[12] &= 0x7f
+	hi := binary.BigEndian.Uint64(v[:8])
+	lo := binary.BigEndian.Uint64(v[8:]) &^ (1<<63 | 1<<31)
 	for len(buf) > 0 {
-		k.ctr.Encrypt(sc.ks[:], sc.ctr[:])
-		buf = buf[subtle.XORBytes(buf, buf, sc.ks[:]):]
-		for i := 15; i >= 0; i-- {
-			if sc.ctr[i]++; sc.ctr[i] != 0 {
-				break
-			}
+		for i := 0; i < len(sc.ctr); i += 16 {
+			binary.BigEndian.PutUint64(sc.ctr[i:], hi)
+			binary.BigEndian.PutUint64(sc.ctr[i+8:], lo)
+			lo++
 		}
+		k.ctr.encrypt4(&sc.ks, &sc.ctr)
+		buf = buf[subtle.XORBytes(buf, buf, sc.ks[:]):]
 	}
 }
 

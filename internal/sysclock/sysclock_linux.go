@@ -47,23 +47,23 @@ func (Kernel) ReadState() (KernelState, error) {
 // delta (ADJ_OFFSET). The kernel amortizes the shift; large deltas
 // exceeding the kernel limit (~0.5 s) are rejected by it.
 func (Kernel) Step(delta time.Duration) error {
-	tx := syscall.Timex{
-		Modes:  adjOffset,
-		Offset: delta.Microseconds(),
-	}
+	tx := syscall.Timex{Modes: adjOffset}
+	setTimex(&tx.Offset, delta.Microseconds())
 	if _, err := syscall.Adjtimex(&tx); err != nil {
 		return fmt.Errorf("sysclock: adjtimex offset: %w", err)
 	}
 	return nil
 }
 
+// setTimex sets a Timex field, which is a C long: 32 bits wide on
+// 32-bit platforms.
+func setTimex[T int32 | int64](field *T, v int64) { *field = T(v) }
+
 // AdjustFreq implements Adjuster by setting the kernel frequency
 // correction (ADJ_FREQUENCY).
 func (Kernel) AdjustFreq(correction float64) error {
-	tx := syscall.Timex{
-		Modes: adjFrequency,
-		Freq:  int64(correction * 1e6 * freqScale),
-	}
+	tx := syscall.Timex{Modes: adjFrequency}
+	setTimex(&tx.Freq, int64(correction*1e6*freqScale))
 	if _, err := syscall.Adjtimex(&tx); err != nil {
 		return fmt.Errorf("sysclock: adjtimex freq: %w", err)
 	}
