@@ -88,7 +88,7 @@ func benchmarkServerCapacity(b *testing.B, shards int) {
 			Rate:     150000, // past single-shard capacity: expose the serving limit
 			Duration: 300 * time.Millisecond,
 			Senders:  4,
-			Arrival:  loadgen.ArrivalFixed,
+			Arrival:  "fixed",
 			Timeout:  200 * time.Millisecond,
 			Seed:     int64(i),
 		})

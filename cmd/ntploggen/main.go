@@ -30,19 +30,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	reg := ipasn.NewRegistry()
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*servers, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
+	profiles := ntplog.Table1Profiles()
+	if *servers != "" {
+		profiles = nil
+		for _, id := range strings.Split(*servers, ",") {
+			if id = strings.TrimSpace(id); id == "" {
+				continue
+			}
+			prof, ok := ntplog.ProfileByID(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "ntploggen: -servers: no Table 1 server %q\n", id)
+				os.Exit(2)
+			}
+			profiles = append(profiles, prof)
 		}
 	}
-
-	for _, prof := range ntplog.Table1Profiles() {
-		if len(want) > 0 && !want[prof.ID] {
-			continue
-		}
+	reg := ipasn.NewRegistry()
+	for _, prof := range profiles {
 		path := filepath.Join(*dir, prof.ID+".pcap")
 		f, err := os.Create(path)
 		if err != nil {

@@ -211,6 +211,10 @@ var e2eCases = []e2eCase{
 	{name: "reject ntpload -rate 0", reject: "ntpload -target 127.0.0.1:9 -duration 100ms -rate 0"},
 	{name: "reject ntpload -timeout -1s", reject: "ntpload -target 127.0.0.1:9 -duration 100ms -timeout -1s"},
 	{name: "reject ntpserver -stratum 16", reject: "ntpserver -stratum 16"},
+	{name: "reject sntp -n -1", reject: "sntp -server 127.0.0.1:9 -timeout 100ms -n -1"},
+	{name: "reject sntp -timeout -1s", reject: "sntp -server 127.0.0.1:9 -timeout -1s"},
+	{name: "reject sntp -drop 1.5", reject: "sntp -server 127.0.0.1:9 -timeout 100ms -drop 1.5"},
+	{name: "reject sntp -kod -0.2", reject: "sntp -server 127.0.0.1:9 -timeout 100ms -kod -0.2"},
 }
 
 // TestE2E proves the serving contracts on the built binaries:

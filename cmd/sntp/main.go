@@ -59,6 +59,25 @@ func main() {
 	ntsInsecure := flag.Bool("nts-insecure", false, "skip NTS-KE certificate verification (testing only)")
 	flag.Parse()
 
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "sntp: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case *count <= 0:
+		fail("-n %d must be positive", *count)
+	case *timeout <= 0:
+		fail("-timeout %v must be positive", *timeout)
+	}
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"-drop", *drop}, {"-dup", *dup}, {"-corrupt", *corrupt}, {"-kod", *kod}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			fail("%s %v must be a probability in [0, 1]", p.flag, p.v)
+		}
+	}
+
 	var transport exchange.Transport = &ntpnet.Client{Timeout: *timeout}
 	var faults *ntpnet.FaultTransport
 	if *drop > 0 || *dup > 0 || *corrupt > 0 || *kod > 0 {

@@ -3,7 +3,8 @@
 // measuring it, and an MNTP client (with a scripted hints provider)
 // doing the same with filtering. Demonstrates that the protocol code
 // is transport-agnostic: the same clients run in simulation and over
-// UDP.
+// UDP. The MNTP client is built through the public facade (package
+// mntp), as README's real-UDP snippet shows.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"mntp"
 	"mntp/internal/clock"
 	"mntp/internal/core"
 	"mntp/internal/hints"
@@ -33,7 +35,7 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("local NTP server on %s, clock +250ms, 4 workers\n\n", addr)
 
-	transport := &ntpnet.Client{Timeout: 2 * time.Second}
+	transport := &mntp.UDPClient{Timeout: 2 * time.Second}
 
 	// SNTP: one-shot queries.
 	cl := sntp.New(clock.System{}, transport, sntp.WallSleeper{},
@@ -59,7 +61,7 @@ func main() {
 		return hints.Hints{RSSI: -52, Noise: -93}
 	})
 
-	params := core.DefaultParams(addr.String())
+	params := mntp.DefaultParams(addr.String())
 	params.WarmupServers = []string{addr.String(), addr.String(), addr.String()}
 	params.RegularServer = addr.String()
 	params.WarmupPeriod = 3 * time.Second
@@ -69,7 +71,7 @@ func main() {
 	params.HintPollInterval = 200 * time.Millisecond
 
 	fmt.Println("\nMNTP over UDP (scripted hints, ~8s):")
-	c := core.New(clock.System{}, nil, transport, scripted, sntp.WallSleeper{}, params)
+	c := mntp.NewClient(mntp.SystemClock{}, nil, transport, scripted, sntp.WallSleeper{}, params)
 	c.OnEvent = func(e core.Event) {
 		switch e.Kind {
 		case core.EventAccepted, core.EventRejected:

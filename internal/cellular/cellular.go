@@ -71,23 +71,6 @@ func LTE2016() Profile {
 	}
 }
 
-// MobileProviderProfile returns a §3.1 mobile-provider profile (SP
-// 22–25) whose minimum OWD distribution matches the paper's reported
-// medians around 400–600 ms with wide IQRs. rank 0 is the
-// lowest-latency mobile provider.
-func MobileProviderProfile(rank int) Profile {
-	base := 170 + 60*time.Duration(rank)
-	return Profile{
-		BaseOWDMedian:   base * time.Millisecond,
-		Sigma:           0.8,
-		UplinkGrantMean: (120 + 40*time.Duration(rank)) * time.Millisecond,
-		PromotionMin:    200 * time.Millisecond,
-		PromotionMax:    700 * time.Millisecond,
-		IdleTimeout:     10 * time.Second,
-		LossProb:        0.02,
-	}
-}
-
 // Path is a cellular path model implementing netsim.PathModel.
 type Path struct {
 	prof Profile

@@ -83,29 +83,6 @@ func TestLoss(t *testing.T) {
 	}
 }
 
-func TestMobileProviderProfilesOrdered(t *testing.T) {
-	// Higher rank → higher latency, matching the linear trend of
-	// SP 22–25 in Figure 1.
-	meanOWD := func(rank int) float64 {
-		p := NewPath(MobileProviderProfile(rank), int64(10+rank))
-		var acc stats.Online
-		for i := 0; i < 2000; i++ {
-			if d, lost := p.SampleOneWay(time.Duration(i)*7*time.Second, netsim.Downlink); !lost {
-				acc.Add(d.Seconds())
-			}
-		}
-		return acc.Mean()
-	}
-	prev := meanOWD(0)
-	for rank := 1; rank < 4; rank++ {
-		cur := meanOWD(rank)
-		if cur <= prev {
-			t.Errorf("rank %d mean OWD %.3fs not above rank %d (%.3fs)", rank, cur, rank-1, prev)
-		}
-		prev = cur
-	}
-}
-
 func TestHeavyTailProducesExtremes(t *testing.T) {
 	p := NewPath(LTE2016(), 5)
 	var maxUp time.Duration

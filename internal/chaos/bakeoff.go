@@ -20,15 +20,15 @@ type BakeOffCell struct {
 }
 
 // BakeOff runs every named scenario under each estimator kind and
-// returns the grid, scenarios in Scenarios() order and estimators in
+// returns the grid, scenarios in scenarios() order and estimators in
 // trend.Kinds() order within each scenario.
 func BakeOff() []BakeOffCell {
 	var out []BakeOffCell
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios() {
 		for _, kind := range trend.Kinds() {
 			sc := sc
 			sc.Estimator = kind
-			r := Run(sc)
+			r := run(sc)
 			final := r.Final
 			if final < 0 {
 				final = -final
@@ -37,7 +37,7 @@ func BakeOff() []BakeOffCell {
 				Scenario:   sc.Name,
 				Estimator:  kind,
 				Final:      final,
-				Violations: r.Violations(),
+				Violations: r.violations(),
 			})
 		}
 	}

@@ -20,7 +20,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -40,59 +39,49 @@ var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 
 // Gate wraps a path segment with scriptable impairments: a hard
 // down switch (packets vanish), extra per-direction delay (asymmetry
-// spikes, path changes after a roam) and additional loss. Scenarios
+// spikes, path changes after a roam). Scenarios
 // flip these from scheduler callbacks mid-run; the mutex makes that
 // safe regardless of which goroutine the scheduler dispatches on.
 type Gate struct {
 	mu    sync.Mutex
 	inner netsim.PathModel
-	rng   *rand.Rand
 
 	down      bool
 	extraUp   time.Duration
 	extraDown time.Duration
-	loss      float64
 }
 
-// NewGate wraps inner with an initially transparent gate.
-func NewGate(inner netsim.PathModel, seed int64) *Gate {
-	return &Gate{inner: inner, rng: rand.New(rand.NewSource(seed))}
+// newGate wraps inner with an initially transparent gate.
+func newGate(inner netsim.PathModel) *Gate {
+	return &Gate{inner: inner}
 }
 
-// SetDown switches the hard outage on or off.
-func (g *Gate) SetDown(down bool) {
+// setDown switches the hard outage on or off.
+func (g *Gate) setDown(down bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.down = down
 }
 
-// SetExtra sets additional one-way delay per direction. Unequal
+// setExtra sets additional one-way delay per direction. Unequal
 // values create exactly the path asymmetry that corrupts NTP offsets
 // (error = (up − down)/2).
-func (g *Gate) SetExtra(up, down time.Duration) {
+func (g *Gate) setExtra(up, down time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.extraUp, g.extraDown = up, down
 }
 
-// SetLoss sets additional packet loss probability.
-func (g *Gate) SetLoss(p float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.loss = p
-}
-
 // SampleOneWay implements netsim.PathModel.
 func (g *Gate) SampleOneWay(now time.Duration, dir netsim.Direction) (time.Duration, bool) {
 	g.mu.Lock()
-	down, loss := g.down, g.loss
+	down := g.down
 	extra := g.extraUp
 	if dir == netsim.Downlink {
 		extra = g.extraDown
 	}
-	lost := loss > 0 && g.rng.Float64() < loss
 	g.mu.Unlock()
-	if down || lost {
+	if down {
 		return 0, true
 	}
 	d, lostInner := g.inner.SampleOneWay(now, dir)
@@ -118,15 +107,15 @@ func (l *LiarClock) Now() time.Time {
 	return l.base.Now().Add(l.err)
 }
 
-// SetError sets the lie.
-func (l *LiarClock) SetError(d time.Duration) {
+// setError sets the lie.
+func (l *LiarClock) setError(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.err = d
 }
 
-// StepRec records one clock step the discipline applied.
-type StepRec struct {
+// stepRec records one clock step the discipline applied.
+type stepRec struct {
 	At     time.Duration // virtual time of the step
 	Amount time.Duration
 }
@@ -139,7 +128,7 @@ type StepRecorder struct {
 	Now   func() time.Duration
 
 	mu    sync.Mutex
-	steps []StepRec
+	steps []stepRec
 }
 
 // Step implements sysclock.Adjuster.
@@ -148,7 +137,7 @@ func (r *StepRecorder) Step(d time.Duration) error {
 		return err
 	}
 	r.mu.Lock()
-	r.steps = append(r.steps, StepRec{At: r.Now(), Amount: d})
+	r.steps = append(r.steps, stepRec{At: r.Now(), Amount: d})
 	r.mu.Unlock()
 	return nil
 }
@@ -156,21 +145,21 @@ func (r *StepRecorder) Step(d time.Duration) error {
 // AdjustFreq implements sysclock.Adjuster.
 func (r *StepRecorder) AdjustFreq(f float64) error { return r.Inner.AdjustFreq(f) }
 
-// Steps returns a copy of the recorded steps.
-func (r *StepRecorder) Steps() []StepRec {
+// recorded returns a copy of the recorded steps.
+func (r *StepRecorder) recorded() []stepRec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]StepRec, len(r.steps))
+	out := make([]stepRec, len(r.steps))
 	copy(out, r.steps)
 	return out
 }
 
-// World is the assembled testbed a scenario script manipulates. The
+// world is the assembled testbed a scenario script manipulates. The
 // fields populated at construction (Sched, Channel, Net, Clk, Gates,
 // Liars) are valid immediately; Client, Fault and Steps come to life
 // when the client process starts at virtual t=0, so scripts must only
 // dereference them inside scheduled callbacks (which fire later).
-type World struct {
+type world struct {
 	Sched   *netsim.Scheduler
 	Channel *wireless.Channel
 	Net     *netsim.Network
@@ -189,22 +178,21 @@ const numServers = 4
 // newWorld assembles the testbed: four servers with scriptable clocks,
 // each reached through the shared wireless hop plus a gated wired
 // backbone, pooled under the name "pool"; and a drifting client clock.
-func newWorld(seed int64, clkCfg clock.Config) *World {
-	sched := netsim.NewScheduler(epoch)
+func newWorld(seed int64, clkCfg clock.Config) *world {
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(epoch, sched.Now)
 	ch := wireless.NewChannel(wireless.Params{Seed: seed}, sched.Now)
 	net := netsim.NewNetwork(sched)
 
-	w := &World{Sched: sched, Channel: ch, Net: net}
+	w := &world{Sched: sched, Channel: ch, Net: net}
 	var members []*netsim.Server
 	for i := 0; i < numServers; i++ {
 		liar := &LiarClock{base: truth}
 		w.Liars = append(w.Liars, liar)
 		srv := netsim.NewServer(fmt.Sprintf("ref%d", i), liar, 2, seed*10+int64(i))
 		members = append(members, srv)
-		gate := NewGate(
-			netsim.NewWiredPath(time.Duration(8+4*i)*time.Millisecond, time.Millisecond, 0, 0, seed*100+int64(i)),
-			seed*1000+int64(i))
+		gate := newGate(
+			netsim.NewWiredPath(time.Duration(8+4*i)*time.Millisecond, time.Millisecond, 0, 0, seed*100+int64(i)))
 		w.Gates = append(w.Gates, gate)
 		net.AddServer(srv, &netsim.CompositePath{Segments: []netsim.PathModel{ch, gate}})
 	}
@@ -213,14 +201,14 @@ func newWorld(seed int64, clkCfg clock.Config) *World {
 	return w
 }
 
-// BaseParams is the client configuration every scenario starts from:
+// baseParams is the client configuration every scenario starts from:
 // a compressed MNTP schedule (8 min warm-up at 10 s cadence, 30 s
 // regular rounds, 2 h reset) so faults and recoveries fit in ~1 h of
 // virtual time, with the guarded-discipline knobs tight enough to
 // exercise: steps beyond 100 ms, panic refusals beyond 2 s, holdover
 // after 3 dry rounds for at most 45 min, and 10 min KoD hold-downs so
 // a storm's aftermath clears within the scenario.
-func BaseParams() core.Params {
+func baseParams() core.Params {
 	p := core.DefaultParams("pool")
 	p.WarmupPeriod = 8 * time.Minute
 	p.WarmupWaitTime = 10 * time.Second
@@ -235,16 +223,16 @@ func BaseParams() core.Params {
 	return p
 }
 
-// Window is a virtual-time interval.
-type Window struct {
+// window is a virtual-time interval.
+type window struct {
 	From, To time.Duration
 }
 
 // contains reports whether t falls inside the window.
-func (w Window) contains(t time.Duration) bool { return t >= w.From && t < w.To }
+func (w window) contains(t time.Duration) bool { return t >= w.From && t < w.To }
 
-// Scenario is one scripted fault sequence plus its acceptance checks.
-type Scenario struct {
+// scenario is one scripted fault sequence plus its acceptance checks.
+type scenario struct {
 	// Name identifies the scenario in reports and test output.
 	Name string
 	// Seed drives all randomness (paths, channel, fault transport).
@@ -261,49 +249,49 @@ type Scenario struct {
 	// Tune, if non-nil, adjusts the base parameters.
 	Tune func(*core.Params)
 	// Script schedules the faults. It runs before the simulation
-	// starts; use w.Sched.After/At/Every to act at virtual times, and
+	// starts; use w.Sched.After/Every to act at virtual times, and
 	// only touch w.Client/w.Fault inside those callbacks.
-	Script func(w *World)
+	Script func(w *world)
 	// AllowLargeSteps are windows in which a step beyond the panic
 	// threshold is legitimate (e.g. the cold recovery step after a
 	// detected suspend). Everywhere else after warm-up, such a step
 	// fails the run.
-	AllowLargeSteps []Window
+	AllowLargeSteps []window
 	// Verify returns scenario-specific violations (empty = pass). The
-	// universal step invariant is checked by Report.Violations, not
+	// universal step invariant is checked by report.violations, not
 	// here.
-	Verify func(r *Report) []string
+	Verify func(r *report) []string
 }
 
-// TrajPoint is one sample of the clock's true offset.
-type TrajPoint struct {
+// trajPoint is one sample of the clock's true offset.
+type trajPoint struct {
 	At     time.Duration
 	Offset time.Duration
 }
 
-// Report is the outcome of one scenario run.
-type Report struct {
-	Scenario Scenario
+// report is the outcome of one scenario run.
+type report struct {
+	Scenario scenario
 	Params   core.Params
 	// Events is every client event in order.
 	Events []core.Event
 	// Counts indexes events by kind.
 	Counts map[core.EventKind]int
 	// Steps is every clock step the discipline applied.
-	Steps []StepRec
+	Steps []stepRec
 	// Trajectory samples the true clock offset every 30 s.
-	Trajectory []TrajPoint
+	Trajectory []trajPoint
 	// Final is the true offset when the run ended.
 	Final time.Duration
 	// FinalState is the discipline state when the run ended.
 	FinalState string
 }
 
-// Count returns how many events of the kind occurred.
-func (r *Report) Count(k core.EventKind) int { return r.Counts[k] }
+// count returns how many events of the kind occurred.
+func (r *report) count(k core.EventKind) int { return r.Counts[k] }
 
-// FirstAt returns the virtual time of the first event of the kind.
-func (r *Report) FirstAt(k core.EventKind) (time.Duration, bool) {
+// firstAt returns the virtual time of the first event of the kind.
+func (r *report) firstAt(k core.EventKind) (time.Duration, bool) {
 	for _, e := range r.Events {
 		if e.Kind == k {
 			return e.Elapsed, true
@@ -312,8 +300,8 @@ func (r *Report) FirstAt(k core.EventKind) (time.Duration, bool) {
 	return 0, false
 }
 
-// AcceptedAfter counts accepted samples at or after t.
-func (r *Report) AcceptedAfter(t time.Duration) int {
+// acceptedAfter counts accepted samples at or after t.
+func (r *report) acceptedAfter(t time.Duration) int {
 	n := 0
 	for _, e := range r.Events {
 		if e.Kind == core.EventAccepted && e.Elapsed >= t {
@@ -323,8 +311,8 @@ func (r *Report) AcceptedAfter(t time.Duration) int {
 	return n
 }
 
-// MaxAbsOffset returns the largest |true offset| sampled in [from, to).
-func (r *Report) MaxAbsOffset(from, to time.Duration) time.Duration {
+// maxAbsOffset returns the largest |true offset| sampled in [from, to).
+func (r *report) maxAbsOffset(from, to time.Duration) time.Duration {
 	var worst time.Duration
 	for _, p := range r.Trajectory {
 		if p.At < from || p.At >= to {
@@ -341,11 +329,11 @@ func (r *Report) MaxAbsOffset(from, to time.Duration) time.Duration {
 	return worst
 }
 
-// Violations checks the universal invariant — after the first
+// violations checks the universal invariant — after the first
 // warm-up, no applied step exceeds the panic threshold outside the
 // scenario's allowed windows — and then appends the scenario's own
 // checks.
-func (r *Report) Violations() []string {
+func (r *report) violations() []string {
 	var out []string
 	warmupEnd := r.Params.WarmupPeriod
 	limit := r.Params.PanicThreshold
@@ -379,21 +367,21 @@ func (r *Report) Violations() []string {
 	return out
 }
 
-// Run executes the scenario and returns its report.
-func Run(sc Scenario) *Report {
+// run executes the scenario and returns its report.
+func run(sc scenario) *report {
 	if sc.Duration == 0 {
 		sc.Duration = 75 * time.Minute
 	}
 	if (sc.Clock == clock.Config{}) {
 		sc.Clock = clock.Config{SkewPPM: 30, InitialOffset: 150 * time.Millisecond, Seed: sc.Seed}
 	}
-	params := BaseParams()
+	params := baseParams()
 	params.Estimator = sc.Estimator
 	if sc.Tune != nil {
 		sc.Tune(&params)
 	}
 	w := newWorld(sc.Seed, sc.Clock)
-	rep := &Report{Scenario: sc, Params: params, Counts: make(map[core.EventKind]int)}
+	rep := &report{Scenario: sc, Params: params, Counts: make(map[core.EventKind]int)}
 
 	w.Sched.Go(func(p *netsim.Proc) {
 		inner := &netsim.Transport{Net: w.Net, Proc: p, Clock: w.Clk}
@@ -412,7 +400,7 @@ func Run(sc Scenario) *Report {
 		cl.Run(sc.Duration)
 	})
 	w.Sched.Every(30*time.Second, 30*time.Second, func() bool {
-		rep.Trajectory = append(rep.Trajectory, TrajPoint{At: w.Sched.Now(), Offset: w.Clk.TrueOffset()})
+		rep.Trajectory = append(rep.Trajectory, trajPoint{At: w.Sched.Now(), Offset: w.Clk.TrueOffset()})
 		return w.Sched.Now() < sc.Duration
 	})
 	if sc.Script != nil {
@@ -420,7 +408,7 @@ func Run(sc Scenario) *Report {
 	}
 	w.Sched.Run()
 
-	rep.Steps = w.Steps.Steps()
+	rep.Steps = w.Steps.recorded()
 	rep.Final = w.Clk.TrueOffset()
 	rep.FinalState = w.Client.Discipline().State().String()
 	return rep

@@ -19,13 +19,13 @@ func TestScenarios(t *testing.T) {
 	for _, kind := range trend.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			for _, sc := range Scenarios() {
+			for _, sc := range scenarios() {
 				sc := sc
 				sc.Estimator = kind
 				t.Run(sc.Name, func(t *testing.T) {
 					t.Parallel()
-					r := Run(sc)
-					for _, v := range r.Violations() {
+					r := run(sc)
+					for _, v := range r.violations() {
 						t.Error(v)
 					}
 					if t.Failed() {
@@ -43,26 +43,21 @@ func TestGateImpairments(t *testing.T) {
 	inner := netsim.FuncPath(func(time.Duration, netsim.Direction) (time.Duration, bool) {
 		return 10 * time.Millisecond, false
 	})
-	g := NewGate(inner, 1)
+	g := newGate(inner)
 
 	if d, lost := g.SampleOneWay(0, netsim.Uplink); lost || d != 10*time.Millisecond {
 		t.Fatalf("transparent gate: %v %v", d, lost)
 	}
-	g.SetDown(true)
+	g.setDown(true)
 	if _, lost := g.SampleOneWay(0, netsim.Uplink); !lost {
 		t.Fatal("down gate must lose packets")
 	}
-	g.SetDown(false)
-	g.SetExtra(40*time.Millisecond, 5*time.Millisecond)
+	g.setDown(false)
+	g.setExtra(40*time.Millisecond, 5*time.Millisecond)
 	if d, _ := g.SampleOneWay(0, netsim.Uplink); d != 50*time.Millisecond {
 		t.Fatalf("uplink extra: %v", d)
 	}
 	if d, _ := g.SampleOneWay(0, netsim.Downlink); d != 15*time.Millisecond {
 		t.Fatalf("downlink extra: %v", d)
-	}
-	g.SetExtra(0, 0)
-	g.SetLoss(1)
-	if _, lost := g.SampleOneWay(0, netsim.Uplink); !lost {
-		t.Fatal("loss=1 gate must lose packets")
 	}
 }

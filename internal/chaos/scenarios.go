@@ -13,11 +13,11 @@ import (
 // period).
 const convergence = 25 * time.Millisecond
 
-// Scenarios returns the named fault scripts. Each runs the full MNTP
+// scenarios returns the named fault scripts. Each runs the full MNTP
 // client — warm-up, regular phase, trend filter, hint gating, source
 // pool, guarded discipline — against one choreographed failure.
-func Scenarios() []Scenario {
-	return []Scenario{
+func scenarios() []scenario {
+	return []scenario{
 		totalBlackout(),
 		kodStorm(),
 		falsetickerMajority(),
@@ -33,34 +33,34 @@ func Scenarios() []Scenario {
 // so the clock drifts far less than its raw 30 ppm), and exit on the
 // first accepted sample once the network returns, re-converging
 // within the same cycle.
-func totalBlackout() Scenario {
-	return Scenario{
+func totalBlackout() scenario {
+	return scenario{
 		Name: "total-blackout",
 		Seed: 101,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(20*time.Minute, func() {
 				for _, g := range w.Gates {
-					g.SetDown(true)
+					g.setDown(true)
 				}
 			})
 			w.Sched.After(40*time.Minute, func() {
 				for _, g := range w.Gates {
-					g.SetDown(false)
+					g.setDown(false)
 				}
 			})
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
-			if r.Count(core.EventHoldover) == 0 {
+			if r.count(core.EventHoldover) == 0 {
 				v = append(v, "blackout never produced EventHoldover")
 			}
-			if n := r.AcceptedAfter(41 * time.Minute); n == 0 {
+			if n := r.acceptedAfter(41 * time.Minute); n == 0 {
 				v = append(v, "no sample accepted after the network returned")
 			}
 			// Holdover must free-run on the learned frequency: over the
 			// 20 min outage the clock may not wander anywhere near the
 			// 36 ms its raw 30 ppm skew would accumulate.
-			drift := r.MaxAbsOffset(20*time.Minute, 40*time.Minute)
+			drift := r.maxAbsOffset(20*time.Minute, 40*time.Minute)
 			if drift > convergence {
 				v = append(v, fmt.Sprintf("holdover drift reached %v, want ≤ %v (raw skew would give 36ms)", drift, convergence))
 			}
@@ -76,20 +76,20 @@ func totalBlackout() Scenario {
 // kiss-of-death packets for 12 minutes. Every source lands in
 // exponential hold-down; the client must ride it out without panicking
 // and resume once the hold-downs (10 min base) expire after the storm.
-func kodStorm() Scenario {
-	return Scenario{
+func kodStorm() scenario {
+	return scenario{
 		Name: "kod-storm",
 		Seed: 202,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(20*time.Minute, func() { w.Fault.KoDProb = 0.9 })
 			w.Sched.After(32*time.Minute, func() { w.Fault.KoDProb = 0 })
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
-			if r.Count(core.EventKoD) == 0 {
+			if r.count(core.EventKoD) == 0 {
 				v = append(v, "storm never surfaced an EventKoD")
 			}
-			if n := r.AcceptedAfter(45 * time.Minute); n == 0 {
+			if n := r.acceptedAfter(45 * time.Minute); n == 0 {
 				v = append(v, "no sample accepted after hold-downs expired")
 			}
 			return append(v, verifyConverged(r)...)
@@ -102,27 +102,27 @@ func kodStorm() Scenario {
 // filter disabled so the lie reaches the discipline undiluted. The
 // panic gate is the last line of defense: it must refuse every liar
 // offset, and the clock must never follow them.
-func falsetickerMajority() Scenario {
-	return Scenario{
+func falsetickerMajority() scenario {
+	return scenario{
 		Name: "falseticker-majority",
 		Seed: 303,
 		Tune: func(p *core.Params) { p.DisableFilter = true },
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(25*time.Minute, func() {
 				for _, l := range w.Liars[:3] {
-					l.SetError(30 * time.Second)
+					l.setError(30 * time.Second)
 				}
 			})
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
-			if r.Count(core.EventPanicStep) == 0 {
+			if r.count(core.EventPanicStep) == 0 {
 				v = append(v, "liar majority never tripped the panic gate")
 			}
 			// The clock must never be yanked toward the +30 s lie; with
 			// the learned frequency still applied it stays near true
 			// time even while most rounds are refused.
-			if worst := r.MaxAbsOffset(25*time.Minute, r.Scenario.Duration); worst > time.Second {
+			if worst := r.maxAbsOffset(25*time.Minute, r.Scenario.Duration); worst > time.Second {
 				v = append(v, fmt.Sprintf("clock followed the liars: worst offset %v", worst))
 			}
 			return v
@@ -135,20 +135,20 @@ func falsetickerMajority() Scenario {
 // divergence, discard in-flight samples, re-enter warm-up, and then
 // legitimately step the clock back (the discipline is cold after the
 // resume, so the big recovery step is allowed — and only then).
-func suspendJump() Scenario {
-	return Scenario{
+func suspendJump() scenario {
+	return scenario{
 		Name: "suspend-jump",
 		Seed: 404,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(25*time.Minute, func() { w.Clk.Step(90 * time.Second) })
 		},
-		AllowLargeSteps: []Window{{From: 25 * time.Minute, To: 45 * time.Minute}},
-		Verify: func(r *Report) []string {
+		AllowLargeSteps: []window{{From: 25 * time.Minute, To: 45 * time.Minute}},
+		Verify: func(r *report) []string {
 			var v []string
-			if r.Count(core.EventResumed) == 0 {
+			if r.count(core.EventResumed) == 0 {
 				v = append(v, "90s wall-vs-mono divergence never detected")
 			}
-			resumedAt, _ := r.FirstAt(core.EventResumed)
+			resumedAt, _ := r.firstAt(core.EventResumed)
 			warmupAfter := false
 			for _, e := range r.Events {
 				if e.Kind == core.EventAccepted && e.Phase == core.PhaseWarmup && e.Elapsed > resumedAt {
@@ -174,27 +174,27 @@ func suspendJump() Scenario {
 // classic asymmetric path that biases measured offsets by −200 ms.
 // The delay gate and trend filter must keep the biased samples off the
 // clock: the true offset stays converged straight through the spike.
-func asymSpike() Scenario {
-	return Scenario{
+func asymSpike() scenario {
+	return scenario{
 		Name: "asym-spike",
 		Seed: 505,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(25*time.Minute, func() {
 				for _, g := range w.Gates {
-					g.SetExtra(400*time.Millisecond, 0)
+					g.setExtra(400*time.Millisecond, 0)
 				}
 			})
 			w.Sched.After(35*time.Minute, func() {
 				for _, g := range w.Gates {
-					g.SetExtra(0, 0)
+					g.setExtra(0, 0)
 				}
 			})
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
 			// Converged before the spike, and never knocked off by it:
 			// a 200 ms bias accepted even once would show up here.
-			if worst := r.MaxAbsOffset(20*time.Minute, r.Scenario.Duration); worst > 30*time.Millisecond {
+			if worst := r.maxAbsOffset(20*time.Minute, r.Scenario.Duration); worst > 30*time.Millisecond {
 				v = append(v, fmt.Sprintf("asymmetry moved the clock: worst offset %v", worst))
 			}
 			rejectedDuring := 0
@@ -215,11 +215,11 @@ func asymSpike() Scenario {
 // transmit power cut to 2 dBm) for 15 minutes. MNTP's hint gating
 // should defer requests rather than consume garbage; the clock rides
 // through on its corrected frequency and re-converges afterwards.
-func wirelessDegradation() Scenario {
-	return Scenario{
+func wirelessDegradation() scenario {
+	return scenario{
 		Name: "wireless-degradation",
 		Seed: 606,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(20*time.Minute, func() {
 				w.Channel.AddLoad(0.85)
 				w.Channel.SetTxPower(2)
@@ -229,7 +229,7 @@ func wirelessDegradation() Scenario {
 				w.Channel.SetTxPower(20)
 			})
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
 			deferred := 0
 			for _, e := range r.Events {
@@ -240,7 +240,7 @@ func wirelessDegradation() Scenario {
 			if deferred == 0 {
 				v = append(v, "degraded channel never deferred a request: gating inert")
 			}
-			if n := r.AcceptedAfter(36 * time.Minute); n == 0 {
+			if n := r.acceptedAfter(36 * time.Minute); n == 0 {
 				v = append(v, "no sample accepted after the channel recovered")
 			}
 			return append(v, verifyConverged(r)...)
@@ -252,32 +252,32 @@ func wirelessDegradation() Scenario {
 // different delays, announced through the NetworkChanged hook. The
 // pool's path health resets, the client re-probes on a jittered
 // backoff, and samples keep flowing on the new path.
-func roam() Scenario {
-	return Scenario{
+func roam() scenario {
+	return scenario{
 		Name: "roam",
 		Seed: 707,
-		Script: func(w *World) {
+		Script: func(w *world) {
 			w.Sched.After(25*time.Minute, func() {
 				for _, g := range w.Gates {
-					g.SetDown(true)
+					g.setDown(true)
 				}
 			})
 			w.Sched.After(25*time.Minute+20*time.Second, func() {
 				for i, g := range w.Gates {
-					g.SetDown(false)
+					g.setDown(false)
 					// The new network reaches the same pool through
 					// different (symmetric) backbone delays.
-					g.SetExtra(time.Duration(15+5*i)*time.Millisecond, time.Duration(15+5*i)*time.Millisecond)
+					g.setExtra(time.Duration(15+5*i)*time.Millisecond, time.Duration(15+5*i)*time.Millisecond)
 				}
 				w.Client.NetworkChanged()
 			})
 		},
-		Verify: func(r *Report) []string {
+		Verify: func(r *report) []string {
 			var v []string
-			if r.Count(core.EventNetworkChanged) == 0 {
+			if r.count(core.EventNetworkChanged) == 0 {
 				v = append(v, "NetworkChanged never surfaced as an event")
 			}
-			if n := r.AcceptedAfter(27 * time.Minute); n == 0 {
+			if n := r.acceptedAfter(27 * time.Minute); n == 0 {
 				v = append(v, "no sample accepted on the new network")
 			}
 			return append(v, verifyConverged(r)...)
@@ -287,7 +287,7 @@ func roam() Scenario {
 
 // verifyConverged is the shared tail check: the run ends with the
 // clock inside the convergence bound.
-func verifyConverged(r *Report) []string {
+func verifyConverged(r *report) []string {
 	off := r.Final
 	if off < 0 {
 		off = -off

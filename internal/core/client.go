@@ -175,8 +175,8 @@ type Phase int
 const (
 	// PhaseWarmup is steps 4–14 (multi-source, no clock updates).
 	PhaseWarmup Phase = iota
-	// PhaseRegular is steps 16–26 (single source, clock updates).
-	PhaseRegular
+	// phaseRegular is steps 16–26 (single source, clock updates).
+	phaseRegular
 )
 
 // String renders the phase name.
@@ -214,12 +214,12 @@ const (
 	// if the loss were transient (mirroring internal/sntp's
 	// immediate retry abort).
 	EventKoD
-	// EventDropped: a reply arrived but the sample was discarded
+	// eventDropped: a reply arrived but the sample was discarded
 	// because the channel degraded while the exchange was in flight.
 	// Unlike EventDeferred, the request was already spent — the two
 	// kinds keep the emitted events consistent with the message
 	// counts of the §5.1 comparisons.
-	EventDropped
+	eventDropped
 	// EventAdjustError: the system-clock adjuster refused a step or
 	// frequency correction (EPERM on an unprivileged host, a kernel
 	// rejecting an out-of-range adjtimex). The offset survives in the
@@ -262,7 +262,7 @@ func (k EventKind) String() string {
 		return "drift-corrected"
 	case EventKoD:
 		return "kod"
-	case EventDropped:
+	case eventDropped:
 		return "dropped"
 	case EventAdjustError:
 		return "adjust-error"
@@ -427,9 +427,6 @@ func New(clk clock.Clock, adj sysclock.Adjuster, tr exchange.Transport,
 // Requests returns the number of SNTP requests emitted so far.
 func (c *Client) Requests() int { return c.requests }
 
-// Pool exposes the client's source pool (for status dumps and tests).
-func (c *Client) Pool() *sources.Pool { return c.pool }
-
 // Discipline exposes the clock discipline (for status dumps and
 // tests).
 func (c *Client) Discipline() *discipline.Discipline { return c.disc }
@@ -451,7 +448,7 @@ func (c *Client) DriftEstimate() (float64, bool) {
 	if c.filter == nil {
 		return 0, false
 	}
-	return c.filter.Drift()
+	return c.filter.drift()
 }
 
 // Run executes Algorithm 1 for the given total duration (measured on
@@ -503,7 +500,7 @@ func (c *Client) runCycle(total time.Duration) {
 	// within oscillator bounds); a warm-up that accepted too few
 	// samples can otherwise fit a wildly wrong slope and send the
 	// clock careening.
-	if est, se, ok := c.filter.DriftWithError(); ok &&
+	if est, se, ok := c.filter.driftWithError(); ok &&
 		!p.DisableDriftCorrection && !p.DisableClockUpdates &&
 		se <= maxDriftStdErr && plausibleFreq(c.freqCorr+est) {
 		applied, err := c.disc.SetFreq(c.freqCorr + est)
@@ -512,14 +509,14 @@ func (c *Client) runCycle(total time.Duration) {
 			// visible and leave freqCorr at the value actually in
 			// effect.
 			c.emit(Event{
-				Elapsed: c.elapsed(), Phase: PhaseRegular,
+				Elapsed: c.elapsed(), Phase: phaseRegular,
 				Kind: EventAdjustError, Drift: est, Requests: c.requests,
 			})
 		} else {
 			c.freqCorr = applied
-			c.filter.ApplyFreq(est, c.elapsed())
+			c.filter.applyFreq(est, c.elapsed())
 			c.emit(Event{
-				Elapsed: c.elapsed(), Phase: PhaseRegular,
+				Elapsed: c.elapsed(), Phase: phaseRegular,
 				Kind: EventDriftCorrected, Drift: est, Requests: c.requests,
 			})
 		}
@@ -528,7 +525,7 @@ func (c *Client) runCycle(total time.Duration) {
 	// Regular phase (steps 17–26).
 	for c.elapsed()-cycleStart < p.ResetPeriod && c.elapsed() < total {
 		c.preflight()
-		h, ok := c.waitFavorable(PhaseRegular, total)
+		h, ok := c.waitFavorable(phaseRegular, total)
 		if !ok {
 			return
 		}
@@ -547,7 +544,7 @@ func (c *Client) runCycle(total time.Duration) {
 		if c.cycleN > 0 {
 			st.ResidRMSE = sqrtMs(c.cycleSq / float64(c.cycleN))
 		}
-		st.GateFallbacks = c.filter.VarianceFallbacks()
+		st.GateFallbacks = c.filter.varianceFallbacks()
 		c.Params = c.Tuner.Adjust(st, c.Params)
 		c.Params.applyDefaults()
 	}
@@ -624,7 +621,7 @@ func (c *Client) jittered(normal time.Duration) time.Duration {
 func (c *Client) roundDry(phase Phase, h hints.Hints) {
 	c.dryRounds++
 	if c.dryRounds >= c.Params.HoldoverAfter && c.disc.EnterHoldover(c.Clock.Now()) {
-		drift, _ := c.filter.Drift()
+		drift, _ := c.filter.drift()
 		c.emit(Event{
 			Elapsed: c.elapsed(), Phase: phase, Kind: EventHoldover,
 			Hints: h, Requests: c.requests, Drift: drift,
@@ -728,7 +725,7 @@ func (c *Client) warmupRound(h hints.Hints) {
 		// Neither dry nor wet for holdover accounting — the sources
 		// answered, the channel vetoed.
 		c.emit(Event{
-			Elapsed: c.elapsed(), Phase: PhaseWarmup, Kind: EventDropped,
+			Elapsed: c.elapsed(), Phase: PhaseWarmup, Kind: eventDropped,
 			Hints: hh, Requests: c.requests,
 		})
 		return
@@ -776,7 +773,7 @@ func (c *Client) regularRound(h hints.Hints) {
 			kind = EventKoD
 		}
 		c.emit(Event{
-			Elapsed: c.elapsed(), Phase: PhaseRegular, Kind: kind,
+			Elapsed: c.elapsed(), Phase: phaseRegular, Kind: kind,
 			Hints: h, Requests: c.requests, Source: o.Source,
 		})
 	}
@@ -785,30 +782,30 @@ func (c *Client) regularRound(h hints.Hints) {
 			// Every source is held down: nothing was sent, which is a
 			// deferral in the message-accounting sense.
 			c.emit(Event{
-				Elapsed: c.elapsed(), Phase: PhaseRegular, Kind: EventDeferred,
+				Elapsed: c.elapsed(), Phase: phaseRegular, Kind: EventDeferred,
 				Hints: h, Requests: c.requests,
 			})
 		}
 		// Both total failure and total hold-down are blackout rounds.
-		c.roundDry(PhaseRegular, h)
+		c.roundDry(phaseRegular, h)
 		return
 	}
 	c.roundWet()
 	if !c.delayAcceptable(s.Delay) {
 		c.emit(Event{
-			Elapsed: c.elapsed(), Phase: PhaseRegular, Kind: EventRejected,
+			Elapsed: c.elapsed(), Phase: phaseRegular, Kind: EventRejected,
 			Offset: s.Offset, Hints: h, Requests: c.requests, Source: s.Server,
 		})
 		return
 	}
 	if hh, ok := c.favorableNow(); !ok {
 		c.emit(Event{
-			Elapsed: c.elapsed(), Phase: PhaseRegular, Kind: EventDropped,
+			Elapsed: c.elapsed(), Phase: phaseRegular, Kind: eventDropped,
 			Hints: hh, Requests: c.requests, Source: s.Server,
 		})
 		return
 	}
-	c.offer(PhaseRegular, s.Offset, h, true)
+	c.offer(phaseRegular, s.Offset, h, true)
 }
 
 // panicRestartAfter is how many consecutive panic-refused corrections
@@ -856,7 +853,7 @@ func (c *Client) offer(phase Phase, offset time.Duration, h hints.Hints, update 
 		c.cycleSq += d * d
 		c.cycleN++
 	}
-	drift, _ := c.filter.Drift()
+	drift, _ := c.filter.drift()
 	c.emit(Event{
 		Elapsed: elapsed, Phase: phase, Kind: kind,
 		Offset: offset, Predicted: pred, PredOK: predOK,
@@ -883,7 +880,7 @@ func (c *Client) offer(phase Phase, offset time.Duration, h hints.Hints, update 
 			}
 		default:
 			if res.Applied != 0 {
-				c.filter.ApplyStep(res.Applied)
+				c.filter.applyStep(res.Applied)
 			}
 		}
 	}
@@ -917,7 +914,7 @@ func (c *Client) emit(e Event) {
 		c.cycle.Deferred++
 	case EventQueryFailed, EventKoD:
 		c.cycle.Failed++
-	case EventDropped:
+	case eventDropped:
 		// A dropped sample consumed a request without yielding an
 		// offset; for the tuner's purposes that is a failed attempt.
 		c.cycle.Failed++

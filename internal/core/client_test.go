@@ -26,7 +26,7 @@ type lab struct {
 }
 
 func newLab(seed int64, falseTicker time.Duration, clkCfg clock.Config) *lab {
-	sched := netsim.NewScheduler(epoch)
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(epoch, sched.Now)
 	ch := wireless.NewChannel(wireless.Params{Seed: seed}, sched.Now)
 	net := netsim.NewNetwork(sched)
@@ -89,7 +89,7 @@ func TestMNTPRunGatesAndFilters(t *testing.T) {
 	l.sched.Run()
 
 	var accepted, rejected, deferred int
-	var acceptedErr stats.Online
+	var acceptedErr []float64
 	for _, e := range events {
 		switch e.Kind {
 		case EventAccepted:
@@ -101,7 +101,7 @@ func TestMNTPRunGatesAndFilters(t *testing.T) {
 			// prediction stay small.
 			if e.PredOK {
 				resid := (e.Offset - e.Predicted).Seconds() * 1000
-				acceptedErr.Add(resid)
+				acceptedErr = append(acceptedErr, resid)
 			}
 		case EventRejected:
 			rejected++
@@ -119,9 +119,8 @@ func TestMNTPRunGatesAndFilters(t *testing.T) {
 		t.Error("no offsets rejected: filter inert")
 	}
 	// Accepted-sample residuals must be small (tight trend tracking).
-	if acceptedErr.Max() > 30 || acceptedErr.Min() < -30 {
-		t.Errorf("accepted residual range [%.1f, %.1f]ms exceeds 30ms",
-			acceptedErr.Min(), acceptedErr.Max())
+	if m := stats.MaxAbs(acceptedErr); m > 30 {
+		t.Errorf("accepted residual max |%.1f| ms exceeds 30ms", m)
 	}
 }
 

@@ -39,7 +39,7 @@ type Filter struct {
 	floor float64
 	// varFallbacks counts gate decisions taken under the bounded
 	// default gate because the estimator could not produce a
-	// prediction variance (persistent trend.ErrInsufficient, e.g.
+	// prediction variance (the estimator persistently reports too few distinct samples, e.g.
 	// all-identical elapsed times after a suspend). Previously that
 	// failure was swallowed and the residual gate ran unguarded.
 	varFallbacks int
@@ -51,19 +51,13 @@ type Filter struct {
 // gate with σ collapsed to the floor.
 const fallbackGateMult = 3
 
-// NewFilter creates a filter around the paper's least-squares
-// estimator. floor is the minimum tolerated prediction error (the
-// gate never rejects samples within ±floor of the trend line);
-// minSamples is the number of initial samples accepted
-// unconditionally (default 3 when ≤ 0).
-func NewFilter(floor time.Duration, minSamples int) *Filter {
-	return NewFilterKind(trend.KindLeastSquares, 0, floor, minSamples)
-}
-
 // NewFilterKind creates a filter around the given trend estimator.
 // window bounds the robust estimators' sample history (≤ 0 selects
-// trend.DefaultWindow; least squares ignores it). The floor doubles
-// as the robust estimators' residual scale floor.
+// trend.DefaultWindow; least squares ignores it). floor is the minimum
+// tolerated prediction error (the gate never rejects samples within
+// ±floor of the trend line) and doubles as the robust estimators'
+// residual scale floor; minSamples is the number of initial samples
+// accepted unconditionally (default 3 when ≤ 0).
 func NewFilterKind(kind trend.Kind, window int, floor time.Duration, minSamples int) *Filter {
 	if minSamples <= 0 {
 		minSamples = 3
@@ -77,14 +71,10 @@ func NewFilterKind(kind trend.Kind, window int, floor time.Duration, minSamples 
 	}
 }
 
-// N returns the number of samples contributing to the trend (for
-// windowed estimators, the window occupancy).
-func (f *Filter) N() int { return f.est.N() }
-
-// VarianceFallbacks returns how many gate decisions were taken under
+// varianceFallbacks returns how many gate decisions were taken under
 // the bounded default gate because the estimator had no prediction
 // variance to offer.
-func (f *Filter) VarianceFallbacks() int { return f.varFallbacks }
+func (f *Filter) varianceFallbacks() int { return f.varFallbacks }
 
 // Offer presents a sample at the given elapsed time. It returns
 // whether the sample was accepted (and absorbed into the trend) and
@@ -121,9 +111,9 @@ func (f *Filter) Offer(elapsed time.Duration, offset time.Duration) (accepted bo
 		if pv, err := f.est.PredictVariance(x); err == nil {
 			bound = 3*math.Sqrt(pv) + f.floor
 		} else {
-			// The estimator has no variance to offer (persistent
-			// trend.ErrInsufficient — e.g. every sample at the same
-			// elapsed time after a suspend). Fall back to an explicit
+			// The estimator has no variance to offer (it persistently
+			// reports too few distinct samples — e.g. every sample at
+			// the same elapsed time after a suspend). Fall back to an explicit
 			// bounded default gate instead of silently skipping the
 			// second chance, and count the fallback so the condition
 			// is observable (CycleStats.GateFallbacks).
@@ -142,10 +132,10 @@ func (f *Filter) Offer(elapsed time.Duration, offset time.Duration) (accepted bo
 	return true, secToDur(pred), true
 }
 
-// Drift returns the current drift estimate (the trend line slope, in
+// drift returns the current drift estimate (the trend line slope, in
 // seconds of offset per second of elapsed time) and whether enough
 // samples exist to estimate it.
-func (f *Filter) Drift() (float64, bool) {
+func (f *Filter) drift() (float64, bool) {
 	line, err := f.est.Line()
 	if err != nil {
 		return 0, false
@@ -153,9 +143,9 @@ func (f *Filter) Drift() (float64, bool) {
 	return line.Slope, true
 }
 
-// DriftWithError returns the drift estimate together with its
+// driftWithError returns the drift estimate together with its
 // standard error (both in seconds per second).
-func (f *Filter) DriftWithError() (drift, stdErr float64, ok bool) {
+func (f *Filter) driftWithError() (drift, stdErr float64, ok bool) {
 	line, err := f.est.Line()
 	if err != nil {
 		return 0, 0, false
@@ -167,26 +157,16 @@ func (f *Filter) DriftWithError() (drift, stdErr float64, ok bool) {
 	return line.Slope, math.Sqrt(v), true
 }
 
-// Predict returns the trend line's offset prediction at the given
-// elapsed time.
-func (f *Filter) Predict(elapsed time.Duration) (time.Duration, bool) {
-	line, err := f.est.Line()
-	if err != nil {
-		return 0, false
-	}
-	return secToDur(line.At(elapsed.Seconds())), true
-}
-
-// ApplyStep re-expresses the accepted history against a clock that
+// applyStep re-expresses the accepted history against a clock that
 // was just stepped by step: all recorded offsets shrink by step.
-func (f *Filter) ApplyStep(step time.Duration) {
+func (f *Filter) applyStep(step time.Duration) {
 	f.est.SubtractLine(step.Seconds(), 0)
 }
 
-// ApplyFreq re-expresses the history against a clock whose frequency
+// applyFreq re-expresses the history against a clock whose frequency
 // was just trimmed by df (seconds per second) at elapsed time x0: the
 // recorded trend loses the component df·(x − x0).
-func (f *Filter) ApplyFreq(df float64, x0 time.Duration) {
+func (f *Filter) applyFreq(df float64, x0 time.Duration) {
 	x := x0.Seconds()
 	f.est.SubtractLine(-df*x, df)
 }

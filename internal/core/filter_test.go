@@ -12,21 +12,21 @@ import (
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
 func TestFilterAcceptsInitialSamples(t *testing.T) {
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	for i := 0; i < 3; i++ {
 		acc, _, _ := f.Offer(time.Duration(i)*5*time.Second, ms(float64(i)))
 		if !acc {
 			t.Fatalf("initial sample %d rejected", i)
 		}
 	}
-	if f.N() != 3 {
-		t.Errorf("N = %d", f.N())
+	if f.est.N() != 3 {
+		t.Errorf("N = %d", f.est.N())
 	}
 }
 
 func TestFilterRejectsOutlierAcceptsOnTrend(t *testing.T) {
 	// Clock drifting at 10 ppm with small noise; one 200 ms spike.
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	rng := rand.New(rand.NewSource(1))
 	const drift = 10e-6
 	for i := 0; i < 30; i++ {
@@ -52,7 +52,7 @@ func TestFilterRejectsOutlierAcceptsOnTrend(t *testing.T) {
 }
 
 func TestFilterRecoversDrift(t *testing.T) {
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	const drift = 25e-6
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
@@ -60,7 +60,7 @@ func TestFilterRecoversDrift(t *testing.T) {
 		y := time.Duration(drift*float64(x)) + ms(rng.NormFloat64()*1.2)
 		f.Offer(x, y)
 	}
-	got, ok := f.Drift()
+	got, ok := f.drift()
 	if !ok {
 		t.Fatal("no drift estimate")
 	}
@@ -73,7 +73,7 @@ func TestFilterFloorKeepsGateOpenAtStart(t *testing.T) {
 	// Perfectly linear start (zero residual variance): without the
 	// floor, any nonzero deviation would be rejected. The floor must
 	// admit small noise.
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	for i := 0; i < 5; i++ {
 		f.Offer(time.Duration(i)*5*time.Second, ms(float64(i))) // exact line
 	}
@@ -87,43 +87,43 @@ func TestFilterFloorKeepsGateOpenAtStart(t *testing.T) {
 }
 
 func TestFilterApplyStepKeepsPredictionsConsistent(t *testing.T) {
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	// History along offset = 100ms (no drift).
 	for i := 0; i < 10; i++ {
 		f.Offer(time.Duration(i)*time.Minute, ms(100))
 	}
 	// Clock stepped by +100 ms: future offsets become ~0.
-	f.ApplyStep(ms(100))
-	pred, ok := f.Predict(11 * time.Minute)
+	f.applyStep(ms(100))
+	acc, pred, ok := f.Offer(11*time.Minute, ms(0.5))
 	if !ok {
 		t.Fatal("no prediction")
 	}
 	if pred < ms(-3) || pred > ms(3) {
 		t.Errorf("post-step prediction = %v, want ~0", pred)
 	}
-	if acc, _, _ := f.Offer(11*time.Minute, ms(0.5)); !acc {
+	if !acc {
 		t.Error("post-step on-trend sample rejected")
 	}
 }
 
 func TestFilterApplyFreqFlattensTrend(t *testing.T) {
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	const drift = 50e-6
 	for i := 0; i < 20; i++ {
 		x := time.Duration(i) * 30 * time.Second
 		f.Offer(x, time.Duration(drift*float64(x)))
 	}
 	now := 19 * 30 * time.Second
-	est, _ := f.Drift()
-	f.ApplyFreq(est, now)
+	est, _ := f.drift()
+	f.applyFreq(est, now)
 	// After the frequency trim, the trend should be flat at the
 	// prediction for `now`.
-	d, _ := f.Drift()
+	d, _ := f.drift()
 	if d > 5e-6 || d < -5e-6 {
 		t.Errorf("post-trim drift = %v, want ~0", d)
 	}
-	pred, _ := f.Predict(now)
 	want := time.Duration(drift * float64(now))
+	_, pred, _ := f.Offer(now, want)
 	if diff := pred - want; diff < -ms(2) || diff > ms(2) {
 		t.Errorf("post-trim prediction at now = %v, want %v", pred, want)
 	}
@@ -236,8 +236,8 @@ func TestCombineOffsets(t *testing.T) {
 }
 
 func TestDriftWithError(t *testing.T) {
-	f := NewFilter(ms(3), 3)
-	if _, _, ok := f.DriftWithError(); ok {
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
+	if _, _, ok := f.driftWithError(); ok {
 		t.Error("empty filter returned a drift estimate")
 	}
 	// Exact line: slope recovered, standard error ~0.
@@ -245,7 +245,7 @@ func TestDriftWithError(t *testing.T) {
 		x := time.Duration(i) * 10 * time.Second
 		f.Offer(x, time.Duration(20e-6*float64(x)))
 	}
-	drift, se, ok := f.DriftWithError()
+	drift, se, ok := f.driftWithError()
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -261,11 +261,11 @@ func TestDriftErrorLargeForScatteredFewSamples(t *testing.T) {
 	// Three scattered points: the slope is meaningless and the
 	// standard error must say so (this is what prevents the runaway
 	// drift corrections the paper's §5.3 tuning uncovered).
-	f := NewFilter(ms(3), 3)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 3)
 	f.Offer(0, ms(0))
 	f.Offer(10*time.Second, ms(300))
 	f.Offer(20*time.Second, ms(-200))
-	_, se, ok := f.DriftWithError()
+	_, se, ok := f.driftWithError()
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -277,10 +277,10 @@ func TestDriftErrorLargeForScatteredFewSamples(t *testing.T) {
 func TestFilterFallbackGateWhenVarianceUnavailable(t *testing.T) {
 	// Two samples at distinct elapsed times define a line but give the
 	// estimator no residual degrees of freedom, so PredictVariance
-	// returns trend.ErrInsufficient. The second-chance gate must then
+	// reports too few distinct samples. The second-chance gate must then
 	// use the explicit bounded default (|error| ≤ 3·floor) and count
 	// the fallback, rather than silently skipping the second chance.
-	f := NewFilter(ms(3), 2)
+	f := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 2)
 	f.Offer(0, 0)
 	f.Offer(5*time.Second, 0)
 
@@ -290,20 +290,20 @@ func TestFilterFallbackGateWhenVarianceUnavailable(t *testing.T) {
 	if !acc {
 		t.Fatalf("5 ms offer should pass the 3·floor fallback gate")
 	}
-	if got := f.VarianceFallbacks(); got != 1 {
+	if got := f.varianceFallbacks(); got != 1 {
 		t.Errorf("VarianceFallbacks = %d, want 1", got)
 	}
 
 	// A fresh filter in the same state must still reject an offer far
 	// outside the bounded default: the fallback is a gate, not a pass.
-	g := NewFilter(ms(3), 2)
+	g := NewFilterKind(trend.KindLeastSquares, 0, ms(3), 2)
 	g.Offer(0, 0)
 	g.Offer(5*time.Second, 0)
 	acc, _, _ = g.Offer(10*time.Second, ms(80))
 	if acc {
 		t.Fatalf("80 ms offer must stay rejected under the fallback gate")
 	}
-	if got := g.VarianceFallbacks(); got != 1 {
+	if got := g.varianceFallbacks(); got != 1 {
 		t.Errorf("VarianceFallbacks = %d, want 1", got)
 	}
 }
@@ -325,7 +325,7 @@ func TestFilterKindRobustRejectsSpike(t *testing.T) {
 		if acc, _, _ := f.Offer(200*time.Second, ms(200)); acc {
 			t.Errorf("%s: 200 ms spike accepted", kind)
 		}
-		d, ok := f.Drift()
+		d, ok := f.drift()
 		if !ok || d < 5e-6 || d > 15e-6 {
 			t.Errorf("%s: drift = %v ok=%v, want ≈10 ppm", kind, d, ok)
 		}

@@ -118,13 +118,13 @@ func TestHoldoverOnBlackoutAndRecovery(t *testing.T) {
 	if !sawHoldover {
 		t.Fatal("blackout never produced EventHoldover")
 	}
-	if stateDuringBlackout != discipline.StateHoldover {
+	if stateDuringBlackout.String() != "holdover" {
 		t.Errorf("discipline state during blackout = %v, want holdover", stateDuringBlackout)
 	}
 	if !recoveredAfterHoldover {
 		t.Fatal("no sample accepted after the network returned")
 	}
-	if st := cl.Discipline().State(); st != discipline.StateSync {
+	if st := cl.Discipline().State(); st.String() != "sync" {
 		t.Errorf("final discipline state = %v, want sync", st)
 	}
 	if off := l.clk.TrueOffset(); off > 25*time.Millisecond || off < -25*time.Millisecond {

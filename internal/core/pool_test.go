@@ -195,7 +195,7 @@ func TestRequestAccountingMatchesWire(t *testing.T) {
 		switch e.Kind {
 		case EventDeferred:
 			deferred++
-		case EventDropped:
+		case eventDropped:
 			dropped++
 		}
 		lastRequests = e.Requests
@@ -266,7 +266,7 @@ func TestMNTPPoolFaultInjectionFullCycle(t *testing.T) {
 		case EventDriftCorrected:
 			sawDriftCorrection = true
 		case EventAccepted:
-			if e.Phase == PhaseRegular {
+			if e.Phase == phaseRegular {
 				regularAccepted++
 			}
 		}
@@ -317,8 +317,5 @@ func TestMNTPPoolFaultInjectionFullCycle(t *testing.T) {
 	if goodScore <= falseScore || goodScore <= kodScore {
 		t.Errorf("good must out-rank both demoted sources: good=%.3f false=%.3f kod=%.3f",
 			goodScore, falseScore, kodScore)
-	}
-	if best, ok := c.Pool().Best(); !ok || best != "good" {
-		t.Errorf("pool Best() = %q, want the good source", best)
 	}
 }

@@ -34,7 +34,6 @@
 package discipline
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -110,26 +109,26 @@ func (c *Config) applyDefaults() {
 type State int
 
 const (
-	// StateCold: never synchronized (or desynchronized by a suspend,
+	// stateCold: never synchronized (or desynchronized by a suspend,
 	// a network change, or an expired holdover). The panic gate is
 	// off — the first correction may be arbitrarily large.
-	StateCold State = iota
-	// StateSync: at least one correction has been applied since the
+	stateCold State = iota
+	// stateSync: at least one correction has been applied since the
 	// last desync; the panic gate is armed.
-	StateSync
-	// StateHoldover: sources are dark; the last good frequency keeps
+	stateSync
+	// stateHoldover: sources are dark; the last good frequency keeps
 	// the clock disciplined while an uncertainty bound ages.
-	StateHoldover
+	stateHoldover
 )
 
 // String renders the state name.
 func (s State) String() string {
 	switch s {
-	case StateCold:
+	case stateCold:
 		return "cold"
-	case StateSync:
+	case stateSync:
 		return "sync"
-	case StateHoldover:
+	case stateHoldover:
 		return "holdover"
 	default:
 		return "unknown"
@@ -140,11 +139,11 @@ func (s State) String() string {
 type Action int
 
 const (
-	// ActionNone: nothing was applied (zero offset).
-	ActionNone Action = iota
-	// ActionSlewed: the offset was below the step threshold and was
+	// actionNone: nothing was applied (zero offset).
+	actionNone Action = iota
+	// actionSlewed: the offset was below the step threshold and was
 	// applied scaled by SlewGain.
-	ActionSlewed
+	actionSlewed
 	// ActionStepped: the offset exceeded the step threshold and was
 	// applied in full at once.
 	ActionStepped
@@ -156,9 +155,9 @@ const (
 // String renders the action name.
 func (a Action) String() string {
 	switch a {
-	case ActionNone:
+	case actionNone:
 		return "none"
-	case ActionSlewed:
+	case actionSlewed:
 		return "slewed"
 	case ActionStepped:
 		return "stepped"
@@ -182,34 +181,6 @@ type Result struct {
 	// Err is the adjuster error, if the chosen correction failed.
 	// The discipline state is unchanged on error.
 	Err error
-}
-
-// Status is an observable snapshot of the discipline.
-type Status struct {
-	State State
-	// Freq is the cumulative frequency correction (s/s) and HaveFreq
-	// whether one has ever been applied.
-	Freq     float64
-	HaveFreq bool
-	// HoldoverFor is how long the discipline has been in holdover
-	// (zero otherwise), and Uncertainty the aged offset bound.
-	HoldoverFor time.Duration
-	Uncertainty time.Duration
-	// ConsecutivePanics counts back-to-back refused corrections; any
-	// applied correction resets it.
-	ConsecutivePanics int
-}
-
-// String renders a one-line status.
-func (s Status) String() string {
-	base := fmt.Sprintf("discipline %s freq=%+.1fppm", s.State, s.Freq*1e6)
-	if s.State == StateHoldover {
-		base += fmt.Sprintf(" holdover=%v ±%v", s.HoldoverFor.Round(time.Second), s.Uncertainty.Round(time.Millisecond))
-	}
-	if s.ConsecutivePanics > 0 {
-		base += fmt.Sprintf(" panics=%d", s.ConsecutivePanics)
-	}
-	return base
 }
 
 // Discipline gates clock corrections. Safe for concurrent use.
@@ -255,7 +226,7 @@ func (d *Discipline) Apply(offset time.Duration, now time.Time) Result {
 
 	if offset == 0 {
 		// A perfect sample still proves synchronization.
-		res := Result{Action: ActionNone}
+		res := Result{Action: actionNone}
 		res.ExitedHoldover = d.markSyncLocked()
 		return res
 	}
@@ -263,9 +234,9 @@ func (d *Discipline) Apply(offset time.Duration, now time.Time) Result {
 	// Panic gate: armed once synchronized. In holdover the limit
 	// widens by the aged uncertainty — the clock may legitimately
 	// have wandered that far since the sources went dark.
-	if d.state != StateCold && d.cfg.PanicThreshold > 0 {
+	if d.state != stateCold && d.cfg.PanicThreshold > 0 {
 		limit := d.cfg.PanicThreshold
-		if d.state == StateHoldover {
+		if d.state == stateHoldover {
 			limit += d.uncertaintyLocked(now)
 		}
 		if offset > limit || offset < -limit {
@@ -274,14 +245,14 @@ func (d *Discipline) Apply(offset time.Duration, now time.Time) Result {
 		}
 	}
 
-	action := ActionSlewed
+	action := actionSlewed
 	applied := offset
 	if offset > d.cfg.StepThreshold || offset < -d.cfg.StepThreshold {
 		action = ActionStepped
 	} else if d.cfg.SlewGain != 1 {
 		applied = time.Duration(float64(offset) * d.cfg.SlewGain)
 		if applied == 0 {
-			res := Result{Action: ActionNone}
+			res := Result{Action: actionNone}
 			res.ExitedHoldover = d.markSyncLocked()
 			return res
 		}
@@ -295,11 +266,11 @@ func (d *Discipline) Apply(offset time.Duration, now time.Time) Result {
 	return res
 }
 
-// markSyncLocked transitions to StateSync after a successful
+// markSyncLocked transitions to stateSync after a successful
 // application, reporting whether that ended a holdover.
 func (d *Discipline) markSyncLocked() (exitedHoldover bool) {
-	exitedHoldover = d.state == StateHoldover
-	d.state = StateSync
+	exitedHoldover = d.state == stateHoldover
+	d.state = stateSync
 	d.holdoverSince = time.Time{}
 	d.panics = 0
 	return exitedHoldover
@@ -307,8 +278,8 @@ func (d *Discipline) markSyncLocked() (exitedHoldover bool) {
 
 // expireHoldoverLocked degrades an over-aged holdover to cold.
 func (d *Discipline) expireHoldoverLocked(now time.Time) {
-	if d.state == StateHoldover && now.Sub(d.holdoverSince) > d.cfg.HoldoverMax {
-		d.state = StateCold
+	if d.state == stateHoldover && now.Sub(d.holdoverSince) > d.cfg.HoldoverMax {
+		d.state = stateCold
 		d.holdoverSince = time.Time{}
 	}
 }
@@ -332,14 +303,6 @@ func (d *Discipline) SetFreq(f float64) (applied float64, err error) {
 	return f, nil
 }
 
-// Freq returns the cumulative frequency correction and whether one
-// has been applied.
-func (d *Discipline) Freq() (float64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.freq, d.haveFreq
-}
-
 // EnterHoldover moves a synchronized discipline into holdover,
 // re-asserting the last good frequency correction so the clock keeps
 // free-running on the best available estimate. It reports whether
@@ -349,10 +312,10 @@ func (d *Discipline) Freq() (float64, bool) {
 func (d *Discipline) EnterHoldover(now time.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != StateSync {
+	if d.state != stateSync {
 		return false
 	}
-	d.state = StateHoldover
+	d.state = stateHoldover
 	d.holdoverSince = now
 	if d.haveFreq {
 		// Best effort: the frequency is normally still in effect, but
@@ -361,19 +324,6 @@ func (d *Discipline) EnterHoldover(now time.Time) bool {
 		_ = d.adj.AdjustFreq(d.freq)
 	}
 	return true
-}
-
-// Desync drops the discipline back to cold: the next correction may
-// be arbitrarily large. Called after a detected suspend or any other
-// event that invalidates the synchronization history. The frequency
-// estimate survives — oscillator behaviour does not change because
-// the device slept or roamed.
-func (d *Discipline) Desync() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.state = StateCold
-	d.holdoverSince = time.Time{}
-	d.panics = 0
 }
 
 // ObserveTimes feeds one paired (wall, monotonic) reading for
@@ -398,7 +348,7 @@ func (d *Discipline) ObserveTimes(wall time.Time, mono time.Duration) (jump time
 	d.lastWall, d.lastMono = wall, mono
 	d.stepAccum = 0
 	if jump > suspendThreshold || jump < -suspendThreshold {
-		d.state = StateCold
+		d.state = stateCold
 		d.holdoverSince = time.Time{}
 		d.panics = 0
 		return jump, true
@@ -421,17 +371,11 @@ func (d *Discipline) ConsecutivePanics() int {
 	return d.panics
 }
 
-// Uncertainty returns the aged holdover offset bound: how far the
-// clock may plausibly have wandered since sources went dark. Zero
+// uncertaintyLocked returns the aged holdover offset bound: how far
+// the clock may plausibly have wandered since sources went dark. Zero
 // outside holdover.
-func (d *Discipline) Uncertainty(now time.Time) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.uncertaintyLocked(now)
-}
-
 func (d *Discipline) uncertaintyLocked(now time.Time) time.Duration {
-	if d.state != StateHoldover {
+	if d.state != stateHoldover {
 		return 0
 	}
 	elapsed := now.Sub(d.holdoverSince)
@@ -439,19 +383,4 @@ func (d *Discipline) uncertaintyLocked(now time.Time) time.Duration {
 		return 0
 	}
 	return time.Duration(elapsed.Seconds() * d.cfg.HoldoverDispPPM * 1e-6 * float64(time.Second))
-}
-
-// Status returns an observable snapshot.
-func (d *Discipline) Status(now time.Time) Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := Status{
-		State: d.state, Freq: d.freq, HaveFreq: d.haveFreq,
-		ConsecutivePanics: d.panics,
-	}
-	if d.state == StateHoldover {
-		st.HoldoverFor = now.Sub(d.holdoverSince)
-		st.Uncertainty = d.uncertaintyLocked(now)
-	}
-	return st
 }

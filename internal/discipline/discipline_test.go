@@ -30,14 +30,6 @@ func (r *recAdjuster) AdjustFreq(f float64) error {
 	return nil
 }
 
-func (r *recAdjuster) total() time.Duration {
-	var t time.Duration
-	for _, s := range r.steps {
-		t += s
-	}
-	return t
-}
-
 var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 
 func TestStepVsSlewThreshold(t *testing.T) {
@@ -46,7 +38,7 @@ func TestStepVsSlewThreshold(t *testing.T) {
 
 	// Below threshold: slewed at half gain.
 	res := d.Apply(80*time.Millisecond, epoch)
-	if res.Action != ActionSlewed || res.Applied != 40*time.Millisecond || res.Err != nil {
+	if res.Action != actionSlewed || res.Applied != 40*time.Millisecond || res.Err != nil {
 		t.Fatalf("slew result = %+v, want slewed 40ms", res)
 	}
 	// Above threshold: stepped in full.
@@ -57,7 +49,7 @@ func TestStepVsSlewThreshold(t *testing.T) {
 	if len(adj.steps) != 2 || adj.steps[0] != 40*time.Millisecond || adj.steps[1] != -300*time.Millisecond {
 		t.Fatalf("adjuster saw %v", adj.steps)
 	}
-	if d.State() != StateSync {
+	if d.State() != stateSync {
 		t.Fatalf("state = %v, want sync", d.State())
 	}
 }
@@ -66,7 +58,7 @@ func TestSlewGainDefaultAppliesFull(t *testing.T) {
 	adj := &recAdjuster{}
 	d := New(adj, Config{})
 	res := d.Apply(50*time.Millisecond, epoch)
-	if res.Action != ActionSlewed || res.Applied != 50*time.Millisecond {
+	if res.Action != actionSlewed || res.Applied != 50*time.Millisecond {
 		t.Fatalf("result = %+v, want full 50ms slew at default gain 1", res)
 	}
 }
@@ -110,14 +102,19 @@ func TestPanicDisabledByNegativeThreshold(t *testing.T) {
 	}
 }
 
+// A detected suspend desynchronizes the discipline: the panic gate it
+// armed is off again, and the next correction may be arbitrarily large.
 func TestDesyncDisarmsPanicGate(t *testing.T) {
 	d := New(&recAdjuster{}, Config{PanicThreshold: time.Second})
 	d.Apply(time.Millisecond, epoch)
-	d.Desync()
-	if d.State() != StateCold {
-		t.Fatalf("state = %v after Desync, want cold", d.State())
+	d.ObserveTimes(epoch, 0)
+	if _, resumed := d.ObserveTimes(epoch.Add(time.Minute), time.Second); !resumed {
+		t.Fatal("a 59 s wall-vs-monotonic jump did not read as a resume")
 	}
-	if res := d.Apply(time.Minute, epoch); res.Action != ActionStepped {
+	if d.State() != stateCold {
+		t.Fatalf("state = %v after the resume, want cold", d.State())
+	}
+	if res := d.Apply(time.Minute, epoch.Add(time.Minute)); res.Action != ActionStepped {
 		t.Fatalf("post-desync big step = %+v, want stepped", res)
 	}
 }
@@ -137,8 +134,8 @@ func TestFreqClampShared(t *testing.T) {
 	if applied != 42e-6 {
 		t.Fatalf("SetFreq(42ppm) = %v, want passthrough", applied)
 	}
-	if f, ok := d.Freq(); !ok || f != 42e-6 {
-		t.Fatalf("Freq() = %v, %v", f, ok)
+	if d.freq != 42e-6 || !d.haveFreq {
+		t.Fatalf("freq = %v, %v", d.freq, d.haveFreq)
 	}
 }
 
@@ -148,7 +145,7 @@ func TestSetFreqErrorLeavesState(t *testing.T) {
 	if _, err := d.SetFreq(10e-6); err == nil {
 		t.Fatal("want error surfaced")
 	}
-	if _, ok := d.Freq(); ok {
+	if d.haveFreq {
 		t.Fatal("failed SetFreq recorded a frequency")
 	}
 }
@@ -160,7 +157,7 @@ func TestApplyErrorSurfacedAndStateUnchanged(t *testing.T) {
 	if res.Err == nil || res.Applied != 0 {
 		t.Fatalf("result = %+v, want error and nothing applied", res)
 	}
-	if d.State() != StateCold {
+	if d.State() != stateCold {
 		t.Fatalf("state advanced to %v on a failed application", d.State())
 	}
 }
@@ -181,7 +178,7 @@ func TestHoldoverLifecycle(t *testing.T) {
 	if !d.EnterHoldover(epoch) {
 		t.Fatal("EnterHoldover from sync failed")
 	}
-	if d.State() != StateHoldover {
+	if d.State() != stateHoldover {
 		t.Fatalf("state = %v, want holdover", d.State())
 	}
 	// The last good frequency was re-asserted.
@@ -195,7 +192,7 @@ func TestHoldoverLifecycle(t *testing.T) {
 
 	// Uncertainty ages at 100 ppm: 1000 s → 100 ms.
 	later := epoch.Add(1000 * time.Second)
-	if u := d.Uncertainty(later); u < 99*time.Millisecond || u > 101*time.Millisecond {
+	if u := d.uncertaintyLocked(later); u < 99*time.Millisecond || u > 101*time.Millisecond {
 		t.Fatalf("uncertainty after 1000s at 100ppm = %v, want ≈100ms", u)
 	}
 
@@ -203,7 +200,7 @@ func TestHoldoverLifecycle(t *testing.T) {
 	if res := d.Apply(1050*time.Millisecond, later); res.Action != ActionStepped {
 		t.Fatalf("in-budget holdover step = %+v, want stepped", res)
 	}
-	if d.State() != StateSync {
+	if d.State() != stateSync {
 		t.Fatalf("state after holdover exit = %v, want sync", d.State())
 	}
 }
@@ -261,7 +258,7 @@ func TestObserveTimesDetectsSuspend(t *testing.T) {
 	if !resumed || jump != 89*time.Second {
 		t.Fatalf("suspend: jump=%v resumed=%v, want 89s resume", jump, resumed)
 	}
-	if d.State() != StateCold {
+	if d.State() != stateCold {
 		t.Fatalf("state after resume = %v, want cold", d.State())
 	}
 }
@@ -294,24 +291,10 @@ func TestObserveTimesNegativeJump(t *testing.T) {
 
 func TestZeroOffsetMarksSync(t *testing.T) {
 	d := New(&recAdjuster{}, Config{})
-	if res := d.Apply(0, epoch); res.Action != ActionNone {
+	if res := d.Apply(0, epoch); res.Action != actionNone {
 		t.Fatalf("zero offset result = %+v", res)
 	}
-	if d.State() != StateSync {
+	if d.State() != stateSync {
 		t.Fatalf("state = %v, want sync after perfect sample", d.State())
-	}
-}
-
-func TestStatusString(t *testing.T) {
-	d := New(&recAdjuster{}, Config{HoldoverDispPPM: 15})
-	d.Apply(time.Millisecond, epoch)
-	d.SetFreq(12e-6)
-	d.EnterHoldover(epoch)
-	st := d.Status(epoch.Add(time.Hour))
-	if st.State != StateHoldover || st.HoldoverFor != time.Hour || !st.HaveFreq {
-		t.Fatalf("status = %+v", st)
-	}
-	if s := st.String(); s == "" {
-		t.Fatal("empty status string")
 	}
 }

@@ -51,17 +51,6 @@ func ThreeG() RadioModel {
 	}
 }
 
-// LTE returns a 4G/LTE model (shorter promotion, comparable tail at
-// higher power).
-func LTE() RadioModel {
-	return RadioModel{
-		Name:          "lte",
-		PromotionTime: 260 * time.Millisecond, PromotionPower: 1.2,
-		ActivePower: 1.3,
-		Tail:        11600 * time.Millisecond, TailPower: 1.0,
-	}
-}
-
 // WiFi returns an 802.11 PSM model: cheap promotions and a very short
 // tail, which is why the same polling schedule costs far less on WiFi.
 func WiFi() RadioModel {

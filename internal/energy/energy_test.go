@@ -86,17 +86,17 @@ func TestWiFiCheaperThan3GForPolling(t *testing.T) {
 }
 
 func TestEmptyMeter(t *testing.T) {
-	m := NewMeter(LTE())
+	m := NewMeter(ThreeG())
 	if m.Energy() != 0 || m.Bursts() != 0 || m.Events() != 0 {
 		t.Error("empty meter non-zero")
 	}
 }
 
 func TestUnsortedActivityHandled(t *testing.T) {
-	a := NewMeter(LTE())
+	a := NewMeter(ThreeG())
 	a.Activity(time.Minute, 100*time.Millisecond)
 	a.Activity(0, 100*time.Millisecond)
-	b := NewMeter(LTE())
+	b := NewMeter(ThreeG())
 	b.Activity(0, 100*time.Millisecond)
 	b.Activity(time.Minute, 100*time.Millisecond)
 	if a.Energy() != b.Energy() {
@@ -153,7 +153,7 @@ func TestMeteredTransportRecordsFailuresToo(t *testing.T) {
 	// A timed-out request still kept the radio awake.
 	now := time.Duration(0)
 	inner := &fakeTransport{now: &now, rtt: 2 * time.Second, fail: true}
-	meter := NewMeter(LTE())
+	meter := NewMeter(ThreeG())
 	mt := &MeteredTransport{Inner: inner, Meter: meter, Now: func() time.Duration { return now }}
 	if _, _, err := mt.Exchange("srv", ntppkt.NewSNTPClient(ntppkt.Version4, 0)); err == nil {
 		t.Fatal("expected failure")

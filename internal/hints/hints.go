@@ -20,9 +20,9 @@ type Hints struct {
 	Noise float64
 }
 
-// SNRMargin returns the signal-to-noise margin in dB, defined by the
+// snrMargin returns the signal-to-noise margin in dB, defined by the
 // paper as RSSI − Noise.
-func (h Hints) SNRMargin() float64 { return h.RSSI - h.Noise }
+func (h Hints) snrMargin() float64 { return h.RSSI - h.Noise }
 
 // Provider supplies current channel hints. The simulated channel
 // (internal/wireless) and the host-utility parsers both satisfy it.
@@ -63,7 +63,7 @@ func Default() Thresholds {
 
 // Favorable reports whether h satisfies all three gates.
 func (t Thresholds) Favorable(h Hints) bool {
-	return h.RSSI > t.MinRSSI && h.Noise < t.MaxNoise && h.SNRMargin() >= t.MinSNR
+	return h.RSSI > t.MinRSSI && h.Noise < t.MaxNoise && h.snrMargin() >= t.MinSNR
 }
 
 // AlwaysFavorable is a Static provider comfortably inside the default

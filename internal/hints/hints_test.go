@@ -7,7 +7,7 @@ import (
 
 func TestSNRMargin(t *testing.T) {
 	h := Hints{RSSI: -55, Noise: -92}
-	if got := h.SNRMargin(); got != 37 {
+	if got := h.snrMargin(); got != 37 {
 		t.Errorf("SNR = %v, want 37", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestQuickFavorableImpliesGates(t *testing.T) {
 		if !th.Favorable(h) {
 			return true
 		}
-		return h.RSSI > th.MinRSSI && h.Noise < th.MaxNoise && h.SNRMargin() >= th.MinSNR
+		return h.RSSI > th.MinRSSI && h.Noise < th.MaxNoise && h.snrMargin() >= th.MinSNR
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

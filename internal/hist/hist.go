@@ -110,12 +110,6 @@ func (s *Snapshot) Record(d time.Duration) {
 	}
 }
 
-// Quantile is Snapshot().Quantile(q).
-func (h *Histogram) Quantile(q float64) (time.Duration, bool) {
-	s := h.Snapshot()
-	return s.Quantile(q)
-}
-
 // Sub returns the interval distribution s−prev (bucket-wise). Max is
 // carried from s: a cumulative maximum cannot be un-merged, so
 // interval rows report the max seen so far.

@@ -59,9 +59,6 @@ func TestQuantiles(t *testing.T) {
 	if p999, _ := s.Quantile(0.999); p999 < 100*time.Millisecond || p999 > 110*time.Millisecond {
 		t.Errorf("p99.9 = %v, want ~100ms", p999)
 	}
-	if q, ok := h.Quantile(0.50); !ok || q != p50 {
-		t.Errorf("Histogram.Quantile = (%v, %v), snapshot says %v", q, ok, p50)
-	}
 	if m := s.Mean(); m < time.Millisecond || m > 3*time.Millisecond {
 		t.Errorf("mean = %v", m)
 	}
@@ -70,12 +67,14 @@ func TestQuantiles(t *testing.T) {
 	}
 	// Empty distribution.
 	var empty Histogram
-	if _, ok := empty.Quantile(0.5); ok {
+	es := empty.Snapshot()
+	if _, ok := es.Quantile(0.5); ok {
 		t.Error("empty histogram produced a quantile")
 	}
 	// A negative duration clamps to zero instead of indexing out of range.
 	empty.Record(-time.Second)
-	if q, ok := empty.Quantile(1); !ok || q != 0 {
+	es = empty.Snapshot()
+	if q, ok := es.Quantile(1); !ok || q != 0 {
 		t.Errorf("negative observation: got (%v, %v), want (0, true)", q, ok)
 	}
 }

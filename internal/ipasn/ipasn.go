@@ -27,8 +27,8 @@ const (
 	Broadband
 	// Mobile covers mobile carriers (SP 22–25, ≈ 550 ms, wide IQR).
 	Mobile
-	// Unknown marks unclassifiable clients.
-	Unknown
+	// unknown marks unclassifiable clients.
+	unknown
 )
 
 // String renders the category name.
@@ -59,9 +59,9 @@ type Provider struct {
 	// Prefix4 is the provider's IPv4 block; Prefix6 the IPv6 block.
 	Prefix4 netip.Prefix
 	Prefix6 netip.Prefix
-	// HostSuffix is the reverse-DNS suffix of the provider's clients,
+	// hostSuffix is the reverse-DNS suffix of the provider's clients,
 	// carrying the category keyword the heuristic keys on.
-	HostSuffix string
+	hostSuffix string
 }
 
 // categoryKeywords drive the hostname heuristic, mirroring the
@@ -73,12 +73,12 @@ var categoryKeywords = map[Category][]string{
 	Mobile:    {"mobile", "wireless", "cell", "lte", "3g", "4g", "wap", "pcs"},
 }
 
-// ClassifyHostname applies the keyword heuristic to a hostname and
-// returns the inferred category (Unknown when nothing matches). More
+// classifyHostname applies the keyword heuristic to a hostname and
+// returns the inferred category (unknown when nothing matches). More
 // specific categories win: mobile keywords are checked before
 // broadband because carrier hostnames often also contain generic
 // tokens.
-func ClassifyHostname(host string) Category {
+func classifyHostname(host string) Category {
 	h := strings.ToLower(host)
 	for _, c := range []Category{Mobile, Cloud, Broadband, ISP} {
 		for _, kw := range categoryKeywords[c] {
@@ -87,7 +87,7 @@ func ClassifyHostname(host string) Category {
 			}
 		}
 	}
-	return Unknown
+	return unknown
 }
 
 // Registry maps addresses and hostnames to providers.
@@ -134,7 +134,7 @@ func NewRegistry() *Registry {
 			ASN:        64500 + uint32(rank),
 			Prefix4:    p4,
 			Prefix6:    p6,
-			HostSuffix: fmt.Sprintf("%s%d.example", keywordOfCategory(cat), rank),
+			hostSuffix: fmt.Sprintf("%s%d.example", keywordOfCategory(cat), rank),
 		})
 	}
 	return r
@@ -180,8 +180,8 @@ func (p Provider) ClientAddr(i int, v6 bool) netip.Addr {
 	return netip.AddrFrom4(a)
 }
 
-// ClientHostname returns the reverse-DNS name of a client address
+// clientHostname returns the reverse-DNS name of a client address
 // within the provider, embedding the category keyword.
-func (p Provider) ClientHostname(addr netip.Addr) string {
-	return fmt.Sprintf("host-%s.%s", strings.ReplaceAll(addr.String(), ":", "-"), p.HostSuffix)
+func (p Provider) clientHostname(addr netip.Addr) string {
+	return fmt.Sprintf("host-%s.%s", strings.ReplaceAll(addr.String(), ":", "-"), p.hostSuffix)
 }

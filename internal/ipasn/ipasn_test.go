@@ -81,13 +81,13 @@ func TestClassifyHostname(t *testing.T) {
 		"cpe-5.dsl.broadband14.example":  Broadband,
 		"c-73-1.cable-modem.example":     Broadband,
 		"core1.isp5.example":             ISP,
-		"something.unrelated.example":    Unknown,
+		"something.unrelated.example":    unknown,
 		"HOST.MOBILE2.EXAMPLE":           Mobile, // case-insensitive
 		"wireless-ap.university.example": Mobile,
 	}
 	for host, want := range cases {
-		if got := ClassifyHostname(host); got != want {
-			t.Errorf("ClassifyHostname(%q) = %v, want %v", host, got, want)
+		if got := classifyHostname(host); got != want {
+			t.Errorf("classifyHostname(%q) = %v, want %v", host, got, want)
 		}
 	}
 }
@@ -96,15 +96,15 @@ func TestProviderHostnamesClassifyToOwnCategory(t *testing.T) {
 	// The generator's hostnames must round-trip through the heuristic.
 	r := NewRegistry()
 	for _, p := range r.Providers() {
-		host := p.ClientHostname(p.ClientAddr(7, false))
-		if got := ClassifyHostname(host); got != p.Category {
+		host := p.clientHostname(p.ClientAddr(7, false))
+		if got := classifyHostname(host); got != p.Category {
 			t.Errorf("%s hostname %q classified as %v", p.Name, host, got)
 		}
 	}
 }
 
 func TestCategoryString(t *testing.T) {
-	if Cloud.String() != "cloud" || Mobile.String() != "mobile" || Unknown.String() != "unknown" {
+	if Cloud.String() != "cloud" || Mobile.String() != "mobile" || unknown.String() != "unknown" {
 		t.Error("category names wrong")
 	}
 }

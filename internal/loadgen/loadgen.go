@@ -46,8 +46,8 @@ const (
 	// ArrivalPoisson draws exponential inter-arrival times: bursty,
 	// memoryless traffic like an aggregate of independent clients.
 	ArrivalPoisson Arrival = "poisson"
-	// ArrivalFixed paces requests at a constant interval.
-	ArrivalFixed Arrival = "fixed"
+	// arrivalFixed paces requests at a constant interval.
+	arrivalFixed Arrival = "fixed"
 )
 
 // maxPopulation bounds the simulated source population: each source
@@ -193,52 +193,52 @@ type engine struct {
 	populationBound int
 }
 
-// ReplyClass tells what a matched, in-deadline reply actually was:
+// replyClass tells what a matched, in-deadline reply actually was:
 // genuine served time, a deliberate RATE refusal (a rate limit or an
 // overload shed), or another kiss-of-death. Classifying keeps "loss"
 // meaning what it should — no answer at all — instead of lumping a
 // server's explicit refusals in with drops.
-type ReplyClass int
+type replyClass int
 
 const (
-	// ReplyServed is a mode-4/5 reply carrying time.
-	ReplyServed ReplyClass = iota
-	// ReplyKoDRate is a RATE kiss-of-death: the server answered but
+	// replyServed is a mode-4/5 reply carrying time.
+	replyServed replyClass = iota
+	// replyKoDRate is a RATE kiss-of-death: the server answered but
 	// deliberately refused time (rate limiting or load shedding).
-	ReplyKoDRate
-	// ReplyKoDNTS is an NTS NAK: the server saw NTS fields it could
+	replyKoDRate
+	// replyKoDNTS is an NTS NAK: the server saw NTS fields it could
 	// not authenticate and told the client to re-run key exchange.
 	// Distinct from RATE/other because it signals a key/cookie
 	// problem, not load.
-	ReplyKoDNTS
-	// ReplyKoDOther is any other kiss-of-death (DENY, RSTR, ...).
-	ReplyKoDOther
+	replyKoDNTS
+	// replyKoDOther is any other kiss-of-death (DENY, RSTR, ...).
+	replyKoDOther
 )
 
-// ClassifyReply classifies a decoded server reply by its kiss code.
+// classifyReply classifies a decoded server reply by its kiss code.
 // The string is the kiss code for the KoD classes, "" for served
 // time.
-func ClassifyReply(p *ntppkt.Packet) (ReplyClass, string) {
+func classifyReply(p *ntppkt.Packet) (replyClass, string) {
 	code, ok := p.KissCode()
 	if !ok {
-		return ReplyServed, ""
+		return replyServed, ""
 	}
 	switch code {
 	case "RATE":
-		return ReplyKoDRate, code
+		return replyKoDRate, code
 	case "NTSN":
-		return ReplyKoDNTS, code
+		return replyKoDNTS, code
 	}
-	return ReplyKoDOther, code
+	return replyKoDOther, code
 }
 
 // countKoD tallies one kiss-of-death reply by class and code.
-func (e *engine) countKoD(class ReplyClass, code string) {
+func (e *engine) countKoD(class replyClass, code string) {
 	e.kod.Add(1)
 	switch class {
-	case ReplyKoDRate:
+	case replyKoDRate:
 		e.kodRate.Add(1)
-	case ReplyKoDNTS:
+	case replyKoDNTS:
 		e.kodNTS.Add(1)
 	}
 	e.kodMu.Lock()
@@ -333,7 +333,7 @@ func newEngine(cfg Config) (*engine, error) {
 	switch cfg.Arrival {
 	case "":
 		cfg.Arrival = ArrivalPoisson
-	case ArrivalPoisson, ArrivalFixed:
+	case ArrivalPoisson, arrivalFixed:
 	default:
 		return nil, fmt.Errorf("loadgen: unknown arrival process %q", cfg.Arrival)
 	}
@@ -583,7 +583,7 @@ func (e *engine) receive(sk *sock) {
 			e.late.Add(1) // reply exists but missed its deadline: lost
 			continue
 		}
-		if class, code := ClassifyReply(&p); class != ReplyServed {
+		if class, code := classifyReply(&p); class != replyServed {
 			e.countKoD(class, code)
 			continue
 		}

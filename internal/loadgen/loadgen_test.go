@@ -21,25 +21,25 @@ import (
 func TestClassifyReply(t *testing.T) {
 	served := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: 2}
 	rate := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRate}
-	deny := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissDeny}
-	rstr := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissRstr}
+	deny := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: [4]byte{'D', 'E', 'N', 'Y'}}
+	rstr := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: [4]byte{'R', 'S', 'T', 'R'}}
 	// A client-mode stratum-0 packet is not a kiss-of-death.
 	notKoD := &ntppkt.Packet{Mode: ntppkt.ModeClient, Stratum: 0, RefID: ntppkt.KissRate}
 
 	cases := []struct {
 		name string
 		pkt  *ntppkt.Packet
-		want ReplyClass
+		want replyClass
 		code string
 	}{
-		{"served", served, ReplyServed, ""},
-		{"rate", rate, ReplyKoDRate, "RATE"},
-		{"deny", deny, ReplyKoDOther, "DENY"},
-		{"rstr", rstr, ReplyKoDOther, "RSTR"},
-		{"client mode not KoD", notKoD, ReplyServed, ""},
+		{"served", served, replyServed, ""},
+		{"rate", rate, replyKoDRate, "RATE"},
+		{"deny", deny, replyKoDOther, "DENY"},
+		{"rstr", rstr, replyKoDOther, "RSTR"},
+		{"client mode not KoD", notKoD, replyServed, ""},
 	}
 	for _, c := range cases {
-		class, code := ClassifyReply(c.pkt)
+		class, code := classifyReply(c.pkt)
 		if class != c.want || code != c.code {
 			t.Errorf("%s: ClassifyReply = (%v, %q), want (%v, %q)", c.name, class, code, c.want, c.code)
 		}
@@ -53,9 +53,9 @@ func TestKoDClassificationReachesReport(t *testing.T) {
 	e := &engine{cfg: Config{Target: "t", Rate: 1, Duration: time.Second, Senders: 1},
 		timeout: time.Second, kodCodes: make(map[string]uint64)}
 	for i := 0; i < 3; i++ {
-		e.countKoD(ReplyKoDRate, "RATE")
+		e.countKoD(replyKoDRate, "RATE")
 	}
-	e.countKoD(ReplyKoDOther, "DENY")
+	e.countKoD(replyKoDOther, "DENY")
 	r := e.report(time.Second)
 	if r.KoD != 4 || r.KoDRate != 3 {
 		t.Errorf("KoD=%d KoDRate=%d, want 4 and 3", r.KoD, r.KoDRate)
@@ -107,7 +107,7 @@ func TestRunAgainstServer(t *testing.T) {
 	srv, addr := startServer(t, nil)
 	rep, err := Run(Config{
 		Target: addr, Rate: 2000, Duration: 300 * time.Millisecond,
-		Senders: 2, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond,
+		Senders: 2, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond,
 		SnapshotEvery: 100 * time.Millisecond, Seed: 7,
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestInterruptEmitsPartialReport(t *testing.T) {
 	begin := time.Now()
 	rep, err := Run(Config{
 		Target: addr, Rate: 1000, Duration: 30 * time.Second,
-		Senders: 2, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond,
+		Senders: 2, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond,
 		Seed: 7, Interrupt: interrupt,
 	})
 	elapsed := time.Since(begin)
@@ -205,7 +205,7 @@ func TestOpenLoopKeepsSendingToDeadTarget(t *testing.T) {
 	defer hole.Close()
 	rep, err := Run(Config{
 		Target: hole.LocalAddr().String(), Rate: 2000, Duration: 250 * time.Millisecond,
-		Senders: 2, Arrival: ArrivalFixed, Timeout: 100 * time.Millisecond, Seed: 3,
+		Senders: 2, Arrival: arrivalFixed, Timeout: 100 * time.Millisecond, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestSpoofPopulationExercisesRateLimitTable(t *testing.T) {
 	})
 	rep, err := Run(Config{
 		Target: addr, Rate: 4000, Duration: 250 * time.Millisecond,
-		Senders: 4, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond,
+		Senders: 4, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond,
 		Population: population, Seed: 11,
 	})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestCapacity50k(t *testing.T) {
 	const offered = 64000
 	rep, err := Run(Config{
 		Target: addr, Rate: offered, Duration: time.Second,
-		Senders: 4, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond,
+		Senders: 4, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond,
 		SnapshotEvery: 250 * time.Millisecond, Seed: 1,
 	})
 	if err != nil {

@@ -20,15 +20,15 @@ import (
 // two apart.
 func TestClassifyReplyNTSNak(t *testing.T) {
 	nak := &ntppkt.Packet{Mode: ntppkt.ModeServer, Stratum: ntppkt.StratumKoD, RefID: ntppkt.KissNTSN}
-	class, code := ClassifyReply(nak)
-	if class != ReplyKoDNTS || code != "NTSN" {
-		t.Fatalf("ClassifyReply(NTSN) = (%v, %q), want (%v, %q)", class, code, ReplyKoDNTS, "NTSN")
+	class, code := classifyReply(nak)
+	if class != replyKoDNTS || code != "NTSN" {
+		t.Fatalf("ClassifyReply(NTSN) = (%v, %q), want (%v, %q)", class, code, replyKoDNTS, "NTSN")
 	}
 
 	e := &engine{cfg: Config{Target: "t", Rate: 1, Duration: time.Second, Senders: 1},
 		timeout: time.Second, kodCodes: make(map[string]uint64)}
-	e.countKoD(ReplyKoDNTS, "NTSN")
-	e.countKoD(ReplyKoDRate, "RATE")
+	e.countKoD(replyKoDNTS, "NTSN")
+	e.countKoD(replyKoDRate, "RATE")
 	r := e.report(time.Second)
 	if r.KoD != 2 || r.KoDNTS != 1 || r.KoDRate != 1 {
 		t.Errorf("KoD=%d KoDNTS=%d KoDRate=%d, want 2/1/1", r.KoD, r.KoDNTS, r.KoDRate)
@@ -84,7 +84,7 @@ func TestRunNTSAgainstServer(t *testing.T) {
 
 	rep, err := Run(Config{
 		Target: ntpAddr, Rate: 1000, Duration: 300 * time.Millisecond,
-		Senders: 2, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond, Seed: 11,
+		Senders: 2, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond, Seed: 11,
 		NTS: &NTSConfig{KEAddr: keAddr, TLSConfig: clientTLS, Sessions: 2},
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestRunNTSStaleCookiesClassifiedAsNAK(t *testing.T) {
 
 	rep, err := Run(Config{
 		Target: ntpAddr, Rate: 500, Duration: 200 * time.Millisecond,
-		Senders: 2, Arrival: ArrivalFixed, Timeout: 500 * time.Millisecond, Seed: 13,
+		Senders: 2, Arrival: arrivalFixed, Timeout: 500 * time.Millisecond, Seed: 13,
 		NTS: &NTSConfig{KEAddr: keAddr, TLSConfig: clientTLS, Sessions: 1},
 	})
 	if err != nil {

@@ -10,10 +10,10 @@ import (
 
 // A panic in a process body surfaces in the goroutine that drives the
 // scheduler, where the caller of Run can recover it; the processes it
-// left asleep still unwind on Stop, and nothing outlives the scheduler.
+// left asleep still unwind on stop, and nothing outlives the scheduler.
 func TestProcsPanicReachesRun(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var asleep *Proc
 	woke := 0
 	s.Go(func(p *Proc) {
@@ -29,7 +29,7 @@ func TestProcsPanicReachesRun(t *testing.T) {
 	})
 	s.Go(func(p *Proc) {
 		p.Sleep(time.Minute)
-		p.Stop() // stopped while running: the next Sleep unwinds
+		p.stop() // stopped while running: the next Sleep unwinds
 		p.Sleep(time.Hour)
 		t.Error("a stopped process returned from Sleep")
 	})
@@ -46,11 +46,11 @@ func TestProcsPanicReachesRun(t *testing.T) {
 		t.Fatalf("panic surfaced at %v after %d wake-ups, want 1s and 3", s.Now(), woke)
 	}
 
-	s.RunUntil(2 * time.Second)
-	asleep.Stop() // stopped while parked: the next resume unwinds
+	s.runUntil(2 * time.Second)
+	asleep.stop() // stopped while parked: the next resume unwinds
 	s.Run()
-	if woke != 6 || s.Pending() != 0 || s.Now() != time.Minute {
-		t.Errorf("after Stop: woke=%d pending=%d now=%v", woke, s.Pending(), s.Now())
+	if woke != 6 || len(s.events) != 0 || s.Now() != time.Minute {
+		t.Errorf("after stop: woke=%d pending=%d now=%v", woke, len(s.events), s.Now())
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before, %d after every process has exited", before, after)

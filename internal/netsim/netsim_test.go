@@ -14,11 +14,11 @@ import (
 var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 
 func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var order []int
-	s.At(2*time.Second, func() { order = append(order, 2) })
-	s.At(time.Second, func() { order = append(order, 1) })
-	s.At(2*time.Second, func() { order = append(order, 3) }) // same time: FIFO
+	s.at(2*time.Second, func() { order = append(order, 2) })
+	s.at(time.Second, func() { order = append(order, 1) })
+	s.at(2*time.Second, func() { order = append(order, 3) }) // same time: FIFO
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -29,9 +29,9 @@ func TestSchedulerOrdering(t *testing.T) {
 }
 
 func TestSchedulerNestedScheduling(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var fired []time.Duration
-	s.At(time.Second, func() {
+	s.at(time.Second, func() {
 		s.After(3*time.Second, func() { fired = append(fired, s.Now()) })
 	})
 	s.Run()
@@ -41,9 +41,9 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 }
 
 func TestSchedulerPastEventRunsNow(t *testing.T) {
-	s := NewScheduler(epoch)
-	s.At(5*time.Second, func() {
-		s.At(time.Second, func() { // in the past
+	s := NewScheduler()
+	s.at(5*time.Second, func() {
+		s.at(time.Second, func() { // in the past
 			if s.Now() != 5*time.Second {
 				t.Errorf("past event ran at %v", s.Now())
 			}
@@ -53,24 +53,24 @@ func TestSchedulerPastEventRunsNow(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	ran := 0
-	s.At(time.Second, func() { ran++ })
-	s.At(10*time.Second, func() { ran++ })
-	s.RunUntil(5 * time.Second)
+	s.at(time.Second, func() { ran++ })
+	s.at(10*time.Second, func() { ran++ })
+	s.runUntil(5 * time.Second)
 	if ran != 1 {
 		t.Errorf("ran = %d, want 1", ran)
 	}
 	if s.Now() != 5*time.Second {
 		t.Errorf("now = %v, want 5s", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d", s.Pending())
+	if len(s.events) != 1 {
+		t.Errorf("pending = %d", len(s.events))
 	}
 }
 
 func TestEvery(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	count := 0
 	s.Every(time.Second, 2*time.Second, func() bool {
 		count++
@@ -86,7 +86,7 @@ func TestEvery(t *testing.T) {
 }
 
 func TestProcSleepAdvancesVirtualTime(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var at1, at2 time.Duration
 	s.Go(func(p *Proc) {
 		at1 = p.Now()
@@ -101,7 +101,7 @@ func TestProcSleepAdvancesVirtualTime(t *testing.T) {
 
 func TestProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
-		s := NewScheduler(epoch)
+		s := NewScheduler()
 		var log []string
 		s.Go(func(p *Proc) {
 			for i := 0; i < 3; i++ {
@@ -138,7 +138,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 }
 
 func TestProcStop(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	iters := 0
 	var p1 *Proc
 	s.Go(func(p *Proc) {
@@ -148,7 +148,7 @@ func TestProcStop(t *testing.T) {
 			p.Sleep(time.Second)
 		}
 	})
-	s.At(5500*time.Millisecond, func() { p1.Stop() })
+	s.at(5500*time.Millisecond, func() { p1.stop() })
 	s.Run()
 	if iters != 6 { // t=0,1,2,3,4,5 then stop takes effect at next sleep
 		t.Errorf("iterations = %d, want 6", iters)
@@ -215,7 +215,7 @@ func TestCompositePath(t *testing.T) {
 // a known offset, connected by a symmetric path.
 func buildNet(t testing.TB, clientOffset time.Duration, path PathModel) (*Scheduler, *Network, *clock.Sim) {
 	t.Helper()
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	truth := clock.NewTrue(epoch, s.Now)
 	srv := NewServer("ref0", truth, 1, 10)
 	srv.ProcMin, srv.ProcMax = 0, 0
@@ -314,7 +314,7 @@ func TestExchangeTimeoutOnLoss(t *testing.T) {
 }
 
 func TestPoolRandomAssignment(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	truth := clock.NewTrue(epoch, s.Now)
 	members := []*Server{
 		NewServer("p0", truth, 2, 1),
@@ -326,7 +326,7 @@ func TestPoolRandomAssignment(t *testing.T) {
 	n.AddPool(pool)
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		srv, err := n.Resolve("pool.example")
+		srv, _, err := n.lookup("pool.example")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,14 +338,14 @@ func TestPoolRandomAssignment(t *testing.T) {
 }
 
 func TestResolveUnknown(t *testing.T) {
-	n := NewNetwork(NewScheduler(epoch))
-	if _, err := n.Resolve("nope"); err == nil {
+	n := NewNetwork(NewScheduler())
+	if _, _, err := n.lookup("nope"); err == nil {
 		t.Error("unknown server resolved")
 	}
 }
 
 func TestServerRespondEchoesOrigin(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	truth := clock.NewTrue(epoch, s.Now)
 	srv := NewServer("ref0", truth, 1, 1)
 	tx := ntptime.FromTime(epoch.Add(time.Second))
@@ -400,11 +400,11 @@ func TestPingRTTAndLoss(t *testing.T) {
 // (clamped to schedule time).
 func TestQuickTimeMonotone(t *testing.T) {
 	f := func(delays []uint16) bool {
-		s := NewScheduler(epoch)
+		s := NewScheduler()
 		var fired []time.Duration
 		for _, d := range delays {
 			at := time.Duration(d) * time.Millisecond
-			s.At(at, func() { fired = append(fired, s.Now()) })
+			s.at(at, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		prev := time.Duration(-1)
@@ -424,7 +424,7 @@ func TestQuickTimeMonotone(t *testing.T) {
 // Property: Every fires ceil exactly at start + k*interval while the
 // callback returns true.
 func TestEveryFiringTimes(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var at []time.Duration
 	s.Every(3*time.Second, 7*time.Second, func() bool {
 		at = append(at, s.Now())

@@ -18,8 +18,8 @@
 //  1. every queued event is strictly later than the wake-up instant (an
 //     event at that very instant was scheduled earlier and fires first),
 //  2. the wake-up instant does not pass the bound of the enclosing Run
-//     or RunUntil, and
-//  3. the process was not entered through Step, which runs exactly one
+//     or runUntil, and
+//  3. the process was not entered through step, which runs exactly one
 //     queued event.
 //
 // Otherwise the process queues its wake-up and hands control back. The
@@ -38,10 +38,9 @@ type Scheduler struct {
 	now    time.Duration
 	events eventHeap
 	seq    uint64
-	epoch  time.Time
 	// horizon is the latest instant a sleeping process may move now to
-	// by itself: the bound of the Run or RunUntil it runs under, or
-	// noInline under a bare Step. Only read while an event is firing.
+	// by itself: the bound of the Run or runUntil it runs under, or
+	// noInline under a bare step. Only read while an event is firing.
 	horizon time.Duration
 }
 
@@ -51,25 +50,16 @@ const (
 	noHorizon = time.Duration(1<<63 - 1)
 )
 
-// NewScheduler creates a scheduler whose virtual time zero corresponds
-// to the given wall-clock epoch.
-func NewScheduler(epoch time.Time) *Scheduler {
-	return &Scheduler{epoch: epoch}
-}
+// NewScheduler creates a scheduler at virtual time zero; clocks map
+// it to wall time (clock.NewTrue).
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time (elapsed since start).
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Epoch returns the wall-clock anchor of virtual time zero.
-func (s *Scheduler) Epoch() time.Time { return s.epoch }
-
-// WallNow returns the wall-clock rendering of the current virtual
-// time. This is the simulation's true time.
-func (s *Scheduler) WallNow() time.Time { return s.epoch.Add(s.now) }
-
-// At schedules fn to run at virtual time t. Times in the past run at
+// at schedules fn to run at virtual time t. Times in the past run at
 // the current time (never before).
-func (s *Scheduler) At(t time.Duration, fn func()) {
+func (s *Scheduler) at(t time.Duration, fn func()) {
 	s.seq++
 	s.events.push(event{at: s.clamp(t), seq: s.seq, fn: fn})
 }
@@ -83,7 +73,7 @@ func (s *Scheduler) clamp(t time.Duration) time.Duration {
 }
 
 // After schedules fn to run d from now.
-func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
+func (s *Scheduler) After(d time.Duration, fn func()) { s.at(s.now+d, fn) }
 
 // Every schedules fn to run periodically starting at start and then
 // every interval, until fn returns false.
@@ -94,13 +84,13 @@ func (s *Scheduler) Every(start, interval time.Duration, fn func() bool) {
 			s.After(interval, tick)
 		}
 	}
-	s.At(start, tick)
+	s.at(start, tick)
 }
 
-// Step runs the next event, if any, and reports whether one ran. It
+// step runs the next event, if any, and reports whether one ran. It
 // runs exactly one queued event: a process it resumes parks at its
 // next Sleep whatever the queue holds.
-func (s *Scheduler) Step() bool {
+func (s *Scheduler) step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
@@ -114,9 +104,9 @@ func (s *Scheduler) Step() bool {
 // Run consumes events until none remain.
 func (s *Scheduler) Run() { s.runTo(noHorizon) }
 
-// RunUntil consumes events with timestamps ≤ t, then sets the virtual
+// runUntil consumes events with timestamps ≤ t, then sets the virtual
 // time to t.
-func (s *Scheduler) RunUntil(t time.Duration) {
+func (s *Scheduler) runUntil(t time.Duration) {
 	s.runTo(t)
 	if s.now < t {
 		s.now = t
@@ -145,9 +135,6 @@ func (s *Scheduler) fire() {
 	}
 	ev.p.resume()
 }
-
-// Pending returns the number of scheduled events.
-func (s *Scheduler) Pending() int { return len(s.events) }
 
 // event is one queue entry: fn to call at instant at, or, when p is
 // set, the wake-up of a sleeping process.
@@ -218,11 +205,11 @@ func (h *eventHeap) pop() event {
 type Proc struct {
 	s *Scheduler
 	handoff
-	stop bool
+	stopped bool
 }
 
-// Go starts fn as a process at the current virtual time. Run (or
-// RunUntil past the start time) must be called for it to execute.
+// Go starts fn as a process at the current virtual time. Run must be
+// called for it to execute.
 func (s *Scheduler) Go(fn func(p *Proc)) {
 	p := &Proc{s: s}
 	s.After(0, func() {
@@ -246,12 +233,12 @@ func (s *Scheduler) Go(fn func(p *Proc)) {
 // d ≤ 0, though events already due at this instant still fire first).
 //
 // When nothing else is due up to and including the wake-up instant and
-// that instant is within the horizon of the running Run or RunUntil,
+// that instant is within the horizon of the running Run or runUntil,
 // the scheduler's next act would be to resume this very process, so
 // Sleep moves the clock there and returns without giving up control.
 // Otherwise it queues the wake-up and parks.
 func (p *Proc) Sleep(d time.Duration) {
-	if p.stop {
+	if p.stopped {
 		// A stopped process must unwind; sleeping forever would
 		// deadlock the scheduler. Panic unwinds to Go's wrapper.
 		panic(procStopped{})
@@ -265,7 +252,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	s.events.push(event{at: wake, seq: s.seq, p: p})
 	p.park()
-	if p.stop {
+	if p.stopped {
 		// Stopped while sleeping: unwind instead of returning into
 		// the protocol loop.
 		panic(procStopped{})
@@ -275,14 +262,8 @@ func (p *Proc) Sleep(d time.Duration) {
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.s.Now() }
 
-// WallNow returns the wall-clock rendering of virtual now.
-func (p *Proc) WallNow() time.Time { return p.s.WallNow() }
-
-// Scheduler returns the owning scheduler.
-func (p *Proc) Scheduler() *Scheduler { return p.s }
-
-// Stop marks the process as stopped; its next Sleep unwinds it.
+// stop marks the process as stopped; its next Sleep unwinds it.
 // Protocol loops structured as "for { work; Sleep }" terminate cleanly.
-func (p *Proc) Stop() { p.stop = true }
+func (p *Proc) stop() { p.stopped = true }
 
 type procStopped struct{}

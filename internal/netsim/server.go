@@ -151,14 +151,8 @@ func (n *Network) AddPool(p *Pool) {
 	n.routes[p.Name] = r
 }
 
-// Resolve maps a name to a concrete server, picking a pool member if
-// the name is a pool.
-func (n *Network) Resolve(name string) (*Server, error) {
-	srv, _, err := n.lookup(name)
-	return srv, err
-}
-
-// lookup is Resolve that also returns the path to the server, if any.
+// lookup maps a name to a concrete server, picking a pool member if
+// the name is a pool, and returns the path to the server, if any.
 func (n *Network) lookup(name string) (*Server, PathModel, error) {
 	r := n.routes[name]
 	if r == nil {

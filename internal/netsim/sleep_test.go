@@ -15,12 +15,12 @@ import (
 // hands control to the scheduler, over whichever hand-off this
 // toolchain compiles. It is the reference the inline rule is held to.
 func refSleep(p *Proc, d time.Duration) {
-	if p.stop {
+	if p.stopped {
 		panic(procStopped{})
 	}
 	p.s.After(d, p.resume)
 	p.park()
-	if p.stop {
+	if p.stopped {
 		panic(procStopped{})
 	}
 }
@@ -47,7 +47,7 @@ type seen struct {
 // same whatever the interleaving and a difference between two logs is a
 // difference in ordering or in virtual time, nothing else.
 func sleepWorkload(seed int64, sleep func(*Proc, time.Duration)) []seen {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var log []seen
 	note := func(who string) { log = append(log, seen{s.Now(), who}) }
 	plan := rand.New(rand.NewSource(seed))
@@ -66,7 +66,7 @@ func sleepWorkload(seed int64, sleep func(*Proc, time.Duration)) []seen {
 					s.After(pick(r), func() { note(name) })
 				case 1:
 					if r.Intn(20) == 0 {
-						p.Stop() // the next Sleep must unwind, eligible or not
+						p.stop() // the next Sleep must unwind, eligible or not
 					}
 				}
 				sleep(p, pick(r))
@@ -83,29 +83,29 @@ func sleepWorkload(seed int64, sleep func(*Proc, time.Duration)) []seen {
 	}
 	for i, n := 0, plan.Intn(4); i < n; i++ {
 		name := fmt.Sprintf("at%d", i)
-		s.At(time.Duration(plan.Intn(200))*time.Millisecond, func() { note(name) })
+		s.at(time.Duration(plan.Intn(200))*time.Millisecond, func() { note(name) })
 	}
 	if plan.Intn(2) == 0 {
 		// Stop a process from outside, mid-run: it is asleep then.
-		s.At(time.Duration(plan.Intn(150))*time.Millisecond, func() {
+		s.at(time.Duration(plan.Intn(150))*time.Millisecond, func() {
 			note("stop")
 			if procs[0] != nil {
-				procs[0].Stop()
+				procs[0].stop()
 			}
 		})
 	}
 
 	// The driver mixes all three ways of running and notes the clock and
 	// the queue after each, which is where a sleeper that ran past a
-	// horizon or past a Step would show.
-	after := func(what string) { note(fmt.Sprintf("driver: %s, %d pending", what, s.Pending())) }
-	s.RunUntil(time.Duration(plan.Intn(80)) * time.Millisecond)
+	// horizon or past a step would show.
+	after := func(what string) { note(fmt.Sprintf("driver: %s, %d pending", what, len(s.events))) }
+	s.runUntil(time.Duration(plan.Intn(80)) * time.Millisecond)
 	after("rununtil")
 	for i, n := 0, plan.Intn(6); i < n; i++ {
-		s.Step()
+		s.step()
 		after("step")
 	}
-	s.RunUntil(s.Now() + time.Duration(plan.Intn(80))*time.Millisecond)
+	s.runUntil(s.Now() + time.Duration(plan.Intn(80))*time.Millisecond)
 	after("rununtil")
 	s.Run()
 	after(fmt.Sprintf("run, seq %d", s.seq))
@@ -114,7 +114,7 @@ func sleepWorkload(seed int64, sleep func(*Proc, time.Duration)) []seen {
 
 // TestSleepMatchesReference holds Proc.Sleep to refSleep over seeded
 // random scenarios: same actors at the same virtual instants in the
-// same order, same clock and queue after every RunUntil, Step and Run.
+// same order, same clock and queue after every runUntil, step and Run.
 func TestSleepMatchesReference(t *testing.T) {
 	sameInstant := 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -139,11 +139,11 @@ func TestSleepMatchesReference(t *testing.T) {
 	}
 }
 
-// A process sleeping across the bound of RunUntil stays asleep there:
+// A process sleeping across the bound of runUntil stays asleep there:
 // the clock stops at the bound, and a later Run resumes the process at
 // its own instant.
 func TestRunUntilHoldsSleeperAtBound(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var woke []time.Duration
 	s.Go(func(p *Proc) {
 		for i := 0; i < 4; i++ {
@@ -151,13 +151,13 @@ func TestRunUntilHoldsSleeperAtBound(t *testing.T) {
 			woke = append(woke, p.Now())
 		}
 	})
-	s.RunUntil(4 * time.Second)
-	if s.Now() != 4*time.Second || len(woke) != 1 || s.Pending() != 1 {
-		t.Fatalf("after RunUntil(4s): now=%v woke=%v pending=%d", s.Now(), woke, s.Pending())
+	s.runUntil(4 * time.Second)
+	if s.Now() != 4*time.Second || len(woke) != 1 || len(s.events) != 1 {
+		t.Fatalf("after runUntil(4s): now=%v woke=%v pending=%d", s.Now(), woke, len(s.events))
 	}
-	s.RunUntil(6 * time.Second) // the bound itself is included
+	s.runUntil(6 * time.Second) // the bound itself is included
 	if s.Now() != 6*time.Second || len(woke) != 2 {
-		t.Fatalf("after RunUntil(6s): now=%v woke=%v", s.Now(), woke)
+		t.Fatalf("after runUntil(6s): now=%v woke=%v", s.Now(), woke)
 	}
 	s.Run()
 	want := []time.Duration{3 * time.Second, 6 * time.Second, 9 * time.Second, 12 * time.Second}
@@ -166,10 +166,10 @@ func TestRunUntilHoldsSleeperAtBound(t *testing.T) {
 	}
 }
 
-// Step runs exactly one queued event, also when that event resumes a
+// step runs exactly one queued event, also when that event resumes a
 // process with an empty queue behind it.
 func TestStepParksSleeper(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	iters := 0
 	s.Go(func(p *Proc) {
 		for iters < 5 {
@@ -179,11 +179,11 @@ func TestStepParksSleeper(t *testing.T) {
 	})
 	defer s.Run() // let the process finish
 	for i := 1; i <= 3; i++ {
-		if !s.Step() {
+		if !s.step() {
 			t.Fatal("no event to step")
 		}
-		if want := time.Duration(i-1) * time.Second; iters != i || s.Now() != want || s.Pending() != 1 {
-			t.Fatalf("after step %d: iters=%d now=%v pending=%d", i, iters, s.Now(), s.Pending())
+		if want := time.Duration(i-1) * time.Second; iters != i || s.Now() != want || len(s.events) != 1 {
+			t.Fatalf("after step %d: iters=%d now=%v pending=%d", i, iters, s.Now(), len(s.events))
 		}
 	}
 }
@@ -191,17 +191,17 @@ func TestStepParksSleeper(t *testing.T) {
 // Events at one instant fire in scheduling order when one of them is a
 // sleeper's wake-up, whichever was scheduled first.
 func TestSleeperKeepsSchedulingOrder(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	var order []string
-	s.At(5*time.Second, func() { order = append(order, "early event") })
+	s.at(5*time.Second, func() { order = append(order, "early event") })
 	s.Go(func(p *Proc) {
 		p.Sleep(5 * time.Second) // scheduled after "early event", before "late event"
 		order = append(order, "sleeper")
 		p.Sleep(0) // "late event" is already due at this instant
 		order = append(order, "sleeper again")
 	})
-	s.At(time.Second, func() {
-		s.At(5*time.Second, func() { order = append(order, "late event") })
+	s.at(time.Second, func() {
+		s.at(5*time.Second, func() { order = append(order, "late event") })
 	})
 	s.Run()
 	want := []string{"early event", "sleeper", "late event", "sleeper again"}
@@ -210,14 +210,14 @@ func TestSleeperKeepsSchedulingOrder(t *testing.T) {
 	}
 }
 
-// Stop followed by a Sleep that nothing else competes with still
+// stop followed by a Sleep that nothing else competes with still
 // unwinds the process, at once.
 func TestStopThenLoneSleepUnwinds(t *testing.T) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	returned := false
 	s.Go(func(p *Proc) {
 		p.Sleep(time.Second)
-		p.Stop()
+		p.stop()
 		p.Sleep(time.Hour)
 		returned = true
 	})
@@ -232,7 +232,7 @@ func TestStopThenLoneSleepUnwinds(t *testing.T) {
 // set: every 1 ms Sleep of body then has that event inside it and
 // parks, where alone it advances the clock itself.
 func runSleeper(competed bool, body func(p *Proc)) {
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	done := false
 	s.Go(func(p *Proc) {
 		p.Sleep(time.Millisecond / 2)
@@ -301,7 +301,7 @@ func BenchmarkProcSleep(b *testing.B) {
 // other's wake-up inside it and hands control over.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
-	s := NewScheduler(epoch)
+	s := NewScheduler()
 	for i := 0; i < 2; i++ {
 		phase := time.Duration(i) * time.Millisecond / 2
 		s.Go(func(p *Proc) {

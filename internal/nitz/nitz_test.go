@@ -11,14 +11,14 @@ import (
 var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 
 func TestSourceDeliversSignals(t *testing.T) {
-	sched := netsim.NewScheduler(epoch)
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(epoch, sched.Now)
 	src := NewSource(sched, truth, SourceConfig{
 		MeanBoundaryInterval: 2 * time.Hour, Seed: 1,
 	})
 	var signals []Signal
 	src.Run(24*time.Hour, func(s Signal) { signals = append(signals, s) })
-	sched.RunUntil(24 * time.Hour)
+	sched.Run()
 
 	if len(signals) < 4 || len(signals) > 40 {
 		t.Fatalf("signals in 24h = %d, want a handful (mean interval 2h)", len(signals))
@@ -43,12 +43,12 @@ func TestSourceDeliversSignals(t *testing.T) {
 
 func TestSourceDeterministic(t *testing.T) {
 	run := func() []time.Duration {
-		sched := netsim.NewScheduler(epoch)
+		sched := netsim.NewScheduler()
 		truth := clock.NewTrue(epoch, sched.Now)
 		src := NewSource(sched, truth, SourceConfig{Seed: 5})
 		var at []time.Duration
 		src.Run(48*time.Hour, func(s Signal) { at = append(at, s.At) })
-		sched.RunUntil(48 * time.Hour)
+		sched.Run()
 		return at
 	}
 	a, b := run(), run()
@@ -108,7 +108,7 @@ func TestManagerUnavailableNITZIgnored(t *testing.T) {
 // bounded by the NITZ coarseness (seconds) but far above what even
 // plain SNTP achieves — the paper's point that NITZ is weaker.
 func TestNITZOnlyDeviceStaysCoarselySynchronized(t *testing.T) {
-	sched := netsim.NewScheduler(epoch)
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(epoch, sched.Now)
 	// A badly drifting phone: 60 ppm ≈ 5.2 s/day.
 	clk := clock.NewSim(clock.Config{SkewPPM: 60, Seed: 2}, epoch, sched.Now)
@@ -127,7 +127,7 @@ func TestNITZOnlyDeviceStaysCoarselySynchronized(t *testing.T) {
 		}
 		return sched.Now() < 7*24*time.Hour
 	})
-	sched.RunUntil(7 * 24 * time.Hour)
+	sched.Run()
 
 	if m.Updates == 0 {
 		t.Fatal("no NITZ updates in a week")

@@ -11,7 +11,6 @@ import (
 	"mntp/internal/ntppkt"
 	"mntp/internal/sources"
 	"mntp/internal/sysclock"
-	"mntp/internal/trend"
 )
 
 // Config parameterizes the full NTP client.
@@ -39,7 +38,7 @@ const (
 	// pollJitter randomizes Update.Poll by ± this fraction so a fleet
 	// of clients sharing a cold-start instant cannot phase-lock on the
 	// pool (ntpd's poll randomization serves the same purpose).
-	// PollInterval() stays exact — the jitter is applied to each
+	// pollInterval() stays exact — the jitter is applied to each
 	// round's returned wait, not to the adaptive interval state.
 	pollJitter = 0.1
 	// jitterSeed seeds the poll-jitter randomness, so simulations stay
@@ -64,9 +63,9 @@ type Update struct {
 	Poll time.Duration
 }
 
-// ErrNoConsensus is returned when selection finds no majority clique
+// errNoConsensus is returned when selection finds no majority clique
 // of agreeing servers.
-var ErrNoConsensus = errors.New("ntpclient: no server consensus")
+var errNoConsensus = errors.New("ntpclient: no server consensus")
 
 // Client is a full NTP client disciplining an adjustable clock.
 type Client struct {
@@ -90,12 +89,6 @@ type Client struct {
 	pollExp  int     // current poll interval = minPoll << pollExp
 	lastTime time.Time
 	haveLast bool
-	// drift fits combined offsets (least squares) against elapsed time
-	// for the DriftEstimate readout: residual drift the PLL has not yet
-	// absorbed. Observability only — it never gates a correction.
-	drift      *trend.Fitter
-	driftEpoch time.Time
-	haveDrift  bool
 	// jrng draws the per-round poll jitter.
 	jrng *rand.Rand
 }
@@ -115,7 +108,6 @@ func New(clk clock.Adjustable, tr exchange.Transport, cfg Config) *Client {
 		}),
 	}
 	c.jrng = rand.New(rand.NewSource(jitterSeed))
-	c.drift = &trend.Fitter{}
 	c.disc = discipline.New(sysclock.SimAdjuster{Clock: clk}, discipline.Config{
 		PanicThreshold: panicThreshold,
 		SlewGain:       0.5,
@@ -131,8 +123,8 @@ func New(clk clock.Adjustable, tr exchange.Transport, cfg Config) *Client {
 	return c
 }
 
-// PollInterval returns the current adaptive poll interval.
-func (c *Client) PollInterval() time.Duration {
+// pollInterval returns the current adaptive poll interval.
+func (c *Client) pollInterval() time.Duration {
 	iv := minPoll << uint(c.pollExp)
 	if iv > c.Config.MaxPoll {
 		iv = c.Config.MaxPoll
@@ -143,7 +135,7 @@ func (c *Client) PollInterval() time.Duration {
 // nextPoll returns the adaptive interval randomized by ±pollJitter —
 // the wait Update.Poll reports, de-phasing fleets of clients.
 func (c *Client) nextPoll() time.Duration {
-	iv := c.PollInterval()
+	iv := c.pollInterval()
 	span := time.Duration(float64(iv) * pollJitter)
 	return iv - span + time.Duration(c.jrng.Int63n(int64(2*span)+1))
 }
@@ -160,7 +152,7 @@ const demobilizePeriod = 1 * time.Hour
 // exponential hold-down. The round fails only if no server answers
 // or selection finds no consensus.
 func (c *Client) Poll() (Update, error) {
-	var cands []Candidate
+	var cands []candidate
 	for _, server := range c.pool.EligibleNames() {
 		s, err := exchange.Measure(c.Clock, c.Transport, server, ntppkt.Version4, false)
 		if err != nil {
@@ -175,19 +167,19 @@ func (c *Client) Poll() (Update, error) {
 			continue
 		}
 		best = agedSample(best, c.Clock.Now())
-		cands = append(cands, Candidate{Server: server, Sample: best, Jitter: jitter})
+		cands = append(cands, candidate{Server: server, Sample: best, Jitter: jitter})
 	}
 	if len(cands) == 0 {
 		return Update{Poll: c.nextPoll()}, errors.New("ntpclient: all servers unreachable")
 	}
 
-	surv := Select(cands)
+	surv := selectSurvivors(cands)
 	if len(surv) == 0 {
-		return Update{Poll: c.nextPoll()}, ErrNoConsensus
+		return Update{Poll: c.nextPoll()}, errNoConsensus
 	}
 	c.markSelection(cands, surv)
-	surv = Cluster(surv)
-	offset, _ := Combine(surv)
+	surv = cluster(surv)
+	offset, _ := combine(surv)
 
 	u := Update{
 		Offset:       offset,
@@ -203,7 +195,7 @@ func (c *Client) Poll() (Update, error) {
 // markSelection feeds the selection outcome back into the pool's
 // health state: survivors decay their falseticker demotion, flagged
 // candidates accumulate it (and sink in the ranking).
-func (c *Client) markSelection(cands, surv []Candidate) {
+func (c *Client) markSelection(cands, surv []candidate) {
 	inSurv := make(map[string]bool, len(surv))
 	survNames := make([]string, 0, len(surv))
 	for _, s := range surv {
@@ -217,13 +209,6 @@ func (c *Client) markSelection(cands, surv []Candidate) {
 		}
 	}
 	c.pool.MarkResult(survNames, falseNames)
-}
-
-// PoolStatus returns a health snapshot of every configured server
-// (reach register, smoothed delay/jitter, KoD hold-down, falseticker
-// demotion) for observability.
-func (c *Client) PoolStatus() []sources.SourceStatus {
-	return c.pool.Status()
 }
 
 // discipline applies the offset to the clock through the discipline
@@ -246,23 +231,12 @@ func (c *Client) discipline(offset time.Duration, u *Update) {
 		// peer filters (their offsets were measured against the
 		// pre-step clock); ntpd likewise clears its registers.
 		c.haveLast = false
-		c.drift = &trend.Fitter{}
-		c.haveDrift = false
 		for _, pf := range c.peers {
 			*pf = peerFilter{}
 		}
 		u.Applied, u.Stepped = true, true
 		return
 	}
-	// Record the measured offset for the drift readout before the
-	// correction lands, then re-express the history against the
-	// adjusted clock (same bookkeeping as the peer filters below).
-	if !c.haveDrift {
-		c.driftEpoch = now
-		c.haveDrift = true
-	}
-	c.drift.Add(now.Sub(c.driftEpoch).Seconds(), offset.Seconds())
-	c.drift.SubtractLine(res.Applied.Seconds(), 0)
 	// Slewed: half the measured offset was applied immediately (the
 	// remainder is absorbed by subsequent rounds, emulating ntpd's
 	// gradual slew without sub-second simulation ticks). The filter
@@ -282,16 +256,8 @@ func (c *Client) discipline(offset time.Duration, u *Update) {
 			if tc < 64 {
 				tc = 64
 			}
-			prev := c.freq
 			c.freq += offset.Seconds() * dt / (4 * tc * tc)
 			c.freq, _ = c.disc.SetFreq(c.freq)
-			// A frequency trim of df at elapsed x0 removes df·(x − x0)
-			// from future measured offsets; re-express the drift
-			// history the same way so its slope stays the residual.
-			if df := c.freq - prev; df != 0 {
-				x0 := now.Sub(c.driftEpoch).Seconds()
-				c.drift.SubtractLine(-df*x0, df)
-			}
 		}
 	}
 	c.lastTime = now
@@ -301,7 +267,7 @@ func (c *Client) discipline(offset time.Duration, u *Update) {
 
 // adaptPoll widens the poll interval while the loop is quiet and
 // narrows it when offsets grow relative to the survivors' jitter.
-func (c *Client) adaptPoll(offset time.Duration, surv []Candidate) {
+func (c *Client) adaptPoll(offset time.Duration, surv []candidate) {
 	var maxJitter time.Duration
 	for _, s := range surv {
 		if s.Jitter > maxJitter {
@@ -325,40 +291,5 @@ func (c *Client) adaptPoll(offset time.Duration, surv []Candidate) {
 		}
 	} else if c.pollExp > 0 {
 		c.pollExp--
-	}
-}
-
-// FreqCorrection returns the accumulated frequency correction (for
-// observability in experiments).
-func (c *Client) FreqCorrection() float64 { return c.freq }
-
-// DriftEstimate returns the residual drift (seconds of offset per
-// second of elapsed time) a least-squares fit sees in the
-// combined offsets the discipline has not yet absorbed, and whether
-// enough post-step history exists to fit it. Observability only.
-func (c *Client) DriftEstimate() (float64, bool) {
-	line, err := c.drift.Line()
-	if err != nil {
-		return 0, false
-	}
-	return line.Slope, true
-}
-
-// Sleeper is the waiting abstraction (satisfied by netsim.Proc and
-// sntp.WallSleeper).
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
-
-// Run polls in a loop until the sleeper's process is stopped (in
-// simulation) or forever (wall time), disciplining the clock each
-// round. onRound, if non-nil, observes every update.
-func (c *Client) Run(sl Sleeper, onRound func(Update, error)) {
-	for {
-		u, err := c.Poll()
-		if onRound != nil {
-			onRound(u, err)
-		}
-		sl.Sleep(u.Poll)
 	}
 }

@@ -7,30 +7,30 @@ import (
 	"mntp/internal/sources"
 )
 
-// Candidate is one peer's filtered estimate entering selection.
-type Candidate struct {
+// candidate is one peer's filtered estimate entering selection.
+type candidate struct {
 	Server string
 	Sample exchange.Sample
 	Jitter time.Duration
 }
 
 // correctness interval bounds.
-func (c Candidate) lo() float64 {
+func (c candidate) lo() float64 {
 	return c.Sample.Offset.Seconds() - rootDistance(c.Sample).Seconds()
 }
-func (c Candidate) hi() float64 {
+func (c candidate) hi() float64 {
 	return c.Sample.Offset.Seconds() + rootDistance(c.Sample).Seconds()
 }
-func (c Candidate) mid() float64 { return c.Sample.Offset.Seconds() }
+func (c candidate) mid() float64 { return c.Sample.Offset.Seconds() }
 
-// Select runs the intersection (Marzullo-derived) algorithm of RFC
+// selectSurvivors runs the intersection (Marzullo-derived) algorithm of RFC
 // 5905 §11.2.1 over the candidates' correctness intervals and returns
 // the truechimers. Candidates outside the intersection are
 // falsetickers. An empty result means no majority clique exists. The
 // algorithm itself lives in internal/sources (the standalone
 // selection layer shared with the source pool); this adapter builds
 // the intervals from root distance.
-func Select(cands []Candidate) []Candidate {
+func selectSurvivors(cands []candidate) []candidate {
 	ivals := make([]sources.Interval, len(cands))
 	for i, c := range cands {
 		ivals[i] = sources.Interval{Lo: c.lo(), Mid: c.mid(), Hi: c.hi()}
@@ -39,7 +39,7 @@ func Select(cands []Candidate) []Candidate {
 	if keep == nil {
 		return nil
 	}
-	survivors := make([]Candidate, len(keep))
+	survivors := make([]candidate, len(keep))
 	for k, i := range keep {
 		survivors[k] = cands[i]
 	}
@@ -50,11 +50,11 @@ func Select(cands []Candidate) []Candidate {
 // survivors.
 const minClusterSurvivors = 3
 
-// Cluster prunes the survivor list by select jitter per RFC 5905
+// cluster prunes the survivor list by select jitter per RFC 5905
 // §11.2.2, delegating to the shared pruning in internal/sources:
 // pruning stops once the spread between survivors is within the noise
 // of the best peer.
-func Cluster(surv []Candidate) []Candidate {
+func cluster(surv []candidate) []candidate {
 	mids := make([]float64, len(surv))
 	jits := make([]float64, len(surv))
 	for i, c := range surv {
@@ -62,17 +62,17 @@ func Cluster(surv []Candidate) []Candidate {
 		jits[i] = c.Jitter.Seconds()
 	}
 	keep := sources.ClusterPrune(mids, jits, minClusterSurvivors)
-	out := make([]Candidate, len(keep))
+	out := make([]candidate, len(keep))
 	for k, i := range keep {
 		out[k] = surv[i]
 	}
 	return out
 }
 
-// Combine computes the final offset estimate as the weighted average
+// combine computes the final offset estimate as the weighted average
 // of the survivors' offsets, weighted by inverse root distance (RFC
 // 5905 §11.2.3).
-func Combine(surv []Candidate) (time.Duration, bool) {
+func combine(surv []candidate) (time.Duration, bool) {
 	if len(surv) == 0 {
 		return 0, false
 	}

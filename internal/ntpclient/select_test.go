@@ -7,10 +7,10 @@ import (
 	"mntp/internal/exchange"
 )
 
-// cand builds a Candidate with the given offset and root-distance
+// cand builds a candidate with the given offset and root-distance
 // contributions (delay only; root fields zero).
-func cand(server string, offsetMs, delayMs float64) Candidate {
-	return Candidate{
+func cand(server string, offsetMs, delayMs float64) candidate {
+	return candidate{
 		Server: server,
 		Sample: exchange.Sample{
 			Server: server,
@@ -21,7 +21,7 @@ func cand(server string, offsetMs, delayMs float64) Candidate {
 	}
 }
 
-func names(cs []Candidate) map[string]bool {
+func names(cs []candidate) map[string]bool {
 	m := make(map[string]bool, len(cs))
 	for _, c := range cs {
 		m[c.Server] = true
@@ -30,11 +30,11 @@ func names(cs []Candidate) map[string]bool {
 }
 
 func TestSelectEmptyAndSingle(t *testing.T) {
-	if got := Select(nil); got != nil {
+	if got := selectSurvivors(nil); got != nil {
 		t.Errorf("empty select = %v", got)
 	}
-	one := []Candidate{cand("a", 5, 10)}
-	if got := Select(one); len(got) != 1 || got[0].Server != "a" {
+	one := []candidate{cand("a", 5, 10)}
+	if got := selectSurvivors(one); len(got) != 1 || got[0].Server != "a" {
 		t.Errorf("single select = %v", got)
 	}
 }
@@ -42,13 +42,13 @@ func TestSelectEmptyAndSingle(t *testing.T) {
 func TestSelectRejectsFalseTicker(t *testing.T) {
 	// Three servers agree near 0; one is 500 ms off with a tight
 	// interval: a classic falseticker.
-	cands := []Candidate{
+	cands := []candidate{
 		cand("good1", 1, 20),
 		cand("good2", -2, 24),
 		cand("good3", 3, 30),
 		cand("false", 500, 10),
 	}
-	surv := Select(cands)
+	surv := selectSurvivors(cands)
 	got := names(surv)
 	if !got["good1"] || !got["good2"] || !got["good3"] {
 		t.Errorf("good servers pruned: %v", got)
@@ -59,10 +59,10 @@ func TestSelectRejectsFalseTicker(t *testing.T) {
 }
 
 func TestSelectAllAgreeing(t *testing.T) {
-	cands := []Candidate{
+	cands := []candidate{
 		cand("a", 1, 20), cand("b", 2, 20), cand("c", 0, 20),
 	}
-	if surv := Select(cands); len(surv) != 3 {
+	if surv := selectSurvivors(cands); len(surv) != 3 {
 		t.Errorf("survivors = %d, want 3", len(surv))
 	}
 }
@@ -70,21 +70,21 @@ func TestSelectAllAgreeing(t *testing.T) {
 func TestSelectNoConsensus(t *testing.T) {
 	// Two servers, disjoint tight intervals, mutually exclusive: no
 	// majority clique of size 2; with m=2 only allow=0 is tried.
-	cands := []Candidate{
+	cands := []candidate{
 		cand("a", 0, 2),
 		cand("b", 1000, 2),
 	}
-	if surv := Select(cands); surv != nil {
+	if surv := selectSurvivors(cands); surv != nil {
 		t.Errorf("disjoint pair produced survivors: %v", names(surv))
 	}
 }
 
 func TestSelectMajorityOfFive(t *testing.T) {
-	cands := []Candidate{
+	cands := []candidate{
 		cand("g1", 0, 30), cand("g2", 5, 30), cand("g3", -5, 30),
 		cand("f1", 800, 6), cand("f2", -900, 6),
 	}
-	surv := Select(cands)
+	surv := selectSurvivors(cands)
 	got := names(surv)
 	if len(surv) != 3 || !got["g1"] || !got["g2"] || !got["g3"] {
 		t.Errorf("survivors = %v, want the three agreeing servers", got)
@@ -94,10 +94,10 @@ func TestSelectMajorityOfFive(t *testing.T) {
 func TestClusterPrunesOutlier(t *testing.T) {
 	// Four survivors; one offset is much farther from the rest than
 	// the peers' own jitter → pruned to NMIN.
-	surv := []Candidate{
+	surv := []candidate{
 		cand("a", 0, 20), cand("b", 1, 20), cand("c", -1, 20), cand("d", 40, 20),
 	}
-	out := Cluster(surv)
+	out := cluster(surv)
 	if len(out) != 3 {
 		t.Fatalf("clustered to %d, want 3", len(out))
 	}
@@ -108,24 +108,24 @@ func TestClusterPrunesOutlier(t *testing.T) {
 
 func TestClusterKeepsTightGroup(t *testing.T) {
 	// All offsets within peer jitter: nothing pruned even above NMIN.
-	surv := []Candidate{
+	surv := []candidate{
 		{Server: "a", Sample: exchange.Sample{Offset: 0, Delay: 20 * time.Millisecond}, Jitter: 10 * time.Millisecond},
 		{Server: "b", Sample: exchange.Sample{Offset: time.Millisecond, Delay: 20 * time.Millisecond}, Jitter: 10 * time.Millisecond},
 		{Server: "c", Sample: exchange.Sample{Offset: -time.Millisecond, Delay: 20 * time.Millisecond}, Jitter: 10 * time.Millisecond},
 		{Server: "d", Sample: exchange.Sample{Offset: 2 * time.Millisecond, Delay: 20 * time.Millisecond}, Jitter: 10 * time.Millisecond},
 	}
-	if out := Cluster(surv); len(out) != 4 {
+	if out := cluster(surv); len(out) != 4 {
 		t.Errorf("tight group pruned to %d", len(out))
 	}
 }
 
 func TestCombineWeightsByRootDistance(t *testing.T) {
 	// A low-distance (good) server should dominate the combination.
-	surv := []Candidate{
+	surv := []candidate{
 		cand("good", 0, 2),     // root distance ~1 ms (floored)
 		cand("poor", 100, 400), // root distance 200 ms
 	}
-	off, ok := Combine(surv)
+	off, ok := combine(surv)
 	if !ok {
 		t.Fatal("combine failed")
 	}
@@ -135,7 +135,7 @@ func TestCombineWeightsByRootDistance(t *testing.T) {
 }
 
 func TestCombineEmpty(t *testing.T) {
-	if _, ok := Combine(nil); ok {
+	if _, ok := combine(nil); ok {
 		t.Error("combine of nothing succeeded")
 	}
 }

@@ -55,10 +55,10 @@ type ClientStats struct {
 	Mapped   bool
 }
 
-// IsSNTP reports the client's majority protocol classification.
-func (c *ClientStats) IsSNTP() bool { return c.SNTP*2 > c.Requests }
+// isSNTP reports the client's majority protocol classification.
+func (c *ClientStats) isSNTP() bool { return c.SNTP*2 > c.Requests }
 
-// PollsPeriodically is a second, payload-independent protocol signal:
+// pollsPeriodically is a second, payload-independent protocol signal:
 // full NTP clients poll at a stable power-of-two cadence, so the
 // coefficient of variation of their request inter-arrivals is small.
 // SNTP clients ask on demand and look bursty. Returns false when the
@@ -67,7 +67,7 @@ func (c *ClientStats) IsSNTP() bool { return c.SNTP*2 > c.Requests }
 // This cross-checks the wire-shape heuristic: a client whose packets
 // look like SNTP but which polls with ntpd-like regularity (or vice
 // versa) is worth flagging in a real study.
-func (c *ClientStats) PollsPeriodically() (periodic, ok bool) {
+func (c *ClientStats) pollsPeriodically() (periodic, ok bool) {
 	if len(c.arrivals) < 5 {
 		return false, false
 	}
@@ -83,8 +83,8 @@ func (c *ClientStats) PollsPeriodically() (periodic, ok bool) {
 	return std/mean < 0.20, true
 }
 
-// MinOWD returns the client's minimum valid OWD in milliseconds.
-func (c *ClientStats) MinOWD() float64 {
+// minOWD returns the client's minimum valid OWD in milliseconds.
+func (c *ClientStats) minOWD() float64 {
 	if len(c.OWDs) == 0 {
 		return 0
 	}
@@ -104,8 +104,8 @@ type Report struct {
 	Clients map[netip.Addr]*ClientStats
 }
 
-// IPVersion renders the Table 1 "IP Version" cell.
-func (r *Report) IPVersion() string {
+// ipVersion renders the Table 1 "IP Version" cell.
+func (r *Report) ipVersion() string {
 	switch {
 	case r.SawV4 && r.SawV6:
 		return "v4/v6"
@@ -138,7 +138,7 @@ func (r *Report) ProtocolShare() (sntpFrac float64) {
 	var sntp, total int
 	for _, c := range r.Clients {
 		total++
-		if c.IsSNTP() {
+		if c.isSNTP() {
 			sntp++
 		}
 	}
@@ -265,11 +265,11 @@ func (r *Report) ByProvider() []*ProviderAggregate {
 			byRank[cs.Provider.Rank] = agg
 		}
 		agg.Clients++
-		if cs.IsSNTP() {
+		if cs.isSNTP() {
 			agg.SNTP++
 		}
 		if cs.Valid {
-			agg.MinOWDs = append(agg.MinOWDs, cs.MinOWD())
+			agg.MinOWDs = append(agg.MinOWDs, cs.minOWD())
 		}
 	}
 	out := make([]*ProviderAggregate, 0, len(byRank))
@@ -295,7 +295,7 @@ func (r *Report) Table1Row(serverID string) Table1Row {
 		ServerID:          serverID,
 		UniqueClients:     r.UniqueClients(),
 		Stratum:           r.ServerStratum,
-		IPVersion:         r.IPVersion(),
+		IPVersion:         r.ipVersion(),
 		TotalMeasurements: r.TotalMeasurements,
 	}
 }

@@ -75,7 +75,7 @@ func TestAnalyzeRecoversTable1Fields(t *testing.T) {
 	if rep.ServerStratum != prof.Stratum {
 		t.Errorf("stratum = %d, want %d", rep.ServerStratum, prof.Stratum)
 	}
-	if got := rep.IPVersion(); got != "v4/v6" {
+	if got := rep.ipVersion(); got != "v4/v6" {
 		t.Errorf("ip version = %s, want v4/v6 (dual stack)", got)
 	}
 	if rep.UniqueClients() < 25 {
@@ -92,7 +92,7 @@ func TestAnalyzeRecoversTable1Fields(t *testing.T) {
 
 func TestAnalyzeV4OnlyServer(t *testing.T) {
 	rep, _ := generateAnalyze(t, "JW2", 2)
-	if got := rep.IPVersion(); got != "v4" {
+	if got := rep.ipVersion(); got != "v4" {
 		t.Errorf("ip version = %s, want v4", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestProviderLatencyOrdering(t *testing.T) {
 		if len(agg.MinOWDs) < 5 {
 			continue
 		}
-		med[agg.Provider.Category] = append(med[agg.Provider.Category], stats.Median(agg.MinOWDs))
+		med[agg.Provider.Category] = append(med[agg.Provider.Category], agg.Summary().Median)
 	}
 	avg := func(c ipasn.Category) float64 { return stats.Mean(med[c]) }
 	if len(med[ipasn.Cloud]) == 0 || len(med[ipasn.Mobile]) == 0 {
@@ -202,12 +202,12 @@ func TestPeriodicityHeuristicAgreesWithWireShape(t *testing.T) {
 	rep, _ := generateAnalyze(t, "UI1", 9)
 	agree, disagree := 0, 0
 	for _, cs := range rep.Clients {
-		periodic, ok := cs.PollsPeriodically()
+		periodic, ok := cs.pollsPeriodically()
 		if !ok {
 			continue
 		}
 		// Wire-shape says NTP ⇔ periodicity says periodic.
-		if periodic == !cs.IsSNTP() {
+		if periodic == !cs.isSNTP() {
 			agree++
 		} else {
 			disagree++
@@ -223,7 +223,7 @@ func TestPeriodicityHeuristicAgreesWithWireShape(t *testing.T) {
 
 func TestPollsPeriodicallyNeedsSamples(t *testing.T) {
 	cs := &ClientStats{}
-	if _, ok := cs.PollsPeriodically(); ok {
+	if _, ok := cs.pollsPeriodically(); ok {
 		t.Error("empty client judged")
 	}
 }

@@ -302,11 +302,11 @@ func TestDecideAllocations(t *testing.T) {
 // TestOutcomeSnapshotFields: every outcome lands in its own named
 // Snapshot field (TestDecide pins which outcome each conclusion is).
 func TestOutcomeSnapshotFields(t *testing.T) {
-	var m Metrics
+	var m metrics
 	for o := outcome(0); o < numOutcomes; o++ {
 		m.n[o].Add(uint64(o) + 1)
 	}
-	s := m.Snapshot()
+	s := m.snapshot()
 	for _, f := range []struct {
 		name string
 		got  uint64

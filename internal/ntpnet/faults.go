@@ -15,7 +15,7 @@ import (
 // corruption and kiss-of-death storms. It sits above the transport it
 // wraps, so the faults it injects model what a client experiences
 // after its own receive loop — a dropped exchange surfaces as
-// ErrTimeout, a duplicated reply is replayed (with its stale origin)
+// errTimeout, a duplicated reply is replayed (with its stale origin)
 // in place of a later genuine reply, a corrupted reply has a random
 // wire bit flipped. Robustness tests drive the SNTP/MNTP clients
 // through these faults without needing a lossy physical network.
@@ -36,7 +36,7 @@ type FaultTransport struct {
 	// DropFirst deterministically drops the first N exchanges —
 	// convenient for exercising retry paths without probability.
 	DropFirst int
-	// DropProb drops an exchange (ErrTimeout) with this probability.
+	// DropProb drops an exchange (errTimeout) with this probability.
 	DropProb float64
 	// DupProb records a copy of a genuine reply with this
 	// probability; the copy is replayed as the answer to the next
@@ -117,7 +117,7 @@ func (f *FaultTransport) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Pa
 		clk = clock.System{}
 	}
 	if drop {
-		return nil, time.Time{}, ErrTimeout
+		return nil, time.Time{}, errTimeout
 	}
 	if kod {
 		resp := &ntppkt.Packet{

@@ -11,7 +11,7 @@ import (
 )
 
 // outcome is what the server concluded about one datagram (see
-// Server.decide). It indexes Metrics' counters; Snapshot publishes
+// Server.decide). It indexes metrics' counters; snapshot publishes
 // each under the exported field of the same name.
 type outcome uint8
 
@@ -41,10 +41,10 @@ const (
 // replies reports whether decide filled a reply for handle to send.
 func (o outcome) replies() bool { return o <= ntsNak }
 
-// Metrics counts server outcomes. All counters are atomic: the serve
+// metrics counts server outcomes. All counters are atomic: the serve
 // pool updates them concurrently without a lock, and readers may
 // snapshot them at any time.
-type Metrics struct {
+type metrics struct {
 	n [numOutcomes]atomic.Uint64
 	// Panics counts worker goroutines that died to a handler panic
 	// and were respawned.
@@ -65,7 +65,7 @@ type Metrics struct {
 type Snapshot struct {
 	Served, Limited, Dropped, Malformed, WriteErrors uint64
 	// Shed / ShedDropped count outcomes like the five above, Panics
-	// mirrors the Metrics counter. Restarts counts watchdog-initiated
+	// mirrors the metrics counter. Restarts counts watchdog-initiated
 	// worker-pool restarts (a server-level counter, set only on the
 	// aggregate snapshot). Health is the admission controller's state
 	// at snapshot time (Healthy when overload control is off or on
@@ -79,10 +79,10 @@ type Snapshot struct {
 	Latency hist.Snapshot
 }
 
-// Merge adds o's counts into s. A sharded server keeps one Metrics
+// merge adds o's counts into s. A sharded server keeps one metrics
 // per shard so the fast path never bounces a cache line between
-// shards; Merge folds the shard-local views into the aggregate.
-func (s *Snapshot) Merge(o *Snapshot) {
+// shards; merge folds the shard-local views into the aggregate.
+func (s *Snapshot) merge(o *Snapshot) {
 	s.Served += o.Served
 	s.Limited += o.Limited
 	s.Dropped += o.Dropped
@@ -100,8 +100,8 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.Latency.Merge(&o.Latency)
 }
 
-// Snapshot reads all counters.
-func (m *Metrics) Snapshot() *Snapshot {
+// snapshot reads all counters.
+func (m *metrics) snapshot() *Snapshot {
 	s := new(Snapshot)
 	s.Served = m.n[served].Load()
 	s.Limited = m.n[limited].Load()

@@ -22,9 +22,9 @@ func TestLatencyQuantileEmpty(t *testing.T) {
 // each to within one sub-bucket (6.25 %).
 func TestLatencyResolvesSubBucket(t *testing.T) {
 	p50 := func(d time.Duration) time.Duration {
-		var m Metrics
+		var m metrics
 		m.Latency.Record(d)
-		q, ok := m.Snapshot().LatencyQuantile(0.5)
+		q, ok := m.snapshot().LatencyQuantile(0.5)
 		if !ok || q < d || q > d+d/16 {
 			t.Errorf("p50 of one %v observation = (%v, %v)", d, q, ok)
 		}
@@ -38,7 +38,7 @@ func TestLatencyResolvesSubBucket(t *testing.T) {
 // TestSnapshotMerge: folding two shards' snapshots must equal one
 // shard that saw both streams — counters summed, latency merged.
 func TestSnapshotMerge(t *testing.T) {
-	var a, b, both Metrics
+	var a, b, both metrics
 	a.n[served].Store(3)
 	a.n[limited].Store(1)
 	b.n[served].Store(5)
@@ -59,9 +59,9 @@ func TestSnapshotMerge(t *testing.T) {
 		both.Latency.Record(d)
 	}
 
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	if want := both.Snapshot(); *m != *want {
+	m := a.snapshot()
+	m.merge(b.snapshot())
+	if want := both.snapshot(); *m != *want {
 		t.Errorf("merged snapshot %v, want %v", m, want)
 	}
 	if m.Latency.Count() != 4 || m.Latency.Max() != time.Second {
@@ -93,7 +93,8 @@ func TestServerLatencyBelowClientRTT(t *testing.T) {
 		t.Fatalf("latency observations = %d, want %d", snap.Latency.Count(), n)
 	}
 	server, ok := snap.LatencyQuantile(0.5)
-	client, _ := rtt.Quantile(0.5)
+	rs := rtt.Snapshot()
+	client, _ := rs.Quantile(0.5)
 	if !ok || server <= 0 || server > client {
 		t.Errorf("server p50 = (%v, %v), client median RTT = %v: want 0 < server ≤ client", server, ok, client)
 	}

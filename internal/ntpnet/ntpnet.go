@@ -7,7 +7,7 @@
 // The server side is built for production traffic: the listen path
 // is sharded across SO_REUSEPORT sockets (single-socket fallback on
 // platforms without it), each shard running a configurable pool of
-// serve goroutines and counting into shard-local Metrics that
+// serve goroutines and counting into shard-local metrics that
 // Server.Snapshot merges; per-client rate limiting is tracked in a
 // bounded table with window-stamped eviction, and every outcome
 // (served, rate-limited, dropped, malformed, write errors) plus a
@@ -36,8 +36,8 @@ type Client struct {
 	Timeout time.Duration
 }
 
-// ErrTimeout is returned when no reply arrives within the timeout.
-var ErrTimeout = errors.New("ntpnet: request timed out")
+// errTimeout is returned when no reply arrives within the timeout.
+var errTimeout = errors.New("ntpnet: request timed out")
 
 // Exchange implements exchange.Transport over UDP. The receive loop
 // validates each datagram before accepting it as the reply: runts,
@@ -74,7 +74,7 @@ func (c *Client) Exchange(server string, req *ntppkt.Packet) (*ntppkt.Packet, ti
 		n, err := conn.Read(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return nil, time.Time{}, ErrTimeout
+				return nil, time.Time{}, errTimeout
 			}
 			return nil, time.Time{}, fmt.Errorf("ntpnet: recv: %w", err)
 		}

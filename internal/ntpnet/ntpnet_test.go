@@ -106,7 +106,7 @@ func TestTimeoutAgainstDeadPort(t *testing.T) {
 	}
 	// Either a timeout or an ICMP-driven connection refused is
 	// acceptable; both surface as errors.
-	if !errors.Is(err, ErrTimeout) && err == nil {
+	if !errors.Is(err, errTimeout) && err == nil {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestServerIgnoresNonClientModes(t *testing.T) {
 	req := ntppkt.NewSNTPClient(ntppkt.Version4, 0)
 	req.Mode = ntppkt.ModeServer // not a client request
 	c := &Client{Timeout: 300 * time.Millisecond}
-	if _, _, err := c.Exchange(addr, req); !errors.Is(err, ErrTimeout) {
+	if _, _, err := c.Exchange(addr, req); !errors.Is(err, errTimeout) {
 		t.Errorf("err = %v, want timeout (request ignored)", err)
 	}
 	if snap := finalSnapshot(srv); snap.Served != 0 || snap.Dropped != 1 {
@@ -242,7 +242,7 @@ func TestExchangeSkipsSpoofedAndStrayReplies(t *testing.T) {
 	addr := fakeServer(t, func(pc *net.UDPConn, peer *net.UDPAddr, req ntppkt.Packet) {
 		now := time.Now()
 		stray := ntppkt.Packet{
-			Leap: ntppkt.LeapNone, Version: req.Version, Mode: ntppkt.ModeSymActive,
+			Leap: ntppkt.LeapNone, Version: req.Version, Mode: 1, // symmetric active
 			Stratum: 2, Origin: req.Transmit,
 			Receive: ntptime.FromTime(now), Transmit: ntptime.FromTime(now),
 		}

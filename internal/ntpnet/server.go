@@ -27,7 +27,7 @@ import (
 // address with SO_REUSEPORT, so the kernel spreads inbound datagrams
 // across independent receive queues and the shards never contend on
 // one socket lock. Each shard runs its own pool of Workers goroutines
-// and counts into its own shard-local Metrics; Snapshot() merges them
+// and counts into its own shard-local metrics; Snapshot() merges them
 // into the aggregate view. On platforms without SO_REUSEPORT (or when
 // the kernel refuses it) every shard serves one shared socket — the
 // worker pools and per-shard counters remain, only the kernel-level
@@ -139,7 +139,7 @@ type shard struct {
 	// completions means the pool is wedged, not idle.
 	inFlight  atomic.Int64
 	completed atomic.Uint64
-	metrics   Metrics
+	metrics   metrics
 }
 
 // NewServer creates a server with the given clock and stratum.
@@ -426,20 +426,10 @@ func (s *Server) Recycle() {
 func (s *Server) Snapshot() *Snapshot {
 	out := new(Snapshot)
 	for _, sh := range s.shards {
-		out.Merge(sh.metrics.Snapshot())
+		out.merge(sh.metrics.snapshot())
 	}
 	out.Restarts = s.restarts.Load()
 	out.Health = s.Health()
-	return out
-}
-
-// ShardSnapshots returns one Snapshot per shard, for observing how
-// the kernel spreads load across the REUSEPORT group.
-func (s *Server) ShardSnapshots() []*Snapshot {
-	out := make([]*Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.metrics.Snapshot()
-	}
 	return out
 }
 

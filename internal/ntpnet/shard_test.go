@@ -59,12 +59,13 @@ func TestShardedServerServesConcurrentLoad(t *testing.T) {
 		t.Errorf("aggregated served = %d, want %d", snap.Served, clients*perClient)
 	}
 	var sum Snapshot
-	shards := srv.ShardSnapshots()
-	if len(shards) != 2 {
-		t.Fatalf("ShardSnapshots len = %d", len(shards))
+	if len(srv.shards) != 2 {
+		t.Fatalf("%d shards", len(srv.shards))
 	}
-	for _, sh := range shards {
-		sum.Merge(sh)
+	var shards []*Snapshot
+	for _, sh := range srv.shards {
+		shards = append(shards, sh.metrics.snapshot())
+		sum.merge(shards[len(shards)-1])
 	}
 	if sum != *snap {
 		t.Errorf("sum of shard snapshots %v != aggregated snapshot %v", &sum, snap)

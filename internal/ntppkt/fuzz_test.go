@@ -26,7 +26,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(append(samplePacket().Encode(nil), 0x01, 0x04, 0x00, 0x08))            // undersized EF length
 	f.Add(append(samplePacket().Encode(nil), 0x01, 0x04, 0xff, 0xfc))            // overlength EF
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p := new(Packet)
+		err := p.DecodeInto(data)
 		if err != nil {
 			if len(data) == HeaderLen {
 				t.Fatalf("bare 48-byte header failed to decode: %v", err)
@@ -39,7 +40,8 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Decoding the re-encode must be stable (no don't-care bits
 		// anywhere in the accepted wire image).
-		q, err := Decode(out)
+		q := new(Packet)
+		err = q.DecodeInto(out)
 		if err != nil {
 			t.Fatalf("re-encoded packet failed to decode: %v", err)
 		}

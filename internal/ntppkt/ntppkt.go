@@ -22,8 +22,6 @@ type Leap uint8
 
 const (
 	LeapNone    Leap = 0 // no warning
-	LeapAddSec  Leap = 1 // last minute of the day has 61 seconds
-	LeapDelSec  Leap = 2 // last minute of the day has 59 seconds
 	LeapNotSync Leap = 3 // unknown (clock unsynchronized)
 )
 
@@ -31,14 +29,9 @@ const (
 type Mode uint8
 
 const (
-	ModeReserved  Mode = 0
-	ModeSymActive Mode = 1
-	ModeSymPassiv Mode = 2
 	ModeClient    Mode = 3
 	ModeServer    Mode = 4
 	ModeBroadcast Mode = 5
-	ModeControl   Mode = 6
-	ModePrivate   Mode = 7
 )
 
 // Version numbers in current use.
@@ -49,17 +42,13 @@ const (
 
 // Stratum values of note (RFC 5905 figure 11).
 const (
-	StratumKoD        = 0  // kiss-of-death / unspecified
-	StratumPrimary    = 1  // primary server (e.g. GPS, atomic)
-	StratumMaxSecond  = 15 // maximum valid secondary stratum
-	StratumUnsynchron = 16 // unsynchronized
+	StratumKoD       = 0  // kiss-of-death / unspecified
+	stratumMaxSecond = 15 // maximum valid secondary stratum
 )
 
 // Common kiss-of-death codes carried in the reference ID when stratum=0.
 var (
-	KissDeny = [4]byte{'D', 'E', 'N', 'Y'}
 	KissRate = [4]byte{'R', 'A', 'T', 'E'}
-	KissRstr = [4]byte{'R', 'S', 'T', 'R'}
 	// KissNTSN is the NTS NAK (RFC 8915 §5.7): the server could not
 	// authenticate an NTS-protected request and the client must
 	// re-run NTS-KE.
@@ -71,18 +60,18 @@ const (
 	// ExtHeaderLen is the 4-byte type+length header of every
 	// extension field.
 	ExtHeaderLen = 4
-	// MinExtLen is the smallest legal extension-field length
+	// minExtLen is the smallest legal extension-field length
 	// (header included): RFC 7822 §3 requires at least 16 octets so
 	// a field can never be confused with a legacy MAC.
-	MinExtLen = 16
+	minExtLen = 16
 	// minLastExtLen is the smallest trailer that is parsed as an
 	// extension field rather than a legacy MAC: RFC 7822 resolves
 	// the ambiguity by requiring the last extension field to be at
 	// least 28 octets, since a MAC is at most 24.
 	minLastExtLen = 28
-	// MaxExtFields bounds the parser: more fields than this in one
+	// maxExtFields bounds the parser: more fields than this in one
 	// packet is rejected as malformed rather than looped over.
-	MaxExtFields = 32
+	maxExtFields = 32
 )
 
 // NTS extension-field types (RFC 8915 §7.6).
@@ -96,7 +85,7 @@ const (
 // ExtField is one extension field: the 16-bit type and the body bytes
 // after the 4-byte header, exactly as they appear on the wire
 // (including any padding the sender added). Keeping the body verbatim
-// makes Encode∘Decode the identity, which the NTS authenticator
+// makes Encode∘DecodeInto the identity, which the NTS authenticator
 // depends on: its associated data is the wire image of the header and
 // every preceding field, reconstructed by re-encoding.
 //
@@ -132,28 +121,28 @@ type Packet struct {
 	LegacyMAC []byte
 }
 
-// Errors returned by Decode and Validate.
+// Errors returned by DecodeInto and Validate.
 var (
-	ErrShortPacket = errors.New("ntppkt: packet shorter than 48 bytes")
-	// ErrExtTruncated: an extension field's declared length runs past
+	errShortPacket = errors.New("ntppkt: packet shorter than 48 bytes")
+	// errExtTruncated: an extension field's declared length runs past
 	// the end of the packet.
-	ErrExtTruncated = errors.New("ntppkt: truncated extension field")
-	// ErrExtLength: an extension field's declared length is below the
+	errExtTruncated = errors.New("ntppkt: truncated extension field")
+	// errExtLength: an extension field's declared length is below the
 	// RFC 7822 minimum or not a multiple of 4.
-	ErrExtLength = errors.New("ntppkt: bad extension-field length")
-	// ErrExtCount: more than MaxExtFields extension fields.
-	ErrExtCount = errors.New("ntppkt: too many extension fields")
-	// ErrTrailingBytes: bytes after the header that are neither valid
+	errExtLength = errors.New("ntppkt: bad extension-field length")
+	// errExtCount: more than maxExtFields extension fields.
+	errExtCount = errors.New("ntppkt: too many extension fields")
+	// errTrailingBytes: bytes after the header that are neither valid
 	// extension fields nor a legacy MAC. Before strict parsing these
 	// were silently ignored, which let truncated or forged trailers
 	// pass as clean packets.
-	ErrTrailingBytes  = errors.New("ntppkt: trailing bytes are neither extension fields nor a MAC")
-	ErrBadVersion     = errors.New("ntppkt: unsupported protocol version")
-	ErrBadMode        = errors.New("ntppkt: unexpected mode")
+	errTrailingBytes  = errors.New("ntppkt: trailing bytes are neither extension fields nor a MAC")
+	errBadVersion     = errors.New("ntppkt: unsupported protocol version")
+	errBadMode        = errors.New("ntppkt: unexpected mode")
 	ErrKissOfDeath    = errors.New("ntppkt: kiss-of-death packet")
-	ErrUnsynchronized = errors.New("ntppkt: server unsynchronized")
-	ErrBogusOrigin    = errors.New("ntppkt: origin timestamp does not match request")
-	ErrZeroTransmit   = errors.New("ntppkt: zero transmit timestamp")
+	errUnsynchronized = errors.New("ntppkt: server unsynchronized")
+	errBogusOrigin    = errors.New("ntppkt: origin timestamp does not match request")
+	errZeroTransmit   = errors.New("ntppkt: zero transmit timestamp")
 )
 
 // NewClient returns a full NTP client (mode 3) request packet with the
@@ -188,8 +177,8 @@ func NewSNTPClient(version uint8, transmit ntptime.Timestamp) *Packet {
 // any extension fields and any legacy MAC — to dst and returns the
 // extended slice. Pass nil to allocate. Extension-field bodies are
 // zero-padded up to 4-byte alignment and to the RFC 7822 minimum
-// length; a Packet produced by Decode re-encodes byte-identically
-// because Decode keeps the padding inside Value.
+// length; a Packet produced by DecodeInto re-encodes byte-identically
+// because DecodeInto keeps the padding inside Value.
 func (p *Packet) Encode(dst []byte) []byte {
 	var b [HeaderLen]byte
 	b[0] = byte(p.Leap)<<6 | (p.Version&0x7)<<3 | byte(p.Mode)&0x7
@@ -212,11 +201,11 @@ func (p *Packet) Encode(dst []byte) []byte {
 
 // appendExt appends one extension field with RFC 7822 framing: the
 // declared length covers the 4-byte header, the body and the zero
-// padding that brings the field to 4-byte alignment and MinExtLen.
+// padding that brings the field to 4-byte alignment and minExtLen.
 func appendExt(dst []byte, ef *ExtField) []byte {
 	l := ExtHeaderLen + len(ef.Value)
-	if l < MinExtLen {
-		l = MinExtLen
+	if l < minExtLen {
+		l = minExtLen
 	}
 	if rem := l % 4; rem != 0 {
 		l += 4 - rem
@@ -232,27 +221,15 @@ func appendExt(dst []byte, ef *ExtField) []byte {
 	return dst
 }
 
-// Decode parses src — header, extension fields and legacy MAC — into
-// a Packet. Trailing bytes that are neither well-formed extension
-// fields nor a MAC are an error: the old behaviour of silently
-// ignoring everything past byte 48 let truncated and forged trailers
-// masquerade as clean packets.
-func Decode(src []byte) (*Packet, error) {
-	var p Packet
-	if err := p.DecodeInto(src); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// DecodeInto parses src into p, reusing p's extension-field slice.
-// Extension-field bodies alias src — copy them if src is reused.
-// Validation is strict per RFC 7822: a declared field length below
-// MinExtLen, unaligned, or running past the end of the packet is
-// rejected, as is any unparseable trailer.
+// DecodeInto parses src — header, extension fields and legacy MAC —
+// into p, reusing p's extension-field slice. Extension-field bodies
+// alias src — copy them if src is reused. Validation is strict per
+// RFC 7822: a declared field length below minExtLen, unaligned, or
+// running past the end of the packet is rejected, as is any trailer
+// that is neither well-formed extension fields nor a MAC.
 func (p *Packet) DecodeInto(src []byte) error {
 	if len(src) < HeaderLen {
-		return ErrShortPacket
+		return errShortPacket
 	}
 	p.Leap = Leap(src[0] >> 6)
 	p.Version = (src[0] >> 3) & 0x7
@@ -275,14 +252,14 @@ func (p *Packet) DecodeInto(src []byte) error {
 	// extension fields only while at least that much remains.
 	for len(rest) >= minLastExtLen {
 		l := int(binary.BigEndian.Uint16(rest[2:]))
-		if l < MinExtLen || l%4 != 0 {
-			return ErrExtLength
+		if l < minExtLen || l%4 != 0 {
+			return errExtLength
 		}
 		if l > len(rest) {
-			return ErrExtTruncated
+			return errExtTruncated
 		}
-		if len(p.Ext) == MaxExtFields {
-			return ErrExtCount
+		if len(p.Ext) == maxExtFields {
+			return errExtCount
 		}
 		p.Ext = append(p.Ext, ExtField{
 			Type:  binary.BigEndian.Uint16(rest[0:]),
@@ -295,7 +272,7 @@ func (p *Packet) DecodeInto(src []byte) error {
 	case 4, 20, 24: // crypto-NAK, MD5 or SHA-1 keyid+digest
 		p.LegacyMAC = rest
 	default:
-		return ErrTrailingBytes
+		return errTrailingBytes
 	}
 	return nil
 }
@@ -317,25 +294,25 @@ func (p *Packet) FindExt(typ uint16) (*ExtField, int) {
 // origin is the transmit timestamp the client sent (T1).
 func (p *Packet) ValidateServerReply(origin ntptime.Timestamp) error {
 	if p.Version != Version3 && p.Version != Version4 {
-		return fmt.Errorf("%w: %d", ErrBadVersion, p.Version)
+		return fmt.Errorf("%w: %d", errBadVersion, p.Version)
 	}
 	if p.Mode != ModeServer && p.Mode != ModeBroadcast {
-		return fmt.Errorf("%w: %d", ErrBadMode, p.Mode)
+		return fmt.Errorf("%w: %d", errBadMode, p.Mode)
 	}
 	if p.Stratum == StratumKoD {
 		return fmt.Errorf("%w: %q", ErrKissOfDeath, string(p.RefID[:]))
 	}
-	if p.Stratum > StratumMaxSecond {
-		return ErrUnsynchronized
+	if p.Stratum > stratumMaxSecond {
+		return errUnsynchronized
 	}
 	if p.Leap == LeapNotSync {
-		return ErrUnsynchronized
+		return errUnsynchronized
 	}
 	if p.Transmit.IsZero() {
-		return ErrZeroTransmit
+		return errZeroTransmit
 	}
 	if p.Origin != origin {
-		return ErrBogusOrigin
+		return errBogusOrigin
 	}
 	return nil
 }

@@ -35,7 +35,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(wire) != HeaderLen {
 		t.Fatalf("encoded length = %d, want %d", len(wire), HeaderLen)
 	}
-	got, err := Decode(wire)
+	got := new(Packet)
+	err := got.DecodeInto(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +55,12 @@ func TestEncodeFirstOctet(t *testing.T) {
 }
 
 func TestDecodeShortPacket(t *testing.T) {
-	if _, err := Decode(make([]byte, 47)); err != ErrShortPacket {
+	if err := new(Packet).DecodeInto(make([]byte, 47)); err != errShortPacket {
 		t.Errorf("err = %v, want ErrShortPacket", err)
 	}
 }
 
-// Regression for the silent-trailer bug: Decode used to ignore all
+// Regression for the silent-trailer bug: decoding used to ignore all
 // bytes past the header, so truncated extension fields and arbitrary
 // forged trailers decoded as clean packets. Strict parsing rejects
 // anything that is neither a well-formed extension field nor a legacy
@@ -71,15 +72,15 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 		trailer []byte
 		want    error
 	}{
-		{"8 garbage bytes", []byte{1, 2, 3, 4, 5, 6, 7, 8}, ErrTrailingBytes},
-		{"truncated EF header", []byte{0x01, 0x04, 0x00}, ErrTrailingBytes},
-		{"EF length past end", append([]byte{0x01, 0x04, 0x00, 0x40}, make([]byte, 28)...), ErrExtTruncated},
-		{"EF length below minimum", append([]byte{0x01, 0x04, 0x00, 0x08}, make([]byte, 28)...), ErrExtLength},
-		{"EF length unaligned", append([]byte{0x01, 0x04, 0x00, 0x12}, make([]byte, 28)...), ErrExtLength},
-		{"16-byte trailer is not a MAC", make([]byte, 16), ErrTrailingBytes},
+		{"8 garbage bytes", []byte{1, 2, 3, 4, 5, 6, 7, 8}, errTrailingBytes},
+		{"truncated EF header", []byte{0x01, 0x04, 0x00}, errTrailingBytes},
+		{"EF length past end", append([]byte{0x01, 0x04, 0x00, 0x40}, make([]byte, 28)...), errExtTruncated},
+		{"EF length below minimum", append([]byte{0x01, 0x04, 0x00, 0x08}, make([]byte, 28)...), errExtLength},
+		{"EF length unaligned", append([]byte{0x01, 0x04, 0x00, 0x12}, make([]byte, 28)...), errExtLength},
+		{"16-byte trailer is not a MAC", make([]byte, 16), errTrailingBytes},
 	}
 	for _, c := range cases {
-		if _, err := Decode(append(append([]byte{}, base...), c.trailer...)); !errors.Is(err, c.want) {
+		if err := new(Packet).DecodeInto(append(append([]byte{}, base...), c.trailer...)); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -92,7 +93,8 @@ func TestDecodeExtensionFields(t *testing.T) {
 		{Type: ExtNTSCookie, Value: bytes.Repeat([]byte{0xCD}, 104)},
 	}
 	wire := p.Encode(nil)
-	got, err := Decode(wire)
+	got := new(Packet)
+	err := got.DecodeInto(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +127,13 @@ func TestEncodePadsShortExtension(t *testing.T) {
 		{Type: 0x0043, Value: make([]byte, 28)},
 	}
 	wire := p.Encode(nil)
-	got, err := Decode(wire)
+	got := new(Packet)
+	err := got.DecodeInto(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Ext[0].Value) != MinExtLen-ExtHeaderLen {
-		t.Fatalf("padded body length = %d, want %d", len(got.Ext[0].Value), MinExtLen-ExtHeaderLen)
+	if len(got.Ext[0].Value) != minExtLen-ExtHeaderLen {
+		t.Fatalf("padded body length = %d, want %d", len(got.Ext[0].Value), minExtLen-ExtHeaderLen)
 	}
 	if out := got.Encode(nil); !bytes.Equal(out, wire) {
 		t.Fatalf("re-encode differs after padding round trip")
@@ -142,7 +145,8 @@ func TestDecodeLegacyMAC(t *testing.T) {
 		wire := samplePacket().Encode(nil)
 		mac := bytes.Repeat([]byte{0x5A}, n)
 		wire = append(wire, mac...)
-		got, err := Decode(wire)
+		got := new(Packet)
+		err := got.DecodeInto(wire)
 		if err != nil {
 			t.Fatalf("MAC length %d rejected: %v", n, err)
 		}
@@ -160,7 +164,8 @@ func TestDecodeExtensionThenMAC(t *testing.T) {
 	p.Ext = []ExtField{{Type: 0x0042, Value: make([]byte, 28)}}
 	wire := p.Encode(nil)
 	wire = append(wire, bytes.Repeat([]byte{9}, 20)...)
-	got, err := Decode(wire)
+	got := new(Packet)
+	err := got.DecodeInto(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +176,10 @@ func TestDecodeExtensionThenMAC(t *testing.T) {
 
 func TestDecodeTooManyExtensions(t *testing.T) {
 	p := samplePacket()
-	for i := 0; i <= MaxExtFields; i++ {
+	for i := 0; i <= maxExtFields; i++ {
 		p.Ext = append(p.Ext, ExtField{Type: 0x0042, Value: make([]byte, 28)})
 	}
-	if _, err := Decode(p.Encode(nil)); !errors.Is(err, ErrExtCount) {
+	if err := new(Packet).DecodeInto(p.Encode(nil)); !errors.Is(err, errExtCount) {
 		t.Fatalf("err = %v, want ErrExtCount", err)
 	}
 }
@@ -188,7 +193,8 @@ func TestSNTPClientShape(t *testing.T) {
 	if !bytes.Equal(wire[1:40], make([]byte, 39)) {
 		t.Errorf("SNTP client packet has non-zero middle bytes: %x", wire[1:40])
 	}
-	dec, err := Decode(wire)
+	dec := new(Packet)
+	err := dec.DecodeInto(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +231,13 @@ func TestValidateServerReply(t *testing.T) {
 		mutate func(*Packet)
 		want   error
 	}{
-		{"bad version", func(p *Packet) { p.Version = 2 }, ErrBadVersion},
-		{"bad mode", func(p *Packet) { p.Mode = ModeClient }, ErrBadMode},
+		{"bad version", func(p *Packet) { p.Version = 2 }, errBadVersion},
+		{"bad mode", func(p *Packet) { p.Mode = ModeClient }, errBadMode},
 		{"kiss of death", func(p *Packet) { p.Stratum = 0; p.RefID = KissRate }, ErrKissOfDeath},
-		{"high stratum", func(p *Packet) { p.Stratum = 16 }, ErrUnsynchronized},
-		{"leap not sync", func(p *Packet) { p.Leap = LeapNotSync }, ErrUnsynchronized},
-		{"zero transmit", func(p *Packet) { p.Transmit = 0 }, ErrZeroTransmit},
-		{"bogus origin", func(p *Packet) { p.Origin = origin + 1 }, ErrBogusOrigin},
+		{"high stratum", func(p *Packet) { p.Stratum = 16 }, errUnsynchronized},
+		{"leap not sync", func(p *Packet) { p.Leap = LeapNotSync }, errUnsynchronized},
+		{"zero transmit", func(p *Packet) { p.Transmit = 0 }, errZeroTransmit},
+		{"bogus origin", func(p *Packet) { p.Origin = origin + 1 }, errBogusOrigin},
 	}
 	for _, c := range cases {
 		p := good()
@@ -266,7 +272,8 @@ func errorsIs(err, target error) bool {
 // is consistent.
 func TestQuickWireRoundTrip(t *testing.T) {
 	f := func(raw [HeaderLen]byte) bool {
-		p, err := Decode(raw[:])
+		p := new(Packet)
+		err := p.DecodeInto(raw[:])
 		if err != nil {
 			return false
 		}

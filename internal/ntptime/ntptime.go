@@ -23,9 +23,6 @@ type Timestamp uint64
 // and root dispersion.
 type Short uint32
 
-// ntpEpoch is the NTP era-0 epoch.
-var ntpEpoch = time.Date(1900, time.January, 1, 0, 0, 0, 0, time.UTC)
-
 // eraSeconds is the number of seconds in one NTP era.
 const eraSeconds = int64(1) << 32
 
@@ -35,11 +32,11 @@ const (
 	nanosPerSec    = int64(time.Second)
 )
 
-// Seconds returns the integral seconds field of the timestamp.
-func (t Timestamp) Seconds() uint32 { return uint32(t >> 32) }
+// seconds returns the integral seconds field of the timestamp.
+func (t Timestamp) seconds() uint32 { return uint32(t >> 32) }
 
-// Fraction returns the fractional seconds field of the timestamp.
-func (t Timestamp) Fraction() uint32 { return uint32(t) }
+// fraction returns the fractional seconds field of the timestamp.
+func (t Timestamp) fraction() uint32 { return uint32(t) }
 
 // IsZero reports whether the timestamp is the special "unset" value.
 // RFC 5905 reserves the all-zeros timestamp to mean "unknown".
@@ -70,20 +67,12 @@ const unixToNTPOffset = 2208988800
 // corresponds to the timestamp's within-era position in the era that
 // places it within ±68 years of the pivot.
 func (t Timestamp) Time(pivot time.Time) time.Time {
-	secInEra := int64(t.Seconds())
-	nanos := (int64(t.Fraction())*nanosPerSec + fracScale/2) >> 32
+	secInEra := int64(t.seconds())
+	nanos := (int64(t.fraction())*nanosPerSec + fracScale/2) >> 32
 	pivotNTP := pivot.Unix() + unixToNTPOffset
 	era := (pivotNTP - secInEra + eraSeconds/2) / eraSeconds
 	ntpSec := era*eraSeconds + secInEra
 	return time.Unix(ntpSec-unixToNTPOffset, nanos).UTC()
-}
-
-// TimeEra0 converts the timestamp assuming NTP era 0 (valid for dates
-// between 1900 and 2036). Most test fixtures and the 2016-era traces in
-// this repository fall in era 0.
-func (t Timestamp) TimeEra0() time.Time {
-	nanos := (int64(t.Fraction())*nanosPerSec + fracScale/2) >> 32
-	return time.Unix(int64(t.Seconds())-unixToNTPOffset, nanos).UTC()
 }
 
 // Sub returns the signed duration t−u interpreted in the shortest
@@ -97,17 +86,6 @@ func (t Timestamp) Sub(u Timestamp) time.Duration {
 	sec := d >> 32
 	frac := d - sec<<32
 	return time.Duration(sec*nanosPerSec + (frac*nanosPerSec)>>32)
-}
-
-// Add returns the timestamp advanced by d. Negative durations move the
-// timestamp backwards. The result wraps modulo one era, matching wire
-// semantics.
-func (t Timestamp) Add(d time.Duration) Timestamp {
-	n := int64(d)
-	sec := n / nanosPerSec
-	nanos := n % nanosPerSec
-	frac := (nanos << 32) / nanosPerSec
-	return Timestamp(uint64(int64(t) + sec<<32 + frac))
 }
 
 // DurationToShort converts a duration to the 16.16 short format,
@@ -136,6 +114,3 @@ func (s Short) Duration() time.Duration {
 	frac := int64(s & 0xffff)
 	return time.Duration(sec*nanosPerSec + (frac*nanosPerSec+shortFracScale/2)>>16)
 }
-
-// Seconds returns the short-format value in floating-point seconds.
-func (s Short) Seconds() float64 { return float64(s) / shortFracScale }

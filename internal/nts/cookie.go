@@ -22,18 +22,18 @@ import (
 // re-encode byte-identically (which the authenticator's AD
 // computation relies on).
 const (
-	CookieLen      = 104
+	cookieLen      = 104
 	cookiePlainLen = 2 + 2 + SIVKeyLen + SIVKeyLen + cookiePadLen
 	cookiePadLen   = 16
 	cookieEpochLen = 4
 )
 
 var (
-	// ErrCookieEpoch is returned when a cookie references a key epoch
+	// errCookieEpoch is returned when a cookie references a key epoch
 	// that has rotated out of the ring (or never existed).
-	ErrCookieEpoch = errors.New("nts: cookie key epoch not in ring")
-	// ErrCookieFormat is returned for cookies of the wrong shape.
-	ErrCookieFormat = errors.New("nts: malformed cookie")
+	errCookieEpoch = errors.New("nts: cookie key epoch not in ring")
+	// errCookieFormat is returned for cookies of the wrong shape.
+	errCookieFormat = errors.New("nts: malformed cookie")
 )
 
 // KeyRing holds the server's cookie-sealing master keys, indexed by a
@@ -49,7 +49,7 @@ type KeyRing struct {
 
 // masterKey is one epoch's key: the raw bytes Save persists and their
 // expansion, built once when the epoch enters the ring (Rotate,
-// LoadKeyRing) and dropped with it, so no cookie operation expands a
+// loadKeyRing) and dropped with it, so no cookie operation expands a
 // master key.
 type masterKey struct {
 	raw []byte
@@ -117,7 +117,7 @@ func (r *KeyRing) SealCookie(aeadID uint16, c2s, s2c []byte) ([]byte, error) {
 	if _, err := rand.Read(pad); err != nil {
 		return nil, err
 	}
-	return r.sealCookie(sc, make([]byte, 0, CookieLen), aeadID, c2s, s2c, pad), nil
+	return r.sealCookie(sc, make([]byte, 0, cookieLen), aeadID, c2s, s2c, pad), nil
 }
 
 // sealCookie appends to dst a cookie of the 32-byte association keys
@@ -140,7 +140,7 @@ func (r *KeyRing) sealCookie(sc *scratch, dst []byte, aeadID uint16, c2s, s2c, p
 
 // OpenCookie authenticates and decrypts a cookie, returning the AEAD
 // algorithm and association keys it carries. Cookies sealed under an
-// epoch that has rotated out fail with ErrCookieEpoch.
+// epoch that has rotated out fail with errCookieEpoch.
 func (r *KeyRing) OpenCookie(cookie []byte) (aeadID uint16, c2s, s2c []byte, err error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -150,15 +150,15 @@ func (r *KeyRing) OpenCookie(cookie []byte) (aeadID uint16, c2s, s2c []byte, err
 // openCookie is OpenCookie with the plaintext — which the returned
 // keys alias — appended to dst.
 func (r *KeyRing) openCookie(sc *scratch, dst, cookie []byte) (aeadID uint16, c2s, s2c []byte, err error) {
-	if len(cookie) != CookieLen {
-		return 0, nil, nil, ErrCookieFormat
+	if len(cookie) != cookieLen {
+		return 0, nil, nil, errCookieFormat
 	}
 	epoch := binary.BigEndian.Uint32(cookie[:cookieEpochLen])
 	r.mu.RLock()
 	master, ok := r.keys[epoch]
 	r.mu.RUnlock()
 	if !ok {
-		return 0, nil, nil, ErrCookieEpoch
+		return 0, nil, nil, errCookieEpoch
 	}
 	n := len(dst)
 	dst, err = master.siv.open(sc, dst, cookie[cookieEpochLen:], cookie[:cookieEpochLen])
@@ -167,11 +167,11 @@ func (r *KeyRing) openCookie(sc *scratch, dst, cookie []byte) (aeadID uint16, c2
 	}
 	plain := dst[n:]
 	if len(plain) != cookiePlainLen {
-		return 0, nil, nil, ErrCookieFormat
+		return 0, nil, nil, errCookieFormat
 	}
 	aeadID = binary.BigEndian.Uint16(plain[0:2])
 	if binary.BigEndian.Uint16(plain[2:4]) != SIVKeyLen {
-		return 0, nil, nil, ErrCookieFormat
+		return 0, nil, nil, errCookieFormat
 	}
 	c2s = plain[4 : 4+SIVKeyLen]
 	s2c = plain[4+SIVKeyLen : 4+2*SIVKeyLen]

@@ -7,22 +7,22 @@ import (
 	"mntp/internal/ntppkt"
 )
 
-// UniqueIDLen is the body length of the Unique Identifier extension
+// uniqueIDLen is the body length of the Unique Identifier extension
 // field: RFC 8915 §5.3 requires at least 32 octets of fresh
 // randomness per request.
-const UniqueIDLen = 32
+const uniqueIDLen = 32
 
 // nonceLen is the AEAD nonce carried in the authenticator body. SIV
 // tolerates any length; 16 keeps the body 4-aligned.
 const nonceLen = 16
 
 var (
-	// ErrNoAuth is returned when a packet lacks the NTS authenticator
+	// errNoAuth is returned when a packet lacks the NTS authenticator
 	// extension field (i.e. is not NTS-protected).
-	ErrNoAuth = errors.New("nts: packet has no NTS authenticator field")
-	// ErrBadExtField is returned for structurally invalid NTS
+	errNoAuth = errors.New("nts: packet has no NTS authenticator field")
+	// errBadExtField is returned for structurally invalid NTS
 	// extension-field bodies.
-	ErrBadExtField = errors.New("nts: malformed NTS extension field")
+	errBadExtField = errors.New("nts: malformed NTS extension field")
 )
 
 // appendAuthenticatorNonce starts the body of an NTS Authenticator and
@@ -35,7 +35,7 @@ var (
 // whenever the plaintext is, so re-encoding is byte-exact.
 func appendAuthenticatorNonce(dst []byte, plaintextLen int, nonce []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, nonceLen)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(SIVOverhead+plaintextLen))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(sivOverhead+plaintextLen))
 	return append(dst, nonce[:nonceLen]...)
 }
 
@@ -52,16 +52,16 @@ func sealAuthenticator(key *sivKey, sc *scratch, dst, plaintext, ad []byte) []by
 // index authIdx of p.Ext into its nonce and sealed fields.
 func parseAuthenticator(p *ntppkt.Packet, authIdx int) (nonce, ct []byte, err error) {
 	if authIdx < 0 || authIdx >= len(p.Ext) {
-		return nil, nil, ErrNoAuth
+		return nil, nil, errNoAuth
 	}
 	body := p.Ext[authIdx].Value
 	if len(body) < 4 {
-		return nil, nil, ErrBadExtField
+		return nil, nil, errBadExtField
 	}
 	nl := int(binary.BigEndian.Uint16(body[0:2]))
 	cl := int(binary.BigEndian.Uint16(body[2:4]))
 	if nl == 0 || 4+nl+cl > len(body) {
-		return nil, nil, ErrBadExtField
+		return nil, nil, errBadExtField
 	}
 	return body[4 : 4+nl], body[4+nl : 4+nl+cl], nil
 }
@@ -85,11 +85,11 @@ func openAuthenticator(key *sivKey, sc *scratch, p *ntppkt.Packet, authIdx int, 
 // without the RFC 7822 minimum-length rule.
 func nextInnerExt(plain []byte) (typ uint16, body, rest []byte, err error) {
 	if len(plain) < ntppkt.ExtHeaderLen {
-		return 0, nil, nil, ErrBadExtField
+		return 0, nil, nil, errBadExtField
 	}
 	l := int(binary.BigEndian.Uint16(plain[2:4]))
 	if l < ntppkt.ExtHeaderLen || l%4 != 0 || l > len(plain) {
-		return 0, nil, nil, ErrBadExtField
+		return 0, nil, nil, errBadExtField
 	}
 	return binary.BigEndian.Uint16(plain[0:2]), plain[ntppkt.ExtHeaderLen:l], plain[l:], nil
 }

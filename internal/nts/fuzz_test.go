@@ -40,7 +40,7 @@ func FuzzSIVAgainstReference(f *testing.F) {
 		}
 		bad := bytes.Clone(want)
 		bad[int(flip)%len(bad)] ^= 1 << (flip % 8)
-		if _, err := refSIVOpen(key, bad, ad...); err != ErrAuthFailed {
+		if _, err := refSIVOpen(key, bad, ad...); err != errAuthFailed {
 			t.Fatalf("reference accepts a tampered seal: %v", err)
 		}
 
@@ -63,7 +63,7 @@ func FuzzSIVAgainstReference(f *testing.F) {
 			if back, err := refSIVOpen(key, got[len(prefix):], ad...); err != nil || !bytes.Equal(back, pt) {
 				t.Fatalf("reference open of the core's seal: %v, %x", err, back)
 			}
-			if out, err := k.open(sc, prefix, bad, ad...); err != ErrAuthFailed || len(out) != len(prefix) {
+			if out, err := k.open(sc, prefix, bad, ad...); err != errAuthFailed || len(out) != len(prefix) {
 				t.Fatalf("tampered seal: err %v, %d bytes returned", err, len(out))
 			}
 		}
@@ -106,7 +106,7 @@ func authenticated(t testing.TB, p *ntppkt.Packet) []byte {
 func FuzzVerifyRequest(f *testing.F) {
 	ring := fuzzRing(f)
 	c2s, s2c := testKeys(0x77)
-	valid := refRequest(f, ring, c2s, s2c, bytes.Repeat([]byte{0xa1}, UniqueIDLen),
+	valid := refRequest(f, ring, c2s, s2c, bytes.Repeat([]byte{0xa1}, uniqueIDLen),
 		bytes.Repeat([]byte{0xb2}, cookiePadLen), bytes.Repeat([]byte{0xc3}, nonceLen))
 	want := authenticated(f, mustDecode(f, valid))
 
@@ -144,7 +144,7 @@ func FuzzVerifyRequest(f *testing.F) {
 		if err := ProtectResponse(ring, &sr, &resp); err != nil {
 			t.Fatalf("ProtectResponse after an accepted request: %v", err)
 		}
-		if inner := refOpenAuthenticator(t, s2c, mustDecode(t, resp.Encode(nil))); len(inner)%(ntppkt.ExtHeaderLen+CookieLen) != 0 {
+		if inner := refOpenAuthenticator(t, s2c, mustDecode(t, resp.Encode(nil))); len(inner)%(ntppkt.ExtHeaderLen+cookieLen) != 0 {
 			t.Fatalf("reply's encrypted fields are %d bytes, not whole cookies", len(inner))
 		}
 	})

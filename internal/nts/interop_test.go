@@ -86,7 +86,8 @@ func refRequest(t testing.TB, ring *KeyRing, c2s, s2c, uid, pad, nonce []byte) [
 
 func mustDecode(t testing.TB, wire []byte) *ntppkt.Packet {
 	t.Helper()
-	p, err := ntppkt.Decode(wire)
+	p := new(ntppkt.Packet)
+	err := p.DecodeInto(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestReferenceClientInteroperates(t *testing.T) {
 	forEachAESPath(t, func(t *testing.T) {
 		ring := testRing(t, 1)
 		c2s, s2c := testKeys(0x66)
-		uid := bytes.Repeat([]byte{0xa1}, UniqueIDLen)
+		uid := bytes.Repeat([]byte{0xa1}, uniqueIDLen)
 		wire := refRequest(t, ring, c2s, s2c, uid, bytes.Repeat([]byte{0xb2}, cookiePadLen), bytes.Repeat([]byte{0xc3}, nonceLen))
 		if len(wire) != 232 {
 			t.Fatalf("reference request is %d bytes, want 232", len(wire))
@@ -123,7 +124,7 @@ func TestReferenceClientInteroperates(t *testing.T) {
 			t.Fatalf("production reply is %d bytes, want 232", len(replyWire))
 		}
 		inner := refOpenAuthenticator(t, s2c, mustDecode(t, replyWire))
-		if len(inner) != ntppkt.ExtHeaderLen+CookieLen || binary.BigEndian.Uint16(inner) != ntppkt.ExtNTSCookie {
+		if len(inner) != ntppkt.ExtHeaderLen+cookieLen || binary.BigEndian.Uint16(inner) != ntppkt.ExtNTSCookie {
 			t.Fatalf("reply's encrypted fields are not one cookie: %x", inner)
 		}
 		gotC2S, gotS2C := refOpenCookie(t, ring, inner[ntppkt.ExtHeaderLen:])

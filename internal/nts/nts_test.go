@@ -32,8 +32,8 @@ func TestCookieRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SealCookie: %v", err)
 	}
-	if len(cookie) != CookieLen {
-		t.Fatalf("cookie length = %d, want %d", len(cookie), CookieLen)
+	if len(cookie) != cookieLen {
+		t.Fatalf("cookie length = %d, want %d", len(cookie), cookieLen)
 	}
 	aead, gotC2S, gotS2C, err := ring.OpenCookie(cookie)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestCookieRoundTrip(t *testing.T) {
 
 // TestCookieSurvivesRotation pins the key-epoch ring contract: a
 // cookie minted under epoch k verifies for depth rotations and fails
-// with ErrCookieEpoch once its epoch leaves the ring.
+// with errCookieEpoch once its epoch leaves the ring.
 func TestCookieSurvivesRotation(t *testing.T) {
 	const depth = 2
 	ring := testRing(t, depth)
@@ -66,8 +66,8 @@ func TestCookieSurvivesRotation(t *testing.T) {
 	if err := ring.Rotate(); err != nil {
 		t.Fatalf("final Rotate: %v", err)
 	}
-	if _, _, _, err := ring.OpenCookie(cookie); !errors.Is(err, ErrCookieEpoch) {
-		t.Fatalf("cookie after ring exhaustion: want ErrCookieEpoch, got %v", err)
+	if _, _, _, err := ring.OpenCookie(cookie); !errors.Is(err, errCookieEpoch) {
+		t.Fatalf("cookie after ring exhaustion: want errCookieEpoch, got %v", err)
 	}
 }
 
@@ -92,13 +92,13 @@ func TestCookieUnlinkable(t *testing.T) {
 
 func TestCookieGarbageRejected(t *testing.T) {
 	ring := testRing(t, 1)
-	if _, _, _, err := ring.OpenCookie(make([]byte, 10)); !errors.Is(err, ErrCookieFormat) {
+	if _, _, _, err := ring.OpenCookie(make([]byte, 10)); !errors.Is(err, errCookieFormat) {
 		t.Fatalf("short cookie: want ErrCookieFormat, got %v", err)
 	}
 	c2s, s2c := testKeys(0x44)
 	cookie, _ := ring.SealCookie(AEADAESSIVCMAC256, c2s, s2c)
-	cookie[CookieLen-1] ^= 0x01
-	if _, _, _, err := ring.OpenCookie(cookie); !errors.Is(err, ErrAuthFailed) {
+	cookie[cookieLen-1] ^= 0x01
+	if _, _, _, err := ring.OpenCookie(cookie); !errors.Is(err, errAuthFailed) {
 		t.Fatalf("tampered cookie: want ErrAuthFailed, got %v", err)
 	}
 }
@@ -133,7 +133,9 @@ func exchangeOnce(t *testing.T, ring *KeyRing, s *Session) (reqWire, respWire []
 	}
 	reqWire = req.Encode(nil)
 
-	onWire, err := ntppkt.Decode(reqWire)
+	onWire := new(ntppkt.Packet)
+
+	err = onWire.DecodeInto(reqWire)
 	if err != nil {
 		t.Fatalf("server decode: %v", err)
 	}
@@ -153,7 +155,9 @@ func exchangeOnce(t *testing.T, ring *KeyRing, s *Session) (reqWire, respWire []
 	}
 	respWire = resp.Encode(nil)
 
-	back, err := ntppkt.Decode(respWire)
+	back := new(ntppkt.Packet)
+
+	err = back.DecodeInto(respWire)
 	if err != nil {
 		t.Fatalf("client decode: %v", err)
 	}
@@ -192,7 +196,8 @@ func TestReplyCookiesUnlinkable(t *testing.T) {
 		t.Fatal("two replies carried identical extension bytes")
 	}
 	for i, w := range [][]byte{wire1, wire2} {
-		p, err := ntppkt.Decode(w)
+		p := new(ntppkt.Packet)
+		err := p.DecodeInto(w)
 		if err != nil {
 			t.Fatalf("decode reply %d: %v", i, err)
 		}
@@ -215,20 +220,22 @@ func TestVerifyRequestTamper(t *testing.T) {
 	// covers it, so verification must fail.
 	mut := append([]byte(nil), wire...)
 	mut[ntppkt.HeaderLen+ntppkt.ExtHeaderLen] ^= 0x01
-	p, err := ntppkt.Decode(mut)
+	p := new(ntppkt.Packet)
+	err := p.DecodeInto(mut)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !IsNTSRequest(p) {
 		t.Fatal("tampered request no longer looks like NTS")
 	}
-	if _, err := VerifyRequest(ring, p); !errors.Is(err, ErrAuthFailed) {
+	if _, err := VerifyRequest(ring, p); !errors.Is(err, errAuthFailed) {
 		t.Fatalf("tampered UID: want ErrAuthFailed, got %v", err)
 	}
 
 	// A cookie from a foreign ring must fail too (wrong master key).
 	other := testRing(t, 1)
-	p2, _ := ntppkt.Decode(wire)
+	p2 := new(ntppkt.Packet)
+	_ = p2.DecodeInto(wire)
 	if _, err := VerifyRequest(other, p2); err == nil {
 		t.Fatal("foreign ring accepted the cookie")
 	}
@@ -256,7 +263,7 @@ func TestVerifyReplyRejections(t *testing.T) {
 	}
 
 	plain := &ntppkt.Packet{Version: ntppkt.Version4, Mode: ntppkt.ModeServer, Stratum: 2}
-	if err := s.VerifyReply(plain, st); !errors.Is(err, ErrUniqueIDMismatch) {
+	if err := s.VerifyReply(plain, st); !errors.Is(err, errUniqueIDMismatch) {
 		t.Fatalf("reply without UID: want ErrUniqueIDMismatch, got %v", err)
 	}
 }
@@ -280,7 +287,8 @@ func TestProtectRequestJarEmpty(t *testing.T) {
 		t.Fatalf("ReuseWhenDry ProtectRequest: %v", err)
 	}
 	wire := req3.Encode(nil)
-	p, err := ntppkt.Decode(wire)
+	p := new(ntppkt.Packet)
+	err = p.DecodeInto(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -292,7 +300,7 @@ func TestProtectRequestJarEmpty(t *testing.T) {
 
 // TestRotatedOutEpochLeavesNoKey: the expansion of a master key lives
 // and dies with its epoch. A request whose cookie was good for depth
-// rotations draws ErrCookieEpoch from the serve path's reused
+// rotations draws errCookieEpoch from the serve path's reused
 // ServerRequest the moment Rotate evicts the epoch, and the ring holds
 // no key, raw or expanded, beyond its window.
 func TestRotatedOutEpochLeavesNoKey(t *testing.T) {
@@ -303,7 +311,8 @@ func TestRotatedOutEpochLeavesNoKey(t *testing.T) {
 	if _, err := s.ProtectRequest(req); err != nil {
 		t.Fatalf("ProtectRequest: %v", err)
 	}
-	onWire, err := ntppkt.Decode(req.Encode(nil))
+	onWire := new(ntppkt.Packet)
+	err := onWire.DecodeInto(req.Encode(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -316,8 +325,8 @@ func TestRotatedOutEpochLeavesNoKey(t *testing.T) {
 			t.Fatalf("Rotate: %v", err)
 		}
 	}
-	if err := sr.Verify(ring, onWire); !errors.Is(err, ErrCookieEpoch) {
-		t.Fatalf("rotated-out cookie: want ErrCookieEpoch, got %v", err)
+	if err := sr.Verify(ring, onWire); !errors.Is(err, errCookieEpoch) {
+		t.Fatalf("rotated-out cookie: want errCookieEpoch, got %v", err)
 	}
 	if _, held := ring.keys[0]; held || len(ring.keys) != depth+1 {
 		t.Fatalf("ring holds %d epochs (epoch 0 held: %v), want %d without epoch 0", len(ring.keys), held, depth+1)
@@ -371,7 +380,7 @@ func TestRotateDuringServing(t *testing.T) {
 					return
 				}
 				if err := sr.Verify(ring, req); err != nil {
-					if !errors.Is(err, ErrCookieEpoch) {
+					if !errors.Is(err, errCookieEpoch) {
 						t.Errorf("verify during rotation: %v", err)
 						return
 					}

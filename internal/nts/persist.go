@@ -37,12 +37,12 @@ const (
 )
 
 var (
-	// ErrStateFormat is returned for state files that are truncated,
+	// errStateFormat is returned for state files that are truncated,
 	// corrupted, or fail authentication under the given state key.
-	ErrStateFormat = errors.New("nts: malformed or corrupted keyring state")
-	// ErrStateVersion is returned for state files written by an
+	errStateFormat = errors.New("nts: malformed or corrupted keyring state")
+	// errStateVersion is returned for state files written by an
 	// incompatible format version.
-	ErrStateVersion = errors.New("nts: unsupported keyring state version")
+	errStateVersion = errors.New("nts: unsupported keyring state version")
 )
 
 // Save atomically persists the ring's full epoch→key map, sealed
@@ -115,13 +115,13 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 	return nil
 }
 
-// LoadKeyRing reads a keyring state file written by Save. A missing
+// loadKeyRing reads a keyring state file written by Save. A missing
 // file returns (nil, os.ErrNotExist); a truncated, corrupted,
-// tampered or wrong-version file returns ErrStateFormat or
-// ErrStateVersion — callers that want restart resilience should fall
+// tampered or wrong-version file returns errStateFormat or
+// errStateVersion — callers that want restart resilience should fall
 // back to a fresh ring (see LoadOrNewKeyRing), never serve without
 // one.
-func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
+func loadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 	state, err := newSIVKey(stateKey)
 	if err != nil {
 		return nil, fmt.Errorf("nts: state key must be %d bytes", SIVKeyLen)
@@ -132,35 +132,35 @@ func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 	}
 	headerLen := len(stateMagic) + 2
 	if len(data) < headerLen {
-		return nil, ErrStateFormat
+		return nil, errStateFormat
 	}
 	if string(data[:len(stateMagic)]) != stateMagic {
-		return nil, ErrStateFormat
+		return nil, errStateFormat
 	}
 	if v := binary.BigEndian.Uint16(data[len(stateMagic):headerLen]); v != stateVersion {
-		return nil, fmt.Errorf("%w: %d", ErrStateVersion, v)
+		return nil, fmt.Errorf("%w: %d", errStateVersion, v)
 	}
 	sc := scratchPool.Get().(*scratch)
 	payload, err := state.open(sc, nil, data[headerLen:], data[:headerLen])
 	scratchPool.Put(sc)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStateFormat, err)
+		return nil, fmt.Errorf("%w: %v", errStateFormat, err)
 	}
 	if len(payload) < 8 {
-		return nil, ErrStateFormat
+		return nil, errStateFormat
 	}
 	next := binary.BigEndian.Uint32(payload[0:4])
 	depth := int(binary.BigEndian.Uint16(payload[4:6]))
 	count := int(binary.BigEndian.Uint16(payload[6:8]))
 	if depth < 1 || count < 1 || len(payload) != 8+count*(4+SIVKeyLen) {
-		return nil, ErrStateFormat
+		return nil, errStateFormat
 	}
 	r := &KeyRing{depth: depth, next: next, keys: make(map[uint32]masterKey, count)}
 	off := 8
 	for i := 0; i < count; i++ {
 		epoch := binary.BigEndian.Uint32(payload[off : off+4])
 		if epoch >= next {
-			return nil, ErrStateFormat
+			return nil, errStateFormat
 		}
 		// payload is this call's own buffer, so the ring may keep it.
 		if r.keys[epoch], err = newMasterKey(payload[off+4 : off+4+SIVKeyLen]); err != nil {
@@ -171,7 +171,7 @@ func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 	if _, ok := r.keys[next-1]; !ok {
 		// The current epoch's key must be present or SealCookie would
 		// seal under a nil master.
-		return nil, ErrStateFormat
+		return nil, errStateFormat
 	}
 	return r, nil
 }
@@ -183,7 +183,7 @@ func LoadKeyRing(path string, stateKey []byte) (*KeyRing, error) {
 // persisted state was actually used; err carries the fallback's
 // reason when loaded is false and a state file existed.
 func LoadOrNewKeyRing(path string, stateKey []byte, depth int) (r *KeyRing, loaded bool, err error) {
-	r, lerr := LoadKeyRing(path, stateKey)
+	r, lerr := loadKeyRing(path, stateKey)
 	if lerr == nil {
 		return r, true, nil
 	}

@@ -49,7 +49,7 @@ func TestKeyRingSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("state file mode = %v, err %v; want 0600", fi.Mode(), err)
 	}
 
-	restored, err := LoadKeyRing(path, key)
+	restored, err := loadKeyRing(path, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestKeyRingSaveLoadRoundTrip(t *testing.T) {
 	if aead != AEADAESSIVCMAC256 || !bytes.Equal(rc2s, c2s) || !bytes.Equal(rs2c, s2c) {
 		t.Error("cookie contents differ after restore")
 	}
-	// LoadKeyRing expands every master key it restores: the restored
+	// loadKeyRing expands every master key it restores: the restored
 	// ring mints as well as opens, and the two rings are one key set.
 	minted, err := restored.SealCookie(AEADAESSIVCMAC256, c2s, s2c)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestKeyRingSaveLoadRoundTrip(t *testing.T) {
 	if err := restored.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := restored.OpenCookie(cookie); !errors.Is(err, ErrCookieEpoch) {
+	if _, _, _, err := restored.OpenCookie(cookie); !errors.Is(err, errCookieEpoch) {
 		t.Fatalf("cookie past retention = %v, want ErrCookieEpoch", err)
 	}
 }
@@ -121,29 +121,29 @@ func TestLoadKeyRingRejectsBadFiles(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadKeyRing(p, key)
+		_, err := loadKeyRing(p, key)
 		if !errors.Is(err, wantErr) {
 			t.Errorf("%s: err = %v, want %v", name, err, wantErr)
 		}
 	}
 
-	check("empty", nil, ErrStateFormat)
-	check("truncated-header", good[:5], ErrStateFormat)
-	check("truncated-body", good[:len(good)-10], ErrStateFormat)
-	check("bad-magic", append([]byte("XXXXXXXX"), good[8:]...), ErrStateFormat)
+	check("empty", nil, errStateFormat)
+	check("truncated-header", good[:5], errStateFormat)
+	check("truncated-body", good[:len(good)-10], errStateFormat)
+	check("bad-magic", append([]byte("XXXXXXXX"), good[8:]...), errStateFormat)
 
 	badVer := append([]byte(nil), good...)
 	binary.BigEndian.PutUint16(badVer[8:10], 99)
-	check("wrong-version", badVer, ErrStateVersion)
+	check("wrong-version", badVer, errStateVersion)
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x01
-	check("bitflip", flipped, ErrStateFormat)
+	check("bitflip", flipped, errStateFormat)
 
-	if _, err := LoadKeyRing(path, testStateKey(t)); !errors.Is(err, ErrStateFormat) {
+	if _, err := loadKeyRing(path, testStateKey(t)); !errors.Is(err, errStateFormat) {
 		t.Errorf("wrong state key: err = %v, want ErrStateFormat", err)
 	}
-	if _, err := LoadKeyRing(filepath.Join(dir, "missing"), key); !errors.Is(err, os.ErrNotExist) {
+	if _, err := loadKeyRing(filepath.Join(dir, "missing"), key); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: err = %v, want ErrNotExist", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestLoadOrNewKeyRingFallback(t *testing.T) {
 	if r == nil || loaded {
 		t.Fatalf("corrupt file: ring %v loaded %v", r, loaded)
 	}
-	if !errors.Is(err, ErrStateFormat) {
+	if !errors.Is(err, errStateFormat) {
 		t.Errorf("corrupt file err = %v, want ErrStateFormat", err)
 	}
 
@@ -238,7 +238,7 @@ func TestSaveDuringRotation(t *testing.T) {
 			}
 			// Concurrent rotation may retire the epoch before the
 			// open; only format/auth errors are bugs.
-			if _, _, _, err := ring.OpenCookie(cookie); err != nil && !errors.Is(err, ErrCookieEpoch) {
+			if _, _, _, err := ring.OpenCookie(cookie); err != nil && !errors.Is(err, errCookieEpoch) {
 				t.Errorf("open during rotation: %v", err)
 				return
 			}
@@ -252,7 +252,7 @@ func TestSaveDuringRotation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	restored, err := LoadKeyRing(path, key)
+	restored, err := loadKeyRing(path, key)
 	if err != nil {
 		t.Fatalf("checkpoint written during rotation does not restore: %v", err)
 	}

@@ -8,15 +8,15 @@ import (
 	"mntp/internal/ntppkt"
 )
 
-// MaxCookiesPerReply caps re-supply so a flood of placeholders cannot
+// maxCookiesPerReply caps re-supply so a flood of placeholders cannot
 // inflate replies into an amplification vector (RFC 8915 §5.7 requires
 // replies to stay no larger than requests; each placeholder in the
 // request pays for the cookie it buys back).
-const MaxCookiesPerReply = 8
+const maxCookiesPerReply = 8
 
-// ErrNotNTS is returned by VerifyRequest for packets that carry no
+// errNotNTS is returned by VerifyRequest for packets that carry no
 // NTS fields at all.
-var ErrNotNTS = errors.New("nts: not an NTS-protected request")
+var errNotNTS = errors.New("nts: not an NTS-protected request")
 
 // ServerRequest is a verified NTS request: everything the serving
 // path needs to build the authenticated response, and the working
@@ -37,11 +37,11 @@ type ServerRequest struct {
 	S2C  []byte
 	// NumCookies is how many fresh cookies the reply must carry: one
 	// for the cookie consumed plus one per placeholder, capped at
-	// MaxCookiesPerReply.
+	// maxCookiesPerReply.
 	NumCookies int
 
 	scratch
-	uid  [UniqueIDLen]byte   // backs UID unless the client sent a longer one
+	uid  [uniqueIDLen]byte   // backs UID unless the client sent a longer one
 	keys [2 * SIVKeyLen]byte // backs C2S and S2C
 	c2s  sivKey              // expanded by Verify for its own use
 	s2c  sivKey              // expanded by Verify, used by Seal
@@ -75,22 +75,22 @@ func VerifyRequest(ring *KeyRing, p *ntppkt.Packet) (*ServerRequest, error) {
 func (sr *ServerRequest) Verify(ring *KeyRing, p *ntppkt.Packet) error {
 	_, authIdx := p.FindExt(ntppkt.ExtNTSAuthenticator)
 	if authIdx < 0 {
-		return ErrNotNTS
+		return errNotNTS
 	}
 	uidEF, uidIdx := p.FindExt(ntppkt.ExtUniqueIdentifier)
-	if uidEF == nil || uidIdx > authIdx || len(uidEF.Value) < UniqueIDLen {
-		return ErrBadExtField
+	if uidEF == nil || uidIdx > authIdx || len(uidEF.Value) < uniqueIDLen {
+		return errBadExtField
 	}
 	cookieEF, cookieIdx := p.FindExt(ntppkt.ExtNTSCookie)
 	if cookieEF == nil || cookieIdx > authIdx {
-		return ErrBadExtField
+		return errBadExtField
 	}
 	aeadID, c2s, s2c, err := ring.openCookie(&sr.scratch, sr.cookie[:0], cookieEF.Value)
 	if err != nil {
 		return err
 	}
 	if aeadID != AEADAESSIVCMAC256 {
-		return ErrBadExtField
+		return errBadExtField
 	}
 	nonce, ct, err := parseAuthenticator(p, authIdx)
 	if err != nil {
@@ -103,7 +103,7 @@ func (sr *ServerRequest) Verify(ring *KeyRing, p *ntppkt.Packet) error {
 	copy(sr.S2C, s2c)
 	// A request's authenticator normally encrypts nothing, and then
 	// the CTR half of c2s is never needed.
-	if err := sr.c2s.expand(sr.C2S, len(ct) == SIVOverhead); err != nil {
+	if err := sr.c2s.expand(sr.C2S, len(ct) == sivOverhead); err != nil {
 		return err
 	}
 	if err := openAuthenticator(&sr.c2s, &sr.scratch, p, authIdx, nonce, ct); err != nil {
@@ -117,12 +117,12 @@ func (sr *ServerRequest) Verify(ring *KeyRing, p *ntppkt.Packet) error {
 	sr.NumCookies = 1
 	for i := 0; i < authIdx; i++ {
 		if p.Ext[i].Type == ntppkt.ExtNTSCookiePlaceholder &&
-			len(p.Ext[i].Value) >= CookieLen {
+			len(p.Ext[i].Value) >= cookieLen {
 			sr.NumCookies++
 		}
 	}
-	if sr.NumCookies > MaxCookiesPerReply {
-		sr.NumCookies = MaxCookiesPerReply
+	if sr.NumCookies > maxCookiesPerReply {
+		sr.NumCookies = maxCookiesPerReply
 	}
 	return nil
 }
@@ -141,7 +141,7 @@ func (sr *ServerRequest) MintCookies(ring *KeyRing) error {
 	sr.pt = sr.pt[:0]
 	for i := 0; i < sr.NumCookies; i++ {
 		sr.pt = binary.BigEndian.AppendUint16(sr.pt, ntppkt.ExtNTSCookie)
-		sr.pt = binary.BigEndian.AppendUint16(sr.pt, ntppkt.ExtHeaderLen+CookieLen)
+		sr.pt = binary.BigEndian.AppendUint16(sr.pt, ntppkt.ExtHeaderLen+cookieLen)
 		sr.pt = ring.sealCookie(&sr.scratch, sr.pt, sr.AEAD, sr.C2S, sr.S2C, rnd[i*cookiePadLen:(i+1)*cookiePadLen])
 	}
 	sr.body = appendAuthenticatorNonce(sr.body[:0], len(sr.pt), rnd[len(rnd)-nonceLen:])

@@ -24,12 +24,12 @@ var (
 	// ErrJarEmpty is returned by ProtectRequest when no cookies
 	// remain and reuse is not permitted.
 	ErrJarEmpty = errors.New("nts: cookie jar empty")
-	// ErrUniqueIDMismatch is returned when a reply's unique
+	// errUniqueIDMismatch is returned when a reply's unique
 	// identifier does not echo the request's.
-	ErrUniqueIDMismatch = errors.New("nts: reply unique identifier does not match request")
-	// ErrReplyUnauthenticated is returned for replies lacking a valid
+	errUniqueIDMismatch = errors.New("nts: reply unique identifier does not match request")
+	// errReplyUnauthenticated is returned for replies lacking a valid
 	// authenticator over the s2c key.
-	ErrReplyUnauthenticated = errors.New("nts: reply not authenticated")
+	errReplyUnauthenticated = errors.New("nts: reply not authenticated")
 )
 
 // Session holds the client half of an NTS association: the keys and
@@ -61,7 +61,7 @@ type Session struct {
 // reply to one protected request.
 type RequestState struct {
 	UID []byte
-	uid [UniqueIDLen]byte
+	uid [uniqueIDLen]byte
 }
 
 // keys returns the association keys, expanded on first use.
@@ -151,7 +151,7 @@ func (s *Session) ProtectRequest(p *ntppkt.Packet) (*RequestState, error) {
 	}
 	sc.ad = p.Encode(sc.ad[:0])
 	// The body outlives the call inside p, so it is the packet's own.
-	body := appendAuthenticatorNonce(make([]byte, 0, 4+nonceLen+SIVOverhead), 0, nonce)
+	body := appendAuthenticatorNonce(make([]byte, 0, 4+nonceLen+sivOverhead), 0, nonce)
 	body = sealAuthenticator(c2s, sc, body, nil, sc.ad)
 	p.Ext = append(p.Ext, ntppkt.ExtField{Type: ntppkt.ExtNTSAuthenticator, Value: body})
 	return st, nil
@@ -167,11 +167,11 @@ func (s *Session) VerifyReply(p *ntppkt.Packet, st *RequestState) error {
 	}
 	uidEF, _ := p.FindExt(ntppkt.ExtUniqueIdentifier)
 	if uidEF == nil || !bytes.Equal(uidEF.Value, st.UID) {
-		return ErrUniqueIDMismatch
+		return errUniqueIDMismatch
 	}
 	_, authIdx := p.FindExt(ntppkt.ExtNTSAuthenticator)
 	if authIdx < 0 {
-		return ErrReplyUnauthenticated
+		return errReplyUnauthenticated
 	}
 	_, s2c, err := s.keys()
 	if err != nil {
@@ -179,12 +179,12 @@ func (s *Session) VerifyReply(p *ntppkt.Packet, st *RequestState) error {
 	}
 	nonce, ct, err := parseAuthenticator(p, authIdx)
 	if err != nil {
-		return ErrReplyUnauthenticated
+		return errReplyUnauthenticated
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	if err := openAuthenticator(s2c, sc, p, authIdx, nonce, ct); err != nil {
-		return ErrReplyUnauthenticated
+		return errReplyUnauthenticated
 	}
 	// All inner fields must parse before any cookie is accepted.
 	for rest := sc.pt; len(rest) > 0; {

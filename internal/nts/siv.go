@@ -28,13 +28,13 @@ const AEADAESSIVCMAC256 uint16 = 15
 // one for S2V/CMAC and one for CTR.
 const SIVKeyLen = 32
 
-// SIVOverhead is the length a seal adds to its plaintext: the 16-byte
+// sivOverhead is the length a seal adds to its plaintext: the 16-byte
 // synthetic IV prepended to the ciphertext.
-const SIVOverhead = 16
+const sivOverhead = 16
 
-// ErrAuthFailed is returned when an AES-SIV tag does not verify:
+// errAuthFailed is returned when an AES-SIV tag does not verify:
 // the packet (or cookie) was forged, corrupted or keyed differently.
-var ErrAuthFailed = errors.New("nts: AEAD authentication failed")
+var errAuthFailed = errors.New("nts: AEAD authentication failed")
 
 var errSIVKeyLen = errors.New("nts: AES-SIV-CMAC-256 key must be 32 bytes")
 
@@ -72,7 +72,7 @@ type scratch struct {
 }
 
 // randLen is the most randomness one protected reply needs.
-const randLen = MaxCookiesPerReply*cookiePadLen + nonceLen
+const randLen = maxCookiesPerReply*cookiePadLen + nonceLen
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -214,20 +214,20 @@ func (k *sivKey) seal(sc *scratch, dst, plaintext []byte, ad ...[]byte) []byte {
 
 // open verifies a seal output against the ad components and appends
 // the decrypted plaintext to dst. A tag that does not match — compared
-// in constant time — returns dst unextended and ErrAuthFailed.
+// in constant time — returns dst unextended and errAuthFailed.
 func (k *sivKey) open(sc *scratch, dst, sealed []byte, ad ...[]byte) ([]byte, error) {
-	if len(sealed) < SIVOverhead {
-		return dst, ErrAuthFailed
+	if len(sealed) < sivOverhead {
+		return dst, errAuthFailed
 	}
 	var v [16]byte
 	copy(v[:], sealed)
 	n := len(dst)
-	dst = append(dst, sealed[SIVOverhead:]...)
+	dst = append(dst, sealed[sivOverhead:]...)
 	k.xorKeyStream(sc, &v, dst[n:])
 	k.s2v(sc, dst[n:], ad)
 	if subtle.ConstantTimeCompare(sc.x[:], v[:]) != 1 {
 		clear(dst[n:])
-		return dst[:n], ErrAuthFailed
+		return dst[:n], errAuthFailed
 	}
 	return dst, nil
 }

@@ -83,14 +83,14 @@ func TestSIVTamperRejected(t *testing.T) {
 		for i := range sealed {
 			mut := append([]byte(nil), sealed...)
 			mut[i] ^= 0x01
-			if _, err := sivOpen(key, mut, ad); err != ErrAuthFailed {
+			if _, err := sivOpen(key, mut, ad); err != errAuthFailed {
 				t.Fatalf("flip byte %d: want ErrAuthFailed, got %v", i, err)
 			}
 		}
-		if _, err := sivOpen(key, sealed, []byte("other ad")); err != ErrAuthFailed {
+		if _, err := sivOpen(key, sealed, []byte("other ad")); err != errAuthFailed {
 			t.Fatalf("wrong AD: want ErrAuthFailed, got %v", err)
 		}
-		if _, err := sivOpen(key, sealed[:10]); err != ErrAuthFailed {
+		if _, err := sivOpen(key, sealed[:10]); err != errAuthFailed {
 			t.Fatalf("short input: want ErrAuthFailed, got %v", err)
 		}
 	})
@@ -104,8 +104,8 @@ func TestSIVEmptyPlaintext(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sivSeal: %v", err)
 		}
-		if len(sealed) != SIVOverhead {
-			t.Fatalf("empty-plaintext ciphertext length = %d, want %d", len(sealed), SIVOverhead)
+		if len(sealed) != sivOverhead {
+			t.Fatalf("empty-plaintext ciphertext length = %d, want %d", len(sealed), sivOverhead)
 		}
 		pt, err := sivOpen(key, sealed, []byte("header image"), nonce)
 		if err != nil {

@@ -147,10 +147,10 @@ func refSIVSeal(key, plaintext []byte, ad ...[]byte) ([]byte, error) {
 }
 
 // refSIVOpen verifies and decrypts a refSIVSeal output. It returns
-// ErrAuthFailed when the tag does not match.
+// errAuthFailed when the tag does not match.
 func refSIVOpen(key, sealed []byte, ad ...[]byte) ([]byte, error) {
 	if len(sealed) < 16 {
-		return nil, ErrAuthFailed
+		return nil, errAuthFailed
 	}
 	s2vBlock, ctrBlock, err := refSIVCiphers(key)
 	if err != nil {
@@ -164,7 +164,7 @@ func refSIVOpen(key, sealed []byte, ad ...[]byte) ([]byte, error) {
 	comps := append(append([][]byte(nil), ad...), plaintext)
 	t := refS2V(s2vBlock, k1, k2, comps...)
 	if subtle.ConstantTimeCompare(t[:], v[:]) != 1 {
-		return nil, ErrAuthFailed
+		return nil, errAuthFailed
 	}
 	return plaintext, nil
 }

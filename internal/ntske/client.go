@@ -33,7 +33,7 @@ func KeyExchange(keAddr string, tlsCfg *tls.Config, timeout time.Duration) (*nts
 		tlsCfg = &tls.Config{}
 	}
 	cfg := tlsCfg.Clone()
-	cfg.NextProtos = []string{ALPN}
+	cfg.NextProtos = []string{alpn}
 	if cfg.MinVersion < tls.VersionTLS13 {
 		cfg.MinVersion = tls.VersionTLS13
 	}
@@ -48,8 +48,8 @@ func KeyExchange(keAddr string, tlsCfg *tls.Config, timeout time.Duration) (*nts
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if proto := conn.ConnectionState().NegotiatedProtocol; proto != ALPN {
-		return nil, fmt.Errorf("ntske: server negotiated ALPN %q, want %q", proto, ALPN)
+	if proto := conn.ConnectionState().NegotiatedProtocol; proto != alpn {
+		return nil, fmt.Errorf("ntske: server negotiated ALPN %q, want %q", proto, alpn)
 	}
 
 	var msg []byte

@@ -21,7 +21,7 @@ func peekCert(t *testing.T, addr string) *x509.Certificate {
 	t.Helper()
 	conn, err := tls.Dial("tcp", addr, &tls.Config{
 		InsecureSkipVerify: true,
-		NextProtos:         []string{ALPN},
+		NextProtos:         []string{alpn},
 	})
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
@@ -113,18 +113,16 @@ func TestRotateLoopCheckpointsRing(t *testing.T) {
 	}
 	// Give the checkpoint following the rotation a moment to land.
 	var restored *nts.KeyRing
+	loaded := false
 	for time.Now().Before(deadline) {
-		restored, err = nts.LoadKeyRing(statePath, stateKey)
-		if err == nil && restored.Epoch() >= start {
+		restored, loaded, err = nts.LoadOrNewKeyRing(statePath, stateKey, 3)
+		if loaded && restored.Epoch() >= start {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err != nil {
+	if !loaded {
 		t.Fatalf("no restorable checkpoint: %v", err)
-	}
-	if srv.CheckpointErrors() != 0 {
-		t.Errorf("checkpoint errors = %d", srv.CheckpointErrors())
 	}
 	// The restored ring verifies a request protected with a cookie the
 	// live server handed out — the restart would not NAK this client.
@@ -132,7 +130,8 @@ func TestRotateLoopCheckpointsRing(t *testing.T) {
 	if _, err := sess.ProtectRequest(req); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ntppkt.Decode(req.Encode(nil))
+	p := new(ntppkt.Packet)
+	err = p.DecodeInto(req.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

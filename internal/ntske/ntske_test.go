@@ -75,7 +75,8 @@ func TestKeyExchangeLoopback(t *testing.T) {
 	if _, err := sess.ProtectRequest(req); err != nil {
 		t.Fatalf("ProtectRequest: %v", err)
 	}
-	p, err := ntppkt.Decode(req.Encode(nil))
+	p := new(ntppkt.Packet)
+	err = p.DecodeInto(req.Encode(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -102,7 +103,8 @@ func TestKeyExchangeUntrustedCert(t *testing.T) {
 func fakeNTPServer(ring *nts.KeyRing) exchange.Transport {
 	return exchange.TransportFunc(func(server string, req *ntppkt.Packet) (*ntppkt.Packet, time.Time, error) {
 		wire := req.Encode(nil)
-		p, err := ntppkt.Decode(wire)
+		p := new(ntppkt.Packet)
+		err := p.DecodeInto(wire)
 		if err != nil {
 			return nil, time.Time{}, err
 		}

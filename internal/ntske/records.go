@@ -46,8 +46,8 @@ const protocolNTPv4 uint16 = 0
 // DefaultPort is the IANA-assigned NTS-KE port.
 const DefaultPort = 4460
 
-// ALPN is the application protocol identifier NTS-KE requires.
-const ALPN = "ntske/1"
+// alpn is the application protocol identifier NTS-KE requires.
+const alpn = "ntske/1"
 
 // maxRecordBody bounds a single record; cookies are ~100 bytes and
 // server names are short, so anything larger is an attack or a bug.

@@ -44,16 +44,14 @@ type Server struct {
 	// StatePath (sealed under StateKey, see nts.KeyRing.Save) after
 	// every timed rotation, so a restarted server can restore the ring
 	// and keep decrypting the fleet's outstanding cookies. Checkpoint
-	// failures never stop serving; they are counted in
-	// CheckpointErrors.
+	// failures never stop serving.
 	StatePath string
 	StateKey  []byte
 
-	ln       net.Listener
-	wg       sync.WaitGroup
-	stopCh   chan struct{}
-	cert     atomic.Pointer[tls.Certificate]
-	ckptErrs atomic.Uint64
+	ln     net.Listener
+	wg     sync.WaitGroup
+	stopCh chan struct{}
+	cert   atomic.Pointer[tls.Certificate]
 
 	mu     sync.Mutex
 	closed bool
@@ -73,7 +71,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		addr = ":" + strconv.Itoa(DefaultPort)
 	}
 	cfg := s.TLSConfig.Clone()
-	cfg.NextProtos = []string{ALPN}
+	cfg.NextProtos = []string{alpn}
 	if cfg.MinVersion < tls.VersionTLS13 {
 		cfg.MinVersion = tls.VersionTLS13
 	}
@@ -124,10 +122,6 @@ func (s *Server) Checkpoint() error {
 	}
 	return s.Ring.Save(s.StatePath, s.StateKey)
 }
-
-// CheckpointErrors returns the number of failed automatic ring
-// checkpoints since Listen.
-func (s *Server) CheckpointErrors() uint64 { return s.ckptErrs.Load() }
 
 // Shutdown stops accepting new KE connections and waits for in-flight
 // exchanges (each already bounded by the per-connection deadline) to
@@ -194,10 +188,10 @@ func (s *Server) rotateLoop() {
 			_ = s.Ring.Rotate()
 			// Checkpoint after every rotation: the persisted state is
 			// at most one epoch stale, and a restart from it still
-			// decrypts every cookie within the retention window.
-			if err := s.Checkpoint(); err != nil {
-				s.ckptErrs.Add(1)
-			}
+			// decrypts every cookie within the retention window. A
+			// failed write leaves the previous file in place (Save
+			// renames atomically) and the next rotation retries.
+			_ = s.Checkpoint()
 		}
 	}
 }

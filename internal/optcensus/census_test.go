@@ -1,11 +1,23 @@
-// Package optcensus holds no code, only the guard that keeps the
-// option structs from regrowing: every exported field of a struct
-// named Config, Params, Options or *Config under internal/ must have a
-// setter — a composite-literal key, an assignment or an `&x.F` — in
-// non-test code outside the struct's own defaulting, or be in allowed
-// with a reason. A field nothing sets is a constant that costs a doc
-// comment, a defaulting branch and a doubling of the configurations a
-// reader holds in mind.
+// Package optcensus holds no code, only the guards that keep the API
+// from regrowing. Both read the module and bench/ type-checked from
+// source, once per run:
+//
+//   - TestEveryOptionHasASetter: every exported field of a struct named
+//     Config, Params, Options or *Config under internal/ must have a
+//     setter — a composite-literal key, an assignment or an `&x.F` — in
+//     non-test code outside the struct's own defaulting, or be in
+//     allowed with a reason. A field nothing sets is a constant that
+//     costs a doc comment, a defaulting branch and a doubling of the
+//     configurations a reader holds in mind.
+//   - TestEveryExportHasAUser: every exported name under internal/ and
+//     of the root facade must be named by non-test code of another
+//     package, or be in allowedExports with a reason. A name only its
+//     own package uses is unexported, where staticcheck's U1000 can see
+//     it; a name nothing uses is deleted.
+//
+// TestCensusCatchesPlantedCases runs both over testdata/fixture, and
+// TestDesignInventoryNamesEveryDirectory holds DESIGN.md's inventory to
+// the package directories.
 package optcensus
 
 import (
@@ -21,6 +33,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"text/tabwriter"
 )
@@ -39,14 +52,136 @@ var allowed = map[string]string{
 	"ntplog.GenConfig.UnsyncFraction":         "test lever: the filtering test raises it to 0.5 so a heuristic that excluded nobody would show",
 }
 
-// before is the exported field count of each option struct at the
-// commit before the census (PR 22); -v prints it beside today's.
+// before is the exported field count of each option struct before
+// the options census; -v prints it beside today's.
 var before = map[string]int{
 	"clock.Config": 7, "core.Params": 30, "discipline.Config": 7, "experiments.Options": 3,
 	"loadgen.Config": 12, "loadgen.NTSConfig": 4, "nitz.ManagerConfig": 3, "nitz.SourceConfig": 5,
 	"ntpclient.Config": 12, "ntplog.AnalyzeConfig": 3, "ntplog.GenConfig": 5, "ntpnet.ReloadConfig": 5,
 	"overload.Config": 9, "population.Config": 21, "sntp.Config": 5, "sources.Config": 9,
 	"testbed.Config": 9, "tuner.Config": 6, "wireless.Params": 18,
+}
+
+// A unit is one type-checked package: a directory's package with its
+// in-package tests, or its external _test package.
+type unit struct {
+	path  string // import path; an external test package's ends in _test
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// A module is every package under a module root, nested modules
+// included, type-checked from source over one file set.
+type module struct {
+	path  string // module path of the root
+	fset  *token.FileSet
+	units []unit
+}
+
+// at keys an object by its declaration: the importer type-checks a
+// dependency apart from the pass that checks the same package with its
+// tests, so the two see distinct objects at one position.
+func (m *module) at(o types.Object) token.Position { return m.fset.Position(o.Pos()) }
+
+func (m *module) isTest(p token.Pos) bool {
+	return strings.HasSuffix(m.fset.File(p).Name(), "_test.go")
+}
+
+// load type-checks every package under root, whose module path is mod.
+// Directories starting with a dot hold build output and those named
+// testdata hold fixtures, not source.
+func load(root, mod string) (*module, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	m := &module{path: mod, fset: token.NewFileSet()}
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return fs.SkipDir
+		}
+		// The files this platform builds, without the race tag.
+		builds := func(fi fs.FileInfo) bool {
+			ok, err := build.Default.MatchFile(dir, fi.Name())
+			return ok && err == nil
+		}
+		pkgs, err := parser.ParseDir(m.fset, dir, builds, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, dir)
+		path := mod
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		for name, pkg := range pkgs {
+			u := unit{path: path}
+			if strings.HasSuffix(name, "_test") {
+				u.path += "_test"
+			}
+			for _, f := range pkg.Files {
+				u.files = append(u.files, f)
+			}
+			sort.Slice(u.files, func(i, j int) bool { return u.files[i].Pos() < u.files[j].Pos() })
+			m.units = append(m.units, u)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The source importer finds a package with go/build, which asks
+	// `go list` run in build.Default.Dir: run it in this module.
+	defer func(dir string) { build.Default.Dir = dir }(build.Default.Dir)
+	build.Default.Dir = root
+	imp := importer.ForCompiler(m.fset, "source", nil)
+	for i := range m.units {
+		u := &m.units[i]
+		u.info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		conf := types.Config{Importer: imp}
+		if u.pkg, err = conf.Check(u.path, m.fset, u.files, u.info); err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", u.path, err)
+		}
+	}
+	return m, nil
+}
+
+var tree struct {
+	once sync.Once
+	m    *module
+	err  error
+}
+
+// loadTree type-checks this module and bench/ once for every census
+// that reads them: the type-check is most of the package's run time.
+func loadTree(t *testing.T) *module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("the census type-checks the whole module from source; skipped under -short")
+	}
+	if raceEnabled {
+		t.Skip("the census reads source, not memory; nothing for the race detector to see")
+	}
+	tree.once.Do(func() { tree.m, tree.err = load("../..", "mntp") })
+	if tree.err != nil {
+		t.Fatal(tree.err)
+	}
+	return tree.m
+}
+
+// scoped reports whether the census covers the package at path: the
+// root facade and everything under internal/.
+func (m *module) scoped(path string) bool {
+	return path == m.path || strings.HasPrefix(path, m.path+"/internal/")
 }
 
 type field struct {
@@ -61,91 +196,15 @@ func isOptionStruct(name string) bool {
 	return name == "Params" || name == "Options" || strings.HasSuffix(name, "Config")
 }
 
-func TestEveryOptionHasASetter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the census type-checks the whole module from source; skipped under -short")
-	}
-	if raceEnabled {
-		t.Skip("the census reads source, not memory; nothing for the race detector to see")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	// Fields are matched by declaration position: the importer
-	// type-checks a dependency apart from the pass that checks the
-	// same package with its tests, so the two see distinct objects.
-	fields := map[string]*field{}
-	at := func(v *types.Var) string { return fset.Position(v.Pos()).String() }
-
-	type unit struct {
-		path  string // import path
-		files []*ast.File
-		info  *types.Info
-	}
-	var units []unit
-	// Every package of the module and of the nested bench/ module;
-	// dot-directories hold build output, not source.
-	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if dir != root && strings.HasPrefix(d.Name(), ".") {
-			return fs.SkipDir
-		}
-		// The files this platform builds, without the race tag.
-		builds := func(fi fs.FileInfo) bool {
-			ok, err := build.Default.MatchFile(dir, fi.Name())
-			return ok && err == nil
-		}
-		pkgs, err := parser.ParseDir(fset, dir, builds, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, dir)
-		path := "mntp"
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		// A directory holds its package (with in-package tests) and
-		// perhaps an external _test package.
-		for name, pkg := range pkgs {
-			u := unit{path: path}
-			if strings.HasSuffix(name, "_test") {
-				u.path += "_test"
-			}
-			for _, f := range pkg.Files {
-				u.files = append(u.files, f)
-			}
-			sort.Slice(u.files, func(i, j int) bool { return u.files[i].Pos() < u.files[j].Pos() })
-			units = append(units, u)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range units {
-		u := &units[i]
-		u.info = &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(u.path, fset, u.files, u.info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", u.path, err)
-		}
-		if !strings.HasPrefix(u.path, "mntp/internal/") || strings.HasSuffix(u.path, "_test") {
+// optionFields returns every exported field of an option struct under
+// internal/, and who sets it, keyed by declaration.
+func optionFields(m *module) map[token.Position]*field {
+	fields := map[token.Position]*field{}
+	for _, u := range m.units {
+		if !strings.HasPrefix(u.path, m.path+"/internal/") || strings.HasSuffix(u.path, "_test") {
 			continue
 		}
-		scope := pkg.Scope()
+		scope := u.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || !tn.Exported() || !isOptionStruct(name) {
@@ -157,18 +216,17 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			}
 			for j := 0; j < st.NumFields(); j++ {
 				if v := st.Field(j); v.Exported() {
-					s := pkg.Name() + "." + name
-					fields[at(v)] = &field{name: s + "." + v.Name(), owner: u.path, strct: s}
+					s := u.pkg.Name() + "." + name
+					fields[m.at(v)] = &field{name: s + "." + v.Name(), owner: u.path, strct: s}
 				}
 			}
 		}
 	}
-
-	for _, u := range units {
+	for _, u := range m.units {
 		for _, f := range u.files {
-			isTest := strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+			isTest := m.isTest(f.Pos())
 			mark := func(v *types.Var, defaulting bool) {
-				fl := fields[at(v)]
+				fl := fields[m.at(v)]
 				switch {
 				case fl == nil:
 				case isTest:
@@ -180,7 +238,11 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			walkSetters(f, u.info, mark)
 		}
 	}
+	return fields
+}
 
+func TestEveryOptionHasASetter(t *testing.T) {
+	fields := optionFields(loadTree(t))
 	counts := map[string]int{}
 	used := map[string]bool{}
 	var unset, kept []string
@@ -204,25 +266,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	sort.Strings(kept)
 
 	if testing.Verbose() {
-		names := make([]string, 0, len(before))
-		for s := range before {
-			names = append(names, s)
-		}
-		for s := range counts {
-			if _, ok := before[s]; !ok {
-				names = append(names, s)
-			}
-		}
-		sort.Strings(names)
-		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
-		fmt.Fprintln(tw, "struct\tfields at PR 22\tfields now")
-		was := 0
-		for _, s := range names {
-			fmt.Fprintf(tw, "%s\t%d\t%d\n", s, before[s], counts[s])
-			was += before[s]
-		}
-		fmt.Fprintf(tw, "total\t%d\t%d\n", was, len(fields))
-		tw.Flush()
+		printCounts("struct", "fields before the census", before, counts)
 		fmt.Printf("allow-listed without a non-test setter (%d): %s\n", len(kept), strings.Join(kept, ", "))
 	}
 	if len(allowed) > 25 {
@@ -239,6 +283,31 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			t.Errorf("allow-list entry %s carries no reason", key)
 		}
 	}
+}
+
+// printCounts prints a table of counts by name, a baseline column
+// beside today's, and their totals.
+func printCounts(what, was string, base, now map[string]int) {
+	names := make([]string, 0, len(base))
+	for s := range base {
+		names = append(names, s)
+	}
+	for s := range now {
+		if _, ok := base[s]; !ok {
+			names = append(names, s)
+		}
+	}
+	sort.Strings(names)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "%s\t%s\tnow\n", what, was)
+	b, n := 0, 0
+	for _, s := range names {
+		fmt.Fprintf(tw, "%s\t%d\t%d\n", s, base[s], now[s])
+		b += base[s]
+		n += now[s]
+	}
+	fmt.Fprintf(tw, "total\t%d\t%d\n", b, n)
+	tw.Flush()
 }
 
 // walkSetters calls mark for every struct field that f sets: a key of

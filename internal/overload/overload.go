@@ -229,14 +229,6 @@ func (c *Controller) Resume() {
 	c.mu.Unlock()
 }
 
-// Sojourn returns the effective sojourn EWMA the state machine holds
-// against Target: measured queue sojourn plus the per-request crypto
-// cost. With NTS off the crypto term is zero and this is the plain
-// queue EWMA.
-func (c *Controller) Sojourn() time.Duration {
-	return time.Duration(c.ewma.Load() + c.cryewa.Load())
-}
-
 // Observe feeds one sampled ingress-to-reply sojourn measurement and
 // advances the state machine. now must be monotonic-ish wall time
 // from the caller's clock; all sustained-interval arithmetic uses it.

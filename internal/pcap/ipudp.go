@@ -24,7 +24,7 @@ type UDPDatagram struct {
 
 // EncodeUDP builds a raw IP/UDP packet (IPv4 or IPv6 chosen by the
 // address family). The result starts at the IP header, matching
-// LinkTypeRaw captures. The IPv4 header checksum is computed; the UDP
+// linkTypeRaw captures. The IPv4 header checksum is computed; the UDP
 // checksum is zero for IPv4 (permitted) and left zero for IPv6 (our
 // reader does not verify it, like tcpdump with -K).
 func EncodeUDP(d UDPDatagram) ([]byte, error) {

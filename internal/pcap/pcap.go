@@ -17,9 +17,9 @@ import (
 // Magic numbers of the classic format (microsecond resolution).
 const (
 	magicLE = 0xa1b2c3d4
-	// LinkTypeRaw means packets begin directly with the IP header
+	// linkTypeRaw means packets begin directly with the IP header
 	// (DLT_RAW, linktype 101).
-	LinkTypeRaw = 101
+	linkTypeRaw = 101
 )
 
 // fileHeaderLen and recordHeaderLen are the fixed header sizes.
@@ -55,7 +55,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	binary.LittleEndian.PutUint16(hdr[6:], 4) // version minor
 	// thiszone (8:12) and sigfigs (12:16) are zero.
 	binary.LittleEndian.PutUint32(hdr[16:], 65535) // snaplen
-	binary.LittleEndian.PutUint32(hdr[20:], LinkTypeRaw)
+	binary.LittleEndian.PutUint32(hdr[20:], linkTypeRaw)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: write header: %w", err)
 	}
@@ -80,8 +80,8 @@ func (w *Writer) WritePacket(ts time.Time, data []byte) error {
 
 // Errors returned by the reader.
 var (
-	ErrBadMagic = errors.New("pcap: unrecognized magic number")
-	ErrBadLink  = errors.New("pcap: unsupported link type")
+	errBadMagic = errors.New("pcap: unrecognized magic number")
+	errBadLink  = errors.New("pcap: unsupported link type")
 )
 
 // Reader reads a classic pcap file.
@@ -97,11 +97,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("pcap: read header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != magicLE {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	lt := binary.LittleEndian.Uint32(hdr[20:])
-	if lt != LinkTypeRaw {
-		return nil, fmt.Errorf("%w: %d", ErrBadLink, lt)
+	if lt != linkTypeRaw {
+		return nil, fmt.Errorf("%w: %d", errBadLink, lt)
 	}
 	return &Reader{r: r, LinkType: lt}, nil
 }

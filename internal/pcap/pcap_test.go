@@ -32,7 +32,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType != LinkTypeRaw {
+	if r.LinkType != linkTypeRaw {
 		t.Errorf("link type = %d", r.LinkType)
 	}
 	for i := range packets {
@@ -58,7 +58,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestReaderRejectsBadMagic(t *testing.T) {
 	bad := make([]byte, 24)
-	if _, err := NewReader(bytes.NewReader(bad)); err != ErrBadMagic {
+	if _, err := NewReader(bytes.NewReader(bad)); err != errBadMagic {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -81,9 +81,9 @@ func TestSimScenariosReplay(t *testing.T) {
 		race  bool
 		alive func(*Report) uint64
 	}{
-		{ScenarioHerd, 1, false, fails},
-		{ScenarioFalseticker, 1, false, fails},
-		{ScenarioNAT, 1, true, rated},
+		{scenarioHerd, 1, false, fails},
+		{scenarioFalseticker, 1, false, fails},
+		{scenarioNAT, 1, true, rated},
 		{scenarioBlackout, 9, true, fails},
 		{scenarioFalsetickerFlip, 9, true, fails},
 	} {

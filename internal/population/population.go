@@ -24,7 +24,7 @@
 // both O(1) in N.
 //
 // Both modes run on one goroutine through one loop and replay from
-// their seed. ModeServer hands each poll, at the client's virtual
+// their seed. modeServer hands each poll, at the client's virtual
 // instant and without a network path, to a real ntpnet.Server whose
 // clock is the engine's: its rate-limit windows follow virtual time.
 // Every client shares one source address, which is exactly the
@@ -47,9 +47,9 @@ import (
 	"mntp/internal/wireless"
 )
 
-// Epoch anchors virtual time, matching the chaos harness' testbed
+// epoch anchors virtual time, matching the chaos harness' testbed
 // epoch so traces line up across harnesses.
-var Epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
+var epoch = time.Date(2016, 11, 14, 0, 0, 0, 0, time.UTC)
 
 // Mode selects what the population polls.
 type Mode int
@@ -58,13 +58,13 @@ const (
 	// ModeSim exchanges with simulated netsim servers through pooled
 	// wireless channels.
 	ModeSim Mode = iota
-	// ModeServer exchanges with Config.Server's request path in
+	// modeServer exchanges with Config.Server's request path in
 	// process, from one shared source address, with no network path:
 	// a poll is served, told RATE, or fails.
-	ModeServer
+	modeServer
 )
 
-// natSource is the one address every ModeServer client sends from.
+// natSource is the one address every modeServer client sends from.
 var natSource = netip.AddrFrom4([4]byte{198, 51, 100, 1})
 
 // Upstream describes one simulated server of the pool (ModeSim).
@@ -87,7 +87,7 @@ type Config struct {
 	Upstreams []Upstream
 	// VisibilityFn, if non-nil, returns the visibility bitmask (bit i
 	// = Upstreams[i]) for one client, drawing any randomness from rng
-	// via Rand/RandFloat; nil lets every client see every upstream.
+	// via splitmix/splitmixFloat; nil lets every client see every upstream.
 	// Partial visibility is the falseticker scenario's key ingredient.
 	VisibilityFn func(id int, rng *uint64) uint64
 
@@ -110,7 +110,7 @@ type Config struct {
 	// PollBase << shift (default 2).
 	MaxBackoffShift uint8
 
-	// Server is the real server the fleet polls (ModeServer; required
+	// Server is the real server the fleet polls (modeServer; required
 	// there). New sets its Clock to the engine's virtual time and takes
 	// its Responder, so it must not also Listen.
 	Server *ntpnet.Server
@@ -152,9 +152,9 @@ func (c *Config) applyDefaults() error {
 		if len(c.Upstreams) > 64 {
 			return fmt.Errorf("population: at most 64 upstreams (visibility bitmask), got %d", len(c.Upstreams))
 		}
-	case ModeServer:
+	case modeServer:
 		if c.Server == nil {
-			return fmt.Errorf("population: ModeServer needs a Server")
+			return fmt.Errorf("population: modeServer needs a Server")
 		}
 	default:
 		return fmt.Errorf("population: unknown mode %d", c.Mode)
@@ -174,7 +174,7 @@ type fleet struct {
 	srvIdx  []int16   // regular server (ModeSim); -1 while cold
 	visMask []uint64  // visible-upstream bitmask (ModeSim)
 	served  []uint32  // successful exchanges
-	rated   []uint32  // RATE kiss-of-death replies (ModeServer)
+	rated   []uint32  // RATE kiss-of-death replies (modeServer)
 	dry     []uint8   // consecutive polls without success (sat. 255)
 	maxDry  []uint8   // worst dry streak
 	boff    []uint8   // current backoff shift
@@ -197,10 +197,10 @@ func newFleet(n int) fleet {
 	}
 }
 
-// Rand advances a splitmix64 state and returns 64 fresh bits. It is
+// splitmix advances a splitmix64 state and returns 64 fresh bits. It is
 // the engine's only rng primitive: 8 bytes per client instead of the
 // ~5KB of a math/rand.Rand.
-func Rand(s *uint64) uint64 {
+func splitmix(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -208,14 +208,14 @@ func Rand(s *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// RandFloat returns a uniform float64 in [0, 1).
-func RandFloat(s *uint64) float64 { return float64(Rand(s)>>11) / (1 << 53) }
+// splitmixFloat returns a uniform float64 in [0, 1).
+func splitmixFloat(s *uint64) float64 { return float64(splitmix(s)>>11) / (1 << 53) }
 
 func randInt(s *uint64, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return int64(Rand(s) % uint64(n))
+	return int64(splitmix(s) % uint64(n))
 }
 
 // ev is one scheduled client poll. Value-typed and 16 bytes so heap
@@ -293,7 +293,7 @@ type simServer struct {
 }
 
 // Engine drives one population. Construct with New, schedule control
-// actions with At, then Run. Not safe for concurrent use.
+// actions with at, then Run. Not safe for concurrent use.
 type Engine struct {
 	cfg      Config
 	f        fleet
@@ -304,7 +304,7 @@ type Engine struct {
 	vt       int64 // current virtual ns
 	down     bool  // regional outage: every exchange fails
 
-	// ModeServer: the server's request path, the request's wire image
+	// modeServer: the server's request path, the request's wire image
 	// and the decoded reply, reused poll to poll.
 	respond func(pkt []byte, src netip.Addr) []byte
 	reqBuf  []byte
@@ -358,10 +358,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for i := 0; i < cfg.N; i++ {
 		st := seed + uint64(i)*0x9e3779b97f4a7c15
-		Rand(&st) // decorrelate adjacent ids
+		splitmix(&st) // decorrelate adjacent ids
 		e.f.rng[i] = st
-		e.f.offset[i] = (2*RandFloat(&e.f.rng[i]) - 1) * initialOffsetMax.Seconds()
-		e.f.skew[i] = (2*RandFloat(&e.f.rng[i]) - 1) * skewPPM * 1e-6
+		e.f.offset[i] = (2*splitmixFloat(&e.f.rng[i]) - 1) * initialOffsetMax.Seconds()
+		e.f.skew[i] = (2*splitmixFloat(&e.f.rng[i]) - 1) * skewPPM * 1e-6
 		e.f.chanIdx[i] = uint32(i % len(e.channels))
 		e.f.srvIdx[i] = -1
 		if cfg.Mode == ModeSim {
@@ -392,13 +392,13 @@ func (e *Engine) visibility(id int) uint64 {
 // with clock.Fixed error clocks.
 type engineClock struct{ e *Engine }
 
-func (c *engineClock) Now() time.Time { return Epoch.Add(time.Duration(c.e.vt)) }
+func (c *engineClock) Now() time.Time { return epoch.Add(time.Duration(c.e.vt)) }
 
-// At schedules fn to run at virtual time d — the scenario/chaos hook
+// at schedules fn to run at virtual time d — the scenario/chaos hook
 // for outages, liar flips, visibility changes. Must be called before
 // Run or from within a prior control action; actions on one instant
 // run in call order.
-func (e *Engine) At(d time.Duration, fn func()) {
+func (e *Engine) at(d time.Duration, fn func()) {
 	i := len(e.ctrl)
 	e.ctrl = append(e.ctrl, ctrlEv{})
 	for ; i > 0 && e.ctrl[i-1].at > int64(d); i-- {
@@ -407,13 +407,13 @@ func (e *Engine) At(d time.Duration, fn func()) {
 	e.ctrl[i] = ctrlEv{at: int64(d), fn: fn}
 }
 
-// SetOutage toggles a regional outage: while down, every exchange
+// setOutage toggles a regional outage: while down, every exchange
 // fails.
-func (e *Engine) SetOutage(down bool) { e.down = down }
+func (e *Engine) setOutage(down bool) { e.down = down }
 
-// SetUpstreamErr retargets a simulated upstream's clock error mid-run
+// setUpstreamErr retargets a simulated upstream's clock error mid-run
 // — the falseticker-flip hook (ModeSim).
-func (e *Engine) SetUpstreamErr(idx int, err time.Duration) {
+func (e *Engine) setUpstreamErr(idx int, err time.Duration) {
 	s := &e.servers[idx]
 	s.err = err
 	s.srv.Clock = &clock.Fixed{Base: &engineClock{e: e}, Error: err}
@@ -517,12 +517,12 @@ func (e *Engine) step(id int) {
 	e.schedule(id, e.pollDelay(id))
 }
 
-// ask is ModeServer's exchange: a request stamped by the client's
+// ask is modeServer's exchange: a request stamped by the client's
 // clock, decided by the real server at this virtual instant. A reply
 // that does not echo the request's transmit stamp, a kiss other than
 // RATE and an invalid reply fail the poll, as silence does.
 func (e *Engine) ask(id int) int {
-	t1 := Epoch.Add(time.Duration(e.vt)).Add(time.Duration(e.f.offset[id] * 1e9))
+	t1 := epoch.Add(time.Duration(e.vt)).Add(time.Duration(e.f.offset[id] * 1e9))
 	req := ntppkt.NewClient(4, ntptime.FromTime(t1))
 	e.reqBuf = req.Encode(e.reqBuf[:0])
 	out := e.respond(e.reqBuf, natSource)
@@ -625,7 +625,7 @@ func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bo
 		return 0, 0, false
 	}
 
-	base := Epoch.Add(now)
+	base := epoch.Add(now)
 	off := time.Duration(e.f.offset[id] * 1e9)
 	t1 := base.Add(off)
 	recv := base.Add(up).Add(srv.err)
@@ -665,7 +665,7 @@ func (e *Engine) pollDelay(id int) time.Duration {
 	j := e.cfg.PollJitter
 	if j > 0 {
 		span := float64(d) * j
-		d += time.Duration((2*RandFloat(&e.f.rng[id]) - 1) * span)
+		d += time.Duration((2*splitmixFloat(&e.f.rng[id]) - 1) * span)
 	}
 	if d <= 0 {
 		d = time.Millisecond
@@ -688,14 +688,11 @@ func (e *Engine) Totals() Totals {
 }
 
 // RTT returns the exchange round-trip distribution recorded so far
-// (ModeSim: a ModeServer poll has no network path to time).
+// (ModeSim: a modeServer poll has no network path to time).
 func (e *Engine) RTT() *hist.Snapshot {
 	s := e.rtt
 	return &s
 }
-
-// Bins returns the traffic bins (arrival shaping).
-func (e *Engine) Bins() *bins { return e.bins }
 
 // ServedClients counts clients with at least one successful exchange.
 func (e *Engine) ServedClients() int {
@@ -708,8 +705,8 @@ func (e *Engine) ServedClients() int {
 	return n
 }
 
-// MaxDryStreak is the worst consecutive-failure streak any client hit.
-func (e *Engine) MaxDryStreak() int {
+// maxDryStreak is the worst consecutive-failure streak any client hit.
+func (e *Engine) maxDryStreak() int {
 	worst := uint8(0)
 	for _, d := range e.f.maxDry {
 		if d > worst {
@@ -719,8 +716,8 @@ func (e *Engine) MaxDryStreak() int {
 	return int(worst)
 }
 
-// RatedClients counts clients that received at least one RATE kiss.
-func (e *Engine) RatedClients() int {
+// ratedClients counts clients that received at least one RATE kiss.
+func (e *Engine) ratedClients() int {
 	n := 0
 	for _, r := range e.f.rated {
 		if r > 0 {
@@ -809,12 +806,12 @@ func (b *bins) sentAt(vt int64) {
 	b.sent[i]++
 }
 
-// PeakToMean is the arrival burstiness: max bin over mean bin of
+// peakToMean is the arrival burstiness: max bin over mean bin of
 // sent requests, ignoring the first skipBins bins (a synchronized
 // cold start spikes bin 0 identically for any fleet; burstiness is
 // about what the schedule does afterwards). A phase-locked fleet
 // pins this at ~horizon/rounds; jitter pulls it toward 1.
-func (b *bins) PeakToMean(skipBins int) float64 {
+func (b *bins) peakToMean(skipBins int) float64 {
 	if len(b.sent) <= skipBins {
 		return 0
 	}
@@ -831,6 +828,3 @@ func (b *bins) PeakToMean(skipBins int) float64 {
 	mean := float64(total) / float64(len(b.sent)-skipBins)
 	return float64(peak) / mean
 }
-
-// Sent returns a copy of the per-bin sent counts.
-func (b *bins) Sent() []uint64 { return append([]uint64(nil), b.sent...) }

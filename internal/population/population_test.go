@@ -71,7 +71,7 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineOutageHook: SetOutage via At must fail all polls during
+// TestEngineOutageHook: setOutage via at must fail all polls during
 // the window and the fleet must recover afterwards.
 func TestEngineOutageHook(t *testing.T) {
 	cfg := simConfig(800, 5)
@@ -79,8 +79,8 @@ func TestEngineOutageHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.At(3*64*time.Second, func() { e.SetOutage(true) })
-	e.At(6*64*time.Second, func() { e.SetOutage(false) })
+	e.at(3*64*time.Second, func() { e.setOutage(true) })
+	e.at(6*64*time.Second, func() { e.setOutage(false) })
 	if err := e.Run(12 * 64 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEngineOutageHook(t *testing.T) {
 	if tot.Fails == 0 {
 		t.Fatal("outage window produced no failures")
 	}
-	if d := e.MaxDryStreak(); d < 2 {
+	if d := e.maxDryStreak(); d < 2 {
 		t.Fatalf("outage never built a dry streak (max %d)", d)
 	}
 	// Recovery: the final state must still be a converged population.
@@ -102,7 +102,7 @@ func TestEvHeapOrder(t *testing.T) {
 	var h evHeap
 	st := uint64(9)
 	for i := 0; i < 5000; i++ {
-		h.push(ev{at: int64(Rand(&st) % 1000000), id: int32(i)})
+		h.push(ev{at: int64(splitmix(&st) % 1000000), id: int32(i)})
 	}
 	prev := int64(-1)
 	for len(h) > 0 {
@@ -174,7 +174,7 @@ func TestPopMatchesReference(t *testing.T) {
 			if op >= ops/2 {
 				pushOdds = 3
 			}
-			if len(got) == 0 || Rand(&st)%10 < pushOdds {
+			if len(got) == 0 || splitmix(&st)%10 < pushOdds {
 				e := ev{at: randInt(&st, keys), id: int32(op)}
 				got.push(e)
 				want.push(e)
@@ -190,7 +190,7 @@ func TestPopMatchesReference(t *testing.T) {
 }
 
 // TestAtRunsEqualInstantsInCallOrder: control actions scheduled for one
-// instant run in the order At was called, however many there are (an
+// instant run in the order at was called, however many there are (an
 // unstable sort keeps that order only up to its insertion-sort cutoff),
 // and instants still run in time order whatever the call order.
 func TestAtRunsEqualInstantsInCallOrder(t *testing.T) {
@@ -208,7 +208,7 @@ func TestAtRunsEqualInstantsInCallOrder(t *testing.T) {
 	for seq := 0; seq < perInstant; seq++ {
 		for _, at := range instants {
 			m := mark{at, seq}
-			e.At(at, func() { ran = append(ran, m) })
+			e.at(at, func() { ran = append(ran, m) })
 		}
 	}
 	if err := e.Run(time.Minute); err != nil {

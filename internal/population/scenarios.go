@@ -43,16 +43,16 @@ type Report struct {
 	Pass       bool     `json:"pass"`
 }
 
-func (r *Report) Violate(format string, args ...any) {
+func (r *Report) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-func (r *Report) Finish(e *Engine, horizon time.Duration) {
+func (r *Report) finish(e *Engine, horizon time.Duration) {
 	t := e.Totals()
 	r.Sent, r.Served, r.Rated, r.Fails = t.Sent, t.OK, t.Rated, t.Fails
 	r.ServedClients = e.ServedClients()
-	r.RatedClients = e.RatedClients()
-	r.MaxDryStreak = e.MaxDryStreak()
+	r.RatedClients = e.ratedClients()
+	r.MaxDryStreak = e.maxDryStreak()
 	r.VirtualSeconds = horizon.Seconds()
 	if q, ok := e.RTT().Quantile(0.5); ok {
 		r.RTTP50MS = float64(q) / 1e6
@@ -70,9 +70,9 @@ func (r *Report) Finish(e *Engine, horizon time.Duration) {
 // prefixed ones replay a single-client chaos scenario's fault window
 // over a fleet.
 const (
-	ScenarioHerd            = "herd"
-	ScenarioNAT             = "nat"
-	ScenarioFalseticker     = "falseticker"
+	scenarioHerd            = "herd"
+	scenarioNAT             = "nat"
+	scenarioFalseticker     = "falseticker"
 	scenarioBlackout        = "chaos-blackout"
 	scenarioFalsetickerFlip = "chaos-falseticker-flip"
 )
@@ -84,9 +84,9 @@ var catalog = []struct {
 	n    int
 	run  func(n int, seed int64) (*Report, error)
 }{
-	{ScenarioHerd, 5000, ThunderingHerd},
-	{ScenarioNAT, 10000, NATCollision},
-	{ScenarioFalseticker, 20000, PartialFalseticker},
+	{scenarioHerd, 5000, thunderingHerd},
+	{scenarioNAT, 10000, natCollision},
+	{scenarioFalseticker, 20000, partialFalseticker},
 	{scenarioBlackout, 2000, blackout},
 	{scenarioFalsetickerFlip, 4000, falsetickerFlip},
 }
@@ -124,11 +124,11 @@ func goodPool() []Upstream {
 	}
 }
 
-// ThunderingHerd runs the same synchronized cold start twice — once
+// thunderingHerd runs the same synchronized cold start twice — once
 // with poll jitter disabled (the phase-locked fleet) and once with
 // the default 10% jitter — and compares arrival burstiness. The
 // assertion is the satellite fix's contract: jitter breaks the lock.
-func ThunderingHerd(n int, seed int64) (*Report, error) {
+func thunderingHerd(n int, seed int64) (*Report, error) {
 	const (
 		poll    = 64 * time.Second
 		rounds  = 16
@@ -160,31 +160,31 @@ func ThunderingHerd(n int, seed int64) (*Report, error) {
 		return nil, err
 	}
 
-	r := &Report{Scenario: ScenarioHerd, N: n, Seed: seed, Mode: "sim"}
+	r := &Report{Scenario: scenarioHerd, N: n, Seed: seed, Mode: "sim"}
 	// Skip the synchronized cold-start bin — identical for both
 	// fleets by construction; the herd is about every round after.
-	r.PeakToMeanLocked = locked.Bins().PeakToMean(1)
-	r.PeakToMeanJittered = jittered.Bins().PeakToMean(1)
+	r.PeakToMeanLocked = locked.bins.peakToMean(1)
+	r.PeakToMeanJittered = jittered.bins.peakToMean(1)
 	if r.PeakToMeanLocked < 20 {
-		r.Violate("locked fleet peak/mean %.1f < 20: the herd never formed (harness broken)", r.PeakToMeanLocked)
+		r.violate("locked fleet peak/mean %.1f < 20: the herd never formed (harness broken)", r.PeakToMeanLocked)
 	}
 	if r.PeakToMeanJittered > 15 {
-		r.Violate("jittered fleet peak/mean %.1f > 15: jitter failed to break the phase lock", r.PeakToMeanJittered)
+		r.violate("jittered fleet peak/mean %.1f > 15: jitter failed to break the phase lock", r.PeakToMeanJittered)
 	}
 	if r.PeakToMeanLocked < 3*r.PeakToMeanJittered {
-		r.Violate("locked/jittered burstiness ratio %.1f < 3", r.PeakToMeanLocked/r.PeakToMeanJittered)
+		r.violate("locked/jittered burstiness ratio %.1f < 3", r.PeakToMeanLocked/r.PeakToMeanJittered)
 	}
-	r.Finish(jittered, horizon)
+	r.finish(jittered, horizon)
 	return r, nil
 }
 
-// PartialFalseticker puts a 400ms liar in the pool that only a
+// partialFalseticker puts a 400ms liar in the pool that only a
 // fraction of the population can see — and the affected clients can
 // see just one honest server beside it, so the warm-up median has no
 // rejection power for them (two samples average instead of vote).
 // The assertion is the population-scale contract: a partial liar may
 // wreck its captives' tails, but the population median stays sane.
-func PartialFalseticker(n int, seed int64) (*Report, error) {
+func partialFalseticker(n int, seed int64) (*Report, error) {
 	const (
 		liarErr        = 400 * time.Millisecond
 		affectedFrac   = 0.2
@@ -204,9 +204,9 @@ func PartialFalseticker(n int, seed int64) (*Report, error) {
 		StartSpread: poll,
 		PollJitter:  0.1,
 		VisibilityFn: func(id int, rng *uint64) uint64 {
-			if RandFloat(rng) < affectedFrac {
+			if splitmixFloat(rng) < affectedFrac {
 				// Captive client: the liar plus one honest server.
-				return 1<<liarIdx | 1<<(Rand(rng)%4)
+				return 1<<liarIdx | 1<<(splitmix(rng)%4)
 			}
 			return goodVisibility
 		},
@@ -218,21 +218,21 @@ func PartialFalseticker(n int, seed int64) (*Report, error) {
 		return nil, err
 	}
 
-	r := &Report{Scenario: ScenarioFalseticker, N: n, Seed: seed, Mode: "sim"}
+	r := &Report{Scenario: scenarioFalseticker, N: n, Seed: seed, Mode: "sim"}
 	st := e.Stats(100 * time.Millisecond)
 	r.MedianOffsetMS = float64(st.Median) / 1e6
 	r.P99OffsetMS = float64(st.P99) / 1e6
 	r.FracAbove100MS = st.FracAbove
 	if st.Median > 25*time.Millisecond {
-		r.Violate("population median offset %v > 25ms: the liar moved the median", st.Median)
+		r.violate("population median offset %v > 25ms: the liar moved the median", st.Median)
 	}
 	if st.FracAbove > 0.18 {
-		r.Violate("%.1f%% of clients beyond 100ms > 18%%: liar captured more than its visibility share", 100*st.FracAbove)
+		r.violate("%.1f%% of clients beyond 100ms > 18%%: liar captured more than its visibility share", 100*st.FracAbove)
 	}
 	if st.FracAbove < 0.02 {
-		r.Violate("only %.1f%% of clients beyond 100ms < 2%%: the liar did no damage (harness broken)", 100*st.FracAbove)
+		r.violate("only %.1f%% of clients beyond 100ms < 2%%: the liar did no damage (harness broken)", 100*st.FracAbove)
 	}
-	r.Finish(e, horizon)
+	r.finish(e, horizon)
 	return r, nil
 }
 
@@ -267,23 +267,23 @@ func blackout(n int, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.At(chaosFrom, func() { e.SetOutage(true) })
-	e.At(chaosTo, func() { e.SetOutage(false) })
+	e.at(chaosFrom, func() { e.setOutage(true) })
+	e.at(chaosTo, func() { e.setOutage(false) })
 	if err := e.Run(chaosHorizon); err != nil {
 		return nil, err
 	}
 
 	r := &Report{Scenario: scenarioBlackout, N: n, Seed: seed, Mode: "sim"}
 	if e.Totals().Fails == 0 {
-		r.Violate("blackout window produced no failed polls (harness broken)")
+		r.violate("blackout window produced no failed polls (harness broken)")
 	}
 	if got := e.ServedClients(); got < n {
-		r.Violate("%d of %d clients never served after the blackout lifted", n-got, n)
+		r.violate("%d of %d clients never served after the blackout lifted", n-got, n)
 	}
 	if st := e.Stats(0); st.Median > 20*time.Millisecond {
-		r.Violate("population median %v after recovery, want ≤ 20ms", st.Median)
+		r.violate("population median %v after recovery, want ≤ 20ms", st.Median)
 	}
-	r.Finish(e, chaosHorizon)
+	r.finish(e, chaosHorizon)
 	return r, nil
 }
 
@@ -298,38 +298,38 @@ func falsetickerFlip(n int, seed int64) (*Report, error) {
 		return nil, err
 	}
 	var mid OffsetStats
-	e.At(chaosFrom, func() { e.SetUpstreamErr(0, chaosLiarError) })
-	e.At(chaosTo-time.Second, func() { mid = e.Stats(100 * time.Millisecond) })
-	e.At(chaosTo, func() { e.SetUpstreamErr(0, 1*time.Millisecond) })
+	e.at(chaosFrom, func() { e.setUpstreamErr(0, chaosLiarError) })
+	e.at(chaosTo-time.Second, func() { mid = e.Stats(100 * time.Millisecond) })
+	e.at(chaosTo, func() { e.setUpstreamErr(0, 1*time.Millisecond) })
 	if err := e.Run(chaosHorizon); err != nil {
 		return nil, err
 	}
 
 	r := &Report{Scenario: scenarioFalsetickerFlip, N: n, Seed: seed, Mode: "sim"}
 	if mid.FracAbove < 0.02 {
-		r.Violate("mid-window only %.1f%% of clients beyond 100ms: the flipped server captured nobody (harness broken)", 100*mid.FracAbove)
+		r.violate("mid-window only %.1f%% of clients beyond 100ms: the flipped server captured nobody (harness broken)", 100*mid.FracAbove)
 	}
 	if mid.Median > 25*time.Millisecond {
-		r.Violate("mid-window population median %v > 25ms: one liar moved the median", mid.Median)
+		r.violate("mid-window population median %v > 25ms: one liar moved the median", mid.Median)
 	}
 	st := e.Stats(100 * time.Millisecond)
 	if st.Median > 20*time.Millisecond {
-		r.Violate("population median %v after the flip-back, want ≤ 20ms", st.Median)
+		r.violate("population median %v after the flip-back, want ≤ 20ms", st.Median)
 	}
 	if st.FracAbove > 0.01 {
-		r.Violate("%.1f%% of clients still beyond 100ms after the flip-back", 100*st.FracAbove)
+		r.violate("%.1f%% of clients still beyond 100ms after the flip-back", 100*st.FracAbove)
 	}
-	r.Finish(e, chaosHorizon)
+	r.finish(e, chaosHorizon)
 	return r, nil
 }
 
-// NATCollision drives n clients that all share one source IP into
+// natCollision drives n clients that all share one source IP into
 // the real server's per-IP rate-limit table. The first synchronized
 // window blows the budget — thousands of RATE kisses — and the
 // assertion is the starvation bound: backoff plus jitter must get
 // every single client served within the horizon, with a small worst
 // dry streak.
-func NATCollision(n int, seed int64) (*Report, error) {
+func natCollision(n int, seed int64) (*Report, error) {
 	const (
 		poll       = 60 * time.Second
 		horizon    = 300 * time.Second
@@ -342,7 +342,7 @@ func NATCollision(n int, seed int64) (*Report, error) {
 	e, err := New(Config{
 		N:           n,
 		Seed:        seed,
-		Mode:        ModeServer,
+		Mode:        modeServer,
 		Server:      srv,
 		PollBase:    poll,
 		PollJitter:  0.1,
@@ -360,16 +360,16 @@ func NATCollision(n int, seed int64) (*Report, error) {
 		return nil, err
 	}
 
-	r := &Report{Scenario: ScenarioNAT, N: n, Seed: seed, Mode: "server"}
+	r := &Report{Scenario: scenarioNAT, N: n, Seed: seed, Mode: "server"}
 	if e.ServedClients() < n {
-		r.Violate("%d of %d clients never served: the rate limiter starved the NAT population", n-e.ServedClients(), n)
+		r.violate("%d of %d clients never served: the rate limiter starved the NAT population", n-e.ServedClients(), n)
 	}
-	if e.RatedClients() < n/4 {
-		r.Violate("only %d clients saw RATE (< n/4): the collision never happened (harness broken)", e.RatedClients())
+	if e.ratedClients() < n/4 {
+		r.violate("only %d clients saw RATE (< n/4): the collision never happened (harness broken)", e.ratedClients())
 	}
-	if d := e.MaxDryStreak(); d > 3 {
-		r.Violate("worst dry streak %d > 3 polls", d)
+	if d := e.maxDryStreak(); d > 3 {
+		r.violate("worst dry streak %d > 3 polls", d)
 	}
-	r.Finish(e, horizon)
+	r.finish(e, horizon)
 	return r, nil
 }

@@ -25,7 +25,7 @@ func TestHerdScenario(t *testing.T) {
 	if raceEnabled {
 		t.Skip("herd scenario skipped under -race (TestSimScenariosReplay keeps the small rows)")
 	}
-	r, err := Run(ScenarioHerd, 0, 1)
+	r, err := Run(scenarioHerd, 0, 1)
 	requirePass(t, r, err)
 }
 
@@ -36,6 +36,6 @@ func TestFalsetickerScenario(t *testing.T) {
 	if raceEnabled {
 		t.Skip("falseticker scenario skipped under -race (TestSimScenariosReplay keeps the small rows)")
 	}
-	r, err := Run(ScenarioFalseticker, 0, 1)
+	r, err := Run(scenarioFalseticker, 0, 1)
 	requirePass(t, r, err)
 }

@@ -182,7 +182,7 @@ func TestSyncOnceNonAdjustableClock(t *testing.T) {
 // wired path tracks the reference within a few ms (the paper's wired
 // baseline).
 func TestSNTPOverSimulatedWiredNetwork(t *testing.T) {
-	sched := netsim.NewScheduler(epoch)
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(epoch, sched.Now)
 	srv := netsim.NewServer("ref", truth, 1, 1)
 	net := netsim.NewNetwork(sched)

@@ -43,10 +43,10 @@ func TestTotalBlackout(t *testing.T) {
 		if err == nil {
 			t.Fatalf("round %d: MeasureBest succeeded during blackout: %+v", i, s)
 		}
-		if !errors.Is(err, ErrAllSourcesFailed) {
+		if !errors.Is(err, errAllSourcesFailed) {
 			t.Fatalf("round %d: err = %v, want ErrAllSourcesFailed", i, err)
 		}
-		if errors.Is(err, ErrNoEligibleSource) {
+		if errors.Is(err, errNoEligibleSource) {
 			t.Fatalf("round %d: blackout misreported as hold-down", i)
 		}
 		if len(outs) != 3 {

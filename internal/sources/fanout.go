@@ -10,11 +10,11 @@ import (
 	"mntp/internal/ntppkt"
 )
 
-// ErrAllSourcesFailed is returned (wrapped around the last per-source
+// errAllSourcesFailed is returned (wrapped around the last per-source
 // error) when MeasureBest sent requests but every attempt failed —
-// distinct from ErrNoEligibleSource, where nothing was sent at all.
+// distinct from errNoEligibleSource, where nothing was sent at all.
 // Callers watching for total blackout match it with errors.Is.
-var ErrAllSourcesFailed = errors.New("sources: every attempted source failed")
+var errAllSourcesFailed = errors.New("sources: every attempted source failed")
 
 // Outcome is the result of querying (or skipping) one source slot
 // during a fan-out round or a MeasureBest attempt.
@@ -87,7 +87,7 @@ func (p *Pool) Round() RoundResult {
 // attempts. It returns the first successful sample together with the
 // outcome of every attempt (for event emission and message-count
 // billing: each non-skipped outcome consumed one request). When every
-// source is held down it returns ErrNoEligibleSource with no
+// source is held down it returns errNoEligibleSource with no
 // outcomes — no request was sent.
 func (p *Pool) MeasureBest() (exchange.Sample, []Outcome, error) {
 	now := p.now()
@@ -96,7 +96,7 @@ func (p *Pool) MeasureBest() (exchange.Sample, []Outcome, error) {
 	ranked := p.rankedLocked(now, buf[:0])
 	p.mu.Unlock()
 	if len(ranked) == 0 {
-		return exchange.Sample{}, nil, ErrNoEligibleSource
+		return exchange.Sample{}, nil, errNoEligibleSource
 	}
 	tries := p.cfg.FailoverTries + 1
 	if tries > len(ranked) {
@@ -112,7 +112,7 @@ func (p *Pool) MeasureBest() (exchange.Sample, []Outcome, error) {
 		}
 		lastErr = o.Err
 	}
-	return exchange.Sample{}, outs, fmt.Errorf("%w: %w", ErrAllSourcesFailed, lastErr)
+	return exchange.Sample{}, outs, fmt.Errorf("%w: %w", errAllSourcesFailed, lastErr)
 }
 
 // query performs one exchange with slot i and updates its health.
@@ -159,6 +159,6 @@ func (p *Pool) measure(server string) (exchange.Sample, error) {
 	case r := <-ch:
 		return r.s, r.err
 	case <-timer.C:
-		return exchange.Sample{}, ErrDeadline
+		return exchange.Sample{}, errDeadline
 	}
 }

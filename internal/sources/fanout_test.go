@@ -116,8 +116,8 @@ func TestRoundFaultInjection(t *testing.T) {
 	if slow.Delay < 150*time.Millisecond {
 		t.Errorf("slow source smoothed delay = %v, want ≈200ms", slow.Delay)
 	}
-	if best, _ := p.Best(); best != "good" {
-		t.Errorf("Best() = %q, want \"good\" (loss hurts less than 200ms delay or lying)", best)
+	if best := p.srcs[p.rankedLocked(p.now(), nil)[0]].name; best != "good" {
+		t.Errorf("best = %q, want \"good\" (loss hurts less than 200ms delay or lying)", best)
 	}
 	if good.Score <= slow.Score || good.Score <= falseSt.Score || kod.Score != 0 {
 		t.Errorf("score order wrong: good=%.3f slow=%.3f false=%.3f kod=%.3f",
@@ -172,7 +172,7 @@ func TestRoundBoundedParallelism(t *testing.T) {
 }
 
 // TestExchangeDeadline checks the per-exchange wall-clock deadline: a
-// transport that hangs past the deadline surfaces ErrDeadline and is
+// transport that hangs past the deadline surfaces errDeadline and is
 // billed as a failure.
 func TestExchangeDeadline(t *testing.T) {
 	clk := clock.System{}
@@ -192,7 +192,7 @@ func TestExchangeDeadline(t *testing.T) {
 		t.Fatalf("exchanges = %d, want 1", res.Exchanges)
 	}
 	o := res.Outcomes[0]
-	if o.OK || !errors.Is(o.Err, ErrDeadline) {
+	if o.OK || !errors.Is(o.Err, errDeadline) {
 		t.Errorf("outcome = OK=%v err=%v, want ErrDeadline", o.OK, o.Err)
 	}
 	if st := statusOf(t, p, "hung"); st.Failures != 1 || st.Reach != 0 {
@@ -226,8 +226,8 @@ func TestMeasureBestFailover(t *testing.T) {
 		p.Round()
 		clk.Advance(15 * time.Second)
 	}
-	if best, _ := p.Best(); best != "a" {
-		t.Fatalf("Best() = %q before failover, want \"a\"", best)
+	if best := p.srcs[p.rankedLocked(p.now(), nil)[0]].name; best != "a" {
+		t.Fatalf("best = %q before failover, want \"a\"", best)
 	}
 
 	mu.Lock()
@@ -253,8 +253,8 @@ func TestMeasureBestFailover(t *testing.T) {
 		p.Round()
 		clk.Advance(15 * time.Second)
 	}
-	if best, _ := p.Best(); best != "b" {
-		t.Errorf("Best() = %q after a went dark, want \"b\"", best)
+	if best := p.srcs[p.rankedLocked(p.now(), nil)[0]].name; best != "b" {
+		t.Errorf("best = %q after a went dark, want \"b\"", best)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestMeasureBestAllHeldDown(t *testing.T) {
 	p.ReportError("a", ntppkt.ErrKissOfDeath)
 	p.ReportError("b", ntppkt.ErrKissOfDeath)
 	_, outs, err := p.MeasureBest()
-	if !errors.Is(err, ErrNoEligibleSource) {
+	if !errors.Is(err, errNoEligibleSource) {
 		t.Errorf("err = %v, want ErrNoEligibleSource", err)
 	}
 	if len(outs) != 0 {

@@ -167,8 +167,9 @@ func TestSelectionAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { p.SelectCombine(samples, idxs) }); n > 2 {
 		t.Errorf("SelectCombine: %v allocs, want ≤ 2 (Survivors, Falsetickers)", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { p.Ranked() }); n > 1 {
-		t.Errorf("Ranked: %v allocs, want ≤ 1 (the result)", n)
+	buf := make([]int, 0, 4)
+	if n := testing.AllocsPerRun(200, func() { p.rankedLocked(p.now(), buf[:0]) }); n != 0 {
+		t.Errorf("rankedLocked: %v allocs into a sized buffer, want 0", n)
 	}
 	ivals := []Interval{{-1, 0, 1}, {-0.5, 0.5, 1.5}, {4, 5, 6}}
 	if n := testing.AllocsPerRun(200, func() { Marzullo(ivals) }); n > 1 {
@@ -198,7 +199,7 @@ func TestAbandonedMeasureKeepsItsRequest(t *testing.T) {
 		return memServer(clk, clk, 0, time.Millisecond)(server, req)
 	})
 	p := New(clk, tr, Config{Servers: []string{"s"}, ExchangeTimeout: 20 * time.Millisecond})
-	if res := p.Round(); res.Outcomes[0].Err != ErrDeadline {
+	if res := p.Round(); res.Outcomes[0].Err != errDeadline {
 		t.Fatalf("first exchange: %+v, want ErrDeadline", res.Outcomes[0])
 	}
 	<-entered

@@ -176,9 +176,6 @@ func New(clk clock.Clock, tr exchange.Transport, cfg Config) *Pool {
 	return p
 }
 
-// Len returns the number of source slots.
-func (p *Pool) Len() int { return len(p.srcs) }
-
 // now reads the pool clock, tolerating a nil clock for pools that are
 // driven externally through the Report methods.
 func (p *Pool) now() time.Time {
@@ -188,13 +185,13 @@ func (p *Pool) now() time.Time {
 	return p.clk.Now()
 }
 
-// ErrNoEligibleSource is returned when every source is inside its KoD
+// errNoEligibleSource is returned when every source is inside its KoD
 // hold-down.
-var ErrNoEligibleSource = errors.New("sources: no eligible source (all held down)")
+var errNoEligibleSource = errors.New("sources: no eligible source (all held down)")
 
-// ErrDeadline is returned when an exchange exceeded the pool's
+// errDeadline is returned when an exchange exceeded the pool's
 // per-exchange wall-clock deadline.
-var ErrDeadline = errors.New("sources: exchange deadline exceeded")
+var errDeadline = errors.New("sources: exchange deadline exceeded")
 
 // maxStackSlots sizes a round's on-stack scratch (slots, scores,
 // intervals); a pool with more sources spills it to the heap.
@@ -226,15 +223,6 @@ func (p *Pool) EligibleNames() []string {
 	return out
 }
 
-// Ranked returns the eligible slot indexes ordered by descending
-// score (ties broken by slot order).
-func (p *Pool) Ranked() []int {
-	now := p.now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rankedLocked(now, make([]int, 0, len(p.srcs)))
-}
-
 // rankedLocked appends the ranking to dst: each source is scored once
 // and the handful of slots insertion-sorted, ties keeping slot order.
 func (p *Pool) rankedLocked(now time.Time, dst []int) []int {
@@ -251,17 +239,6 @@ func (p *Pool) rankedLocked(now time.Time, dst []int) []int {
 		}
 	}
 	return elig
-}
-
-// Best returns the name of the top-ranked eligible source.
-func (p *Pool) Best() (string, bool) {
-	r := p.Ranked()
-	if len(r) == 0 {
-		return "", false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.srcs[r[0]].name, true
 }
 
 // ---- health accounting ----

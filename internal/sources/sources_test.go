@@ -110,8 +110,8 @@ func TestScoreRankingPrefersHealthy(t *testing.T) {
 	if unpolled.Score != unpolledScore {
 		t.Errorf("unpolled score = %.3f, want the neutral prior %.3f", unpolled.Score, unpolledScore)
 	}
-	if best, ok := p.Best(); !ok || best != "good" {
-		t.Errorf("Best() = %q, %v, want \"good\", true", best, ok)
+	if r := p.rankedLocked(p.now(), nil); len(r) == 0 || p.srcs[r[0]].name != "good" {
+		t.Errorf("ranking %v, want \"good\" first", r)
 	}
 }
 

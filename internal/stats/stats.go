@@ -40,9 +40,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanStd returns mean and population standard deviation in one pass.
 func MeanStd(xs []float64) (mean, std float64) {
 	n := len(xs)
@@ -91,28 +88,14 @@ func MaxAbs(xs []float64) float64 {
 	return m
 }
 
-// Median returns the median of xs (average of the middle two for even
-// n), or 0 for an empty slice. xs is not modified.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Quantile returns the q-th quantile of xs (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics (type-7, the numpy default).
-// NaN samples are dropped — a degenerate zero-delay exchange can
-// produce one, and sort.Float64s would otherwise park it at the front
-// and shift every order statistic. ±Inf are kept as legitimate
-// extreme order statistics. Returns 0 for an empty (or all-NaN)
-// slice. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	sorted := sortedFinite(xs)
-	if len(sorted) == 0 {
-		return 0
-	}
-	return quantileSorted(sorted, q)
-}
-
-// Quantiles computes multiple quantiles from a single sort of xs,
-// with the same NaN handling as Quantile. xs is not modified.
-func Quantiles(xs []float64, qs ...float64) []float64 {
+// quantiles returns the qs-th quantiles of xs (0 ≤ q ≤ 1) from a
+// single sort, using linear interpolation between order statistics
+// (type-7, the numpy default). NaN samples are dropped — a degenerate
+// zero-delay exchange can produce one, and sort.Float64s would
+// otherwise park it at the front and shift every order statistic. ±Inf
+// are kept as legitimate extreme order statistics. Each quantile of an
+// empty (or all-NaN) slice is 0. xs is not modified.
+func quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	sorted := sortedFinite(xs)
 	if len(sorted) == 0 {
@@ -188,34 +171,6 @@ func NewCDF(sample []float64) *CDF {
 	return &CDF{xs: xs}
 }
 
-// P returns the empirical probability P[X ≤ x].
-func (c *CDF) P(x float64) float64 {
-	if len(c.xs) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.xs, x)
-	// Advance past equal values so the CDF is right-continuous.
-	for i < len(c.xs) && c.xs[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.xs))
-}
-
-// InverseP returns the smallest sample value x with P[X ≤ x] ≥ p.
-func (c *CDF) InverseP(p float64) float64 {
-	if len(c.xs) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(c.xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.xs) {
-		i = len(c.xs) - 1
-	}
-	return c.xs[i]
-}
-
 // Points returns up to n (x, P[X≤x]) points suitable for plotting. For
 // n ≥ len(sample) every sample point is returned.
 func (c *CDF) Points(n int) (xs, ps []float64) {
@@ -236,43 +191,30 @@ func (c *CDF) Points(n int) (xs, ps []float64) {
 	return xs, ps
 }
 
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.xs) }
-
 // Online is a running accumulator of count, mean and variance using
-// Welford's algorithm, plus min/max. The zero value is ready to use.
+// Welford's algorithm, plus the maximum. The zero value is ready to use.
 type Online struct {
 	n        int
 	mean, m2 float64
-	min, max float64
+	max      float64
 }
 
 // Add incorporates x.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
+	if o.n == 1 || x > o.max {
+		o.max = x
 	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
 }
 
-// N returns the number of samples added.
-func (o *Online) N() int { return o.n }
-
 // Mean returns the running mean (0 when empty).
 func (o *Online) Mean() float64 { return o.mean }
 
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
+// variance returns the running population variance.
+func (o *Online) variance() float64 {
 	if o.n == 0 {
 		return 0
 	}
@@ -280,10 +222,7 @@ func (o *Online) Variance() float64 {
 }
 
 // StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest sample added (0 when empty).
-func (o *Online) Min() float64 { return o.min }
+func (o *Online) StdDev() float64 { return math.Sqrt(o.variance()) }
 
 // Max returns the largest sample added (0 when empty).
 func (o *Online) Max() float64 { return o.max }
@@ -304,7 +243,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	mean, std := MeanStd(xs)
-	qs := Quantiles(xs, 0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1)
+	qs := quantiles(xs, 0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1)
 	return Summary{
 		N: len(xs), Mean: mean, Std: std,
 		Min: qs[0], P25: qs[1], Median: qs[2], P75: qs[3],

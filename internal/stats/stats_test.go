@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,16 +18,13 @@ func TestMeanVarianceStd(t *testing.T) {
 	if got := Variance(xs); got != 4 {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Error("empty moments should be zero")
 	}
-	if Median(nil) != 0 || RMSE(nil, 5) != 0 || MaxAbs(nil) != 0 {
+	if quantiles(nil, 0.5)[0] != 0 || RMSE(nil, 5) != 0 || MaxAbs(nil) != 0 {
 		t.Error("empty median/rmse/maxabs should be zero")
 	}
 	m, s := MeanStd(nil)
@@ -49,26 +47,26 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
+	if got := quantiles([]float64{3, 1, 2}, 0.5)[0]; got != 2 {
 		t.Errorf("odd median = %v", got)
 	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
+	if got := quantiles([]float64{4, 1, 3, 2}, 0.5)[0]; got != 2.5 {
 		t.Errorf("even median = %v", got)
 	}
 }
 
 func TestQuantileInterpolation(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
-	if got := Quantile(xs, 0.25); got != 17.5 {
+	if got := quantiles(xs, 0.25)[0]; got != 17.5 {
 		t.Errorf("q25 = %v, want 17.5 (type-7)", got)
 	}
-	if got := Quantile(xs, 0); got != 10 {
+	if got := quantiles(xs, 0)[0]; got != 10 {
 		t.Errorf("q0 = %v", got)
 	}
-	if got := Quantile(xs, 1); got != 40 {
+	if got := quantiles(xs, 1)[0]; got != 40 {
 		t.Errorf("q1 = %v", got)
 	}
-	got := Quantiles(xs, 0.5, 1)
+	got := quantiles(xs, 0.5, 1)
 	if got[0] != 25 || got[1] != 40 {
 		t.Errorf("Quantiles = %v", got)
 	}
@@ -76,7 +74,7 @@ func TestQuantileInterpolation(t *testing.T) {
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	quantiles(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Quantile mutated its input")
 	}
@@ -92,24 +90,14 @@ func TestRMSE(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
+	c := NewCDF([]float64{3, 2, 1, 2})
+	xs, ps := c.Points(4)
+	if fmt.Sprint(xs, ps) != "[1 2 2 3] [0.25 0.5 0.75 1]" {
+		t.Errorf("Points(4) = %v %v", xs, ps)
 	}
-	for _, cse := range cases {
-		if got := c.P(cse.x); got != cse.want {
-			t.Errorf("P(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if got := c.InverseP(0.5); got != 2 {
-		t.Errorf("InverseP(0.5) = %v, want 2", got)
-	}
-	if got := c.InverseP(1); got != 3 {
-		t.Errorf("InverseP(1) = %v, want 3", got)
-	}
-	xs, ps := c.Points(2)
-	if len(xs) != 2 || len(ps) != 2 || ps[1] != 1 {
-		t.Errorf("Points = %v %v", xs, ps)
+	xs, ps = c.Points(2)
+	if fmt.Sprint(xs, ps) != "[2 3] [0.5 1]" {
+		t.Errorf("Points(2) = %v %v", xs, ps)
 	}
 }
 
@@ -124,11 +112,11 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if !almost(o.Mean(), Mean(xs), 1e-9) {
 		t.Errorf("online mean %v vs batch %v", o.Mean(), Mean(xs))
 	}
-	if !almost(o.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("online var %v vs batch %v", o.Variance(), Variance(xs))
+	if !almost(o.variance(), Variance(xs), 1e-9) {
+		t.Errorf("online var %v vs batch %v", o.variance(), Variance(xs))
 	}
-	if o.Min() != Min(xs) || o.Max() != Max(xs) || o.N() != len(xs) {
-		t.Error("online min/max/n mismatch")
+	if o.Max() != Max(xs) || o.n != len(xs) {
+		t.Error("online max/n mismatch")
 	}
 }
 
@@ -164,23 +152,23 @@ func TestQuickVarianceShiftInvariant(t *testing.T) {
 	}
 }
 
-// Property: the CDF is monotone non-decreasing.
+// Property: the CDF's points are monotone non-decreasing in both x
+// and P[X≤x].
 func TestQuickCDFMonotone(t *testing.T) {
-	f := func(sample []float64, a, b float64) bool {
+	f := func(sample []float64, n uint8) bool {
 		clean := make([]float64, 0, len(sample))
 		for _, x := range sample {
 			if !math.IsNaN(x) {
 				clean = append(clean, x)
 			}
 		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
+		xs, ps := NewCDF(clean).Points(int(n))
+		for i := 1; i < len(xs); i++ {
+			if xs[i] < xs[i-1] || ps[i] < ps[i-1] {
+				return false
+			}
 		}
-		c := NewCDF(clean)
-		if a > b {
-			a, b = b, a
-		}
-		return c.P(a) <= c.P(b)
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -207,7 +195,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		if q1 > q2 {
 			q1, q2 = q2, q1
 		}
-		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
+		v1, v2 := quantiles(xs, q1)[0], quantiles(xs, q2)[0]
 		return v1 <= v2 && v1 >= Min(xs) && v2 <= Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -221,23 +209,23 @@ func TestQuantileDropsNaN(t *testing.T) {
 	clean := []float64{1, 2, 3, 4, 5}
 	dirty := []float64{math.NaN(), 1, 2, math.NaN(), 3, 4, 5}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if got, want := Quantile(dirty, q), Quantile(clean, q); got != want {
+		if got, want := quantiles(dirty, q)[0], quantiles(clean, q)[0]; got != want {
 			t.Errorf("Quantile(dirty, %v) = %v, want %v", q, got, want)
 		}
 	}
-	if got := Quantile([]float64{math.NaN(), math.NaN()}, 0.5); got != 0 {
+	if got := quantiles([]float64{math.NaN(), math.NaN()}, 0.5)[0]; got != 0 {
 		t.Errorf("all-NaN quantile = %v, want 0", got)
 	}
-	qs := Quantiles(dirty, 0.5, 0.9)
-	if qs[0] != Quantile(clean, 0.5) || qs[1] != Quantile(clean, 0.9) {
+	qs := quantiles(dirty, 0.5, 0.9)
+	if qs[0] != quantiles(clean, 0.5)[0] || qs[1] != quantiles(clean, 0.9)[0] {
 		t.Errorf("Quantiles with NaNs = %v", qs)
 	}
 	// ±Inf stay as extreme order statistics.
-	if got := Quantile([]float64{math.Inf(1), 1, 2}, 1); !math.IsInf(got, 1) {
+	if got := quantiles([]float64{math.Inf(1), 1, 2}, 1)[0]; !math.IsInf(got, 1) {
 		t.Errorf("max quantile with +Inf = %v", got)
 	}
 	// NaN q degrades to the median instead of an unspecified index.
-	if got := Quantile(clean, math.NaN()); got != 3 {
+	if got := quantiles(clean, math.NaN())[0]; got != 3 {
 		t.Errorf("NaN-q quantile = %v, want median 3", got)
 	}
 }

@@ -50,9 +50,9 @@ func (Noop) Step(time.Duration) error { return nil }
 // AdjustFreq implements Adjuster.
 func (Noop) AdjustFreq(float64) error { return nil }
 
-// KernelState is a snapshot of the kernel clock discipline, as read by
+// kernelState is a snapshot of the kernel clock discipline, as read by
 // the platform backend.
-type KernelState struct {
+type kernelState struct {
 	// OffsetRemaining is the residual slew the kernel is applying.
 	OffsetRemaining time.Duration
 	// FreqPPM is the kernel frequency correction in ppm.

@@ -25,18 +25,19 @@ const freqScale = 65536.0
 // return the kernel's error otherwise.
 type Kernel struct{}
 
-// ReadState returns the kernel clock discipline state.
-func (Kernel) ReadState() (KernelState, error) {
+// readState returns the kernel clock discipline state; it needs no
+// privilege, so it is the one adjtimex call every test run can make.
+func (Kernel) readState() (kernelState, error) {
 	var tx syscall.Timex
 	state, err := syscall.Adjtimex(&tx)
 	if err != nil {
-		return KernelState{}, fmt.Errorf("sysclock: adjtimex read: %w", err)
+		return kernelState{}, fmt.Errorf("sysclock: adjtimex read: %w", err)
 	}
 	offset := time.Duration(tx.Offset) * time.Microsecond
 	if tx.Status&adjNano != 0 {
 		offset = time.Duration(tx.Offset) * time.Nanosecond
 	}
-	return KernelState{
+	return kernelState{
 		OffsetRemaining: offset,
 		FreqPPM:         float64(tx.Freq) / freqScale,
 		Synchronized:    state != 5 /* TIME_ERROR */ && tx.Status&staUnsync == 0,

@@ -5,7 +5,7 @@ package sysclock
 import "testing"
 
 func TestKernelReadState(t *testing.T) {
-	st, err := Kernel{}.ReadState()
+	st, err := Kernel{}.readState()
 	if err != nil {
 		t.Fatalf("reading kernel state should not require privilege: %v", err)
 	}

@@ -88,7 +88,7 @@ type Testbed struct {
 
 // New builds the Figure 3 topology.
 func New(cfg Config) *Testbed {
-	sched := netsim.NewScheduler(Epoch)
+	sched := netsim.NewScheduler()
 	truth := clock.NewTrue(Epoch, sched.Now)
 	net := netsim.NewNetwork(sched)
 

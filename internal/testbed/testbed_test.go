@@ -32,7 +32,7 @@ func TestWiredSNTPWithoutCorrectionDriftsSteadily(t *testing.T) {
 	// closely on a wired path: measurement error stays small even as
 	// offsets grow.
 	errs := s.AbsError()
-	if m := stats.Quantile(errs, 0.95); m > 10 {
+	if m := stats.Summarize(errs).P95; m > 10 {
 		t.Errorf("wired p95 measurement error = %.1fms", m)
 	}
 	// And the drift accumulates visibly over the hour (18 ppm ≈ 65 ms).

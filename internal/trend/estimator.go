@@ -20,7 +20,7 @@ type Estimator interface {
 	// N returns the number of samples currently contributing to the
 	// fit (for windowed estimators, the window occupancy).
 	N() int
-	// Line returns the current fitted line, or ErrInsufficient when
+	// Line returns the current fitted line, or errInsufficient when
 	// the samples do not determine one.
 	Line() (Line, error)
 	// ResidualVariance estimates the variance of a sample's deviation
@@ -96,9 +96,9 @@ func NewEstimator(kind Kind, window int, scaleFloor float64) Estimator {
 	}
 	switch kind {
 	case KindTheilSen:
-		return NewTheilSen(window, scaleFloor)
+		return newTheilSen(window, scaleFloor)
 	case KindLAD:
-		return NewLAD(window, scaleFloor)
+		return newLAD(window, scaleFloor)
 	default:
 		return &Fitter{}
 	}

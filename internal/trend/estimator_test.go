@@ -117,23 +117,23 @@ func TestEstimatorsRecoverCleanLine(t *testing.T) {
 	})
 }
 
-// TestEstimatorsInsufficient: degenerate inputs report ErrInsufficient
+// TestEstimatorsInsufficient: degenerate inputs report errInsufficient
 // uniformly.
 func TestEstimatorsInsufficient(t *testing.T) {
 	everyEstimator(t, func(t *testing.T, kind Kind, est Estimator) {
-		if _, err := est.Line(); err != ErrInsufficient {
+		if _, err := est.Line(); err != errInsufficient {
 			t.Errorf("empty Line err = %v", err)
 		}
 		est.Add(3, 1)
-		if _, err := est.Line(); err != ErrInsufficient {
+		if _, err := est.Line(); err != errInsufficient {
 			t.Errorf("one-sample Line err = %v", err)
 		}
 		est.Add(3, 2)
 		est.Add(3, 3)
-		if _, err := est.Line(); err != ErrInsufficient {
+		if _, err := est.Line(); err != errInsufficient {
 			t.Errorf("identical-x Line err = %v", err)
 		}
-		if _, err := est.PredictVariance(5); err != ErrInsufficient {
+		if _, err := est.PredictVariance(5); err != errInsufficient {
 			t.Errorf("identical-x PredictVariance err = %v", err)
 		}
 	})
@@ -211,7 +211,7 @@ func TestEstimatorsSubtractLine(t *testing.T) {
 
 // TestTheilSenWindowBound: the window drops the oldest samples.
 func TestTheilSenWindowBound(t *testing.T) {
-	est := NewTheilSen(8, 0)
+	est := newTheilSen(8, 0)
 	for i := 0; i < 20; i++ {
 		est.Add(float64(i), float64(i)*2)
 	}
@@ -229,7 +229,7 @@ func TestTheilSenWindowBound(t *testing.T) {
 // within a few samples, instead of oscillating while the stale
 // majority ages out one sample at a time.
 func TestTheilSenRegimeChangeDropsStale(t *testing.T) {
-	est := NewTheilSen(32, 1e-4)
+	est := newTheilSen(32, 1e-4)
 	rng := rand.New(rand.NewSource(31))
 	x := 0.0
 	for i := 0; i < 32; i++ { // old regime: flat at 0
@@ -261,7 +261,7 @@ func TestTheilSenRegimeChangeDropsStale(t *testing.T) {
 // TestLADExactOnCleanLine: on perfectly linear data the IRLS must
 // return the exact line (the LS initialization already solves it).
 func TestLADExactOnCleanLine(t *testing.T) {
-	est := NewLAD(32, 1e-6)
+	est := newLAD(32, 1e-6)
 	for i := 0; i < 10; i++ {
 		x := float64(i)
 		est.Add(x, 3*x-1)

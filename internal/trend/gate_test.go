@@ -89,7 +89,7 @@ func TestGateMatchesTwoPassReference(t *testing.T) {
 		sequences++
 		for i, sq := range seq {
 			steps++
-			g, w := got.Gate(), ref.refGate()
+			g, w := got.gate(), ref.refGate()
 			if g != w {
 				bitDiffs++
 			}
@@ -112,9 +112,6 @@ func TestGateMatchesTwoPassReference(t *testing.T) {
 				ref.accept(sq)
 			}
 		}
-		if got.N() != len(ref.sq) {
-			t.Fatalf("seed %d: N = %d, reference holds %d", seed, got.N(), len(ref.sq))
-		}
 	}
 	t.Logf("%d sequences, %d steps, 0 decision differences; gate bits differ at %d steps", sequences, steps, bitDiffs)
 }
@@ -133,7 +130,7 @@ func BenchmarkGate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gateSink = r.Gate()
+				gateSink = r.gate()
 			}
 		})
 	}

@@ -33,12 +33,12 @@ type LAD struct {
 	scale2  float64
 }
 
-// NewLAD creates a LAD estimator over a window of at most `window`
+// newLAD creates a LAD estimator over a window of at most `window`
 // samples. scaleFloor (y units) bounds the IRLS reweighting
 // denominator — without it a sample the fit interpolates exactly
 // would receive infinite weight — and floors the reported residual
 // scale; see NewEstimator.
-func NewLAD(window int, scaleFloor float64) *LAD {
+func newLAD(window int, scaleFloor float64) *LAD {
 	return &LAD{win: newSamples(window), scaleFloor: scaleFloor, dirty: true}
 }
 
@@ -62,14 +62,14 @@ func (l *LAD) fit() (Line, error) {
 	n := l.win.n()
 	xs, ys := l.win.xs, l.win.ys
 	if n < 2 {
-		l.line, l.lineErr = Line{}, ErrInsufficient
+		l.line, l.lineErr = Line{}, errInsufficient
 		return l.line, l.lineErr
 	}
 
 	// Start from the unweighted least-squares fit.
 	cur, ok := weightedLS(xs, ys, nil)
 	if !ok {
-		l.line, l.lineErr = Line{}, ErrInsufficient
+		l.line, l.lineErr = Line{}, errInsufficient
 		return l.line, l.lineErr
 	}
 	// delta floors |rᵢ| in the weights; tie it to the configured
@@ -147,7 +147,7 @@ func weightedLS(xs, ys, w []float64) (Line, bool) {
 // residuals. Requires at least three samples.
 func (l *LAD) ResidualVariance() (float64, error) {
 	if l.win.n() < 3 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	if _, err := l.fit(); err != nil {
 		return 0, err
@@ -164,7 +164,7 @@ func (l *LAD) PredictVariance(x float64) (float64, error) {
 	}
 	xbar, sxx := l.win.xMoments()
 	if sxx <= 0 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	n := float64(l.win.n())
 	return s2 * (1 + 1/n + (x-xbar)*(x-xbar)/sxx), nil
@@ -179,7 +179,7 @@ func (l *LAD) SlopeVariance() (float64, error) {
 	}
 	_, sxx := l.win.xMoments()
 	if sxx <= 0 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	return s2 / sxx, nil
 }

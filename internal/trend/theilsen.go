@@ -42,10 +42,10 @@ type TheilSen struct {
 	slopes []float64 // scratch for pairwise slopes
 }
 
-// NewTheilSen creates a Theil-Sen estimator over a window of at most
+// newTheilSen creates a Theil-Sen estimator over a window of at most
 // `window` samples. scaleFloor (y units) floors the residual scale
 // used by the outlier-dropping rule — see NewEstimator.
-func NewTheilSen(window int, scaleFloor float64) *TheilSen {
+func newTheilSen(window int, scaleFloor float64) *TheilSen {
 	return &TheilSen{
 		win:        newSamples(window),
 		scaleFloor: scaleFloor,
@@ -92,7 +92,7 @@ func (t *TheilSen) fit() (Line, error) {
 	t.dirty = false
 	n := t.win.n()
 	if n < 2 {
-		t.line, t.lineErr = Line{}, ErrInsufficient
+		t.line, t.lineErr = Line{}, errInsufficient
 		return t.line, t.lineErr
 	}
 	t.slopes = t.slopes[:0]
@@ -106,7 +106,7 @@ func (t *TheilSen) fit() (Line, error) {
 	}
 	if len(t.slopes) == 0 {
 		// All x identical: vertical data, undetermined.
-		t.line, t.lineErr = Line{}, ErrInsufficient
+		t.line, t.lineErr = Line{}, errInsufficient
 		return t.line, t.lineErr
 	}
 	slope := median(t.slopes)
@@ -126,7 +126,7 @@ func (t *TheilSen) fit() (Line, error) {
 // least three samples.
 func (t *TheilSen) ResidualVariance() (float64, error) {
 	if t.win.n() < 3 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	if _, err := t.fit(); err != nil {
 		return 0, err
@@ -143,7 +143,7 @@ func (t *TheilSen) PredictVariance(x float64) (float64, error) {
 	}
 	xbar, sxx := t.win.xMoments()
 	if sxx <= 0 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	n := float64(t.win.n())
 	return s2 * (1 + 1/n + (x-xbar)*(x-xbar)/sxx), nil
@@ -158,7 +158,7 @@ func (t *TheilSen) SlopeVariance() (float64, error) {
 	}
 	_, sxx := t.win.xMoments()
 	if sxx <= 0 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	return s2 / sxx, nil
 }

@@ -15,9 +15,9 @@ import (
 	"mntp/internal/stats"
 )
 
-// ErrInsufficient is returned when a fit is requested with fewer than
+// errInsufficient is returned when a fit is requested with fewer than
 // two samples (a line is undetermined).
-var ErrInsufficient = errors.New("trend: need at least two samples to fit a line")
+var errInsufficient = errors.New("trend: need at least two samples to fit a line")
 
 // Line is a fitted first-degree polynomial y = Intercept + Slope·x.
 type Line struct {
@@ -63,15 +63,15 @@ func (f *Fitter) Add(x, y float64) {
 func (f *Fitter) N() int { return f.n }
 
 // Line returns the current least-squares line. With fewer than two
-// samples, or with all x values identical, it returns ErrInsufficient.
+// samples, or with all x values identical, it returns errInsufficient.
 func (f *Fitter) Line() (Line, error) {
 	if f.n < 2 {
-		return Line{}, ErrInsufficient
+		return Line{}, errInsufficient
 	}
 	// All-identical x leaves the centered Sxx at exactly 0 (every dx
 	// against the running mean is 0); no relative-epsilon dance needed.
 	if f.sxx <= 0 {
-		return Line{}, ErrInsufficient
+		return Line{}, errInsufficient
 	}
 	slope := f.sxy / f.sxx
 	intercept := f.my - slope*f.mx
@@ -82,10 +82,10 @@ func (f *Fitter) Line() (Line, error) {
 // s² = Σ(yᵢ−ŷᵢ)²/(n−2). It requires at least three samples.
 func (f *Fitter) ResidualVariance() (float64, error) {
 	if f.n < 3 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	if f.sxx <= 0 {
-		return 0, ErrInsufficient
+		return 0, errInsufficient
 	}
 	sse := f.syy - f.sxy*f.sxy/f.sxx
 	if sse < 0 {
@@ -139,19 +139,6 @@ func (f *Fitter) SubtractLine(a, b float64) {
 	}
 }
 
-// Fit computes the least-squares line for the given samples in one
-// call. xs and ys must have equal length ≥ 2.
-func Fit(xs, ys []float64) (Line, error) {
-	if len(xs) != len(ys) {
-		return Line{}, errors.New("trend: mismatched sample lengths")
-	}
-	var f Fitter
-	for i := range xs {
-		f.Add(xs[i], ys[i])
-	}
-	return f.Line()
-}
-
 // ResidualTracker maintains the squared prediction errors of accepted
 // samples against the evolving trend line, providing the mean ± one
 // standard deviation gate of the MNTP filter.
@@ -185,13 +172,10 @@ func NewResidualTracker(floor float64) *ResidualTracker {
 // Accept records the squared error of a sample that passed the gate.
 func (r *ResidualTracker) Accept(sqErr float64) { r.sq.Add(sqErr) }
 
-// N returns the number of recorded residuals.
-func (r *ResidualTracker) N() int { return r.sq.N() }
-
-// Gate returns the current rejection threshold for squared errors:
+// gate returns the current rejection threshold for squared errors:
 // mean + 1·stddev of the recorded squared errors, but never below the
 // configured floor.
-func (r *ResidualTracker) Gate() float64 {
+func (r *ResidualTracker) gate() float64 {
 	gate := r.sq.Mean() + r.sq.StdDev()
 	if gate < r.floor {
 		gate = r.floor
@@ -202,5 +186,5 @@ func (r *ResidualTracker) Gate() float64 {
 // Admits reports whether a sample with the given squared prediction
 // error passes the current gate.
 func (r *ResidualTracker) Admits(sqErr float64) bool {
-	return sqErr <= r.Gate()
+	return sqErr <= r.gate()
 }

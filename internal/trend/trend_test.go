@@ -10,12 +10,11 @@ import (
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestFitExactLine(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 2.5*x - 7
+	var f Fitter
+	for _, x := range []float64{0, 1, 2, 3, 4} {
+		f.Add(x, 2.5*x-7)
 	}
-	l, err := Fit(xs, ys)
+	l, err := f.Line()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,20 +26,28 @@ func TestFitExactLine(t *testing.T) {
 	}
 }
 
+// The Fitter's running sums match a two-pass least-squares fit over
+// the same samples.
 func TestFitterIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var f Fitter
 	xs := make([]float64, 200)
 	ys := make([]float64, 200)
+	var mx, my float64
 	for i := range xs {
 		xs[i] = float64(i) * 5
 		ys[i] = 0.0001*xs[i] + 0.003 + rng.NormFloat64()*0.002
 		f.Add(xs[i], ys[i])
+		mx += xs[i] / float64(len(xs))
+		my += ys[i] / float64(len(xs))
 	}
-	batch, err := Fit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
+	var sxy, sxx float64
+	for i := range xs {
+		sxy += (xs[i] - mx) * (ys[i] - my)
+		sxx += (xs[i] - mx) * (xs[i] - mx)
 	}
+	slope := sxy / sxx
+	batch := Line{Slope: slope, Intercept: my - slope*mx}
 	inc, err := f.Line()
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +59,11 @@ func TestFitterIncrementalMatchesBatch(t *testing.T) {
 
 func TestFitInsufficient(t *testing.T) {
 	var f Fitter
-	if _, err := f.Line(); err != ErrInsufficient {
+	if _, err := f.Line(); err != errInsufficient {
 		t.Errorf("empty fitter err = %v", err)
 	}
 	f.Add(1, 1)
-	if _, err := f.Line(); err != ErrInsufficient {
+	if _, err := f.Line(); err != errInsufficient {
 		t.Errorf("one-sample fitter err = %v", err)
 	}
 	// All x identical: vertical line, undetermined.
@@ -64,14 +71,8 @@ func TestFitInsufficient(t *testing.T) {
 	g.Add(3, 1)
 	g.Add(3, 2)
 	g.Add(3, 3)
-	if _, err := g.Line(); err != ErrInsufficient {
+	if _, err := g.Line(); err != errInsufficient {
 		t.Errorf("degenerate-x fitter err = %v", err)
-	}
-}
-
-func TestFitMismatchedLengths(t *testing.T) {
-	if _, err := Fit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths accepted")
 	}
 }
 
@@ -98,7 +99,7 @@ func TestFitRecoverKnownDrift(t *testing.T) {
 func TestResidualTrackerGate(t *testing.T) {
 	r := NewResidualTracker(1e-6)
 	// Before any residuals, the gate is the floor.
-	if got := r.Gate(); got != 1e-6 {
+	if got := r.gate(); got != 1e-6 {
 		t.Errorf("initial gate = %v", got)
 	}
 	if !r.Admits(1e-7) {
@@ -109,7 +110,7 @@ func TestResidualTrackerGate(t *testing.T) {
 		r.Accept(4e-6)
 	}
 	// mean 4e-6, std 0 -> gate 4e-6.
-	if got := r.Gate(); !almost(got, 4e-6, 1e-12) {
+	if got := r.gate(); !almost(got, 4e-6, 1e-12) {
 		t.Errorf("uniform gate = %v, want 4e-6", got)
 	}
 	if r.Admits(1e-3) {
@@ -186,7 +187,7 @@ func TestQuickGateFloor(t *testing.T) {
 			}
 			r.Accept(s)
 		}
-		return r.Gate() >= floor
+		return r.gate() >= floor
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

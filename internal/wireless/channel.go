@@ -259,13 +259,6 @@ func (c *Channel) AddLoad(delta float64) {
 	}
 }
 
-// Load returns the injected cross-traffic occupancy.
-func (c *Channel) Load() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.load
-}
-
 // SampleOneWay implements netsim.PathModel for the wireless hop.
 func (c *Channel) SampleOneWay(now time.Duration, _ netsim.Direction) (time.Duration, bool) {
 	c.mu.Lock()

@@ -114,7 +114,7 @@ func TestAddLoadFloorsAtZero(t *testing.T) {
 	ch, _ := newTestChannel(6)
 	ch.AddLoad(0.3)
 	ch.AddLoad(-1)
-	if got := ch.Load(); got != 0 {
+	if got := ch.load; got != 0 {
 		t.Errorf("load = %v, want 0", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestHintsCorrelateWithDelays(t *testing.T) {
 	ch.SetTxPower(6) // marginal power: gate opens and closes
 	ch.AddLoad(0.5)
 	th := hints.Default()
-	var fav, unfav stats.Online
+	var fav, unfav []float64
 	for i := 0; i < 20000; i++ {
 		mt.t += 250 * time.Millisecond
 		favorable := th.Favorable(hints.Hints{
@@ -223,17 +223,17 @@ func TestHintsCorrelateWithDelays(t *testing.T) {
 		}
 		ms := float64(d) / float64(time.Millisecond)
 		if favorable {
-			fav.Add(ms)
+			fav = append(fav, ms)
 		} else {
-			unfav.Add(ms)
+			unfav = append(unfav, ms)
 		}
 	}
-	if fav.N() == 0 || unfav.N() == 0 {
+	if len(fav) == 0 || len(unfav) == 0 {
 		t.Skip("channel never switched regimes under this seed")
 	}
-	if fav.Mean() >= unfav.Mean() {
+	if stats.Mean(fav) >= stats.Mean(unfav) {
 		t.Errorf("favorable mean %vms ≥ unfavorable %vms: hints do not predict delay",
-			fav.Mean(), unfav.Mean())
+			stats.Mean(fav), stats.Mean(unfav))
 	}
 }
 
