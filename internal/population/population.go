@@ -10,12 +10,15 @@
 // ModeSim exchange allocates nothing and touches no atomic:
 //
 //   - no per-client goroutine: clients are rows in flat slices
-//     (~60 bytes each) advanced by a sharded binary event heap keyed
-//     on virtual nanoseconds;
+//     (30 bytes each in ModeSim, plus a 16-byte pending event)
+//     advanced by a sharded binary event heap keyed on virtual
+//     nanoseconds;
 //   - no per-client rng or channel object: each client carries one
 //     8-byte splitmix64 state, and wireless channels (≈ KBs each,
 //     mutex + rand.Rand inside) come from a small shared pool indexed
-//     per client — heterogeneous conditions without per-client cost;
+//     by client id — heterogeneous conditions without per-client cost;
+//   - nothing stored that the seed already fixes: a client's skew is a
+//     draw of its stream, re-derived where it is read;
 //   - client clocks are integrated lazily: a row's offset advances by
 //     skew·dt only when its event fires, so idle clients cost nothing.
 //
@@ -163,38 +166,44 @@ func (c *Config) applyDefaults() error {
 }
 
 // fleet is the struct-of-arrays client state: one row per client,
-// ~60 bytes, no pointers, so a million clients are a handful of flat
-// allocations the GC never walks.
+// holding only what cannot be recomputed and only the columns the mode
+// reads — 30 bytes in ModeSim without a VisibilityFn — and no
+// pointers, so a million clients are a handful of flat allocations the
+// GC never walks. A client's skew is Engine.skew(id) and its pooled
+// channel id&(maxChannels-1).
 type fleet struct {
 	offset  []float64 // clock error vs true time, seconds
-	skew    []float64 // oscillator skew, s/s
 	last    []int64   // virtual ns of the last offset integration
 	rng     []uint64  // per-client splitmix64 state
-	chanIdx []uint32  // pooled wireless channel index
 	srvIdx  []int16   // regular server (ModeSim); -1 while cold
-	visMask []uint64  // visible-upstream bitmask (ModeSim)
-	served  []uint32  // successful exchanges
-	rated   []uint32  // RATE kiss-of-death replies (modeServer)
+	visMask []uint64  // visible-upstream bitmask (ModeSim with a VisibilityFn)
+	served  []bool    // served at least once
+	rated   []bool    // told RATE at least once (modeServer)
 	dry     []uint8   // consecutive polls without success (sat. 255)
 	maxDry  []uint8   // worst dry streak
 	boff    []uint8   // current backoff shift
 }
 
-func newFleet(n int) fleet {
-	return fleet{
-		offset:  make([]float64, n),
-		skew:    make([]float64, n),
-		last:    make([]int64, n),
-		rng:     make([]uint64, n),
-		chanIdx: make([]uint32, n),
-		srvIdx:  make([]int16, n),
-		visMask: make([]uint64, n),
-		served:  make([]uint32, n),
-		rated:   make([]uint32, n),
-		dry:     make([]uint8, n),
-		maxDry:  make([]uint8, n),
-		boff:    make([]uint8, n),
+func newFleet(cfg *Config) fleet {
+	n := cfg.N
+	f := fleet{
+		offset: make([]float64, n),
+		last:   make([]int64, n),
+		rng:    make([]uint64, n),
+		served: make([]bool, n),
+		dry:    make([]uint8, n),
+		maxDry: make([]uint8, n),
+		boff:   make([]uint8, n),
 	}
+	if cfg.Mode == ModeSim {
+		f.srvIdx = make([]int16, n)
+		if cfg.VisibilityFn != nil {
+			f.visMask = make([]uint64, n)
+		}
+	} else {
+		f.rated = make([]bool, n)
+	}
+	return f
 }
 
 // splitmix advances a splitmix64 state and returns 64 fresh bits. It is
@@ -296,9 +305,10 @@ type simServer struct {
 // actions with at, then Run. Not safe for concurrent use.
 type Engine struct {
 	cfg      Config
+	seed     uint64 // Config.Seed, 0 mapped to "mntp": the client streams' base
 	f        fleet
-	heaps    [nShards]evHeap
-	ctrl     []ctrlEv // sorted ascending by at
+	heaps    [nShards]evHeap // each sized once: a client has one pending event
+	ctrl     []ctrlEv        // sorted ascending by at
 	channels []*wireless.Channel
 	servers  []simServer
 	vt       int64 // current virtual ns
@@ -319,15 +329,24 @@ type Engine struct {
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
-// O(N·~60B + maxChannels·channel + bins).
+// O(N·46B + maxChannels·channel + bins) in ModeSim: a 30-byte row and
+// a 16-byte event per client.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		cfg:  cfg,
-		f:    newFleet(cfg.N),
+		seed: uint64(cfg.Seed),
+		f:    newFleet(&cfg),
 		bins: newBins(int64(binWidth)),
+	}
+	if e.seed == 0 {
+		e.seed = 0x6d6e7470 // "mntp"
+	}
+	perShard := (cfg.N + nShards - 1) / nShards
+	for s := range e.heaps {
+		e.heaps[s] = make(evHeap, 0, perShard)
 	}
 
 	// Pooled heterogeneous wireless channels.
@@ -352,20 +371,20 @@ func New(cfg Config) (*Engine, error) {
 		e.respond = cfg.Server.Responder()
 	}
 
-	seed := uint64(cfg.Seed)
-	if seed == 0 {
-		seed = 0x6d6e7470 // "mntp"
-	}
 	for i := 0; i < cfg.N; i++ {
-		st := seed + uint64(i)*0x9e3779b97f4a7c15
-		splitmix(&st) // decorrelate adjacent ids
+		st := e.stream(i)
+		e.f.offset[i] = (2*splitmixFloat(&st) - 1) * initialOffsetMax.Seconds()
+		splitmix(&st) // the skew draw, which skew(i) re-derives
 		e.f.rng[i] = st
-		e.f.offset[i] = (2*splitmixFloat(&e.f.rng[i]) - 1) * initialOffsetMax.Seconds()
-		e.f.skew[i] = (2*splitmixFloat(&e.f.rng[i]) - 1) * skewPPM * 1e-6
-		e.f.chanIdx[i] = uint32(i % len(e.channels))
-		e.f.srvIdx[i] = -1
-		if cfg.Mode == ModeSim {
-			e.f.visMask[i] = e.visibility(i)
+		if e.f.srvIdx != nil {
+			e.f.srvIdx[i] = -1
+		}
+		if e.f.visMask != nil {
+			m := cfg.VisibilityFn(i, &e.f.rng[i])
+			if m == 0 {
+				m = 1
+			}
+			e.f.visMask[i] = m
 		}
 		first := int64(0)
 		if cfg.StartSpread > 0 {
@@ -376,13 +395,28 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// stream is client id's splitmix64 state before its first draw. The
+// draws that follow are its cold-start offset, its skew, then whatever
+// New and the run draw from rng[id].
+func (e *Engine) stream(id int) uint64 {
+	st := e.seed + uint64(id)*0x9e3779b97f4a7c15
+	splitmix(&st) // decorrelate adjacent ids
+	return st
+}
+
+// skew is client id's oscillator skew in s/s, uniform in ±skewPPM: the
+// second draw of its stream, re-derived instead of stored.
+func (e *Engine) skew(id int) float64 {
+	st := e.stream(id)
+	splitmix(&st) // the cold-start offset
+	return (2*splitmixFloat(&st) - 1) * skewPPM * 1e-6
+}
+
+// visibility is client id's visible-upstream bitmask: VisibilityFn's
+// draw, kept from New, or every upstream.
 func (e *Engine) visibility(id int) uint64 {
-	if e.cfg.VisibilityFn != nil {
-		m := e.cfg.VisibilityFn(id, &e.f.rng[id])
-		if m == 0 {
-			m = 1
-		}
-		return m
+	if e.f.visMask != nil {
+		return e.f.visMask[id]
 	}
 	return ^uint64(0) >> (64 - len(e.cfg.Upstreams))
 }
@@ -465,7 +499,7 @@ func (e *Engine) nextClient() (at int64, shard int, ok bool) {
 func (e *Engine) integrate(id int) {
 	dt := e.vt - e.f.last[id]
 	if dt > 0 {
-		e.f.offset[id] += e.f.skew[id] * float64(dt) * 1e-9
+		e.f.offset[id] += e.skew(id) * float64(dt) * 1e-9
 		e.f.last[id] = e.vt
 	}
 }
@@ -503,12 +537,12 @@ func (e *Engine) step(id int) {
 	switch res {
 	case pollServed:
 		e.ok++
-		e.f.served[id]++
+		e.f.served[id] = true
 		e.f.dry[id] = 0
 		e.f.boff[id] = 0
 	case pollRated:
 		e.rated++
-		e.f.rated[id]++
+		e.f.rated[id] = true
 		e.bump(id)
 	default:
 		e.fails++
@@ -551,7 +585,7 @@ func (e *Engine) ask(id int) int {
 func (e *Engine) warmup(id int) bool {
 	var vis [64]int16
 	nv := 0
-	m := e.f.visMask[id]
+	m := e.visibility(id)
 	for i := 0; i < len(e.servers) && m != 0; i++ {
 		if m&1 != 0 {
 			vis[nv] = int16(i)
@@ -612,7 +646,8 @@ func (e *Engine) warmup(id int) bool {
 // the returned θ is computed from the reply's NTP timestamps, so the
 // engine inherits ntppkt/ntptime rounding behavior for free.
 func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bool) {
-	ch := e.channels[e.f.chanIdx[id]]
+	// id % min(maxChannels, N), as a mask: when N < maxChannels, id < N.
+	ch := e.channels[id&(maxChannels-1)]
 	now := time.Duration(e.vt)
 	up, lost := ch.SampleOneWay(now, netsim.Uplink)
 	if lost {
@@ -698,7 +733,7 @@ func (e *Engine) RTT() *hist.Snapshot {
 func (e *Engine) ServedClients() int {
 	n := 0
 	for _, s := range e.f.served {
-		if s > 0 {
+		if s {
 			n++
 		}
 	}
@@ -720,7 +755,7 @@ func (e *Engine) maxDryStreak() int {
 func (e *Engine) ratedClients() int {
 	n := 0
 	for _, r := range e.f.rated {
-		if r > 0 {
+		if r {
 			n++
 		}
 	}
@@ -751,7 +786,7 @@ func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 	above := 0
 	th := absThresh.Seconds()
 	for i := 0; i < n; i += stride {
-		o := e.f.offset[i] + e.f.skew[i]*float64(e.vt-e.f.last[i])*1e-9
+		o := e.f.offset[i] + e.skew(i)*float64(e.vt-e.f.last[i])*1e-9
 		a := math.Abs(o)
 		abs = append(abs, a)
 		if th > 0 && a > th {

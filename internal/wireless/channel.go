@@ -112,7 +112,7 @@ type Channel struct {
 	timeNow func() time.Duration
 	rng     *rand.Rand // state-evolution randomness (quantized)
 	pktRng  *rand.Rand // per-packet randomness
-	obsRng  *rand.Rand // per-observation measurement jitter
+	obsRng  *rand.Rand // per-observation measurement jitter; seeded by the first Hints
 
 	last       time.Duration
 	shadow     float64 // dB around 0
@@ -135,7 +135,6 @@ func NewChannel(p Params, timeNow func() time.Duration) *Channel {
 		timeNow: timeNow,
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		pktRng:  rand.New(rand.NewSource(p.Seed ^ 0x7f4a7c15_9e3779b9)),
-		obsRng:  rand.New(rand.NewSource(p.Seed ^ 0x4c957f2d_5851f42d)),
 		txPower: txPowerDBm,
 
 		shadowKeep:    keep,
@@ -192,10 +191,15 @@ func (c *Channel) noiseLocked() float64 {
 }
 
 // Hints implements hints.Provider: one measured reading of RSSI and
-// noise, including per-reading measurement jitter.
+// noise, including per-reading measurement jitter. Only Hints draws
+// from obsRng, so seeding it here gives the sequence an eager seed
+// would, and a channel that only carries packets never pays for it.
 func (c *Channel) Hints() hints.Hints {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.obsRng == nil {
+		c.obsRng = rand.New(rand.NewSource(c.p.Seed ^ 0x4c957f2d_5851f42d))
+	}
 	c.advanceTo(c.timeNow())
 	return hints.Hints{
 		RSSI:  c.rssiLocked() + fastSigmaDB*c.obsRng.NormFloat64(),

@@ -1,6 +1,8 @@
 package wireless
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -153,6 +155,38 @@ func TestStateIndependentOfObservationPattern(t *testing.T) {
 	a, b := final(3), final(300)
 	if a.RSSI != b.RSSI || a.Noise != b.Noise || a.InBurst != b.InBurst {
 		t.Errorf("state depends on observation pattern: %+v vs %+v", a, b)
+	}
+}
+
+// TestHintsIndependentOfPacketTraffic: the measurement jitter on hints
+// has its own stream, seeded from the channel's seed alone. Of two
+// channels with one seed, the one that first carried thousands of
+// packets reads the same hints as the one that carried none, and both
+// read the jitter sequence a source seeded at construction would give.
+func TestHintsIndependentOfPacketTraffic(t *testing.T) {
+	const seed = 13
+	busy, mb := newTestChannel(seed)
+	quiet, mq := newTestChannel(seed)
+	for i := 0; i < 5000; i++ {
+		mb.t += 100 * time.Millisecond
+		busy.SampleOneWay(mb.t, netsim.Uplink)
+		busy.SampleOneWay(mb.t, netsim.Downlink)
+	}
+	eager := rand.New(rand.NewSource(seed ^ 0x4c957f2d_5851f42d))
+	start := mb.t
+	for i := 0; i < 200; i++ {
+		at := start + time.Duration(i)*3*time.Second
+		mb.t, mq.t = at, at
+		st := quiet.StateNow()
+		a, b := busy.Hints(), quiet.Hints()
+		if a != b {
+			t.Fatalf("reading %d at %v: %+v after packet traffic, %+v without", i, at, a, b)
+		}
+		rssi := st.RSSI + fastSigmaDB*eager.NormFloat64()
+		noise := st.Noise + 0.5*fastSigmaDB*eager.NormFloat64()
+		if math.Abs(b.RSSI-rssi) > 1e-9 || math.Abs(b.Noise-noise) > 1e-9 {
+			t.Fatalf("reading %d at %v: %+v, eagerly seeded jitter gives {RSSI:%v Noise:%v}", i, at, b, rssi, noise)
+		}
 	}
 }
 
