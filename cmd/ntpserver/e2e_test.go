@@ -3,7 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/x509"
 	"encoding/json"
+	"encoding/pem"
 	"errors"
 	"os"
 	"os/exec"
@@ -18,6 +21,7 @@ import (
 	"time"
 
 	"mntp/internal/loadgen"
+	"mntp/internal/ntske"
 )
 
 // restartDarkBound is the longest run of 100 ms intervals with nothing
@@ -45,7 +49,8 @@ const (
 	opWait               // wait for every ntpload run started so far
 	opTerm               // SIGTERM the live server; it must exit 0
 	opRelaunch           // start the server again on the same ports
-	opHUP                // rewrite -config, SIGHUP, wait for the reload line
+	opHUP                // rewrite -config, SIGHUP, wait for the reload's outcome line
+	opRemove             // delete $DIR/<args>
 )
 
 // step runs op at an offset from the first server's listening line
@@ -56,7 +61,7 @@ type step struct {
 	name string // opLoad: the run's name in checks
 	// args is ntpload's flags for opLoad ($DIR is the case's directory,
 	// $KE the NTS-KE address; -target and -json are added), the new
-	// -config body for opHUP.
+	// -config body for opHUP, a file name for opRemove.
 	args string
 }
 
@@ -64,13 +69,14 @@ type step struct {
 // checks. A reject case instead names a command line that must exit 2
 // with a message naming its last flag and value.
 type e2eCase struct {
-	name   string
-	race   bool   // race-build the server
-	server string // ntpserver flags; -listen, -nts-listen and -stats 0 are added
-	config string // initial $DIR/server.conf
-	steps  []step
-	check  func(t *testing.T, r *e2eRun)
-	reject string
+	name    string
+	race    bool   // race-build the server
+	server  string // ntpserver flags; -listen, -nts-listen and -stats 0 are added
+	config  string // initial $DIR/server.conf
+	certKey bool   // write a self-signed $DIR/cert.pem and its $DIR/key.pem first
+	steps   []step
+	check   func(t *testing.T, r *e2eRun)
+	reject  string
 }
 
 var e2eCases = []e2eCase{
@@ -207,6 +213,29 @@ var e2eCases = []e2eCase{
 			}
 		},
 	},
+	{
+		// A reload is all or nothing: when the certificate cannot be
+		// reloaded, the -config file's new rate limit must not go live
+		// either.
+		name:    "sighup-reload-atomic",
+		server:  "-config $DIR/server.conf -nts -nts-cert $DIR/cert.pem -nts-key $DIR/key.pem",
+		config:  "# no rate limit\n",
+		certKey: true,
+		steps: []step{
+			{op: opRemove, args: "key.pem"},
+			{op: opHUP, args: "ratelimit=20\n"},
+			{op: opLoad, name: "after", args: "-rate 200 -duration 1s -timeout 500ms"},
+		},
+		check: func(t *testing.T, r *e2eRun) {
+			if !slices.ContainsFunc(r.live().lines, func(l string) bool { return reloadFailed.MatchString(l) }) {
+				t.Error("the reload without -nts-key did not report a failure")
+			}
+			after := r.report("after")
+			if after.Received == 0 || after.KoDRate != 0 {
+				t.Errorf("after the failed reload: received %d, kod_rate %d; want answered and no RATE", after.Received, after.KoDRate)
+			}
+		},
+	},
 	{name: "reject ntpload -senders -1", reject: "ntpload -target 127.0.0.1:9 -duration 100ms -senders -1"},
 	{name: "reject ntpload -rate 0", reject: "ntpload -target 127.0.0.1:9 -duration 100ms -rate 0"},
 	{name: "reject ntpload -timeout -1s", reject: "ntpload -target 127.0.0.1:9 -duration 100ms -timeout -1s"},
@@ -284,7 +313,8 @@ func runReject(t *testing.T, b *builds, argv []string) {
 var (
 	keListening  = regexp.MustCompile(`^ntpserver NTS-KE listening on (\S+) `)
 	udpListening = regexp.MustCompile(`^ntpserver listening on (\S+) `)
-	reloadedLine = regexp.MustCompile(`^ntpserver reloaded `)
+	reloadLine   = regexp.MustCompile(`^ntpserver(?: reloaded |: reload: )`)
+	reloadFailed = regexp.MustCompile(`^ntpserver: reload: `)
 	shedCounts   = regexp.MustCompile(`\bshed=(\d+) shed-dropped=(\d+)`)
 )
 
@@ -312,6 +342,9 @@ func runCase(t *testing.T, b *builds, c e2eCase) {
 			t.Fatal(err)
 		}
 	}
+	if c.certKey {
+		writeCertKey(t, r.dir)
+	}
 	r.launch(t, "127.0.0.1:0", "127.0.0.1:0")
 	t0 := time.Now()
 	for _, s := range c.steps {
@@ -328,6 +361,10 @@ func runCase(t *testing.T, b *builds, c e2eCase) {
 			r.relaunched = time.Now()
 		case opHUP:
 			r.hup(t, s.args)
+		case opRemove:
+			if err := os.Remove(filepath.Join(r.dir, s.args)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	r.waitLoads(t)
@@ -397,7 +434,26 @@ func (r *e2eRun) hup(t *testing.T, config string) {
 	if err := s.cmd.Process.Signal(syscall.SIGHUP); err != nil {
 		t.Fatalf("SIGHUP: %v", err)
 	}
-	s.waitLine(t, reloadedLine)
+	s.waitLine(t, reloadLine)
+}
+
+// writeCertKey writes a self-signed certificate and its private key as
+// dir's cert.pem and key.pem, for -nts-cert and -nts-key.
+func writeCertKey(t *testing.T, dir string) {
+	cert, certPEM, err := ntske.SelfSigned(time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyDER, err := x509.MarshalECPrivateKey(cert.PrivateKey.(*ecdsa.PrivateKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyPEM := pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER})
+	for name, b := range map[string][]byte{"cert.pem": certPEM, "key.pem": keyPEM} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func (r *e2eRun) file(t *testing.T, name string) []byte {

@@ -13,10 +13,9 @@
 // so the clients it does answer are answered with fresh timestamps.
 // Workers respawn after panics and a watchdog restarts wedged shards.
 //
-// A multi-shard listen is all-or-nothing: when the full REUSEPORT
-// group cannot be bound, the already-bound sockets are closed and the
-// server exits 1 rather than silently serving from fewer queues than
-// requested.
+// -shards > 1 needs SO_REUSEPORT (Linux) and binds the whole group or
+// nothing: when one socket of it is refused, the ones already bound
+// are closed and the server exits 1.
 //
 // Usage:
 //
@@ -41,13 +40,15 @@
 // Lifecycle: SIGTERM/SIGINT drain gracefully — new datagrams stop
 // being admitted, in-flight requests are answered, sockets close only
 // after the drain or the -drain deadline (0 drains nothing: the old
-// immediate close). SIGHUP reloads live: the -config file (key=value:
-// stratum, ratelimit, ratewindow, maxclients, shed-target,
-// shed-interval; a key it omits takes its flag value) is re-read,
-// range-checked like the flags and applied without dropping a socket,
-// the NTS certificate is rotated (self-signed regenerated, or
-// -nts-cert/-nts-key re-read from disk), -nts-cert-out is rewritten,
-// and the worker pools are recycled one shard at a time under load.
+// immediate close). SIGHUP reloads live: the -config file (name=value
+// lines, each naming a reloadable flag — stratum, ratelimit,
+// ratewindow, maxclients, shed-target, shed-interval; a flag it omits
+// keeps its command-line value) is re-read and range-checked like the
+// command line, the NTS certificate is reloaded (self-signed
+// regenerated, or -nts-cert/-nts-key re-read from disk) and
+// -nts-cert-out rewritten; only when all of that succeeded are both
+// applied, without dropping a socket, and the worker pools recycled
+// one shard at a time under load.
 // With -nts-state the cookie ring is persisted (sealed under the key
 // in -nts-state-key, created on first run) and restored on restart,
 // so outstanding cookies survive and the fleet never sees a restart
@@ -55,7 +56,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/tls"
 	"flag"
@@ -63,7 +63,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -75,19 +74,31 @@ import (
 	"mntp/internal/overload"
 )
 
-// settings are the reloadable parameters. The flags fill one, the
-// -config file overrides it key by key, and both pass the same check.
+// settings are the reloadable parameters. bind declares each once, as
+// a flag whose name is also its -config key; the command line and
+// every file line set them through that declaration and pass the same
+// check.
 type settings struct {
 	stratum, rateLimit, maxClients       int
 	rateWindow, shedTarget, shedInterval time.Duration
 }
 
+// bind declares the reloadable flags on fs, bound to s's fields; it
+// sets s to the defaults.
+func (s *settings) bind(fs *flag.FlagSet) {
+	fs.IntVar(&s.stratum, "stratum", 2, "advertised stratum (1..15); reloadable")
+	fs.IntVar(&s.rateLimit, "ratelimit", 0, "max requests per client per window (0 = unlimited); reloadable")
+	fs.DurationVar(&s.rateWindow, "ratewindow", time.Minute, "rate-limit window; reloadable")
+	fs.IntVar(&s.maxClients, "maxclients", ntpnet.DefaultMaxClients, "rate-limit table bound; reloadable")
+	fs.DurationVar(&s.shedTarget, "shed-target", 5*time.Millisecond, "overload: reply-sojourn EWMA target (CoDel-style); reloadable")
+	fs.DurationVar(&s.shedInterval, "shed-interval", 100*time.Millisecond, "overload: sustained excess required before shedding; reloadable")
+}
+
 // check range-checks before anything silently truncates: stratum
 // feeds a uint8 (a 256 would wrap to 0, a kiss-of-death stratum),
 // a negative limit would read as "off", and a non-positive window,
-// table bound or shed parameter would read as "default" at startup
-// and as "keep the current one" on a reload. Messages lead with the
-// flag/key name.
+// table bound or shed parameter would read as "default". Messages
+// lead with the flag/key name.
 func (s settings) check() error {
 	switch {
 	case s.stratum < 1 || s.stratum > 15:
@@ -106,87 +117,76 @@ func (s settings) check() error {
 	return nil
 }
 
-// reloadConfig spells every setting out (check leaves no zero for
-// Reload to read as "keep"), so a reload lands on exactly
-// flags-overridden-by-file whatever an earlier reload had set.
-func (s settings) reloadConfig() ntpnet.ReloadConfig {
-	return ntpnet.ReloadConfig{
-		Stratum:    uint8(s.stratum),
-		RateLimit:  &s.rateLimit,
-		RateWindow: s.rateWindow,
-		MaxClients: s.maxClients,
-		Overload:   &overload.Config{Target: s.shedTarget, Interval: s.shedInterval},
+// apply sets the server fields the settings govern: Listen reads them
+// at startup, Reload on every SIGHUP.
+func (s settings) apply(srv *ntpnet.Server, overloadOn bool) {
+	srv.Stratum = uint8(s.stratum)
+	srv.RateLimit, srv.RateWindow, srv.MaxClients = s.rateLimit, s.rateWindow, s.maxClients
+	if overloadOn {
+		srv.Overload = &overload.Config{Target: s.shedTarget, Interval: s.shedInterval}
 	}
 }
 
-// parseConfig reads a key=value reload file ('#' comments, blank
-// lines ignored) over the flag values in s. Keys mirror the
-// reloadable flags: stratum, ratelimit, ratewindow, maxclients,
-// shed-target, shed-interval. Unknown keys fail loudly — a typo
-// silently ignored is a config change that silently didn't happen.
+// parseConfig reads the -config file at path ('#' comments, blank
+// lines ignored) over the flag values in s; with no path it returns s.
+// Each name=value line is set through the flag of that name, so it
+// parses exactly as the command line would. Unknown keys fail loudly —
+// a typo silently ignored is a config change that silently didn't
+// happen.
 func parseConfig(path string, s settings) (settings, error) {
-	f, err := os.Open(path)
+	if path == "" {
+		return s, nil
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return s, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	fs := flag.NewFlagSet(path, flag.ContinueOnError)
+	flags := s
+	s.bind(fs)
+	s = flags // the file's lines land on the flag values, not the defaults
+	for i, text := range strings.Split(string(data), "\n") {
+		text = strings.TrimSpace(text)
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		key, val, ok := strings.Cut(text, "=")
-		if !ok {
-			return s, fmt.Errorf("%s:%d: want key=value, got %q", path, line, text)
-		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "stratum":
-			s.stratum, err = strconv.Atoi(val)
-		case "ratelimit":
-			s.rateLimit, err = strconv.Atoi(val)
-		case "ratewindow":
-			s.rateWindow, err = time.ParseDuration(val)
-		case "maxclients":
-			s.maxClients, err = strconv.Atoi(val)
-		case "shed-target":
-			s.shedTarget, err = time.ParseDuration(val)
-		case "shed-interval":
-			s.shedInterval, err = time.ParseDuration(val)
-		default:
+		switch {
+		case !ok:
+			err = fmt.Errorf("want key=value, got %q", text)
+		case fs.Lookup(key) == nil:
 			err = fmt.Errorf("unknown key %q", key)
-		}
-		// s was valid before this line, so a failed check is this line's.
-		if err == nil {
-			err = s.check()
+		default:
+			if err = fs.Set(key, val); err != nil {
+				err = fmt.Errorf("invalid value %q for %s: %v", val, key, err)
+			} else {
+				// s was valid before this line, so a failed check is this line's.
+				err = s.check()
+			}
 		}
 		if err != nil {
-			return s, fmt.Errorf("%s:%d: %v", path, line, err)
+			return s, fmt.Errorf("%s:%d: %v", path, i+1, err)
 		}
 	}
-	return s, sc.Err()
+	return s, nil
 }
 
 func main() {
+	// Server flags that cannot reload set its fields directly; the
+	// reloadable ones go through settings and apply.
+	srv := ntpnet.NewServer(clock.System{}, 0)
+	var flags settings
+	flags.bind(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:11123", "listen address")
-	stratum := flag.Int("stratum", 2, "advertised stratum (1..15)")
 	shift := flag.Duration("shift", 0, "constant error added to served time")
-	shards := flag.Int("shards", 1, "SO_REUSEPORT listen sockets (0 = 1; >1 requires kernel support: partial binds are rejected)")
-	workers := flag.Int("workers", 0, "serve goroutines per shard (0 = GOMAXPROCS/shards)")
-	rateLimit := flag.Int("ratelimit", 0, "max requests per client per window (0 = unlimited)")
-	rateWindow := flag.Duration("ratewindow", time.Minute, "rate-limit window")
-	maxClients := flag.Int("maxclients", ntpnet.DefaultMaxClients, "rate-limit table bound")
+	flag.IntVar(&srv.Shards, "shards", 1, "SO_REUSEPORT listen sockets (0 = 1; >1 requires kernel support: partial binds are rejected)")
+	flag.IntVar(&srv.Workers, "workers", 0, "serve goroutines per shard (0 = GOMAXPROCS/shards)")
 	statsEvery := flag.Duration("stats", 30*time.Second, "metrics print interval (0 = never)")
 	overloadOn := flag.Bool("overload", false, "enable admission control / load shedding")
-	shedTarget := flag.Duration("shed-target", 5*time.Millisecond, "overload: reply-sojourn EWMA target (CoDel-style)")
-	shedInterval := flag.Duration("shed-interval", 100*time.Millisecond, "overload: sustained excess required before shedding")
-	watchdog := flag.Duration("watchdog", time.Second, "watchdog/housekeeping interval (negative = off)")
+	flag.DurationVar(&srv.WatchdogInterval, "watchdog", time.Second, "watchdog/housekeeping interval (negative = off)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-drain deadline on SIGTERM/SIGINT (0 = close immediately)")
-	configPath := flag.String("config", "", "key=value config file applied on SIGHUP (stratum, ratelimit, ratewindow, maxclients, shed-target, shed-interval)")
+	configPath := flag.String("config", "", "file of name=value lines setting reloadable flags, read at startup and on SIGHUP")
 	ntsOn := flag.Bool("nts", false, "serve NTS: run an NTS-KE endpoint and verify NTS extension fields on the UDP path")
 	ntsListen := flag.String("nts-listen", "", "NTS-KE listen address (default: the -listen host on port 4460)")
 	ntsCert := flag.String("nts-cert", "", "NTS-KE server certificate PEM (with -nts-key; default: self-signed)")
@@ -201,18 +201,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ntpserver: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	flags := settings{
-		stratum: *stratum, rateLimit: *rateLimit, maxClients: *maxClients,
-		rateWindow: *rateWindow, shedTarget: *shedTarget, shedInterval: *shedInterval,
-	}
 	if err := flags.check(); err != nil {
 		fail("-%v", err)
 	}
-	if *workers < 0 {
-		fail("-workers %d is negative", *workers)
+	if srv.Workers < 0 {
+		fail("-workers %d is negative", srv.Workers)
 	}
-	if *shards < 0 {
-		fail("-shards %d is negative", *shards)
+	if srv.Shards < 0 {
+		fail("-shards %d is negative", srv.Shards)
 	}
 	if *statsEvery < 0 {
 		fail("-stats %v is negative", *statsEvery)
@@ -232,34 +228,17 @@ func main() {
 	if *drain < 0 {
 		fail("-drain %v is negative", *drain)
 	}
-	cur := flags
-	if *configPath != "" {
-		// Parse at startup, not at the first SIGHUP: a broken file
-		// should stop the deploy, not surface hours later. The file
-		// governs from the first request; SIGHUP re-reads the same
-		// file, keeping flags as defaults the file overrides.
-		var err error
-		if cur, err = parseConfig(*configPath, flags); err != nil {
-			fail("-config: %v", err)
-		}
+	// Parse at startup, not at the first SIGHUP: a broken file should
+	// stop the deploy, not surface hours later. The file governs from
+	// the first request; SIGHUP re-reads the same file over the same
+	// flag values.
+	cur, err := parseConfig(*configPath, flags)
+	if err != nil {
+		fail("-config: %v", err)
 	}
-
-	var clk clock.Clock = clock.System{}
+	cur.apply(srv, *overloadOn)
 	if *shift != 0 {
-		clk = &clock.Fixed{Base: clock.System{}, Error: *shift}
-	}
-	srv := ntpnet.NewServer(clk, uint8(cur.stratum))
-	srv.Shards = *shards
-	// A multi-shard listen is all-or-nothing: serving from fewer
-	// queues than requested would silently halve capacity.
-	srv.RequireShards = *shards > 1
-	srv.Workers = *workers
-	srv.RateLimit = cur.rateLimit
-	srv.RateWindow = cur.rateWindow
-	srv.MaxClients = cur.maxClients
-	srv.WatchdogInterval = *watchdog
-	if *overloadOn {
-		srv.Overload = &overload.Config{Target: cur.shedTarget, Interval: cur.shedInterval}
+		srv.Clock = &clock.Fixed{Base: clock.System{}, Error: *shift}
 	}
 
 	// The cookie ring is shared between the UDP verify path and the KE
@@ -272,7 +251,6 @@ func main() {
 	var ring *nts.KeyRing
 	var stateKey []byte
 	if *ntsOn {
-		var err error
 		if *ntsState != "" {
 			stateKey, err = nts.LoadOrCreateMasterKey(*ntsStateKey)
 			if err != nil {
@@ -370,12 +348,6 @@ func main() {
 		fmt.Printf("ntpserver NTS-KE listening on %s (rotate %v)\n", keAddr, *ntsRotate)
 	}
 
-	fmt.Printf("ntpserver listening on %s (stratum %d, shift %v, shards %d, workers %d, ratelimit %d/%v, overload %v, nts %v)\n",
-		addr, cur.stratum, *shift, srv.NumShards(), *workers, cur.rateLimit, cur.rateWindow, *overloadOn, *ntsOn)
-
-	printStats := func() {
-		fmt.Printf("%s rate-table=%d\n", srv.Snapshot(), srv.RateTableSize())
-	}
 	sig := make(chan os.Signal, 1)
 	// SIGTERM is what service managers (systemd, docker stop) send;
 	// without it the server was killed uncleanly, skipping the drain,
@@ -383,28 +355,35 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	// Listening is announced only once the signals are caught: a SIGHUP
+	// sent on seeing this line reloads rather than kills the server.
+	fmt.Printf("ntpserver listening on %s (stratum %d, shift %v, shards %d, workers %d, ratelimit %d/%v, overload %v, nts %v)\n",
+		addr, cur.stratum, *shift, srv.NumShards(), srv.Workers, cur.rateLimit, cur.rateWindow, *overloadOn, *ntsOn)
 
-	// reload is the SIGHUP path: apply the -config file live (no
-	// socket drop, established rate-limit budgets kept), rotate the
-	// NTS certificate, then recycle the worker pools one shard at a
-	// time under load. Errors are reported and the server keeps its
-	// previous configuration — a bad reload must never take serving
-	// down.
+	printStats := func() {
+		fmt.Printf("%s rate-table=%d\n", srv.Snapshot(), srv.RateTableSize())
+	}
+
+	// reload is the SIGHUP path, all or nothing: read and check the
+	// -config file and load the NTS certificate, and only when both
+	// succeeded apply them live (no socket drop, established rate-limit
+	// budgets kept) and recycle the worker pools one shard at a time
+	// under load. An error is reported and the server keeps its
+	// previous configuration whole — a bad reload must never take
+	// serving down.
 	reload := func() {
-		if *configPath != "" {
-			cfg, err := parseConfig(*configPath, flags)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ntpserver: reload:", err)
-				return
-			}
-			srv.Reload(cfg.reloadConfig())
+		next, err := parseConfig(*configPath, flags)
+		var cert tls.Certificate
+		if err == nil && ke != nil {
+			cert, err = loadCert()
 		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ntpserver: reload:", err)
+			return
+		}
+		next.apply(srv, *overloadOn)
+		srv.Reload()
 		if ke != nil {
-			cert, err := loadCert()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ntpserver: reload:", err)
-				return
-			}
 			ke.SetCertificate(cert)
 		}
 		srv.Recycle()

@@ -1,17 +1,22 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"mntp/internal/ntpnet"
 )
 
 // TestParseConfig pins the -config contract: the file overrides the
 // flag values key by key — a file carrying only one shed parameter
 // leaves the other at its flag value, not at the package default —
-// and file values pass the same range checks as the flags.
+// every reloadable flag is a key, and file values pass the same range
+// checks as the flags.
 func TestParseConfig(t *testing.T) {
 	flags := settings{
 		stratum: 3, rateLimit: 100, maxClients: 4096, rateWindow: 30 * time.Second,
@@ -22,6 +27,11 @@ func TestParseConfig(t *testing.T) {
 		edit(&s)
 		return s
 	}
+	var defaults settings
+	fs := flag.NewFlagSet("ntpserver", flag.ContinueOnError)
+	defaults.bind(fs)
+	var everyFlag strings.Builder
+	fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(&everyFlag, "%s=%s\n", f.Name, f.DefValue) })
 	for _, tc := range []struct {
 		name, file string
 		want       settings
@@ -34,11 +44,12 @@ func TestParseConfig(t *testing.T) {
 			want: with(func(s *settings) { s.shedInterval = time.Second })},
 		{name: "every key", file: "stratum=5\nratelimit=0\nratewindow=10s\nmaxclients=64\nshed-target=1ms\nshed-interval=50ms\n",
 			want: settings{5, 0, 64, 10 * time.Second, time.Millisecond, 50 * time.Millisecond}},
+		{name: "every reloadable flag at its default", file: everyFlag.String(), want: defaults},
 		{name: "zero shed-target", file: "shed-target=0\n", wantErr: ":1: shed-target 0s must be positive"},
 		{name: "negative shed-interval", file: "shed-interval=-1s\n", wantErr: "shed-interval -1s must be positive"},
 		{name: "negative ratewindow", file: "stratum=4\nratewindow=-10s\n", wantErr: ":2: ratewindow -10s must be positive"},
 		{name: "negative maxclients", file: "maxclients=-5\n", wantErr: "maxclients -5 must be positive"},
-		// Reload reads a zero window or bound as "keep the current one".
+		// The server reads a zero window or bound as "the default".
 		{name: "zero ratewindow", file: "ratewindow=0\n", wantErr: "ratewindow 0s must be positive"},
 		{name: "zero maxclients", file: "maxclients=0\n", wantErr: "maxclients 0 must be positive"},
 		{name: "negative ratelimit", file: "ratelimit=-1\n", wantErr: "ratelimit -1 is negative"},
@@ -65,9 +76,11 @@ func TestParseConfig(t *testing.T) {
 			if got != tc.want {
 				t.Errorf("settings = %+v, want %+v", got, tc.want)
 			}
-			// What Reload receives spells out both shed parameters.
-			if oc := got.reloadConfig().Overload; oc.Target != tc.want.shedTarget || oc.Interval != tc.want.shedInterval {
-				t.Errorf("reload overload config = %+v, want target %v interval %v", *oc, tc.want.shedTarget, tc.want.shedInterval)
+			// What the server receives spells out both shed parameters.
+			srv := ntpnet.NewServer(nil, 0)
+			got.apply(srv, true)
+			if oc := srv.Overload; oc.Target != tc.want.shedTarget || oc.Interval != tc.want.shedInterval {
+				t.Errorf("server overload config = %+v, want target %v interval %v", *oc, tc.want.shedTarget, tc.want.shedInterval)
 			}
 		})
 	}

@@ -187,7 +187,8 @@ func TestDecide(t *testing.T) {
 				timed = pass == 1
 				clk := new(stepClock)
 				s := NewServer(clk, 2)
-				s.Reload(ReloadConfig{Stratum: 5})
+				s.Stratum = 5
+				s.Reload()
 				var hooked atomic.Int32
 				s.FaultHook = func(int) { hooked.Add(1) }
 				if tc.state != overload.Healthy {
@@ -197,7 +198,7 @@ func TestDecide(t *testing.T) {
 					s.NTS = ring
 				}
 				if tc.limit > 0 {
-					lim := newRateLimiter(tc.limit, time.Minute, 0)
+					lim := newRateLimiter(tc.limit, time.Minute, DefaultMaxClients)
 					for _, ip := range tc.seen {
 						lim.over(keyFromIP(ip), clk.Now())
 					}

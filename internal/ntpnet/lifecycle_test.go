@@ -204,7 +204,8 @@ func TestReloadLiveParams(t *testing.T) {
 		t.Fatalf("stratum = %d, want 2", resp.Stratum)
 	}
 
-	srv.Reload(ReloadConfig{Stratum: 5})
+	srv.Stratum = 5
+	srv.Reload()
 	resp, err = query()
 	if err != nil {
 		t.Fatalf("query after stratum reload: %v", err)
@@ -217,8 +218,8 @@ func TestReloadLiveParams(t *testing.T) {
 	// spent 2 requests this window, so the next is over budget and
 	// gets RATE — proof the limiter change took effect in place (the
 	// bucket survived the reload) without a socket drop.
-	one := 1
-	srv.Reload(ReloadConfig{RateLimit: &one})
+	srv.RateLimit = 1
+	srv.Reload()
 	resp, err = query()
 	if err != nil {
 		t.Fatalf("query after ratelimit reload: %v", err)
@@ -228,8 +229,8 @@ func TestReloadLiveParams(t *testing.T) {
 	}
 
 	// Turn rate limiting off live: service resumes for the same client.
-	zero := 0
-	srv.Reload(ReloadConfig{RateLimit: &zero})
+	srv.RateLimit = 0
+	srv.Reload()
 	resp, err = query()
 	if err != nil {
 		t.Fatalf("query after ratelimit off: %v", err)
@@ -243,7 +244,7 @@ func TestReloadLiveParams(t *testing.T) {
 }
 
 // TestReloadInstallsLimiterWhenOff: a server started without rate
-// limiting can have it switched on by Reload.
+// limiting can have it switched on by Reload, at the default window.
 func TestReloadInstallsLimiterWhenOff(t *testing.T) {
 	srv := NewServer(clock.System{}, 2)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -252,8 +253,8 @@ func TestReloadInstallsLimiterWhenOff(t *testing.T) {
 	}
 	defer srv.Close()
 
-	one := 1
-	srv.Reload(ReloadConfig{RateLimit: &one, RateWindow: time.Minute})
+	srv.RateLimit = 1
+	srv.Reload()
 	c := &Client{Timeout: 2 * time.Second}
 	req := ntppkt.NewSNTPClient(ntppkt.Version4, 0)
 	if _, _, err := c.Exchange(addr.String(), req); err != nil {
@@ -334,10 +335,7 @@ func TestRateLimiterReconfigurePreservesBuckets(t *testing.T) {
 			t.Fatalf("over at %d/10", i)
 		}
 	}
-	rl.reconfigure(5, 0, 0)
-	if rl.window != time.Minute || rl.maxSize != 100 {
-		t.Errorf("zero window/maxSize must keep current values: %v %d", rl.window, rl.maxSize)
-	}
+	rl.reconfigure(5, time.Minute, 100)
 	// The client already spent 5 of the new limit of 5: next is over.
 	if !rl.over(key, now) {
 		t.Error("budget reset by reconfigure — bucket not preserved")

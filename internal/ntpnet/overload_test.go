@@ -166,59 +166,6 @@ func TestOverloadOverloadedEarlyDropsWithProbes(t *testing.T) {
 	t.Logf("burst=%d answered=%d shed-dropped=%d", burst, answered, srv.Snapshot().ShedDropped)
 }
 
-// TestListenRequireShardsOccupiedPortFailsCleanly: a strict
-// multi-shard listen on a port someone else holds must fail — not
-// fall back to fewer sockets — and a strict listen on a free port
-// must bind the full group.
-func TestListenRequireShardsOccupiedPortFailsCleanly(t *testing.T) {
-	// Occupy a port with a plain (non-REUSEPORT) socket: the group
-	// bind cannot join it on any platform.
-	plain, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-
-	srv := NewServer(clock.System{}, 2)
-	srv.Shards = 2
-	srv.RequireShards = true
-	if _, err := srv.Listen(plain.LocalAddr().String()); err == nil {
-		srv.Close()
-		t.Fatal("strict 2-shard Listen on an occupied port succeeded")
-	}
-	if srv.NumShards() != 0 {
-		t.Errorf("failed Listen left %d shards", srv.NumShards())
-	}
-
-	srv2 := NewServer(clock.System{}, 2)
-	srv2.Shards = 2
-	srv2.RequireShards = true
-	addr, err := srv2.Listen("127.0.0.1:0")
-	if !ReusePortAvailable() {
-		if err == nil {
-			srv2.Close()
-			t.Fatal("strict 2-shard Listen succeeded without SO_REUSEPORT support")
-		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("strict 2-shard Listen on a free port: %v", err)
-	}
-	defer srv2.Close()
-	if got := srv2.NumShards(); got != 2 {
-		t.Errorf("NumShards = %d, want 2", got)
-	}
-	conn, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sendRequest(t, conn)
-	if _, ok := readReply(t, conn, time.Second); !ok {
-		t.Error("strict-bound group did not serve")
-	}
-}
-
 // TestOverloadAcceptanceStorm is the acceptance drill for the whole
 // graceful-degradation path: offered load at ~3× a deterministic
 // capacity (the fault hook charges ~1ms of service per admitted

@@ -52,12 +52,6 @@ type rateLimiter struct {
 }
 
 func newRateLimiter(limit int, window time.Duration, maxSize int) *rateLimiter {
-	if window <= 0 {
-		window = time.Minute
-	}
-	if maxSize <= 0 {
-		maxSize = DefaultMaxClients
-	}
 	return &rateLimiter{
 		limit: limit, window: window, maxSize: maxSize,
 		buckets: make(map[addrKey]*rateBucket),
@@ -65,22 +59,14 @@ func newRateLimiter(limit int, window time.Duration, maxSize int) *rateLimiter {
 }
 
 // reconfigure changes the limiter's parameters in place, preserving
-// every established client's bucket — a live reload must not reset the
-// fleet's window budgets, or a reload under flood would readmit every
-// abuser for a fresh burst. Non-positive window/maxSize keep the
-// current values. Shrinking maxSize below the current population does
-// not evict immediately; the next insertion's eviction scan and the
-// housekeeping sweep converge the table to the new bound.
+// every established client's bucket. Shrinking maxSize below the
+// current population does not evict immediately; the next insertion's
+// eviction scan and the housekeeping sweep converge the table to the
+// new bound.
 func (rl *rateLimiter) reconfigure(limit int, window time.Duration, maxSize int) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	rl.limit = limit
-	if window > 0 {
-		rl.window = window
-	}
-	if maxSize > 0 {
-		rl.maxSize = maxSize
-	}
+	rl.limit, rl.window, rl.maxSize = limit, window, maxSize
 }
 
 // over reports whether the client has exceeded the rate limit,

@@ -9,15 +9,11 @@ import "syscall"
 // pinned here; the value is part of the kernel ABI.
 const soReusePort = 0xf
 
-// reusePortAvailable reports at build time whether the sharded listen
-// path can bind several sockets to one address. Linux ≥3.9 load-
-// balances UDP datagrams across SO_REUSEPORT sockets by flow hash,
-// which is exactly the per-shard spread the server wants.
-const reusePortAvailable = true
-
 // reusePortControl is the net.ListenConfig.Control hook that sets
 // SO_REUSEPORT before bind. It must be set on every socket of the
-// group, the first included.
+// group, the first included. Linux ≥3.9 load-balances UDP datagrams
+// across SO_REUSEPORT sockets by flow hash, which is exactly the
+// per-shard spread the server wants.
 func reusePortControl(network, address string, c syscall.RawConn) error {
 	var serr error
 	err := c.Control(func(fd uintptr) {

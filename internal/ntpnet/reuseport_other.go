@@ -7,11 +7,8 @@ import (
 	"syscall"
 )
 
-// reusePortAvailable: without a port-sharing setsockopt the sharded
-// listen path cannot bind several sockets to one address; Listen falls
-// back to a single socket shared by every shard's worker pool.
-const reusePortAvailable = false
-
+// Without a port-sharing setsockopt several sockets cannot bind one
+// address, so a multi-shard Listen fails here.
 var errReusePortUnsupported = errors.New("ntpnet: SO_REUSEPORT not supported on this platform")
 
 func reusePortControl(network, address string, c syscall.RawConn) error {

@@ -28,14 +28,11 @@ import (
 // across independent receive queues and the shards never contend on
 // one socket lock. Each shard runs its own pool of Workers goroutines
 // and counts into its own shard-local metrics; Snapshot() merges them
-// into the aggregate view. On platforms without SO_REUSEPORT (or when
-// the kernel refuses it) every shard serves one shared socket — the
-// worker pools and per-shard counters remain, only the kernel-level
-// queue spread is lost — unless RequireShards insists on the full
-// group. The rate-limit table is shared across shards (a client's
-// budget is global, whichever queue its packets hash to) and bounded
-// (MaxClients) with window-stamped eviction plus periodic idle-entry
-// sweeping.
+// into the aggregate view. Shards > 1 needs SO_REUSEPORT (Linux): the
+// whole group binds or Listen fails. The rate-limit table is shared
+// across shards (a client's budget is global, whichever queue its
+// packets hash to) and bounded (MaxClients) with window-stamped
+// eviction plus periodic idle-entry sweeping.
 //
 // The server self-heals: every worker runs under a panic recovery
 // that counts the fault and respawns the worker, and a watchdog
@@ -48,7 +45,8 @@ type Server struct {
 	Stratum uint8
 	RefID   [4]byte
 	// RateLimit, if positive, is the maximum requests per client
-	// address per RateWindow before RATE KoD responses are sent.
+	// address per RateWindow (default 1 minute) before RATE KoD
+	// responses are sent.
 	RateLimit  int
 	RateWindow time.Duration
 	// MaxClients bounds the rate-limit table (default
@@ -62,18 +60,14 @@ type Server struct {
 	// via SO_REUSEPORT (default 1). All fields must be set before
 	// Listen.
 	Shards int
-	// RequireShards makes Listen fail when the full Shards-socket
-	// SO_REUSEPORT group cannot be bound — closing any sockets that
-	// did bind — instead of silently serving from fewer sockets than
-	// requested.
-	RequireShards bool
 	// Overload, if non-nil, enables admission control (package
 	// overload): in Degraded the server sheds new/unseen flows with
 	// RATE kiss-of-death replies (flows already holding rate-limit
 	// state keep their budget; with rate limiting off every flow
 	// counts as new), in Overloaded it drops datagrams before parsing,
 	// admitting 1-in-N probes. On Linux the sojourn signal uses kernel
-	// receive timestamps, so it includes socket-queue wait.
+	// receive timestamps, so it includes socket-queue wait. Whether
+	// there is a controller is fixed at Listen; Reload only retunes it.
 	Overload *overload.Config
 	// WatchdogInterval is the housekeeping period: the watchdog scans
 	// for wedged shards, sweeps expired rate-limit entries and feeds
@@ -120,10 +114,10 @@ type Server struct {
 	closed bool
 }
 
-// shard is one slice of the serving fast path: a socket (exclusive
-// under SO_REUSEPORT, shared in the fallback) and the metrics its
-// workers count into. Shard-local counters keep the hot path free of
-// cross-shard cache-line bouncing; readers merge them on demand.
+// shard is one slice of the serving fast path: its own socket and the
+// metrics its workers count into. Shard-local counters keep the hot
+// path free of cross-shard cache-line bouncing; readers merge them on
+// demand.
 type shard struct {
 	idx  int
 	conn *net.UDPConn
@@ -147,12 +141,6 @@ func NewServer(clk clock.Clock, stratum uint8) *Server {
 	return &Server{Clock: clk, Stratum: stratum, RefID: [4]byte{'L', 'O', 'C', 'L'}}
 }
 
-// ReusePortAvailable reports whether this platform supports the
-// SO_REUSEPORT sharded listen path. When false, a Shards > 1 server
-// still runs — every shard serves one shared socket — so callers
-// (and benchmarks demonstrating shard scaling) can skip gracefully.
-func ReusePortAvailable() bool { return reusePortAvailable }
-
 // Listen binds the server to addr (e.g. "127.0.0.1:0") and starts the
 // serve pools. It returns the bound address.
 func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
@@ -160,12 +148,12 @@ func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
 	if nshards <= 0 {
 		nshards = 1
 	}
-	conns, err := listenShards(addr, nshards, s.RequireShards)
+	conns, err := listenShards(addr, nshards)
 	if err != nil {
 		return nil, err
 	}
 	s.conns = conns
-	s.configure()
+	s.configure(true)
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) / nshards
@@ -176,7 +164,7 @@ func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
 	s.workersPerShard = workers
 	s.shards = make([]*shard, nshards)
 	for i := range s.shards {
-		sh := &shard{idx: i, conn: conns[i%len(conns)]}
+		sh := &shard{idx: i, conn: conns[i]}
 		if s.ctrl != nil {
 			sh.rxts = enableRxTimestamps(sh.conn) == nil
 		}
@@ -198,14 +186,35 @@ func (s *Server) Listen(addr string) (*net.UDPAddr, error) {
 }
 
 // configure installs the serving parameters decide reads — stratum,
-// rate limiter, admission controller — from the exported fields.
-func (s *Server) configure() {
+// rate limiter, admission controller — from the reloadable fields.
+// Listen and Responder call it starting, before anything serves: the
+// admission controller is made then and kept for life. Reload calls it
+// on the running server, where a live limiter keeps its buckets — a
+// reload under flood must not readmit every abuser for a fresh burst —
+// and a live controller keeps what it has learned.
+func (s *Server) configure(starting bool) {
 	s.stratum.Store(uint32(s.Stratum))
-	if s.RateLimit > 0 {
-		s.limiter.Store(newRateLimiter(s.RateLimit, s.RateWindow, s.MaxClients))
+	window, maxClients := s.RateWindow, s.MaxClients
+	if window <= 0 {
+		window = time.Minute
 	}
-	if s.Overload != nil {
+	if maxClients <= 0 {
+		maxClients = DefaultMaxClients
+	}
+	switch lim := s.limiter.Load(); {
+	case s.RateLimit <= 0:
+		s.limiter.Store(nil)
+	case lim != nil:
+		lim.reconfigure(s.RateLimit, window, maxClients)
+	default:
+		s.limiter.Store(newRateLimiter(s.RateLimit, window, maxClients))
+	}
+	switch {
+	case s.Overload == nil:
+	case starting:
 		s.ctrl = overload.New(*s.Overload)
+	case s.ctrl != nil:
+		s.ctrl.Reconfigure(*s.Overload)
 	}
 }
 
@@ -218,7 +227,7 @@ func (s *Server) configure() {
 // goroutine; it counts nothing, feeds the admission controller no
 // sojourn and runs no housekeeping.
 func (s *Server) Responder() func(pkt []byte, src netip.Addr) []byte {
-	s.configure()
+	s.configure(true)
 	w := new(worker)
 	return func(pkt []byte, src netip.Addr) []byte {
 		v := s.decide(0, pkt, w.source(src), w)
@@ -230,48 +239,25 @@ func (s *Server) Responder() func(pkt []byte, src netip.Addr) []byte {
 	}
 }
 
-// listenShards binds n sockets to addr with SO_REUSEPORT. When the
-// full group cannot be bound (n == 1, the platform lacks the option,
-// or the kernel refuses it) the non-strict path falls back to a
-// single plain socket shared by every shard; the strict path closes
-// whatever partially bound and fails instead. With a wildcard port
-// the first bind picks it and the rest join that port.
-func listenShards(addr string, n int, strict bool) ([]*net.UDPConn, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ntpnet: resolve %q: %w", addr, err)
-	}
+// listenShards binds n sockets to addr: one plain socket, or for n > 1
+// an SO_REUSEPORT group, whole or not at all — whatever bound before a
+// refusal is closed, so a server never serves from fewer queues than
+// it was asked for. With a wildcard port the first bind picks it and
+// the rest join that port.
+func listenShards(addr string, n int) ([]*net.UDPConn, error) {
+	var lc net.ListenConfig
 	if n > 1 {
-		if reusePortAvailable {
-			conns, err := listenReusePort(ua, n)
-			if err == nil {
-				return conns, nil
-			}
-			if strict {
-				return nil, fmt.Errorf("ntpnet: bind %d-shard REUSEPORT group on %q: %w", n, addr, err)
-			}
-		} else if strict {
-			return nil, fmt.Errorf("ntpnet: %d shards requested but SO_REUSEPORT is unavailable on this platform", n)
-		}
+		lc.Control = reusePortControl
 	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, fmt.Errorf("ntpnet: listen %q: %w", addr, err)
-	}
-	return []*net.UDPConn{conn}, nil
-}
-
-func listenReusePort(ua *net.UDPAddr, n int) ([]*net.UDPConn, error) {
-	lc := net.ListenConfig{Control: reusePortControl}
 	conns := make([]*net.UDPConn, 0, n)
-	laddr := ua.String()
+	laddr := addr
 	for i := 0; i < n; i++ {
 		pc, err := lc.ListenPacket(context.Background(), "udp", laddr)
 		if err != nil {
 			for _, c := range conns {
 				c.Close()
 			}
-			return nil, err
+			return nil, fmt.Errorf("ntpnet: bind socket %d of %d on %q: %w", i+1, n, addr, err)
 		}
 		uc := pc.(*net.UDPConn)
 		conns = append(conns, uc)
@@ -347,59 +333,16 @@ func (s *Server) stop(ctx context.Context, drain bool) error {
 	return first
 }
 
-// ReloadConfig is a live configuration change applied by Reload: the
-// parameters an operator may turn on a running server without a
-// restart. Zero-valued fields keep the current setting.
-type ReloadConfig struct {
-	// Stratum, if in 1..15, replaces the advertised stratum.
-	Stratum uint8
-	// RateLimit: nil keeps the current setting. A pointer to a
-	// non-positive value turns rate limiting off; a positive value
-	// updates the limit in place — established clients keep their
-	// window state and budgets — or installs a fresh table when rate
-	// limiting was off.
-	RateLimit *int
-	// RateWindow and MaxClients refine a RateLimit change; zero keeps
-	// the table's current window/bound.
-	RateWindow time.Duration
-	MaxClients int
-	// Overload, if non-nil, reconfigures the admission controller in
-	// place — health state, sojourn EWMA and transition counters are
-	// preserved (see overload.Controller.Reconfigure). Ignored when
-	// the server was started without overload control.
-	Overload *overload.Config
-}
-
-// Reload applies a live configuration change while the server keeps
-// serving: no socket is dropped, no worker stops, and in-flight
-// requests are answered under whichever parameters they loaded. This
-// is the SIGHUP path — cmd/ntpserver re-reads its config file and
-// calls Reload, then Recycle.
-func (s *Server) Reload(r ReloadConfig) {
-	if r.Stratum >= 1 && r.Stratum <= 15 {
-		s.stratum.Store(uint32(r.Stratum))
-	}
-	if r.RateLimit != nil {
-		switch lim := s.limiter.Load(); {
-		case *r.RateLimit <= 0:
-			s.limiter.Store(nil)
-		case lim != nil:
-			lim.reconfigure(*r.RateLimit, r.RateWindow, r.MaxClients)
-		default:
-			w, mc := r.RateWindow, r.MaxClients
-			if w <= 0 {
-				w = s.RateWindow
-			}
-			if mc <= 0 {
-				mc = s.MaxClients
-			}
-			s.limiter.Store(newRateLimiter(*r.RateLimit, w, mc))
-		}
-	}
-	if r.Overload != nil && s.ctrl != nil {
-		s.ctrl.Reconfigure(*r.Overload)
-	}
-}
+// Reload applies the reloadable fields — Stratum, RateLimit,
+// RateWindow, MaxClients and Overload's parameters — to the running
+// server, as Listen applied them at start: no socket is dropped, no
+// worker stops, and in-flight requests are answered under whichever
+// parameters they loaded. Established clients keep their rate-limit
+// budgets and the admission controller its health state and EWMAs
+// (see overload.Controller.Reconfigure). Set the fields and call
+// Reload from one goroutine. This is the SIGHUP path: cmd/ntpserver
+// sets the fields from its config file and calls Reload, then Recycle.
+func (s *Server) Reload() { s.configure(false) }
 
 // Recycle rotates every shard's worker pool, one shard at a time,
 // reusing the watchdog's epoch-bump machinery: each shard's old

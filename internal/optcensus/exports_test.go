@@ -12,7 +12,6 @@ import (
 // another package names and that stay exported anyway. Keys are
 // "package.Name" or "package.Type.Method".
 var allowedExports = map[string]string{
-	"ntpnet.ReusePortAvailable":   "the root package's shard-capacity benchmark skips Shards2 where the platform cannot bind a REUSEPORT group",
 	"ntske.Transport.CookieCount": "ntpnet's NTS end-to-end test reads the jar level to prove cookie re-supply over real sockets",
 	"wireless.Channel.StateNow":   "the wireless and testbed tests assert on the hidden channel state, free of the jitter a hint reading adds",
 	"stats.Variance":              "two-pass reference the tests hold the Welford accumulator (Online) to",
