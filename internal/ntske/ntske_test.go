@@ -18,7 +18,7 @@ import (
 
 // testKE starts a loopback KE server over a fresh ring and returns
 // its address plus a client TLS config trusting its self-signed cert.
-func testKE(t *testing.T, ring *nts.KeyRing, ntpPort int) (addr string, clientCfg *tls.Config) {
+func testKE(t testing.TB, ring *nts.KeyRing, ntpPort int) (addr string, clientCfg *tls.Config) {
 	t.Helper()
 	cert, certPEM, err := SelfSigned(time.Now(), "127.0.0.1")
 	if err != nil {

@@ -131,11 +131,11 @@ func TestSimExchangeDoesNotAllocate(t *testing.T) {
 	if err := e.Run(2 * benchFleetPoll); err != nil {
 		t.Fatal(err)
 	}
-	for id, s := range e.f.srvIdx {
-		if s < 0 {
+	for id := range e.rows {
+		if e.rows[id].srvIdx < 0 {
 			// Still cold after two rounds: give it a server, so that
 			// every step below is a regular-phase one.
-			e.f.srvIdx[id] = 0
+			e.rows[id].srvIdx = 0
 		}
 	}
 	// The traffic bins grow with virtual time, not with exchanges.
@@ -143,7 +143,7 @@ func TestSimExchangeDoesNotAllocate(t *testing.T) {
 	before := e.Totals().Sent
 	allocs := testing.AllocsPerRun(5000, func() {
 		_, shard, _ := e.nextClient()
-		evt := e.heaps[shard].pop()
+		evt := e.pop(shard)
 		e.vt = evt.at
 		e.step(int(evt.id))
 	})
@@ -155,20 +155,26 @@ func TestSimExchangeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkFleet is the fleet_sim workload in small: one op is a
-// 20 000-client fleet built and run for 16 poll rounds.
+// BenchmarkFleet is the fleet_sim workload: one op is a fleet built and
+// run for 16 poll rounds, at 20 000 clients and at the benchmark's
+// 200 000. The small fleet's rows and heaps fit in L2 and hide the
+// cache stalls the large one pays.
 func BenchmarkFleet(b *testing.B) {
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		e, err := New(benchFleetConfig(20_000, 2016+int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(benchFleetRounds * benchFleetPoll); err != nil {
-			b.Fatal(err)
-		}
-		events += e.Totals().Sent
+	for _, n := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				e, err := New(benchFleetConfig(n, 2016+int64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Run(benchFleetRounds * benchFleetPoll); err != nil {
+					b.Fatal(err)
+				}
+				events += e.Totals().Sent
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -6,17 +6,17 @@
 // real internal/ntpnet server's request path, called in process.
 //
 // The engine is built for a million clients on one box, so the design
-// is struct-of-arrays and pooled throughout, and one regular-phase
+// is flat and pooled throughout, and one regular-phase
 // ModeSim exchange allocates nothing and touches no atomic:
 //
-//   - no per-client goroutine: clients are rows in flat slices
-//     (30 bytes each in ModeSim, plus a 16-byte pending event)
-//     advanced by a sharded binary event heap keyed on virtual
-//     nanoseconds;
+//   - no per-client goroutine: a client is one 32-byte row of a flat
+//     slice, plus a 16-byte pending event in a sharded binary heap
+//     keyed on virtual nanoseconds, laid out so a sift level costs one
+//     cache line, with each shard's earliest instant cached;
 //   - no per-client rng or channel object: each client carries one
 //     8-byte splitmix64 state, and wireless channels (≈ KBs each,
-//     mutex + rand.Rand inside) come from a small shared pool indexed
-//     by client id — heterogeneous conditions without per-client cost;
+//     rand.Rand inside) come from a small shared pool indexed by
+//     client id — heterogeneous conditions without per-client cost;
 //   - nothing stored that the seed already fixes: a client's skew is a
 //     draw of its stream, re-derived where it is read;
 //   - client clocks are integrated lazily: a row's offset advances by
@@ -165,45 +165,21 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// fleet is the struct-of-arrays client state: one row per client,
-// holding only what cannot be recomputed and only the columns the mode
-// reads — 30 bytes in ModeSim without a VisibilityFn — and no
-// pointers, so a million clients are a handful of flat allocations the
-// GC never walks. A client's skew is Engine.skew(id) and its pooled
-// channel id&(maxChannels-1).
-type fleet struct {
-	offset  []float64 // clock error vs true time, seconds
-	last    []int64   // virtual ns of the last offset integration
-	rng     []uint64  // per-client splitmix64 state
-	srvIdx  []int16   // regular server (ModeSim); -1 while cold
-	visMask []uint64  // visible-upstream bitmask (ModeSim with a VisibilityFn)
-	served  []bool    // served at least once
-	rated   []bool    // told RATE at least once (modeServer)
-	dry     []uint8   // consecutive polls without success (sat. 255)
-	maxDry  []uint8   // worst dry streak
-	boff    []uint8   // current backoff shift
-}
-
-func newFleet(cfg *Config) fleet {
-	n := cfg.N
-	f := fleet{
-		offset: make([]float64, n),
-		last:   make([]int64, n),
-		rng:    make([]uint64, n),
-		served: make([]bool, n),
-		dry:    make([]uint8, n),
-		maxDry: make([]uint8, n),
-		boff:   make([]uint8, n),
-	}
-	if cfg.Mode == ModeSim {
-		f.srvIdx = make([]int16, n)
-		if cfg.VisibilityFn != nil {
-			f.visMask = make([]uint64, n)
-		}
-	} else {
-		f.rated = make([]bool, n)
-	}
-	return f
+// row is one client's state: only what cannot be recomputed, 30 bytes
+// padded to 32, so a poll touches one cache line of it and two rows
+// share a line. Pointer-free, so a million clients are one flat
+// allocation the GC never walks. A client's skew is Engine.skew(id), its
+// pooled channel id&(maxChannels-1) and its visibility Engine.visMask.
+type row struct {
+	offset float64 // clock error vs true time, seconds
+	last   int64   // virtual ns of the last offset integration
+	rng    uint64  // splitmix64 state
+	srvIdx int16   // regular server (ModeSim); -1 while cold
+	served bool    // served at least once
+	rated  bool    // told RATE at least once (modeServer)
+	dry    uint8   // consecutive polls without success (sat. 255)
+	maxDry uint8   // worst dry streak
+	boff   uint8   // current backoff shift
 }
 
 // splitmix advances a splitmix64 state and returns 64 fresh bits. It is
@@ -227,29 +203,46 @@ func randInt(s *uint64, n int64) int64 {
 	return int64(splitmix(s) % uint64(n))
 }
 
-// ev is one scheduled client poll. Value-typed and 16 bytes so heap
-// shards are flat []ev slices.
+// ev is one scheduled client poll. Value-typed and 16 bytes, so heap
+// shards are flat []ev slices and four events fill a cache line.
 type ev struct {
 	at int64 // virtual ns
 	id int32
 }
 
-// evHeap is a binary min-heap on at. Hand-rolled instead of
-// container/heap to keep entries value-typed (no interface boxing on
-// a million pushes).
+// evHeap is a binary min-heap on at, 1-based: slot 0 is unused and the
+// children of k are 2k and 2k+1. On a 64-byte-aligned array (Go
+// page-aligns every allocation above 32 KB) each sibling pair, and each
+// k's four grandchildren, then share one cache line, so a level of a
+// sift costs at most one miss. Hand-rolled instead of container/heap to
+// keep entries value-typed (no interface boxing on a million pushes).
 type evHeap []ev
 
-func (h *evHeap) push(e ev) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].at <= (*h)[i].at {
+// newEvHeap returns an empty heap with room for capacity events.
+func newEvHeap(capacity int) evHeap { return make(evHeap, 1, capacity+1) }
+
+// min is the earliest pending instant, math.MaxInt64 when empty.
+func (h evHeap) min() int64 {
+	if len(h) < 2 {
+		return math.MaxInt64
+	}
+	return h[1].at
+}
+
+// push sifts x up from a new last slot, past parents strictly later.
+func (h *evHeap) push(x ev) {
+	*h = append(*h, x)
+	a := *h
+	i := len(a) - 1
+	for i > 1 {
+		p := i / 2
+		if a[p].at <= x.at {
 			break
 		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
+		a[i] = a[p]
 		i = p
 	}
+	a[i] = x
 }
 
 // pop is Floyd's bottom-up sift: the hole at the root sinks to a leaf
@@ -259,28 +252,28 @@ func (h *evHeap) push(e ev) {
 // array exactly as the textbook top-down sift would, ties included, and
 // tie order is visible in seeded outputs (TestPopMatchesReference).
 func (h *evHeap) pop() ev {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	x := old[n]
-	*h = old[:n]
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if r := c + 1; r < n && old[r].at < old[c].at {
+	a := *h
+	top := a[1]
+	n := len(a) - 1 // slots 1..n-1 stay occupied
+	x := a[n]
+	*h = a[:n]
+	i := 1
+	for c := 2; c < n; c = 2 * i {
+		if r := c + 1; r < n && a[r].at < a[c].at {
 			c = r
 		}
-		old[i] = old[c]
+		a[i] = a[c]
 		i = c
 	}
-	for i > 0 {
-		p := (i - 1) / 2
-		if old[p].at < x.at {
+	for i > 1 {
+		p := i / 2
+		if a[p].at < x.at {
 			break
 		}
-		old[i] = old[p]
+		a[i] = a[p]
 		i = p
 	}
-	old[i] = x
+	a[i] = x
 	return top
 }
 
@@ -306,8 +299,10 @@ type simServer struct {
 type Engine struct {
 	cfg      Config
 	seed     uint64 // Config.Seed, 0 mapped to "mntp": the client streams' base
-	f        fleet
+	rows     []row
+	visMask  []uint64        // visible-upstream bitmask, only with a VisibilityFn
 	heaps    [nShards]evHeap // each sized once: a client has one pending event
+	heads    [nShards]int64  // heaps[s].min(), kept by push and pop
 	ctrl     []ctrlEv        // sorted ascending by at
 	channels []*wireless.Channel
 	servers  []simServer
@@ -329,8 +324,8 @@ type Engine struct {
 }
 
 // New builds the fleet, channel pool and event heaps. Memory is
-// O(N·46B + maxChannels·channel + bins) in ModeSim: a 30-byte row and
-// a 16-byte event per client.
+// O(N·48B + maxChannels·channel + bins): a 32-byte row and a 16-byte
+// event per client, plus 8 bytes with a VisibilityFn.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -338,15 +333,19 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:  cfg,
 		seed: uint64(cfg.Seed),
-		f:    newFleet(&cfg),
+		rows: make([]row, cfg.N),
 		bins: newBins(int64(binWidth)),
 	}
 	if e.seed == 0 {
 		e.seed = 0x6d6e7470 // "mntp"
 	}
+	if cfg.Mode == ModeSim && cfg.VisibilityFn != nil {
+		e.visMask = make([]uint64, cfg.N)
+	}
 	perShard := (cfg.N + nShards - 1) / nShards
 	for s := range e.heaps {
-		e.heaps[s] = make(evHeap, 0, perShard)
+		e.heaps[s] = newEvHeap(perShard)
+		e.heads[s] = math.MaxInt64
 	}
 
 	// Pooled heterogeneous wireless channels.
@@ -371,33 +370,32 @@ func New(cfg Config) (*Engine, error) {
 		e.respond = cfg.Server.Responder()
 	}
 
-	for i := 0; i < cfg.N; i++ {
+	for i := range e.rows {
+		r := &e.rows[i]
 		st := e.stream(i)
-		e.f.offset[i] = (2*splitmixFloat(&st) - 1) * initialOffsetMax.Seconds()
+		r.offset = (2*splitmixFloat(&st) - 1) * initialOffsetMax.Seconds()
 		splitmix(&st) // the skew draw, which skew(i) re-derives
-		e.f.rng[i] = st
-		if e.f.srvIdx != nil {
-			e.f.srvIdx[i] = -1
-		}
-		if e.f.visMask != nil {
-			m := cfg.VisibilityFn(i, &e.f.rng[i])
+		r.rng = st
+		r.srvIdx = -1
+		if e.visMask != nil {
+			m := cfg.VisibilityFn(i, &r.rng)
 			if m == 0 {
 				m = 1
 			}
-			e.f.visMask[i] = m
+			e.visMask[i] = m
 		}
 		first := int64(0)
 		if cfg.StartSpread > 0 {
-			first = randInt(&e.f.rng[i], int64(cfg.StartSpread))
+			first = randInt(&r.rng, int64(cfg.StartSpread))
 		}
-		e.heaps[i&(nShards-1)].push(ev{at: first, id: int32(i)})
+		e.push(ev{at: first, id: int32(i)})
 	}
 	return e, nil
 }
 
 // stream is client id's splitmix64 state before its first draw. The
 // draws that follow are its cold-start offset, its skew, then whatever
-// New and the run draw from rng[id].
+// New and the run draw from rows[id].rng.
 func (e *Engine) stream(id int) uint64 {
 	st := e.seed + uint64(id)*0x9e3779b97f4a7c15
 	splitmix(&st) // decorrelate adjacent ids
@@ -415,8 +413,8 @@ func (e *Engine) skew(id int) float64 {
 // visibility is client id's visible-upstream bitmask: VisibilityFn's
 // draw, kept from New, or every upstream.
 func (e *Engine) visibility(id int) uint64 {
-	if e.f.visMask != nil {
-		return e.f.visMask[id]
+	if e.visMask != nil {
+		return e.visMask[id]
 	}
 	return ^uint64(0) >> (64 - len(e.cfg.Upstreams))
 }
@@ -471,7 +469,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 		if !ok || at > h {
 			break
 		}
-		evt := e.heaps[shard].pop()
+		evt := e.pop(shard)
 		e.vt = evt.at
 		e.step(int(evt.id))
 	}
@@ -481,26 +479,41 @@ func (e *Engine) Run(horizon time.Duration) error {
 	return nil
 }
 
-// nextClient scans the shard heap heads for the earliest pending poll.
-func (e *Engine) nextClient() (at int64, shard int, ok bool) {
-	at = math.MaxInt64
-	shard = -1
-	for s := range e.heaps {
-		if len(e.heaps[s]) > 0 && e.heaps[s][0].at < at {
-			at = e.heaps[s][0].at
-			shard = s
-		}
+// push schedules x on its client's shard, keeping the shard's head.
+func (e *Engine) push(x ev) {
+	s := x.id & (nShards - 1)
+	e.heaps[s].push(x)
+	if x.at < e.heads[s] {
+		e.heads[s] = x.at
 	}
-	return at, shard, shard >= 0
 }
 
-// integrate advances client id's oscillator to the current instant:
-// the lazy form of clock.Sim's skew model.
-func (e *Engine) integrate(id int) {
-	dt := e.vt - e.f.last[id]
+// pop takes shard s's earliest event and re-reads the shard's head.
+func (e *Engine) pop(s int) ev {
+	x := e.heaps[s].pop()
+	e.heads[s] = e.heaps[s].min()
+	return x
+}
+
+// nextClient scans the shard heads for the earliest pending poll; on a
+// tie the lowest shard wins.
+func (e *Engine) nextClient() (at int64, shard int, ok bool) {
+	at, shard = e.heads[0], 0
+	for s := 1; s < nShards; s++ {
+		if e.heads[s] < at {
+			at, shard = e.heads[s], s
+		}
+	}
+	return at, shard, at != math.MaxInt64
+}
+
+// integrate advances client id's oscillator, row r, to the current
+// instant: the lazy form of clock.Sim's skew model.
+func (e *Engine) integrate(r *row, id int) {
+	dt := e.vt - r.last
 	if dt > 0 {
-		e.f.offset[id] += e.skew(id) * float64(dt) * 1e-9
-		e.f.last[id] = e.vt
+		r.offset += e.skew(id) * float64(dt) * 1e-9
+		r.last = e.vt
 	}
 }
 
@@ -513,7 +526,8 @@ const (
 
 // step runs one poll round for one client.
 func (e *Engine) step(id int) {
-	e.integrate(id)
+	r := &e.rows[id]
+	e.integrate(r, id)
 
 	e.sent++
 	e.bins.sentAt(e.vt)
@@ -522,14 +536,14 @@ func (e *Engine) step(id int) {
 	switch {
 	case e.down:
 	case e.respond != nil:
-		res = e.ask(id)
-	case e.f.srvIdx[id] < 0:
-		if e.warmup(id) {
+		res = e.ask(r)
+	case r.srvIdx < 0:
+		if e.warmup(r, id) {
 			res = pollServed
 		}
 	default:
-		if th, _, ok := e.exchange(id, int(e.f.srvIdx[id])); ok {
-			e.f.offset[id] += th
+		if th, _, ok := e.exchange(id, r.offset, int(r.srvIdx)); ok {
+			r.offset += th
 			res = pollServed
 		}
 	}
@@ -537,27 +551,34 @@ func (e *Engine) step(id int) {
 	switch res {
 	case pollServed:
 		e.ok++
-		e.f.served[id] = true
-		e.f.dry[id] = 0
-		e.f.boff[id] = 0
+		r.served = true
+		r.dry = 0
+		r.boff = 0
 	case pollRated:
 		e.rated++
-		e.f.rated[id] = true
-		e.bump(id)
+		r.rated = true
+		e.bump(r)
 	default:
 		e.fails++
-		e.bump(id)
+		e.bump(r)
 	}
-	e.schedule(id, e.pollDelay(id))
+	e.push(ev{at: e.vt + int64(e.pollDelay(r)), id: int32(id)})
 }
+
+// ntpAt is the NTP timestamp of the instant ns nanoseconds after the
+// Unix epoch.
+func ntpAt(ns int64) ntptime.Timestamp { return ntptime.FromTime(time.Unix(0, ns)) }
+
+// epochNs is epoch in Unix nanoseconds: a virtual instant vt is the
+// wall instant epochNs+vt.
+var epochNs = epoch.UnixNano()
 
 // ask is modeServer's exchange: a request stamped by the client's
 // clock, decided by the real server at this virtual instant. A reply
 // that does not echo the request's transmit stamp, a kiss other than
 // RATE and an invalid reply fail the poll, as silence does.
-func (e *Engine) ask(id int) int {
-	t1 := epoch.Add(time.Duration(e.vt)).Add(time.Duration(e.f.offset[id] * 1e9))
-	req := ntppkt.NewClient(4, ntptime.FromTime(t1))
+func (e *Engine) ask(r *row) int {
+	req := ntppkt.NewClient(4, ntpAt(epochNs+e.vt+int64(r.offset*1e9)))
 	e.reqBuf = req.Encode(e.reqBuf[:0])
 	out := e.respond(e.reqBuf, natSource)
 	if out == nil || e.rep.DecodeInto(out) != nil || e.rep.Origin != req.Transmit {
@@ -582,7 +603,7 @@ func (e *Engine) ask(id int) int {
 // with fewer there is no rejection power, so it falls back to a
 // random visible server (pool semantics), which is precisely why
 // partial visibility hurts.
-func (e *Engine) warmup(id int) bool {
+func (e *Engine) warmup(r *row, id int) bool {
 	var vis [64]int16
 	nv := 0
 	m := e.visibility(id)
@@ -602,7 +623,7 @@ func (e *Engine) warmup(id int) bool {
 		k = nv
 	}
 	for i := 0; i < k; i++ {
-		j := i + int(randInt(&e.f.rng[id], int64(nv-i)))
+		j := i + int(randInt(&r.rng, int64(nv-i)))
 		vis[i], vis[j] = vis[j], vis[i]
 	}
 
@@ -613,7 +634,7 @@ func (e *Engine) warmup(id int) bool {
 	var samples [len(vis)]sample // sorted by th as they arrive
 	ns := 0
 	for i := 0; i < k; i++ {
-		if th, _, ok := e.exchange(id, int(vis[i])); ok {
+		if th, _, ok := e.exchange(id, r.offset, int(vis[i])); ok {
 			j := ns
 			for ; j > 0 && th < samples[j-1].th; j-- {
 				samples[j] = samples[j-1]
@@ -632,20 +653,22 @@ func (e *Engine) warmup(id int) bool {
 	} else {
 		med = (sub[ns/2-1].th + sub[ns/2].th) / 2
 	}
-	e.f.offset[id] += med
+	r.offset += med
 	if ns >= 3 {
-		e.f.srvIdx[id] = sub[ns/2].srv
+		r.srvIdx = sub[ns/2].srv
 	} else {
-		e.f.srvIdx[id] = vis[int(randInt(&e.f.rng[id], int64(nv)))]
+		r.srvIdx = vis[int(randInt(&r.rng, int64(nv)))]
 	}
 	return true
 }
 
-// exchange performs one simulated client↔server exchange through the
-// client's pooled wireless channel, full packet semantics included:
-// the returned θ is computed from the reply's NTP timestamps, so the
-// engine inherits ntppkt/ntptime rounding behavior for free.
-func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bool) {
+// exchange performs one simulated exchange between client id, whose
+// clock is offset seconds off, and server sidx through the client's
+// pooled wireless channel, full packet semantics included: the returned
+// θ is computed from the reply's NTP timestamps, so the engine inherits
+// ntppkt/ntptime rounding behavior for free. The four stamps are
+// integer nanoseconds after the Unix epoch.
+func (e *Engine) exchange(id int, offset float64, sidx int) (theta float64, rtt time.Duration, ok bool) {
 	// id % min(maxChannels, N), as a mask: when N < maxChannels, id < N.
 	ch := e.channels[id&(maxChannels-1)]
 	now := time.Duration(e.vt)
@@ -660,56 +683,52 @@ func (e *Engine) exchange(id, sidx int) (theta float64, rtt time.Duration, ok bo
 		return 0, 0, false
 	}
 
-	base := epoch.Add(now)
-	off := time.Duration(e.f.offset[id] * 1e9)
-	t1 := base.Add(off)
-	recv := base.Add(up).Add(srv.err)
-	xmit := recv.Add(proc)
-	t4 := base.Add(up + proc + down).Add(off)
+	base := epochNs + e.vt
+	off := int64(offset * 1e9)
+	t1 := base + off
+	recv := base + int64(up) + int64(srv.err)
+	xmit := recv + int64(proc)
+	t4 := base + int64(up+proc+down) + off
 
-	req := ntppkt.NewClient(4, ntptime.FromTime(t1))
+	req := ntppkt.NewClient(4, ntpAt(t1))
 	var rep ntppkt.Packet
-	srv.srv.Respond(&rep, req, recv, xmit)
+	srv.srv.Respond(&rep, req, time.Unix(0, recv), time.Unix(0, xmit))
 	if err := rep.ValidateServerReply(req.Transmit); err != nil {
 		return 0, 0, false
 	}
-	d := rep.Receive.Sub(req.Transmit) + rep.Transmit.Sub(ntptime.FromTime(t4))
+	d := rep.Receive.Sub(req.Transmit) + rep.Transmit.Sub(ntpAt(t4))
 	rtt = up + proc + down
 	e.rtt.Record(rtt)
 	return (time.Duration(d) / 2).Seconds(), rtt, true
 }
 
 // bump records a failed poll: dry-streak accounting plus poll backoff.
-func (e *Engine) bump(id int) {
-	if e.f.dry[id] < 255 {
-		e.f.dry[id]++
+func (e *Engine) bump(r *row) {
+	if r.dry < 255 {
+		r.dry++
 	}
-	if e.f.dry[id] > e.f.maxDry[id] {
-		e.f.maxDry[id] = e.f.dry[id]
+	if r.dry > r.maxDry {
+		r.maxDry = r.dry
 	}
-	if e.f.boff[id] < e.cfg.MaxBackoffShift {
-		e.f.boff[id]++
+	if r.boff < e.cfg.MaxBackoffShift {
+		r.boff++
 	}
 }
 
 // pollDelay is the next poll interval: backoff-shifted base with the
 // fleet-de-phasing jitter (the satellite fix the herd scenario
 // exercises).
-func (e *Engine) pollDelay(id int) time.Duration {
-	d := e.cfg.PollBase << e.f.boff[id]
+func (e *Engine) pollDelay(r *row) time.Duration {
+	d := e.cfg.PollBase << r.boff
 	j := e.cfg.PollJitter
 	if j > 0 {
 		span := float64(d) * j
-		d += time.Duration((2*splitmixFloat(&e.f.rng[id]) - 1) * span)
+		d += time.Duration((2*splitmixFloat(&r.rng) - 1) * span)
 	}
 	if d <= 0 {
 		d = time.Millisecond
 	}
 	return d
-}
-
-func (e *Engine) schedule(id int, after time.Duration) {
-	e.heaps[id&(nShards-1)].push(ev{at: e.vt + int64(after), id: int32(id)})
 }
 
 // Totals are the engine-wide exchange counters.
@@ -732,8 +751,8 @@ func (e *Engine) RTT() *hist.Snapshot {
 // ServedClients counts clients with at least one successful exchange.
 func (e *Engine) ServedClients() int {
 	n := 0
-	for _, s := range e.f.served {
-		if s {
+	for i := range e.rows {
+		if e.rows[i].served {
 			n++
 		}
 	}
@@ -743,10 +762,8 @@ func (e *Engine) ServedClients() int {
 // maxDryStreak is the worst consecutive-failure streak any client hit.
 func (e *Engine) maxDryStreak() int {
 	worst := uint8(0)
-	for _, d := range e.f.maxDry {
-		if d > worst {
-			worst = d
-		}
+	for i := range e.rows {
+		worst = max(worst, e.rows[i].maxDry)
 	}
 	return int(worst)
 }
@@ -754,8 +771,8 @@ func (e *Engine) maxDryStreak() int {
 // ratedClients counts clients that received at least one RATE kiss.
 func (e *Engine) ratedClients() int {
 	n := 0
-	for _, r := range e.f.rated {
-		if r {
+	for i := range e.rows {
+		if e.rows[i].rated {
 			n++
 		}
 	}
@@ -786,7 +803,8 @@ func (e *Engine) Stats(absThresh time.Duration) OffsetStats {
 	above := 0
 	th := absThresh.Seconds()
 	for i := 0; i < n; i += stride {
-		o := e.f.offset[i] + e.skew(i)*float64(e.vt-e.f.last[i])*1e-9
+		r := &e.rows[i]
+		o := r.offset + e.skew(i)*float64(e.vt-r.last)*1e-9
 		a := math.Abs(o)
 		abs = append(abs, a)
 		if th > 0 && a > th {

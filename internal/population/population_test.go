@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -98,15 +99,18 @@ func TestEngineOutageHook(t *testing.T) {
 	}
 }
 
+// size is the number of pending events.
+func (h evHeap) size() int { return len(h) - 1 }
+
 // TestEvHeapOrder pins the hand-rolled heap: pops come out sorted.
 func TestEvHeapOrder(t *testing.T) {
-	var h evHeap
+	h := newEvHeap(0)
 	st := uint64(9)
 	for i := 0; i < 5000; i++ {
 		h.push(ev{at: int64(splitmix(&st) % 1000000), id: int32(i)})
 	}
 	prev := int64(-1)
-	for len(h) > 0 {
+	for h.size() > 0 {
 		e := h.pop()
 		if e.at < prev {
 			t.Fatalf("heap order violated: %d after %d", e.at, prev)
@@ -116,17 +120,18 @@ func TestEvHeapOrder(t *testing.T) {
 }
 
 // refPop is the textbook top-down sift the engine popped with before
-// the bottom-up one: the last element goes to the root and sinks while
-// a child is strictly earlier, the left child winning ties.
+// the bottom-up one, on the same 1-based layout: the last element goes
+// to the root and sinks while a child is strictly earlier, the left
+// child winning ties.
 func refPop(h *evHeap) ev {
 	old := *h
-	top := old[0]
+	top := old[1]
 	n := len(old) - 1
-	old[0] = old[n]
+	old[1] = old[n]
 	*h = old[:n]
-	i := 0
+	i := 1
 	for {
-		l, r := 2*i+1, 2*i+2
+		l, r := 2*i, 2*i+1
 		m := i
 		if l < n && old[l].at < old[m].at {
 			m = l
@@ -155,16 +160,16 @@ func TestPopMatchesReference(t *testing.T) {
 	for mix := 0; mix < 300; mix++ {
 		st := uint64(mix) + 1
 		keys := 1 + randInt(&st, 50)
-		var got, want evHeap
+		got, want := newEvHeap(0), newEvHeap(0)
 		check := func(op int, what string) {
 			t.Helper()
 			if len(got) != len(want) {
-				t.Fatalf("mix %d op %d (%s): %d entries, reference has %d", mix, op, what, len(got), len(want))
+				t.Fatalf("mix %d op %d (%s): %d entries, reference has %d", mix, op, what, got.size(), want.size())
 			}
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("mix %d op %d (%s), %d keys: slot %d of %d holds %+v, reference %+v",
-						mix, op, what, keys, i, len(got), got[i], want[i])
+						mix, op, what, keys, i, got.size(), got[i], want[i])
 				}
 			}
 		}
@@ -175,7 +180,7 @@ func TestPopMatchesReference(t *testing.T) {
 			if op >= ops/2 {
 				pushOdds = 3
 			}
-			if len(got) == 0 || splitmix(&st)%10 < pushOdds {
+			if got.size() == 0 || splitmix(&st)%10 < pushOdds {
 				e := ev{at: randInt(&st, keys), id: int32(op)}
 				got.push(e)
 				want.push(e)
@@ -190,13 +195,61 @@ func TestPopMatchesReference(t *testing.T) {
 	}
 }
 
+// TestHeadsTrackShards: nextClient reads the cached heads, never the
+// shards, so after every push and pop of a seeded mix — both ends of
+// each shard's life included — heads[s] is shard s's earliest pending
+// instant, or math.MaxInt64 when the shard is empty.
+func TestHeadsTrackShards(t *testing.T) {
+	e, err := New(simConfig(64, 2)) // four pending events a shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(op int, what string) {
+		t.Helper()
+		for s, h := range e.heaps {
+			want := int64(math.MaxInt64)
+			for _, x := range h[1:] {
+				want = min(want, x.at)
+			}
+			if e.heads[s] != want {
+				t.Fatalf("op %d (%s): heads[%d] = %d, shard holds %d events with minimum %d", op, what, s, e.heads[s], h.size(), want)
+			}
+		}
+	}
+	check(-1, "New")
+	st := uint64(38)
+	const ops = 6000
+	for op := 0; op < ops; op++ {
+		s := int(randInt(&st, nShards))
+		// Grow for the first half, drain over the second.
+		pushOdds := uint64(6)
+		if op >= ops/2 {
+			pushOdds = 3
+		}
+		if e.heaps[s].size() == 0 || splitmix(&st)%10 < pushOdds {
+			id := s + nShards*int(randInt(&st, 4))
+			e.push(ev{at: randInt(&st, 1000), id: int32(id)})
+			check(op, "push")
+			continue
+		}
+		e.pop(s)
+		check(op, "pop")
+	}
+	for s := range e.heaps { // every shard ends empty
+		for e.heaps[s].size() > 0 {
+			e.pop(s)
+			check(ops, "drain")
+		}
+	}
+}
+
 // TestShardHeapsSizedOnce: every client always has exactly one pending
-// event, so New sizes each shard heap at ⌈N/16⌉ and no push ever grows
-// one — not in the synchronized cold start, and not when an outage
-// backs the fleet off.
+// event, so New sizes each shard heap at ⌈N/16⌉ events (plus the unused
+// slot 0) and no push ever grows one — not in the synchronized cold
+// start, and not when an outage backs the fleet off.
 func TestShardHeapsSizedOnce(t *testing.T) {
 	const n = 1007 // shards 0–6 hold 63 clients, the rest 62
-	const want = (n + nShards - 1) / nShards
+	const want = (n+nShards-1)/nShards + 1
 	e, err := New(simConfig(n, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +257,7 @@ func TestShardHeapsSizedOnce(t *testing.T) {
 	var backing [nShards]*ev
 	for s, h := range e.heaps {
 		if cap(h) != want {
-			t.Fatalf("after New shard %d has cap %d, want ⌈%d/%d⌉ = %d", s, cap(h), n, nShards, want)
+			t.Fatalf("after New shard %d has cap %d, want ⌈%d/%d⌉+1 = %d", s, cap(h), n, nShards, want)
 		}
 		backing[s] = unsafe.SliceData(h)
 	}
@@ -219,6 +272,25 @@ func TestShardHeapsSizedOnce(t *testing.T) {
 	for s, h := range e.heaps {
 		if cap(h) != want || unsafe.SliceData(h) != backing[s] {
 			t.Fatalf("shard %d regrew during Run: cap %d (want %d), backing array moved %v", s, cap(h), want, unsafe.SliceData(h) != backing[s])
+		}
+	}
+}
+
+// TestSiblingsShareALine: at the benchmark's 200 000 clients a shard
+// is 12 501 slots, 200 KB, which the allocator page-aligns, so every
+// sibling pair 2k, 2k+1 a sift compares lies in one 64-byte line.
+func TestSiblingsShareALine(t *testing.T) {
+	e, err := New(benchFleetConfig(200_000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, h := range e.heaps {
+		h = h[:cap(h)]
+		for k := 1; 2*k+1 < len(h); k++ {
+			l, r := uintptr(unsafe.Pointer(&h[2*k])), uintptr(unsafe.Pointer(&h[2*k+1]))
+			if l/64 != r/64 {
+				t.Fatalf("shard %d (array at %#x): slots %d and %d straddle a cache line", s, uintptr(unsafe.Pointer(&h[0])), 2*k, 2*k+1)
+			}
 		}
 	}
 }
@@ -246,16 +318,16 @@ func TestSkewDerivedFromSeed(t *testing.T) {
 			splitmix(&st) // decorrelation
 			offset := (2*splitmixFloat(&st) - 1) * initialOffsetMax.Seconds()
 			skew := (2*splitmixFloat(&st) - 1) * skewPPM * 1e-6
-			if e.f.offset[id] != offset {
-				t.Fatalf("seed %d id %d: offset %v, replay %v", seed, id, e.f.offset[id], offset)
+			if e.rows[id].offset != offset {
+				t.Fatalf("seed %d id %d: offset %v, replay %v", seed, id, e.rows[id].offset, offset)
 			}
 			if got := e.skew(id); got != skew {
 				t.Fatalf("seed %d id %d: skew(id) = %v, replay's second draw %v", seed, id, got, skew)
 			}
-			if e.f.rng[id] != st {
-				t.Fatalf("seed %d id %d: stream left at %#x, replay at %#x", seed, id, e.f.rng[id], st)
+			if e.rows[id].rng != st {
+				t.Fatalf("seed %d id %d: stream left at %#x, replay at %#x", seed, id, e.rows[id].rng, st)
 			}
-			rng := e.f.rng[id]
+			rng := e.rows[id].rng
 			for k := 0; k < 8; k++ {
 				if a, b := splitmix(&rng), splitmix(&st); a != b {
 					t.Fatalf("seed %d id %d: draw %d after the skew is %#x, replay %#x", seed, id, 3+k, a, b)
@@ -364,13 +436,15 @@ func warmupHeap(t *testing.T, n int) uint64 {
 
 // TestMillionClientMemory is the flat-memory acceptance test: one
 // million simulated clients complete a warm-up round with a bounded,
-// struct-of-arrays heap, and ≤ ~linear growth from the 100k baseline
+// flat, pointer-free heap, and ≤ ~linear growth from the 100k baseline
 // (fixed costs — channel pool, bins, RTT histogram — must not scale
-// with N). A ModeSim client is a 30-byte row and a 16-byte pending
-// event; with the fixed costs spread over 1 M it measures 49 B, and the
-// budget is that plus 7 B of margin (one stored float64 column more
-// fails it).
+// with N). A ModeSim client is a 32-byte row and a 16-byte pending
+// event; with the fixed costs spread over 1 M it measures 51 B, and the
+// budget stays 56 (one stored float64 more per client fails it).
 func TestMillionClientMemory(t *testing.T) {
+	if size := unsafe.Sizeof(row{}); size != 32 {
+		t.Fatalf("a client row is %d bytes, want 32: two to a cache line", size)
+	}
 	if testing.Short() {
 		t.Skip("1M-client memory test skipped in -short")
 	}
@@ -381,7 +455,7 @@ func TestMillionClientMemory(t *testing.T) {
 	big := warmupHeap(t, 1_000_000)
 	t.Logf("heap: 100k=%dKB 1M=%dKB (%.1fB/client)", base/1024, big/1024, float64(big)/1e6)
 	if per := float64(big) / 1e6; per > 56 {
-		t.Fatalf("1M clients use %.1f B/client, want ≤ 56 (SoA regressed)", per)
+		t.Fatalf("1M clients use %.1f B/client, want ≤ 56 (the flat rows regressed)", per)
 	}
 	if big > 10*base+(8<<20) {
 		t.Fatalf("heap grew superlinearly: 100k→%dB, 1M→%dB", base, big)

@@ -26,7 +26,6 @@ package wireless
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mntp/internal/hints"
@@ -102,12 +101,11 @@ const (
 )
 
 // Channel is the simulated 802.11 channel. It implements
-// hints.Provider and netsim.PathModel. Safe for use from scheduler
-// callbacks and Procs (which never run concurrently), and internally
-// locked for defensive safety.
+// hints.Provider and netsim.PathModel. It is not safe for concurrent
+// use: every user drives a channel from one goroutine at a time
+// (scheduler callbacks and netsim Procs never run concurrently, and the
+// population engine is single-goroutine).
 type Channel struct {
-	mu sync.Mutex
-
 	p       Params
 	timeNow func() time.Duration
 	rng     *rand.Rand // state-evolution randomness (quantized)
@@ -143,7 +141,7 @@ func NewChannel(p Params, timeNow func() time.Duration) *Channel {
 	}
 }
 
-// advanceTo integrates channel state to virtual time t (mu held).
+// advanceTo integrates channel state to virtual time t.
 func (c *Channel) advanceTo(t time.Duration) {
 	for c.last+quantum <= t {
 		// Ornstein–Uhlenbeck shadowing.
@@ -154,7 +152,7 @@ func (c *Channel) advanceTo(t time.Duration) {
 				c.inBurst = false
 			}
 		} else {
-			ratePerSec := (burstRatePerMin + burstLoadRatePerMin*c.occupancyLocked()) / 60
+			ratePerSec := (burstRatePerMin + burstLoadRatePerMin*c.occupancy()) / 60
 			if c.rng.Float64() < ratePerSec*quantumSec {
 				c.inBurst = true
 				c.burstNoise = burstNoiseDBm + 2*c.rng.NormFloat64()
@@ -164,8 +162,8 @@ func (c *Channel) advanceTo(t time.Duration) {
 	}
 }
 
-// occupancyLocked returns total medium occupancy in [0, 0.97].
-func (c *Channel) occupancyLocked() float64 {
+// occupancy returns total medium occupancy in [0, 0.97].
+func (c *Channel) occupancy() float64 {
 	rho := ambientLoad + c.load
 	if rho > 0.97 {
 		rho = 0.97
@@ -176,14 +174,14 @@ func (c *Channel) occupancyLocked() float64 {
 	return rho
 }
 
-// rssiLocked returns the current mean RSSI (no measurement jitter).
-func (c *Channel) rssiLocked() float64 { return c.txPower - pathLossDB + c.shadow }
+// rssi returns the current mean RSSI (no measurement jitter).
+func (c *Channel) rssi() float64 { return c.txPower - pathLossDB + c.shadow }
 
-// noiseLocked returns the current mean noise level: the quiet floor
+// noise returns the current mean noise level: the quiet floor
 // raised by occupancy-coupled co-channel interference, or the burst
 // level during an interference burst, whichever is louder.
-func (c *Channel) noiseLocked() float64 {
-	n := noiseFloorDBm + loadNoiseDB*c.occupancyLocked()
+func (c *Channel) noise() float64 {
+	n := noiseFloorDBm + loadNoiseDB*c.occupancy()
 	if c.inBurst && c.burstNoise > n {
 		return c.burstNoise
 	}
@@ -195,15 +193,13 @@ func (c *Channel) noiseLocked() float64 {
 // from obsRng, so seeding it here gives the sequence an eager seed
 // would, and a channel that only carries packets never pays for it.
 func (c *Channel) Hints() hints.Hints {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.obsRng == nil {
 		c.obsRng = rand.New(rand.NewSource(c.p.Seed ^ 0x4c957f2d_5851f42d))
 	}
 	c.advanceTo(c.timeNow())
 	return hints.Hints{
-		RSSI:  c.rssiLocked() + fastSigmaDB*c.obsRng.NormFloat64(),
-		Noise: c.noiseLocked() + 0.5*fastSigmaDB*c.obsRng.NormFloat64(),
+		RSSI:  c.rssi() + fastSigmaDB*c.obsRng.NormFloat64(),
+		Noise: c.noise() + 0.5*fastSigmaDB*c.obsRng.NormFloat64(),
 	}
 }
 
@@ -219,21 +215,17 @@ type State struct {
 // StateNow returns the current hidden state (no measurement jitter);
 // the Figure 7 signals plot and tests use it.
 func (c *Channel) StateNow() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advanceTo(c.timeNow())
-	r, n := c.rssiLocked(), c.noiseLocked()
+	r, n := c.rssi(), c.noise()
 	return State{
 		RSSI: r, Noise: n, SNR: r - n,
-		Occupancy: c.occupancyLocked(), InBurst: c.inBurst, TxPower: c.txPower,
+		Occupancy: c.occupancy(), InBurst: c.inBurst, TxPower: c.txPower,
 	}
 }
 
 // SetTxPower sets the WAP transmit power in dBm, clamped to [0, 20] —
 // the programmable actuator of the paper's scriptable tool.
 func (c *Channel) SetTxPower(dbm float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advanceTo(c.timeNow())
 	if dbm < 0 {
 		dbm = 0
@@ -245,17 +237,11 @@ func (c *Channel) SetTxPower(dbm float64) {
 }
 
 // TxPower returns the current transmit power.
-func (c *Channel) TxPower() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.txPower
-}
+func (c *Channel) TxPower() float64 { return c.txPower }
 
 // AddLoad adds delta to the injected cross-traffic occupancy (use a
 // negative delta when a download completes).
 func (c *Channel) AddLoad(delta float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advanceTo(c.timeNow())
 	c.load += delta
 	if c.load < 0 {
@@ -265,12 +251,10 @@ func (c *Channel) AddLoad(delta float64) {
 
 // SampleOneWay implements netsim.PathModel for the wireless hop.
 func (c *Channel) SampleOneWay(now time.Duration, _ netsim.Direction) (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advanceTo(now)
 
-	snr := c.rssiLocked() - c.noiseLocked()
-	rho := c.occupancyLocked()
+	snr := c.rssi() - c.noise()
+	rho := c.occupancy()
 
 	// Loss: SNR-driven corruption (post-L2-retry residual) plus
 	// occupancy-driven collision loss.
