@@ -94,7 +94,7 @@ var e2eCases = []e2eCase{
 			{op: opLoad, name: "load", args: "-rate 60000 -duration 3s -population 512 -timeout 500ms -interval 100ms"},
 		},
 		check: func(t *testing.T, r *e2eRun) {
-			shed, dropped := r.shed(t)
+			shed, dropped := r.stat(t, "shed"), r.stat(t, "shed-dropped")
 			rep := r.report("load")
 			if shed+dropped == 0 {
 				t.Errorf("shed=%d shed-dropped=%d: the server never shed", shed, dropped)
@@ -190,7 +190,8 @@ var e2eCases = []e2eCase{
 	{
 		// SIGHUP: the -config file's new rate limit applies live, the
 		// self-signed certificate is regenerated and republished, and
-		// the server keeps serving.
+		// the server keeps serving on the same workers: the reload
+		// restarts nothing.
 		name:   "sighup-reload",
 		server: "-config $DIR/server.conf -nts -nts-cert-out $DIR/cert.pem",
 		config: "# no rate limit\n",
@@ -210,6 +211,9 @@ var e2eCases = []e2eCase{
 			}
 			if before := r.beforeHUP["cert.pem"]; len(before) == 0 || bytes.Equal(before, r.file(t, "cert.pem")) {
 				t.Error("SIGHUP left -nts-cert-out unchanged")
+			}
+			if n := r.stat(t, "restarts"); n != 0 {
+				t.Errorf("restarts=%d after a SIGHUP, want 0: a reload restarts no worker", n)
 			}
 		},
 	},
@@ -315,7 +319,6 @@ var (
 	udpListening = regexp.MustCompile(`^ntpserver listening on (\S+) `)
 	reloadLine   = regexp.MustCompile(`^ntpserver(?: reloaded |: reload: )`)
 	reloadFailed = regexp.MustCompile(`^ntpserver: reload: `)
-	shedCounts   = regexp.MustCompile(`\bshed=(\d+) shed-dropped=(\d+)`)
 )
 
 // e2eRun is one case in flight and, once it is over, its evidence.
@@ -464,18 +467,19 @@ func (r *e2eRun) file(t *testing.T, name string) []byte {
 	return b
 }
 
-// shed parses the final stats line of the last server generation.
-func (r *e2eRun) shed(t *testing.T) (shed, dropped uint64) {
+// stat reads the counter key= from the final stats line of the last
+// server generation, the one it prints at SIGTERM.
+func (r *e2eRun) stat(t *testing.T, key string) uint64 {
+	counter := regexp.MustCompile(`(?:^| )` + regexp.QuoteMeta(key) + `=(\d+)`)
 	lines := r.live().lines
 	for i := len(lines) - 1; i >= 0; i-- {
-		if m := shedCounts.FindStringSubmatch(lines[i]); m != nil {
-			shed, _ = strconv.ParseUint(m[1], 10, 64)
-			dropped, _ = strconv.ParseUint(m[2], 10, 64)
-			return shed, dropped
+		if m := counter.FindStringSubmatch(lines[i]); m != nil {
+			n, _ := strconv.ParseUint(m[1], 10, 64)
+			return n
 		}
 	}
-	t.Fatal("no stats line with shed= shed-dropped=")
-	return 0, 0
+	t.Fatalf("no stats line with %s=", key)
+	return 0
 }
 
 func (r *e2eRun) load(name string) *load {

@@ -47,8 +47,7 @@
 // command line, the NTS certificate is reloaded (self-signed
 // regenerated, or -nts-cert/-nts-key re-read from disk) and
 // -nts-cert-out rewritten; only when all of that succeeded are both
-// applied, without dropping a socket, and the worker pools recycled
-// one shard at a time under load.
+// applied in place: no socket is dropped and no worker restarts.
 // With -nts-state the cookie ring is persisted (sealed under the key
 // in -nts-state-key, created on first run) and restored on restart,
 // so outstanding cookies survive and the fleet never sees a restart
@@ -366,9 +365,9 @@ func main() {
 
 	// reload is the SIGHUP path, all or nothing: read and check the
 	// -config file and load the NTS certificate, and only when both
-	// succeeded apply them live (no socket drop, established rate-limit
-	// budgets kept) and recycle the worker pools one shard at a time
-	// under load. An error is reported and the server keeps its
+	// succeeded apply them live: no socket drops, no worker restarts,
+	// established rate-limit budgets and the admission controller's
+	// state are kept. An error is reported and the server keeps its
 	// previous configuration whole — a bad reload must never take
 	// serving down.
 	reload := func() {
@@ -386,7 +385,6 @@ func main() {
 		if ke != nil {
 			ke.SetCertificate(cert)
 		}
-		srv.Recycle()
 		fmt.Printf("ntpserver reloaded (config %q, nts cert rotated %v)\n", *configPath, ke != nil)
 	}
 

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,18 +15,21 @@ import (
 	"mntp/internal/ntpnet"
 )
 
+// cmdFlags are command-line values for a -config file to land on, none
+// of them a default.
+var cmdFlags = settings{
+	stratum: 3, rateLimit: 100, maxClients: 4096, rateWindow: 30 * time.Second,
+	shedTarget: 7 * time.Millisecond, shedInterval: 250 * time.Millisecond,
+}
+
 // TestParseConfig pins the -config contract: the file overrides the
 // flag values key by key — a file carrying only one shed parameter
 // leaves the other at its flag value, not at the package default —
 // every reloadable flag is a key, and file values pass the same range
 // checks as the flags.
 func TestParseConfig(t *testing.T) {
-	flags := settings{
-		stratum: 3, rateLimit: 100, maxClients: 4096, rateWindow: 30 * time.Second,
-		shedTarget: 7 * time.Millisecond, shedInterval: 250 * time.Millisecond,
-	}
 	with := func(edit func(*settings)) settings {
-		s := flags
+		s := cmdFlags
 		edit(&s)
 		return s
 	}
@@ -37,7 +43,7 @@ func TestParseConfig(t *testing.T) {
 		want       settings
 		wantErr    string // substring; empty = must parse
 	}{
-		{name: "empty file keeps the flags", file: "# nothing\n\n", want: flags},
+		{name: "empty file keeps the flags", file: "# nothing\n\n", want: cmdFlags},
 		{name: "shed-target alone keeps -shed-interval", file: "shed-target = 2ms\n",
 			want: with(func(s *settings) { s.shedTarget = 2 * time.Millisecond })},
 		{name: "shed-interval alone keeps -shed-target", file: "shed-interval=1s\n",
@@ -63,7 +69,7 @@ func TestParseConfig(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.file), 0o600); err != nil {
 				t.Fatal(err)
 			}
-			got, err := parseConfig(path, flags)
+			got, err := parseConfig(path, cmdFlags)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
@@ -84,4 +90,51 @@ func TestParseConfig(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseConfig runs arbitrary -config files through parseConfig
+// over cmdFlags. Nothing may panic; every error begins path:line: with
+// a line of the file; whatever is accepted passes check and, written
+// back as name=value lines, parses to the same settings over the
+// defaults.
+func FuzzParseConfig(f *testing.F) {
+	f.Add([]byte("# c\n\nstratum=5\nratelimit=0x10\r\nratewindow=1.5h\nmaxclients=64\nshed-target = 1ms\n"))
+	f.Add([]byte("shed-interval=50ms\nratewindow=-10s\n"))
+	f.Add([]byte("shed-targte=2ms\nstratum 4\n"))
+	// back's flags print what they are bound to: set back, and
+	// VisitAll yields its name=value lines.
+	var back settings
+	backFlags := flag.NewFlagSet("ntpserver", flag.ContinueOnError)
+	back.bind(backFlags)
+	defaults := back
+	path := filepath.Join(f.TempDir(), "server.conf")
+	lineErr := regexp.MustCompile(`^` + regexp.QuoteMeta(path) + `:([1-9][0-9]*): `)
+	f.Fuzz(func(t *testing.T, file []byte) {
+		if err := os.WriteFile(path, file, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := parseConfig(path, cmdFlags)
+		if err != nil {
+			m := lineErr.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("error %q does not begin %s:line:", err, path)
+			}
+			if n, _ := strconv.Atoi(m[1]); n > bytes.Count(file, []byte("\n"))+1 {
+				t.Fatalf("error %q names a line past the file's end", err)
+			}
+			return
+		}
+		if err := got.check(); err != nil {
+			t.Fatalf("accepted settings %+v fail check: %v", got, err)
+		}
+		back = got
+		var lines strings.Builder
+		backFlags.VisitAll(func(fl *flag.Flag) { fmt.Fprintf(&lines, "%s=%s\n", fl.Name, fl.Value) })
+		if err := os.WriteFile(path, []byte(lines.String()), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := parseConfig(path, defaults); err != nil || again != got {
+			t.Fatalf("written back as\n%s parsed to %+v, %v; want %+v", lines.String(), again, err, got)
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"mntp/internal/clock"
 	"mntp/internal/ntppkt"
-	"mntp/internal/overload"
 )
 
 // TestShutdownDrainsInFlight pins the drain contract: requests the
@@ -267,60 +266,6 @@ func TestReloadInstallsLimiterWhenOff(t *testing.T) {
 	}
 	if resp.Stratum != ntppkt.StratumKoD || resp.RefID != ntppkt.KissRate {
 		t.Errorf("second request not limited: stratum %d refid %v", resp.Stratum, resp.RefID)
-	}
-}
-
-// TestRecycleUnderLoad: Recycle rotates every shard's pool while
-// clients keep querying — service continues, the sockets never drop,
-// and the rotations are visible in Snapshot().Restarts.
-func TestRecycleUnderLoad(t *testing.T) {
-	srv := NewServer(clock.System{}, 2)
-	srv.Shards = 2
-	srv.Workers = 2
-	srv.Overload = &overload.Config{}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	stop := make(chan struct{})
-	var senders sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		senders.Add(1)
-		go func() {
-			defer senders.Done()
-			c := &Client{Timeout: 200 * time.Millisecond}
-			req := ntppkt.NewSNTPClient(ntppkt.Version4, 0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				c.Exchange(addr.String(), req)
-			}
-		}()
-	}
-	time.Sleep(100 * time.Millisecond)
-
-	before := srv.Snapshot().Restarts
-	srv.Recycle()
-	after := srv.Snapshot().Restarts
-	if want := before + uint64(srv.NumShards()); after != want {
-		t.Errorf("restarts = %d, want %d (one rotation per shard)", after, want)
-	}
-
-	// Service must continue on the recycled pools.
-	c := &Client{Timeout: 2 * time.Second}
-	req := ntppkt.NewSNTPClient(ntppkt.Version4, 0)
-	if _, _, err := c.Exchange(addr.String(), req); err != nil {
-		t.Fatalf("request after recycle: %v", err)
-	}
-	close(stop)
-	senders.Wait()
-	if st := srv.Health(); st != overload.Healthy {
-		t.Errorf("health after recycle = %v, want Healthy (controller resumed)", st)
 	}
 }
 

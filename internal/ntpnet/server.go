@@ -341,27 +341,8 @@ func (s *Server) stop(ctx context.Context, drain bool) error {
 // budgets and the admission controller its health state and EWMAs
 // (see overload.Controller.Reconfigure). Set the fields and call
 // Reload from one goroutine. This is the SIGHUP path: cmd/ntpserver
-// sets the fields from its config file and calls Reload, then Recycle.
+// sets the fields from its config file and calls Reload.
 func (s *Server) Reload() { s.configure(false) }
-
-// Recycle rotates every shard's worker pool, one shard at a time,
-// reusing the watchdog's epoch-bump machinery: each shard's old
-// complement is told to exit (wherever its workers next unblock) while
-// a fresh complement starts against the same socket, so the sockets —
-// and the SO_REUSEPORT group — never drop and the other shards keep
-// serving throughout. The admission controller is paused for the
-// duration so the recycle's transient churn is not mistaken for
-// overload. Pool rotations are counted in Snapshot().Restarts, same
-// as watchdog-initiated ones.
-func (s *Server) Recycle() {
-	if s.ctrl != nil {
-		s.ctrl.Pause()
-		defer s.ctrl.Resume()
-	}
-	for _, sh := range s.shards {
-		s.restartShard(sh)
-	}
-}
 
 // Snapshot merges the shard-local metrics into the aggregate view.
 // Counters are read atomically per shard; the merge is not one atomic

@@ -2,6 +2,8 @@ package nts
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mntp/internal/ntppkt"
@@ -146,6 +148,53 @@ func FuzzVerifyRequest(f *testing.F) {
 		}
 		if inner := refOpenAuthenticator(t, s2c, mustDecode(t, resp.Encode(nil))); len(inner)%(ntppkt.ExtHeaderLen+cookieLen) != 0 {
 			t.Fatalf("reply's encrypted fields are %d bytes, not whole cookies", len(inner))
+		}
+	})
+}
+
+// FuzzLoadKeyRing feeds arbitrary state files to loadKeyRing, seeded
+// with Save's output for a fixed eight-key ring under a fixed state
+// key. Nothing may panic. The fuzzer holds no state key, so it cannot
+// seal a file of its own: only Save's bytes load, and what loads is
+// the ring that was saved. Save runs four times and must write one
+// file, since every fuzz worker saves the ring for itself.
+func FuzzLoadKeyRing(f *testing.F) {
+	stateKey := bytes.Repeat([]byte{0x5a}, SIVKeyLen)
+	ring := &KeyRing{depth: 7, next: 9, keys: map[uint32]masterKey{}}
+	for e := uint32(1); e < 9; e++ {
+		ring.keys[e], _ = newMasterKey(bytes.Repeat([]byte{byte(e)}, SIVKeyLen))
+	}
+	path := filepath.Join(f.TempDir(), "ring.state")
+	var saved []byte
+	for i := 0; i < 4; i++ {
+		err := ring.Save(path, stateKey)
+		data, _ := os.ReadFile(path)
+		if err != nil || (saved != nil && !bytes.Equal(data, saved)) {
+			f.Fatalf("Save: %v, or one ring saved twice wrote two different files", err)
+		}
+		saved = data
+	}
+	f.Add(saved)
+	f.Add(saved[:len(saved)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadKeyRing(path, stateKey)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(data, saved) {
+			t.Fatalf("loaded a file Save did not write: %x", data)
+		}
+		if got.next != ring.next || got.depth != ring.depth || len(got.keys) != len(ring.keys) {
+			t.Fatalf("loaded next %d depth %d with %d keys, want %d, %d, %d",
+				got.next, got.depth, len(got.keys), ring.next, ring.depth, len(ring.keys))
+		}
+		for e, k := range ring.keys {
+			if !bytes.Equal(got.keys[e].raw, k.raw) || got.keys[e].siv == nil {
+				t.Fatalf("epoch %d loaded without its key or its expansion", e)
+			}
 		}
 	})
 }

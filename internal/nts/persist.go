@@ -1,6 +1,7 @@
 package nts
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -67,6 +69,8 @@ func (r *KeyRing) Save(path string, stateKey []byte) error {
 		entries = append(entries, entry{e, k.raw}) // raw is never written after Rotate
 	}
 	r.mu.RUnlock()
+	// Epoch order, not map order: one ring always saves to one file.
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.epoch, b.epoch) })
 
 	payload := make([]byte, 0, 8+len(entries)*(4+SIVKeyLen))
 	payload = binary.BigEndian.AppendUint32(payload, next)

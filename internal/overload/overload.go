@@ -175,7 +175,6 @@ type Controller struct {
 	belowSince   time.Time // EWMA continuously at/below Target since
 	lastSample   time.Time
 	cryptoSeeded bool
-	paused       bool  // a shard recycle is in progress: hold state steady
 	floor        State // minimum state forced by slow signals
 	degradedN    uint64
 	overloadedN  uint64
@@ -203,32 +202,6 @@ func (c *Controller) Reconfigure(cfg Config) {
 	c.mu.Unlock()
 }
 
-// Pause freezes the state machine for the duration of a deliberate
-// disturbance — a one-shard-at-a-time worker-pool recycle, a config
-// reload swap. Sojourn observed while paused is the transient's
-// signature, not offered load, so samples are discarded and no
-// escalation or recovery transition can fire. The current state keeps
-// answering State()/ShedProb() queries unchanged: admission policy
-// holds steady instead of flapping through the recycle.
-func (c *Controller) Pause() {
-	c.mu.Lock()
-	c.paused = true
-	c.mu.Unlock()
-}
-
-// Resume unfreezes the state machine after Pause. The
-// sustained-interval timers are restarted from scratch so the paused
-// stretch neither counts toward an escalation nor toward a recovery:
-// the machine re-earns its next transition on post-recycle evidence
-// only.
-func (c *Controller) Resume() {
-	c.mu.Lock()
-	c.paused = false
-	c.aboveSince, c.aboveHiSince, c.belowSince = time.Time{}, time.Time{}, time.Time{}
-	c.lastSample = time.Time{}
-	c.mu.Unlock()
-}
-
 // Observe feeds one sampled ingress-to-reply sojourn measurement and
 // advances the state machine. now must be monotonic-ish wall time
 // from the caller's clock; all sustained-interval arithmetic uses it.
@@ -237,10 +210,6 @@ func (c *Controller) Observe(sojourn time.Duration, now time.Time) {
 		sojourn = 0
 	}
 	c.mu.Lock()
-	if c.paused {
-		c.mu.Unlock()
-		return
-	}
 	e := time.Duration(c.ewma.Load())
 	if c.lastSample.IsZero() {
 		e = sojourn // seed: the first sample is the estimate
@@ -265,10 +234,6 @@ func (c *Controller) ObserveCrypto(d time.Duration, now time.Time) {
 		d = 0
 	}
 	c.mu.Lock()
-	if c.paused {
-		c.mu.Unlock()
-		return
-	}
 	e := time.Duration(c.cryewa.Load())
 	if !c.cryptoSeeded {
 		e = d
@@ -286,9 +251,6 @@ func (c *Controller) ObserveCrypto(d time.Duration, now time.Time) {
 func (c *Controller) Evaluate(now time.Time, sig Signals) State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.paused {
-		return State(c.state.Load())
-	}
 	c.floor = Healthy
 	if sig.TableOccupancy >= c.cfg.TablePressure || sig.WriteErrorFrac >= 0.5 {
 		c.floor = Degraded

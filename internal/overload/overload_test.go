@@ -306,59 +306,3 @@ func TestReconfigureZeroFieldsTakeDefaults(t *testing.T) {
 		t.Fatalf("reconfigured zero config = %+v, want defaults applied", got)
 	}
 }
-
-// TestPauseHoldsStateThroughDisturbance: while paused — a shard
-// recycle in progress — enormous sojourn samples and Evaluate calls
-// must neither escalate nor recover the state; Resume restarts the
-// sustained-interval timers so the paused stretch counts for nothing.
-func TestPauseHoldsStateThroughDisturbance(t *testing.T) {
-	c := New(cfg())
-	c.Pause()
-	c.Observe(time.Second, base)
-	c.Observe(time.Second, base.Add(150*time.Millisecond))
-	c.Evaluate(base.Add(200*time.Millisecond), Signals{TableOccupancy: 1})
-	if got := c.State(); got != Healthy {
-		t.Fatalf("state while paused = %v, want healthy (recycle transient must not escalate)", got)
-	}
-	if st := c.Stats(); st.Sojourn != 0 {
-		t.Fatalf("sojourn EWMA = %v while paused, want 0 (samples discarded)", st.Sojourn)
-	}
-
-	c.Resume()
-	// Post-resume, escalation must be re-earned over a full interval
-	// from fresh timers, not inherited from the paused stretch.
-	t0 := base.Add(300 * time.Millisecond)
-	c.Observe(time.Second, t0)
-	if got := c.State(); got != Healthy {
-		t.Fatalf("state right after resume = %v, want healthy until a fresh sustained interval", got)
-	}
-	c.Observe(time.Second, t0.Add(100*time.Millisecond))
-	if got := c.State(); got != Overloaded {
-		t.Fatalf("state after post-resume sustained collapse = %v, want overloaded", got)
-	}
-}
-
-// TestPausePreservesDegradedPolicy: pausing in Degraded keeps the
-// admission policy — State and ShedProb — steady for the recycle's
-// duration instead of flapping to Healthy.
-func TestPausePreservesDegradedPolicy(t *testing.T) {
-	c := New(cfg())
-	c.Observe(10*time.Millisecond, base)
-	c.Observe(10*time.Millisecond, base.Add(100*time.Millisecond))
-	if got := c.State(); got != Degraded {
-		t.Fatalf("setup: state = %v, want degraded", got)
-	}
-	p := c.ShedProb()
-	c.Pause()
-	// A long quiet stretch arrives during the recycle; it must not
-	// recover the state while paused.
-	c.Observe(time.Microsecond, base.Add(400*time.Millisecond))
-	c.Evaluate(base.Add(500*time.Millisecond), Signals{})
-	if got := c.State(); got != Degraded {
-		t.Fatalf("state while paused = %v, want degraded held", got)
-	}
-	if got := c.ShedProb(); got != p {
-		t.Fatalf("ShedProb changed while paused: %v -> %v", p, got)
-	}
-	c.Resume()
-}
